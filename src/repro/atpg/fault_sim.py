@@ -22,7 +22,8 @@ The campaign entry points (:func:`parallel_stuck_at_simulation`,
 (:func:`stuck_at_detection_words` & friends) take ``engine="auto" |
 "multiword" | "compiled"`` and produce bit-identical results on every
 setting — ``auto`` (default) picks the multi-word engine once the
-(faults x vectors) problem is large enough to amortize numpy dispatch.
+(faults x vectors) problem and the netlist (ops x faults) are large
+enough to amortize numpy dispatch.
 
 **Sequential netlists** run through the same entry points via the
 ``unroll=`` knob: pass ``unroll=<n_frames>`` and each *vector* becomes a
@@ -89,9 +90,24 @@ _CHUNK_BITS = 64
 _MULTIWORD_MIN_FAULTS = 64
 _MULTIWORD_MIN_BITS = 2 * _CHUNK_BITS
 
+#: ... and once the netlist is big enough too.  At 256 vectors on a
+#: 2-vCPU x86 VM, below this many (ops x faults) the single-word path
+#: won on the paper-grid circuits (by 1.1-3x), rca8 and rca16; above
+#: it the multi-word path won the stuck-at and polarity voltage sweeps
+#: of random circuits from 80 gates up and of the ISCAS-class corpus.
+#: Deep chains (rca32) and 40-gate random circuits straddle it.
+_MULTIWORD_MIN_WORK = 20_000
 
-def _use_multiword(engine: str, n_faults: int, n_vectors: int) -> bool:
-    """Resolve the campaign ``engine`` selector (see module doc)."""
+
+def _use_multiword(
+    engine: str, n_faults: int, n_vectors: int, n_ops: int | None = None
+) -> bool:
+    """Resolve the campaign ``engine`` selector (see module doc).
+
+    ``n_ops`` is the compiled netlist's op count; when given, ``auto``
+    also requires ``n_ops * n_faults`` to reach
+    :data:`_MULTIWORD_MIN_WORK`.
+    """
     if engine == "multiword":
         return True
     if engine == "compiled":
@@ -101,6 +117,8 @@ def _use_multiword(engine: str, n_faults: int, n_vectors: int) -> bool:
             f"unknown fault-sim engine {engine!r}; "
             "expected 'auto', 'multiword' or 'compiled'"
         )
+    if n_ops is not None and n_ops * n_faults < _MULTIWORD_MIN_WORK:
+        return False
     return (
         n_vectors > _MULTIWORD_MIN_BITS
         or n_faults >= _MULTIWORD_MIN_FAULTS
@@ -440,7 +458,7 @@ def _injection_detection_words(
     cnet, injections, vectors, engine
 ) -> list[int]:
     """Detection matrix over prebuilt injections (engine dispatch)."""
-    if _use_multiword(engine, len(injections), len(vectors)):
+    if _use_multiword(engine, len(injections), len(vectors), len(cnet.ops)):
         return _multiword_detection_words(cnet, injections, vectors)
     packed = pack_vectors(cnet, vectors)
     good = cnet.simulate(packed)
@@ -454,7 +472,7 @@ def _injection_campaign(
     cnet, names, injections, vectors, engine
 ) -> FaultSimResult:
     """First-detection campaign over prebuilt injections with dropping."""
-    if _use_multiword(engine, len(names), len(vectors)):
+    if _use_multiword(engine, len(names), len(vectors), len(cnet.ops)):
         return _result_from_words(
             names, _multiword_detection_words(cnet, injections, vectors)
         )
@@ -587,7 +605,7 @@ def polarity_detection_words(
     cnet, injections, gate_lists, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(vectors)):
+    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
         return _multiword_polarity_words(
             cnet, faults, injections, gate_lists, vectors, iddq
         )
@@ -623,7 +641,7 @@ def parallel_polarity_simulation(
         return _injection_campaign(
             cnet, [f.name for f in faults], injections, vectors, engine
         )
-    if _use_multiword(engine, len(faults), len(vectors)):
+    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
         return _result_from_words(
             [f.name for f in faults],
             _multiword_polarity_words(
@@ -757,8 +775,9 @@ def _multiword_stuck_open_words(
         for gname in gates:
             init_pins = mw.gate_input_rows(cnet, good_init, gname)
             test_pins = mw.gate_input_rows(cnet, good_test, gname)
-            init_ones, init_zeros = mw._eval_table_row(
-                table, init_pins, init_mv.mask
+            init_ones, init_zeros = (
+                rail[0]
+                for rail in mw._eval_tables([table], init_pins, init_mv.mask)
             )
             ones = test_mv.mask & 0
             zeros = test_mv.mask & 0
@@ -799,7 +818,7 @@ def stuck_open_detection_words(
     cnet, gate_lists, pairs = _stuck_open_problem(
         network, faults, pairs, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(pairs)):
+    if _use_multiword(engine, len(faults), len(pairs), len(cnet.ops)):
         return _multiword_stuck_open_words(cnet, faults, gate_lists, pairs)
     init_packed = pack_vectors(cnet, [p[0] for p in pairs])
     test_packed = pack_vectors(cnet, [p[1] for p in pairs])
@@ -830,7 +849,7 @@ def parallel_stuck_open_simulation(
     cnet, gate_lists, pairs = _stuck_open_problem(
         network, faults, pairs, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(pairs)):
+    if _use_multiword(engine, len(faults), len(pairs), len(cnet.ops)):
         words = _multiword_stuck_open_words(
             cnet, faults, gate_lists, pairs
         )

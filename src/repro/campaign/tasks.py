@@ -190,6 +190,11 @@ def run_fault_sim_task(network: Network, engine: str = "auto") -> dict:
     detected when any frame's outputs differ.  The metrics dict then
     carries ``n_frames`` / ``n_flops`` alongside the shared keys, so
     combinational and sequential cells stay directly comparable.
+
+    ``engine`` names the PODEM engine of the other runners; this runner
+    runs no PODEM, so it is accepted and ignored — the sweeps always use
+    the fault simulator's own ``auto`` selection, whatever the grid's
+    ``engine`` column says.
     """
     import zlib
 
@@ -218,7 +223,7 @@ def run_fault_sim_task(network: Network, engine: str = "auto") -> dict:
         vectors = random_vectors(network, FAULT_SIM_VECTORS, seed=seed)
     sa_faults = get_universe("stuck_at").collapse(network)
     sa = parallel_stuck_at_simulation(
-        network, sa_faults, vectors, engine=engine, **sequence_opts
+        network, sa_faults, vectors, **sequence_opts
     )
     po_faults = get_universe("polarity").collapse(network)
     metrics.update({
@@ -231,11 +236,10 @@ def run_fault_sim_task(network: Network, engine: str = "auto") -> dict:
     })
     if po_faults:
         voltage = polarity_detection_words(
-            network, po_faults, vectors, engine=engine, **sequence_opts
+            network, po_faults, vectors, **sequence_opts
         )
         iddq = polarity_detection_words(
-            network, po_faults, vectors, iddq=True, engine=engine,
-            **sequence_opts
+            network, po_faults, vectors, iddq=True, **sequence_opts
         )
         metrics["polarity_voltage_coverage"] = sum(
             1 for w in voltage if w

@@ -947,6 +947,5 @@ def invalidate_network(network: Network) -> None:
     mutated behind the API (or to force a recompile) so the shared memo
     cannot serve a stale flattened form.
     """
-    network._compiled = None
-    network._levelized = None
+    network._drop_derived()
     _COMPILE_MEMO.pop(structural_fingerprint(network), None)

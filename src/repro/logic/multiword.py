@@ -14,13 +14,14 @@ ceil(n / 64)`` little-endian ``uint64`` words (*vector-major* within a
 word, word-major across the row).  A net's fault-free state is a pair
 of ``(W,)`` rail rows (ones rail / zeros rail, identical Kleene
 semantics to the single-word engine); a fault batch of ``F`` machines
-widens every net to ``(F, W)`` — the *fault-major* axis is axis 0, so
-one numpy bitwise op advances all ``F`` faulty machines over all ``n``
-vectors at once.  The tail of the last word (bits ``n .. 63``) is
-*ragged*: both rails keep it 0 (= X), so it can never produce a
-detection, and every word handed back to callers is additionally ANDed
-with the tail mask so forced-line writes (which set full 64-bit words)
-cannot leak tail bits into detection results.
+widens every net in its fanout cones to ``(F, W)`` — the *fault-major*
+axis is axis 0, so one numpy bitwise op advances all ``F`` faulty
+machines over all ``n`` vectors at once, and nets outside the cones
+stay ``(W,)`` good rows that numpy broadcasts.  The tail of the last
+word (bits ``n .. 63``) is *ragged*: both rails keep it 0 (= X), so it
+can never produce a detection, and every word handed back to callers
+is additionally ANDed with the tail mask so forced-line writes (which
+set full 64-bit words) cannot leak tail bits into detection results.
 
 **Equivalence.**  For any fault list and vector set the detection
 words produced here are bit-identical to the single-word engine's
@@ -45,7 +46,8 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Sequence
+import itertools
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -70,12 +72,12 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _DTYPE = np.dtype("<u8")
 
 #: Fault rows simulated per vectorized pass.  Bounds the working-set
-#: memory (n_nets x chunk x W x 16 bytes) while keeping the per-op
-#: numpy dispatch overhead amortized over a wide fault axis.
+#: memory (live cone nets x chunk x W x 16 bytes) while keeping the
+#: per-op numpy dispatch overhead amortized over a wide fault axis.
 DEFAULT_FAULT_CHUNK = 256
 
-#: Dual-rail multi-word net state: (ones, zeros) uint64 arrays, shape
-#: (n_nets, W) for the good machine and (n_nets, F, W) for a batch.
+#: Dual-rail multi-word good-machine state: (ones, zeros) uint64
+#: arrays of shape (n_nets, W).
 MultiwordState = tuple[np.ndarray, np.ndarray]
 
 
@@ -148,33 +150,32 @@ def _eval_gate_np(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dual-rail evaluation of one opcode over rail arrays.
 
-    Shape-agnostic: the pin arrays may be ``(W,)`` (good machine) or
-    ``(F, W)`` (fault batch).  Always returns fresh arrays (never views
-    of the inputs), so callers may patch per-fault rows in place.
+    Shape-agnostic and broadcasting: the pin arrays may be ``(W,)``
+    (good machine) or ``(F, W)`` (fault batch), mixed freely, and the
+    result takes the broadcast shape.  BUF and INV return their input
+    arrays themselves, so callers copy before patching rows in place.
     """
     a1, a0 = pw[0]
     if code == OP_BUF:
-        return a1.copy(), a0.copy()
+        return a1, a0
     if code == OP_INV:
-        return a0.copy(), a1.copy()
+        return a0, a1
     if code == OP_AND or code == OP_NAND:
-        o, z = a1.copy(), a0.copy()
+        o, z = a1, a0
         for b1, b0 in pw[1:]:
-            o &= b1
-            z |= b0
+            o = o & b1
+            z = z | b0
         return (z, o) if code == OP_NAND else (o, z)
     if code == OP_OR or code == OP_NOR:
-        o, z = a1.copy(), a0.copy()
+        o, z = a1, a0
         for b1, b0 in pw[1:]:
-            o |= b1
-            z &= b0
+            o = o | b1
+            z = z & b0
         return (z, o) if code == OP_NOR else (o, z)
     if code == OP_XOR or code == OP_XNOR:
         o, z = a1, a0
         for b1, b0 in pw[1:]:
             o, z = (o & b0) | (z & b1), (o & b1) | (z & b0)
-        if o is a1:  # single-input XOR: still must not alias
-            o, z = o.copy(), z.copy()
         return (z, o) if code == OP_XNOR else (o, z)
     # OP_MAJ / OP_MIN
     b1, b0 = pw[1]
@@ -200,32 +201,34 @@ def simulate_good(
     return ones, zeros
 
 
-def _eval_table_row(
-    table: Mapping[tuple[int, ...], int],
-    pin_rows: Sequence[tuple[np.ndarray, np.ndarray]],
+def _eval_tables(
+    tables: Sequence[Mapping[tuple[int, ...], int]],
+    pin_rails: Sequence[tuple[np.ndarray, np.ndarray]],
     mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local-truth-table evaluation over ``(W,)`` pin rows (one fault).
+    """Local-truth-table evaluation, one table per output row.
 
     The multi-word counterpart of :func:`repro.logic.compiled.
-    eval_table_packed`: table values outside (0, 1) contribute to
-    neither rail, so those vectors come out X.
+    eval_table_packed` for ``R`` tables at once: each pin rail is a
+    ``(W,)`` row shared by every table or an ``(R, W)`` array, and the
+    result is ``(R, W)``.  Each minterm's match word is computed once
+    for all rows.  Table values outside (0, 1) contribute to neither
+    rail, so those vectors come out X.
     """
-    ones = np.zeros_like(mask)
-    zeros = np.zeros_like(mask)
-    for minterm, value in table.items():
-        if value != 1 and value != 0:
+    ones = np.zeros((len(tables), mask.size), dtype=_DTYPE)
+    zeros = np.zeros_like(ones)
+    for minterm in itertools.product((0, 1), repeat=len(pin_rails)):
+        values = [table.get(minterm) for table in tables]
+        rows1 = [r for r, value in enumerate(values) if value == 1]
+        rows0 = [r for r, value in enumerate(values) if value == 0]
+        if not rows1 and not rows0:
             continue
-        word = mask.copy()
-        for (o, z), bit in zip(pin_rows, minterm):
-            word &= o if bit else z
-            if not word.any():
-                break
-        else:
-            if value == 1:
-                ones |= word
-            else:
-                zeros |= word
+        word = mask
+        for (o, z), bit in zip(pin_rails, minterm):
+            word = word & (o if bit else z)
+        for rail, rows in ((ones, rows1), (zeros, rows0)):
+            if rows:
+                rail[rows] |= word[rows] if word.ndim == 2 else word
     return ones, zeros
 
 
@@ -272,7 +275,13 @@ class FaultBatch:
     * ``pin_rows``: op position -> [(pin, row, value)] — branch faults,
       patched onto a copy of the gathered pin array.
     * ``table_rows``: op position -> [(row, table)] — functional
-      (polarity) faults, re-evaluated per affected row.
+      (polarity) faults, evaluated for all affected rows of an op at
+      once.
+
+    ``sources`` are the forced nets no op drives (primary inputs),
+    written before the sweep; ``seed_ops`` are the op positions where an
+    override enters (pin or table overrides, or a forced output).  The
+    batch's fanout cones start at these two.
     """
 
     def __init__(
@@ -307,8 +316,12 @@ class FaultBatch:
             )
             for idx in line1.keys() | line0.keys()
         }
-        self.forced_nets = sorted(self.line_rows.keys()
-                                  | self.word_rows.keys())
+        forced = self.line_rows.keys() | self.word_rows.keys()
+        driver = cnet.structures().driver_op
+        self.sources = sorted(i for i in forced if driver[i] < 0)
+        self.seed_ops = self.pin_rows.keys() | self.table_rows.keys() | {
+            driver[i] for i in forced if driver[i] >= 0
+        }
 
     def apply_forces(
         self, idx: int, ones_row: np.ndarray, zeros_row: np.ndarray
@@ -328,64 +341,130 @@ class FaultBatch:
             zeros_row[row] = z
 
 
+def _own_rows(
+    ones: np.ndarray, zeros: np.ndarray, f: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh writable ``(F, W)`` copies of rails that may be ``(W,)``
+    good rows or arrays shared with another net."""
+    o = np.empty((f, ones.shape[-1]), dtype=_DTYPE)
+    z = np.empty_like(o)
+    o[...] = ones
+    z[...] = zeros
+    return o, z
+
+
+def _batch_cone(
+    cnet: CompiledNetwork, batch: FaultBatch
+) -> tuple[list[int], dict[int, int]]:
+    """The ops a batch can change, and when each net is last read.
+
+    Returns ``(cone, last_read)``: the op positions in the union of the
+    batch's fanout cones, in topological order, and, per net read
+    inside the cone, the position of its last reader there.
+    """
+    fanout = cnet.structures().fanout_ops
+    ops = cnet.ops
+    marked = bytearray(len(ops))
+    for idx in batch.sources:
+        for pos in fanout[idx]:
+            marked[pos] = 1
+    for pos in batch.seed_ops:
+        marked[pos] = 1
+    first = marked.find(1)
+    cone: list[int] = []
+    last_read: dict[int, int] = {}
+    if first < 0:
+        return cone, last_read
+    for pos in range(first, len(ops)):
+        if marked[pos]:
+            cone.append(pos)
+            _, out, ins = ops[pos]
+            for i in ins:
+                last_read[i] = pos
+            for nxt in fanout[out]:
+                marked[nxt] = 1
+    return cone, last_read
+
+
+def _eval_seed_op(
+    batch: FaultBatch,
+    pos: int,
+    code: int,
+    out: int,
+    pw: list[tuple[np.ndarray, np.ndarray]],
+    mask: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the seed op at ``pos`` with the batch's overrides."""
+    f = batch.size
+    patched: set[int] = set()
+    for pin, row, value in batch.pin_rows.get(pos, ()):
+        if pin not in patched:  # pins may share one net's rows
+            patched.add(pin)
+            pw[pin] = _own_rows(*pw[pin], f)
+        o, z = pw[pin]
+        o[row] = _FULL if value else 0
+        z[row] = 0 if value else _FULL
+    o, z = _own_rows(*_eval_gate_np(code, pw), f)
+    tables = batch.table_rows.get(pos)
+    if tables:
+        rows = [row for row, _ in tables]
+        o[rows], z[rows] = _eval_tables(
+            [table for _, table in tables],
+            [(p1[rows], p0[rows]) if p1.ndim == 2 else (p1, p0)
+             for p1, p0 in pw],
+            mask,
+        )
+    batch.apply_forces(out, o, z)
+    return o, z
+
+
 def simulate_batch(
     cnet: CompiledNetwork,
     mv: MultiwordVectors,
     good: MultiwordState,
     batch: FaultBatch,
-) -> MultiwordState:
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Simulate ``F`` faulty machines over the whole vector batch.
 
-    Returns ``(ones, zeros)`` of shape ``(n_nets, F, W)``: row ``f`` is
-    the complete net state of fault ``f``'s machine.  The good state
-    seeds every row (a fault that changes nothing costs only the
-    re-evaluation sweep), then the batch's grouped overrides are applied
-    at the contract points: line/word forces at every write of their
-    net, pin forces on the gathered pin arrays, table overrides per
-    affected row after the healthy gate function.
+    Yields ``(net, ones, zeros)`` with ``(F, W)`` rails for every net a
+    fault of the batch can change, in topological order; row ``f`` is
+    that net in fault ``f``'s machine.  Every net not yielded equals
+    the good machine in all ``F`` rows.  Only the ops in the union of
+    the batch's fanout cones run; nets outside the cones are read as
+    broadcast good rows, and a net's rows are dropped after their last
+    reader in the cone, so the working set is the live cone frontier,
+    not every net.  The overrides apply at the contract points:
+    line/word forces at every write of their net, pin forces on the
+    gathered pin arrays, table overrides per affected row after the
+    healthy gate function.  Yielded arrays must not be modified.
     """
     good_ones, good_zeros = good
-    n_nets, n_words = good_ones.shape
-    f = batch.size
-    ones = np.repeat(good_ones[:, None, :], f, axis=1)
-    zeros = np.repeat(good_zeros[:, None, :], f, axis=1)
-    for idx in batch.forced_nets:
-        batch.apply_forces(idx, ones[idx], zeros[idx])
-    pin_rows = batch.pin_rows
-    table_rows = batch.table_rows
-    for pos, (code, out, ins) in enumerate(cnet.ops):
-        pw = []
-        for k, i in enumerate(ins):
-            o, z = ones[i], zeros[i]
-            forces = pin_rows.get(pos)
-            if forces:
-                patched = False
-                for pin, row, value in forces:
-                    if pin != k:
-                        continue
-                    if not patched:
-                        o, z = o.copy(), z.copy()
-                        patched = True
-                    if value:
-                        o[row] = _FULL
-                        z[row] = 0
-                    else:
-                        o[row] = 0
-                        z[row] = _FULL
-            pw.append((o, z))
-        o, z = _eval_gate_np(code, pw)
-        tables = table_rows.get(pos)
-        if tables:
-            for row, table in tables:
-                ro, rz = _eval_table_row(
-                    table, [(p1[row], p0[row]) for p1, p0 in pw], mv.mask
-                )
-                o[row] = ro
-                z[row] = rz
-        batch.apply_forces(out, o, z)
-        ones[out] = o
-        zeros[out] = z
-    return ones, zeros
+    cone, last_read = _batch_cone(cnet, batch)
+    rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for idx in batch.sources:
+        o, z = _own_rows(good_ones[idx], good_zeros[idx], batch.size)
+        batch.apply_forces(idx, o, z)
+        if idx in last_read:
+            rows[idx] = (o, z)
+        yield idx, o, z
+    ops = cnet.ops
+    seed_ops = batch.seed_ops
+    for pos in cone:
+        code, out, ins = ops[pos]
+        pw = [
+            rows.get(i) or (good_ones[i], good_zeros[i]) for i in ins
+        ]
+        if pos in seed_ops:
+            o, z = _eval_seed_op(batch, pos, code, out, pw, mv.mask)
+        else:
+            # Reached through the cone: some pin carries (F, W) rows.
+            o, z = _eval_gate_np(code, pw)
+        for i in ins:
+            if last_read[i] == pos:
+                rows.pop(i, None)
+        if out in last_read:
+            rows[out] = (o, z)
+        yield out, o, z
 
 
 def batch_detection_matrix(
@@ -399,17 +478,31 @@ def batch_detection_matrix(
     Bit ``k & 63`` of word ``k >> 6`` in row ``f`` is set iff vector
     ``k`` *definitely* detects fault ``f`` at a primary output (strict
     X semantics, matching :meth:`CompiledNetwork.output_diff`); the
-    ragged tail is masked off.
+    ragged tail is masked off.  Each primary output's difference is
+    folded in as soon as the sweep computes it.
     """
     good_ones, good_zeros = good
-    bad_ones, bad_zeros = simulate_batch(cnet, mv, good, batch)
+    outputs = set(cnet.po_index)
     diff = np.zeros((batch.size, mv.n_words), dtype=_DTYPE)
-    for idx in cnet.po_index:
-        diff |= (good_ones[idx][None, :] & bad_zeros[idx]) | (
-            good_zeros[idx][None, :] & bad_ones[idx]
-        )
+    for idx, bad_ones, bad_zeros in simulate_batch(cnet, mv, good, batch):
+        if idx in outputs:
+            diff |= (good_ones[idx] & bad_zeros) | (good_zeros[idx] & bad_ones)
     diff &= mv.mask[None, :]
     return diff
+
+
+def _fault_site(cnet: CompiledNetwork, injection: FaultInjection) -> int:
+    """Earliest op position an injection touches (its cone's start)."""
+    first = cnet.net_first_op
+    return min(
+        itertools.chain(
+            (first[i] for i in injection.lines),
+            (first[i] for i in injection.words),
+            (pos for pos, _pin in injection.pins),
+            injection.tables,
+        ),
+        default=len(cnet.ops),
+    )
 
 
 def batch_detect(
@@ -425,15 +518,22 @@ def batch_detect(
     same Python-int detection word the single-word engine's
     :meth:`~repro.logic.compiled.CompiledNetwork.detect_word` produces
     over the full vector set (bit ``k`` set iff vector ``k`` detects
-    the fault).  ``fault_chunk`` bounds the ``(n_nets, F, W)`` working
-    set; the final ragged chunk simply runs narrower.
+    the fault).  Chunks of ``fault_chunk`` faults are formed in
+    topological order of the fault sites, so each chunk's faults share
+    most of their fanout cones and deep sites simulate small cones; the
+    final ragged chunk simply runs narrower.
     """
-    words: list[int] = []
-    for base in range(0, len(injections), fault_chunk):
-        chunk = injections[base:base + fault_chunk]
-        batch = FaultBatch(cnet, chunk, mv.n_words)
+    order = sorted(
+        range(len(injections)),
+        key=lambda k: _fault_site(cnet, injections[k]),
+    )
+    words = [0] * len(injections)
+    for base in range(0, len(order), fault_chunk):
+        chunk = order[base:base + fault_chunk]
+        batch = FaultBatch(cnet, [injections[k] for k in chunk], mv.n_words)
         diff = batch_detection_matrix(cnet, mv, good, batch)
-        words.extend(int_from_words(diff[f]) for f in range(len(chunk)))
+        for row, k in enumerate(chunk):
+            words[k] = int_from_words(diff[row])
     return words
 
 

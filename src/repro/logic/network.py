@@ -100,6 +100,14 @@ class Network:
         self.flops: dict[str, str] = {}
         self._driver: dict[str, str] = {}  # net -> gate name
         self._levelized: list[Gate] | None = None
+        self._fanout: dict[str, list[Gate]] | None = None
+        self._compiled = None
+
+    def _drop_derived(self) -> None:
+        """Forget every form derived from the structure (levelization,
+        fanout index, compiled form); called by each structural edit."""
+        self._levelized = None
+        self._fanout = None
         self._compiled = None
 
     # ------------------------------------------------------------------
@@ -111,15 +119,13 @@ class Network:
         if net in self.flops:
             raise ValueError(f"net {net!r} already driven by a flop")
         self.primary_inputs.append(net)
-        self._levelized = None
-        self._compiled = None
+        self._drop_derived()
 
     def add_output(self, net: str) -> None:
         if net in self.primary_outputs:
             raise ValueError(f"duplicate primary output {net!r}")
         self.primary_outputs.append(net)
-        self._levelized = None
-        self._compiled = None
+        self._drop_derived()
 
     def add_gate(
         self, name: str, gtype: str, inputs: list[str] | tuple[str, ...],
@@ -136,8 +142,7 @@ class Network:
         gate = Gate(name, gtype.upper(), tuple(inputs), output)
         self.gates[name] = gate
         self._driver[output] = name
-        self._levelized = None
-        self._compiled = None
+        self._drop_derived()
         return gate
 
     def add_flop(self, output: str, data: str) -> None:
@@ -155,8 +160,7 @@ class Network:
         if output in self.primary_inputs:
             raise ValueError(f"net {output!r} is a primary input")
         self.flops[output] = data
-        self._levelized = None
-        self._compiled = None
+        self._drop_derived()
 
     @property
     def is_sequential(self) -> bool:
@@ -169,8 +173,20 @@ class Network:
         return self.gates[name] if name is not None else None
 
     def fanout_of(self, net: str) -> list[Gate]:
-        """Gates that consume ``net``."""
-        return [g for g in self.gates.values() if net in g.inputs]
+        """Gates that consume ``net``, in gate insertion order (a gate
+        reading ``net`` on several pins is listed once)."""
+        return list(self._fanout_index().get(net, ()))
+
+    def _fanout_index(self) -> dict[str, list[Gate]]:
+        """Net -> consuming gates (built lazily, cached until the next
+        structural edit)."""
+        if self._fanout is None:
+            index: dict[str, list[Gate]] = {}
+            for g in self.gates.values():
+                for net in dict.fromkeys(g.inputs):
+                    index.setdefault(net, []).append(g)
+            self._fanout = index
+        return self._fanout
 
     def nets(self) -> list[str]:
         found = set(self.primary_inputs)
@@ -213,26 +229,45 @@ class Network:
         Flop outputs count as placed from the start — within one clock
         cycle they are state inputs, so feedback through a flop is not
         a combinational loop.
+
+        The order is by ``(level, name)``, where a gate's level is one
+        more than the deepest gate driving its inputs (primary inputs
+        and flop outputs are level 0): the wave in which the gate
+        first has all its inputs placed.  Levels come from one
+        topological sweep over the fanout index, so this is linear in
+        the network size.
         """
         if self._levelized is not None:
             return self._levelized
-        order: list[Gate] = []
-        placed: set[str] = set(self.primary_inputs)
-        placed.update(self.flops)
-        remaining = dict(self.gates)
-        while remaining:
-            ready = [
-                g for g in remaining.values()
-                if all(n in placed for n in g.inputs)
-            ]
-            if not ready:
-                raise ValueError(
-                    f"combinational loop or missing driver in {self.name!r}"
-                )
-            for g in sorted(ready, key=lambda g: g.name):
-                order.append(g)
-                placed.add(g.output)
-                del remaining[g.name]
+        fanout = self._fanout_index()
+        level: dict[str, int] = dict.fromkeys(self.primary_inputs, 0)
+        level.update(dict.fromkeys(self.flops, 0))
+        # Gate name -> number of its distinct input nets not yet placed.
+        waiting: dict[str, int] = {}
+        ready: list[Gate] = []
+        for g in self.gates.values():
+            count = sum(1 for n in dict.fromkeys(g.inputs) if n not in level)
+            if count:
+                waiting[g.name] = count
+            else:
+                ready.append(g)
+        gate_level: dict[str, int] = {}
+        while ready:
+            g = ready.pop()
+            lvl = 1 + max(level[n] for n in g.inputs)
+            gate_level[g.name] = lvl
+            level[g.output] = lvl
+            for consumer in fanout.get(g.output, ()):
+                waiting[consumer.name] -= 1
+                if not waiting[consumer.name]:
+                    ready.append(consumer)
+        if len(gate_level) != len(self.gates):
+            raise ValueError(
+                f"combinational loop or missing driver in {self.name!r}"
+            )
+        order = sorted(
+            self.gates.values(), key=lambda g: (gate_level[g.name], g.name)
+        )
         self._levelized = order
         return order
 
@@ -253,7 +288,8 @@ class Network:
         return self._compiled
 
     def invalidate(self) -> None:
-        """Drop every cached derived form (levelization + compiled).
+        """Drop every cached derived form (levelization, fanout index,
+        compiled form).
 
         The structural-edit methods call the per-instance part of this
         automatically; use it directly after mutating the network

@@ -18,6 +18,7 @@ import pytest
 
 from repro.campaign.registry import Registry, get_registry, size_class
 from repro.campaign.runner import (
+    FALLBACK_CHAINS,
     TaskSpec,
     execute_task,
     expand_grid,
@@ -260,6 +261,21 @@ class TestMultiwordResume:
         assert DEFAULT_FAULT_CLASSES == (
             "stuck_at", "polarity", "iddq", "stuck_open",
         )
+
+    def test_fault_sim_cell_ignores_the_podem_engine(self):
+        # The grid's engine column selects the PODEM engine; fault_sim
+        # cells run no PODEM and must succeed, with identical metrics,
+        # under every engine a grid may name.
+        metrics = {}
+        for engine in FALLBACK_CHAINS:
+            record = execute_task(
+                expand_grid(["c17"], ["fault_sim"], engine=engine)[0]
+            )
+            assert record["status"] == "ok", record.get("error")
+            assert record["engine_used"] == engine
+            metrics[engine] = record["metrics"]
+        distinct = {json.dumps(m, sort_keys=True) for m in metrics.values()}
+        assert len(distinct) == 1
 
     def test_corpus_cells_are_self_contained(self):
         # Corpus entries carry their bench text, so spawn-started

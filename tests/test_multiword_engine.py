@@ -31,6 +31,7 @@ from repro.atpg.fault_sim import (
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,
     polarity_detection_words,
+    polarity_injection,
     stuck_at_detection_words,
     stuck_at_injection,
     stuck_open_detection_words,
@@ -45,7 +46,8 @@ from repro.circuits.random_circuits import (
 )
 from repro.faults import get_universe
 from repro.logic import multiword as mw
-from repro.logic.compiled import compile_network, pack_vectors
+from repro.logic.compiled import FaultInjection, compile_network, pack_vectors
+from repro.logic.network import Network
 
 NETLIST_DIR = (
     pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "netlists"
@@ -136,6 +138,13 @@ class TestEngineSelection:
         assert _use_multiword("auto", n_faults=64, n_vectors=8)
         assert _use_multiword("multiword", n_faults=1, n_vectors=1)
         assert not _use_multiword("compiled", n_faults=9999, n_vectors=9999)
+
+    def test_auto_needs_a_big_enough_netlist(self):
+        # Same fault and vector counts: a tiny netlist stays on the
+        # single-word path, a large one takes the multi-word engine.
+        assert not _use_multiword("auto", 100, 256, n_ops=10)
+        assert _use_multiword("auto", 100, 256, n_ops=1000)
+        assert _use_multiword("multiword", 1, 1, n_ops=1)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-sim engine"):
@@ -382,3 +391,185 @@ class TestCorpus:
         assert metrics["stuck_at_coverage"] > 0.5
         assert metrics["polarity_iddq_coverage"] > 0.5
         assert elapsed < 10.0, f"scaling campaign took {elapsed:.1f}s"
+
+
+# ---------------------------------------------------------------------------
+# Cone-bounded batches: edge cases against the single-word engine
+# ---------------------------------------------------------------------------
+
+def assert_batch_matches_single_word(cnet, vectors, injections):
+    """Detection words, and every net of every faulty machine, equal the
+    single-word engine's at several fault-chunk sizes.
+
+    Returns the detection words and, per injection, whether its faulty
+    machine differs from the good one on any net.
+    """
+    packed = pack_vectors(cnet, vectors)
+    good_sw = cnet.simulate(packed)
+    mv = mw.pack_vectors_multiword(cnet, vectors)
+    good = mw.simulate_good(cnet, mv)
+    expected = [cnet.detect_word(packed, good_sw, inj) for inj in injections]
+    for chunk in (1, 3, mw.DEFAULT_FAULT_CHUNK):
+        assert mw.batch_detect(
+            cnet, mv, good, injections, fault_chunk=chunk
+        ) == expected
+    # Full state: nets the sweep does not yield keep their good value.
+    batch = mw.FaultBatch(cnet, injections, mv.n_words)
+    changed = {}
+    for idx, ones, zeros in mw.simulate_batch(cnet, mv, good, batch):
+        assert idx not in changed
+        assert ones.shape == zeros.shape == (len(injections), mv.n_words)
+        changed[idx] = (ones & mv.mask, zeros & mv.mask)
+    excited = []
+    for row, injection in enumerate(injections):
+        bad_ones, bad_zeros = cnet.simulate(packed, injection)
+        excited.append((bad_ones, bad_zeros) != tuple(good_sw))
+        for idx in range(cnet.n_nets):
+            if idx in changed:
+                ones, zeros = (rail[row] for rail in changed[idx])
+            else:
+                ones, zeros = good[0][idx], good[1][idx]
+            assert (mw.int_from_words(ones), mw.int_from_words(zeros)) == (
+                bad_ones[idx], bad_zeros[idx]
+            ), (row, cnet.net_names[idx])
+    return expected, excited
+
+
+def edge_network():
+    """PI ``a`` doubles as a PO; ``unused`` and ``dangle`` have no
+    readers; ``g_dup`` reads ``b`` on both pins."""
+    n = Network("edges")
+    for pi in ("a", "b", "c", "unused"):
+        n.add_input(pi)
+    n.add_gate("g_nand", "NAND2", ["a", "b"], "y")
+    n.add_gate("g_dup", "NAND2", ["b", "b"], "w")
+    n.add_gate("g_xor", "XOR2", ["w", "c"], "v")
+    n.add_gate("g_dangle", "INV", ["c"], "dangle")
+    for po in ("a", "y", "v"):
+        n.add_output(po)
+    return n
+
+
+def edge_vectors(network):
+    return random_vectors(network, 70, seed=4, x_fraction=0.15)
+
+
+class TestConeBoundedBatches:
+    def test_pi_that_is_a_po_with_stem_faults(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        a = cnet.net_index["a"]
+        injections = [
+            FaultInjection(lines={a: 0}),
+            FaultInjection(lines={a: 1}),
+            FaultInjection(lines={cnet.net_index["y"]: 0}),
+        ]
+        words, _ = assert_batch_matches_single_word(
+            cnet, edge_vectors(network), injections
+        )
+        assert words[0] and words[1]  # observed directly at the output
+
+    def test_faults_on_nets_without_readers(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        injections = [
+            FaultInjection(lines={cnet.net_index[net]: value})
+            for net in ("dangle", "unused") for value in (0, 1)
+        ]
+        words, excited = assert_batch_matches_single_word(
+            cnet, edge_vectors(network), injections
+        )
+        assert words == [0, 0, 0, 0]
+        assert all(excited)
+
+    def test_branch_faults_on_pins_sharing_one_net(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        pos = cnet.gate_op["g_dup"]
+        injections = [
+            FaultInjection(pins={(pos, pin): value})
+            for pin in (0, 1) for value in (0, 1)
+        ]
+        injections.append(FaultInjection(pins={(pos, 0): 0, (pos, 1): 1}))
+        words, _ = assert_batch_matches_single_word(
+            cnet, edge_vectors(network), injections
+        )
+        assert words[0] and words[2]  # either pin at 0 forces w = 1
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_polarity_table_overrides(self, seed):
+        network = fuzz_network(seed)
+        cnet = compile_network(network)
+        faults = faults_of(network, "polarity")
+        injections = [polarity_injection(cnet, f) for f in faults]
+        vectors = random_vectors(network, 90, seed=seed, x_fraction=0.1)
+        _, excited = assert_batch_matches_single_word(
+            cnet, vectors, injections
+        )
+        assert any(excited)
+
+    def test_stuck_open_word_forces(self):
+        network = fuzz_network(3)
+        cnet = compile_network(network)
+        vectors = random_vectors(network, 75, seed=11, x_fraction=0.1)
+        mask = (1 << len(vectors)) - 1
+        rng = np.random.default_rng(3)
+
+        def random_word():
+            ones = int.from_bytes(rng.bytes(16), "little") & mask
+            zeros = int.from_bytes(rng.bytes(16), "little") & mask & ~ones
+            return ones, zeros
+
+        nets = [cnet.pi_index[0], *(out for _, out, _ in cnet.ops)]
+        injections = [
+            FaultInjection(words={
+                int(idx): random_word()
+                for idx in rng.choice(nets, size=1 + k % 3, replace=False)
+            })
+            for k in range(24)
+        ]
+        words, _ = assert_batch_matches_single_word(
+            cnet, vectors, injections
+        )
+        assert any(words)
+
+    def test_three_frame_unrolled_sequential_circuit(self):
+        from repro.circuits.random_circuits import (
+            random_sequence_vectors,
+            random_sequential_network,
+        )
+        from repro.logic import sequential
+
+        network = random_sequential_network(6, n_gates=60, n_flops=4)
+        uv = sequential.unroll_network(network, 3)
+        cnet = compile_network(uv.network)
+        injections = [
+            sequential.stuck_at_unrolled_injection(uv, cnet, f)
+            for f in faults_of(network, "stuck_at")
+        ] + [
+            sequential.polarity_unrolled_injection(uv, cnet, f)
+            for f in faults_of(network, "polarity")
+        ]
+        vectors = uv.flatten_vectors(
+            random_sequence_vectors(network, 80, 3, seed=6),
+            {q: 0 for q in network.flops},
+        )
+        words, _ = assert_batch_matches_single_word(
+            cnet, vectors, injections
+        )
+        assert any(words)
+
+    def test_chunk_with_an_empty_cone(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        unused = cnet.net_index["unused"]
+        empty = [FaultInjection(), FaultInjection(lines={unused: 1})]
+        batch = mw.FaultBatch(cnet, empty, 2)
+        assert mw._batch_cone(cnet, batch) == ([], {})
+        # Empty-cone faults sort last, so the final chunks have no cone.
+        injections = [empty[0], FaultInjection(lines={0: 1}), empty[1]]
+        words, excited = assert_batch_matches_single_word(
+            cnet, edge_vectors(network), injections
+        )
+        assert words[0] == words[2] == 0
+        assert excited == [False, True, True]
