@@ -9,7 +9,7 @@ Since the campaign subsystem landed, this module is a thin, typed view
 over it: the measurements run as a ``(circuit x fault-class)`` grid
 through :func:`repro.campaign.runner.run_campaign` (in-process,
 unsharded — the same records ``python -m repro paper-tables`` produces
-with a pool and a JSONL store), and the table is rendered by
+with a pool and a sqlite store), and the table is rendered by
 :func:`repro.campaign.tables.coverage_table`.  Example::
 
     >>> from repro.analysis.atpg_experiments import experiment_atpg_coverage
@@ -142,7 +142,7 @@ def experiment_atpg_coverage(
     Section 5 suite, :data:`repro.campaign.tables.SECTION5_SUITE`).
 
     Equivalent CLI: ``python -m repro paper-tables`` (which adds
-    multiprocessing fan-out and JSONL resume on top of the same grid).
+    multiprocessing fan-out and store-backed resume on top of the same grid).
     """
     from repro.campaign.runner import expand_grid, run_campaign
     from repro.campaign.tables import (

@@ -2,10 +2,9 @@
 
 The layer above the per-circuit engines: a benchmark registry
 (:mod:`~repro.campaign.registry`), deterministic fault-class tasks
-(:mod:`~repro.campaign.tasks`), a fault-tolerant grid runner with
-pluggable crash-safe checkpoint stores — single-writer JSONL or
-multi-runner sqlite with atomic task claims
-(:mod:`~repro.campaign.runner` / :mod:`~repro.campaign.store` /
+(:mod:`~repro.campaign.tasks`), a fault-tolerant grid runner with a
+crash-safe, multi-runner sqlite checkpoint store with atomic task
+claims (:mod:`~repro.campaign.runner` / :mod:`~repro.campaign.store` /
 :mod:`~repro.campaign.backends`) — over a supervised worker-process layer
 with watchdog kills, crash respawn, retry/backoff and poison-task
 quarantine (:mod:`~repro.campaign.supervisor`, chaos-tested via
@@ -18,15 +17,12 @@ Programmatic quickstart::
     from repro.campaign import expand_grid, run_campaign, render_report
 
     grid = expand_grid(["c17", "rca4"], ["stuck_at", "polarity"])
-    result = run_campaign(grid, store="campaign.jsonl", workers=4)
+    result = run_campaign(grid, store="campaign.sqlite", workers=4)
     print(render_report(result.records))
 """
 
 from repro.campaign.backends import (
-    JsonlBackend,
-    ResultBackend,
     SqliteBackend,
-    detect_backend,
     migrate_jsonl_to_sqlite,
     open_store,
 )
@@ -42,12 +38,7 @@ from repro.campaign.runner import (
     run_campaign,
     run_task_with_retries,
 )
-from repro.campaign.store import (
-    ResultStore,
-    StoreLockedError,
-    stores_equal,
-    strip_volatile,
-)
+from repro.campaign.store import stores_equal, strip_volatile
 from repro.campaign.tables import (
     coverage_table,
     escape_table,
@@ -65,18 +56,13 @@ __all__ = [
     "CircuitSpec",
     "DEFAULT_FAULT_CLASSES",
     "FALLBACK_CHAINS",
-    "JsonlBackend",
     "Registry",
-    "ResultBackend",
-    "ResultStore",
     "RetryPolicy",
     "SqliteBackend",
-    "StoreLockedError",
     "TASK_RUNNERS",
     "TaskSpec",
     "TransientTaskError",
     "coverage_table",
-    "detect_backend",
     "escape_table",
     "execute_task",
     "expand_grid",

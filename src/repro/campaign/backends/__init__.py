@@ -1,95 +1,55 @@
-"""Pluggable campaign result stores.
+"""The campaign result store.
 
-The runner talks to storage through the
-:class:`~repro.campaign.backends.base.ResultBackend` protocol; this
-package registers the implementations and provides the two entry
-points everything above the storage layer uses:
-
-* :func:`detect_backend` — name the backend a store *file* belongs to
-  (sqlite files carry a 16-byte magic header; everything else with
-  content is JSONL; for paths that do not exist yet the suffix
-  decides).
-* :func:`open_store` — build and :meth:`open` the right backend for a
-  path, either by explicit name (``--backend jsonl|sqlite``) or by
-  detection (``auto``).
+Campaign results live in one kind of store: the WAL-mode sqlite
+database of :mod:`repro.campaign.backends.sqlite`, with atomic task
+claims, per-row checksums and quarantine.  :func:`open_store` is the
+entry point everything above the storage layer uses.  JSONL survives
+only at the edges: ``repro campaign export`` prints a store as JSONL,
+and :func:`migrate_jsonl_to_sqlite` imports one.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.campaign.backends.base import ResultBackend
-from repro.campaign.backends.jsonl import JsonlBackend
-from repro.campaign.backends.sqlite import SqliteBackend, migrate_jsonl_to_sqlite
+from repro.campaign.backends.sqlite import (
+    SqliteBackend,
+    migrate_jsonl_to_sqlite,
+    require_sqlite,
+    scan_records,
+)
 
 __all__ = [
-    "ResultBackend",
-    "JsonlBackend",
     "SqliteBackend",
-    "BACKENDS",
-    "SQLITE_MAGIC",
-    "detect_backend",
-    "open_store",
     "migrate_jsonl_to_sqlite",
+    "open_store",
+    "require_sqlite",
+    "scan_records",
 ]
-
-#: name -> backend class (the ``--backend`` registry).
-BACKENDS = {
-    JsonlBackend.name: JsonlBackend,
-    SqliteBackend.name: SqliteBackend,
-}
-
-#: First 16 bytes of every sqlite3 database file.
-SQLITE_MAGIC = b"SQLite format 3\x00"
-
-#: Suffixes that mean sqlite when the file does not exist yet.
-_SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db", ".sq3"}
-
-
-def detect_backend(path: str | Path) -> str:
-    """Which backend a store path belongs to (``"jsonl"``/``"sqlite"``).
-
-    An existing non-empty file is classified by content — the sqlite
-    magic header is unambiguous, anything else is JSONL (whose lines
-    can never start with the magic).  A missing or empty file is
-    classified by suffix, defaulting to JSONL.
-    """
-    path = Path(path)
-    try:
-        with path.open("rb") as handle:
-            head = handle.read(len(SQLITE_MAGIC))
-    except OSError:
-        head = b""
-    if head.startswith(SQLITE_MAGIC):
-        return SqliteBackend.name
-    if head:
-        return JsonlBackend.name
-    if path.suffix.lower() in _SQLITE_SUFFIXES:
-        return SqliteBackend.name
-    return JsonlBackend.name
 
 
 def open_store(
     path: str | Path,
-    backend: str = "auto",
+    backend: str = "sqlite",
     *,
     fsync: bool = False,
-    lock: bool = True,
     chaos=None,
-) -> ResultBackend:
-    """Build and open the backend for ``path``.
+    read_only: bool = False,
+) -> SqliteBackend:
+    """Build and open the store at ``path``.
 
-    ``backend`` is a registry name or ``"auto"`` (detect from the file
-    / suffix).  The returned store is already recovered — opening runs
-    journal recovery, corruption quarantine and stale-claim re-queue
-    where the backend supports them.
+    The returned store is already recovered — opening runs journal
+    recovery, corruption quarantine and stale-claim re-queue — unless
+    ``read_only``, which opens it untouched.  ``backend`` must be
+    ``"sqlite"``, the only store there is; a path holding anything but
+    a sqlite database raises :class:`ValueError`.
     """
-    name = detect_backend(path) if backend == "auto" else backend
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS) + ["auto"])
+    if backend != SqliteBackend.name:
         raise ValueError(
-            f"unknown backend {name!r} (choose from: {known})"
-        ) from None
-    return cls(path, fsync=fsync, lock=lock, chaos=chaos).open()
+            f"unknown store backend {backend!r}: campaign stores are "
+            "sqlite; import a JSONL store with 'repro campaign "
+            "migrate-store'"
+        )
+    return SqliteBackend(
+        path, fsync=fsync, chaos=chaos, read_only=read_only
+    ).open()

@@ -1,7 +1,6 @@
-"""Sqlite backend: crash-safe multi-runner campaign storage.
+"""The campaign result store: crash-safe, multi-runner sqlite.
 
-Where the JSONL backend locks out the second writer, this backend is
-built for N independent runner *processes* sharing one store and
+Built for N independent runner *processes* sharing one store and
 splitting a grid between them with no duplicated and no lost rows:
 
 * **WAL journaling.**  The database runs in write-ahead-log mode, so
@@ -24,9 +23,14 @@ splitting a grid between them with no duplicated and no lost rows:
 * **Schema versioning + one-way migration.**  ``meta.store_schema``
   names the layout version (:data:`SqliteBackend.STORE_SCHEMA`); a
   store written by a newer layout refuses to open.
-  :func:`migrate_jsonl_to_sqlite` lifts an existing JSONL store into a
-  fresh sqlite one (source untouched), preserving record order and
-  history.
+  :func:`migrate_jsonl_to_sqlite` lifts a JSONL store (the format of
+  older checkouts, and of ``repro campaign export``) into a fresh
+  sqlite one (source untouched), preserving record order and history.
+* **Read-only access.**  :func:`scan_records` and
+  ``SqliteBackend(path, read_only=True)`` read through ``mode=ro``
+  connections that never repair, re-queue or create anything, so
+  reports, exports, status polls and ``verify-store`` without
+  ``--repair`` leave the store exactly as they found it.
 * **Bounded backoff on contention.**  Writes ride sqlite's
   ``busy_timeout`` plus an explicit retry loop with exponential
   backoff, so sustained lock contention (another runner mid-commit,
@@ -37,9 +41,9 @@ Storage chaos (:class:`repro.campaign.chaos.StorageChaos`) hooks:
 ``claim`` faults fire after the claim transaction commits (``kill`` =
 SIGKILL between claim and commit — the acceptance scenario), and
 ``append`` faults fire inside the append (``enospc`` fails the attempt
-before the transaction; ``kill``/``torn`` SIGKILL after the result
-``INSERT`` but before ``COMMIT`` — the mid-transaction kill WAL
-recovery must erase).
+before the transaction; ``kill`` SIGKILLs after the result ``INSERT``
+but before ``COMMIT`` — the mid-transaction kill WAL recovery must
+erase).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import zlib
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.store import SCHEMA_VERSION, ResultStore
+from repro.campaign.store import SCHEMA_VERSION
 
 #: Bounded backoff schedule for contended/failed write transactions.
 _IO_ATTEMPTS = 6
@@ -91,6 +95,62 @@ CREATE TABLE IF NOT EXISTS quarantine (
 """
 
 
+#: First 16 bytes of every sqlite3 database file.
+_SQLITE_MAGIC = b"SQLite format 3\x00"
+
+
+def require_sqlite(path: str | Path) -> None:
+    """Refuse a store path that holds something other than a sqlite
+    database — typically a JSONL store from an older checkout — before
+    any connection could touch it.  A missing or empty file is fine
+    (it becomes a fresh store)."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(len(_SQLITE_MAGIC))
+    except FileNotFoundError:
+        return
+    if head and head != _SQLITE_MAGIC:
+        raise ValueError(
+            f"{path}: not a sqlite campaign store (a JSONL store from an "
+            "older checkout?); import it with 'repro campaign "
+            f"migrate-store --store {path} --to NEW.sqlite'"
+        )
+
+
+def scan_records(store_path: Path) -> list[dict]:
+    """All records of a store in commit order, through a short-lived
+    read-only connection.
+
+    The one read path for callers that must not mutate the store —
+    ``repro report``/``export`` and the job service's status/results
+    polling (``open`` runs repair + stale-claim reclamation, and the
+    polling thread is never the campaign thread).  A missing store (no
+    campaign ran yet) is just empty.
+    """
+    if not store_path.exists():
+        return []
+    uri = f"file:{store_path}?mode=ro"
+    try:
+        conn = sqlite3.connect(uri, uri=True, timeout=5.0)
+    except sqlite3.OperationalError:
+        return []
+    try:
+        rows = conn.execute(
+            "SELECT record FROM results ORDER BY seq"
+        ).fetchall()
+    except sqlite3.OperationalError:  # store still being initialised
+        return []
+    finally:
+        conn.close()
+    records = []
+    for (text,) in rows:
+        try:
+            records.append(json.loads(text))
+        except json.JSONDecodeError:  # pragma: no cover - quarantine's job
+            continue
+    return records
+
+
 def _checksum(text: str) -> int:
     """CRC-32 of the canonical record text (torn/tamper detection)."""
     return zlib.crc32(text.encode("utf-8"))
@@ -118,21 +178,21 @@ class SqliteBackend:
     name = "sqlite"
     #: Version of the table layout above (``meta.store_schema``).
     STORE_SCHEMA = 1
-    supports_claiming = True
 
     def __init__(
         self,
         path: str | Path,
         *,
         fsync: bool = False,
-        lock: bool = True,  # noqa: ARG002 - sqlite locks itself; kept for
-        chaos=None,         #   ctor uniformity across backends
+        chaos=None,
+        read_only: bool = False,
         busy_timeout_s: float = 5.0,
         claim_lease_s: float = 3600.0,
     ) -> None:
         self.path = Path(path)
         self.fsync = fsync
         self.chaos = chaos
+        self.read_only = read_only
         self.busy_timeout_s = busy_timeout_s
         self.claim_lease_s = claim_lease_s
         self._conn: sqlite3.Connection | None = None
@@ -147,8 +207,20 @@ class SqliteBackend:
 
     def open(self) -> "SqliteBackend":
         """Connect (running WAL journal recovery), create/validate the
-        schema, quarantine corrupt rows and re-queue stale claims."""
+        schema, quarantine corrupt rows and re-queue stale claims.
+
+        A ``read_only`` backend only connects (``mode=ro``): nothing is
+        created, repaired or re-queued, and every write raises."""
         if self._conn is not None:
+            return self
+        require_sqlite(self.path)
+        if self.read_only:
+            self._conn = sqlite3.connect(
+                f"file:{self.path}?mode=ro",
+                uri=True,
+                timeout=self.busy_timeout_s,
+                isolation_level=None,
+            )
             return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(
@@ -396,7 +468,7 @@ class SqliteBackend:
                     " VALUES (?, ?, ?, ?)",
                     (task_id, status, text, checksum),
                 )
-                if kind in ("kill", "torn"):
+                if kind == "kill":
                     # Die inside the transaction: WAL journal recovery
                     # must erase the uncommitted row on the next open.
                     from repro.campaign.chaos import _kill_self
@@ -422,7 +494,7 @@ class SqliteBackend:
     # -- reading -----------------------------------------------------------
 
     def load(self) -> list[dict]:
-        """All records in commit order (the JSONL file-order analogue)."""
+        """All records in commit order."""
         rows = self._connection().execute(
             "SELECT record FROM results ORDER BY seq"
         ).fetchall()
@@ -557,14 +629,22 @@ class SqliteBackend:
 def migrate_jsonl_to_sqlite(
     src: str | Path, dst: str | Path, *, fsync: bool = False
 ) -> int:
-    """One-way migration of an existing JSONL store into a fresh sqlite
-    store (the source file is left untouched).
+    """One-way import of a JSONL store into a fresh sqlite store (the
+    source file is left untouched).
 
-    Record order and full history are preserved — every JSONL line
-    becomes a result row, re-stamped with the sqlite backend's
-    provenance, its task marked ``done`` — so resume, ``latest`` and
-    table rendering behave identically on the migrated store.  Returns
-    the number of records migrated.
+    Reads the one-record-per-line format of older checkouts and of
+    ``repro campaign export``.  A torn final line — a writer killed
+    mid-record, possibly inside a multi-byte UTF-8 sequence, hence the
+    per-line decoding — is dropped; a corrupt line anywhere else
+    (including a newline-terminated last line) means the file was
+    edited, not killed, and raises :class:`ValueError` naming the line
+    before the destination is created.
+
+    Record order and full history are preserved — every line becomes a
+    result row, re-stamped with the sqlite provenance, its task marked
+    ``done`` — so resume, ``latest`` and table rendering behave
+    identically on the imported store.  Returns the number of records
+    imported.
     """
     src, dst = Path(src), Path(dst)
     if dst.exists():
@@ -572,7 +652,21 @@ def migrate_jsonl_to_sqlite(
             f"{dst}: refusing to migrate onto an existing file "
             "(migration is one-way, into a fresh store)"
         )
-    records = ResultStore(src, lock=False).load()  # tolerates a torn tail
+    # The last piece is b"" when the file ends with its terminator, and
+    # otherwise the unterminated tail a killed writer left behind.
+    lines = src.read_bytes().split(b"\n")
+    records: list[dict] = []
+    for number, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            records.append(json.loads(raw.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            if number == len(lines):
+                break
+            raise ValueError(
+                f"{src}: corrupt record on line {number}"
+            ) from None
     backend = SqliteBackend(dst, fsync=fsync).open()
     try:
         for record in records:

@@ -4,7 +4,7 @@ The differential-harness discipline the simulation engines get from
 ``tests/test_multiword_engine.py`` — every engine must agree bit-for-
 bit with an oracle — applied to the *orchestrator*: a campaign is
 subjected to scripted worker kills, native-style hangs, transient and
-permanent exceptions and mid-write store truncation, and must converge
+permanent exceptions and storage faults, and must converge
 to the same final store as an undisturbed single-worker run
 (``tests/test_campaign_chaos.py``).
 
@@ -44,20 +44,15 @@ Fault kinds (attempts past the end of a script run clean):
 
 Storage-layer chaos lives alongside the worker-layer script:
 
-* :class:`StorageChaos` scripts faults at the *backend* seam — a
+* :class:`StorageChaos` scripts faults at the *store* seam — a
   SIGKILL right after a task claim commits (crash between claim and
-  commit), a mid-transaction / mid-line kill during ``append``, and
-  simulated out-of-space (``enospc``) failures the backends' bounded
-  retries must absorb.  Attach it as ``ChaosPolicy(storage=...)`` (or
-  hand it to a backend directly) and the runner threads it through.
-* :func:`tear_tail` truncates the final store record mid-line, the
-  exact signature of a campaign killed mid-write, so resume-after-
-  torn-write is testable without actually killing a process;
-  ``inside_utf8=True`` cuts *inside* a multi-byte UTF-8 sequence — the
-  nastiest legal torn tail, which healing must also survive.
+  commit), a mid-transaction kill during ``append``, and simulated
+  out-of-space (``enospc``) failures the store's bounded retries must
+  absorb.  Attach it as ``ChaosPolicy(storage=...)`` (or hand it to a
+  store directly) and the runner threads it through.
 * :func:`hold_sqlite_write_lock` camps on a sqlite store's write lock
-  for a while, producing the sustained lock contention the sqlite
-  backend's busy-timeout + backoff must ride out.
+  for a while, producing the sustained lock contention the store's
+  busy-timeout + backoff must ride out.
 """
 
 from __future__ import annotations
@@ -122,7 +117,7 @@ class ChaosPolicy:
     the identical script — injection is fully deterministic.
 
     ``storage`` optionally carries a :class:`StorageChaos` script; the
-    runner hands it to the store backend it opens, so one policy
+    runner hands it to the store it opens, so one policy
     object describes a scenario's worker-layer *and* storage-layer
     faults together.
     """
@@ -186,7 +181,7 @@ class ChaosPolicy:
 #: Legal storage fault kinds, per injection point.
 STORAGE_FAULT_KINDS: dict[str, frozenset[str]] = {
     "claim": frozenset({"ok", "kill"}),
-    "append": frozenset({"ok", "enospc", "torn", "kill"}),
+    "append": frozenset({"ok", "enospc", "kill"}),
 }
 
 
@@ -205,12 +200,10 @@ class StorageChaos:
         commit that must leave nothing behind but a stale claim.
     ``append``
         Fires inside a record append.  ``enospc`` fails the attempt
-        with an out-of-space :class:`OSError` before any byte/row
-        lands (the backend's bounded-backoff retry absorbs it);
-        ``torn`` leaves a half-written line (JSONL) or fails
-        mid-transaction (sqlite) and fails the attempt; ``kill``
-        SIGKILLs mid-write/mid-transaction — healing (JSONL) or WAL
-        journal recovery (sqlite) must erase the partial effect.
+        with an out-of-space :class:`OSError` before any row lands
+        (the store's bounded-backoff retry absorbs it); ``kill``
+        SIGKILLs mid-transaction — WAL journal recovery must erase the
+        partial effect.
 
     Unlike :class:`ChaosPolicy` this object is stateful (it tracks how
     far each script has been consumed); build one per scenario/process.
@@ -243,53 +236,14 @@ class StorageChaos:
         return kinds[cursor] if cursor < len(kinds) else "ok"
 
     def claim_fault(self, task_id: str) -> None:
-        """Backend hook, fired after a claim commits; may not return."""
+        """Store hook, fired after a claim commits; may not return."""
         if self._next("claim", task_id) == "kill":
             _kill_self()
 
     def append_fault(self, task_id: str) -> str:
-        """Backend hook, fired per append attempt; returns the kind
-        (the backend implements the fault at its own write seam)."""
+        """Store hook, fired per append attempt; returns the kind
+        (the store implements the fault at its own write seam)."""
         return self._next("append", task_id)
-
-
-def tear_tail(
-    path: str | Path, fraction: float = 0.5, *, inside_utf8: bool = False
-) -> Path:
-    """Truncate the final store record mid-line — the byte-exact
-    signature of a campaign killed during a write.  The store's
-    torn-tail healing must recover the file and resume must recompute
-    exactly the torn record's task.
-
-    ``inside_utf8=True`` places the cut one byte after the last
-    multi-byte UTF-8 lead byte of the line, i.e. *inside* a multi-byte
-    sequence — a perfectly possible kill point that additionally makes
-    the torn tail undecodable, not just unparseable.  Raises
-    :class:`ValueError` if the final record contains no multi-byte
-    character to tear through.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    lines = data.splitlines(keepends=True)
-    if not lines:
-        raise ValueError(f"{path}: empty store, nothing to tear")
-    last = lines[-1]
-    if inside_utf8:
-        # UTF-8 lead bytes of multi-byte sequences are 0xC2..0xF4;
-        # cutting right after one strands its continuation bytes.
-        lead = max(
-            (k for k, byte in enumerate(last) if byte >= 0xC2), default=None
-        )
-        if lead is None:
-            raise ValueError(
-                f"{path}: final record is pure ASCII, no multi-byte "
-                "UTF-8 sequence to tear inside"
-            )
-        cut = lead + 1
-    else:
-        cut = max(1, min(len(last) - 2, int(len(last) * fraction)))
-    path.write_bytes(data[: len(data) - len(last)] + last[:cut])
-    return path
 
 
 def hold_sqlite_write_lock(

@@ -9,7 +9,8 @@ Subcommands::
     repro experiment    single paper artifacts (Table I-III, Fig. 3-5, V-C)
     repro demo          the narrated walkthroughs behind ``examples/``
     repro faults        the fault-universe registry (list / census)
-    repro campaign      store maintenance (list / verify-store / migrate-store)
+    repro campaign      store maintenance (list / verify-store / export /
+                        migrate-store)
     repro serve         the async job service (docs/SERVICE.md)
     repro cache stats   in-process memo counters (device/table/compile)
 
@@ -28,16 +29,16 @@ Copy-paste invocations for each paper table live in
 
     python -m repro list --tag tiny
     python -m repro run --circuits c17 rca4 --fault-classes stuck_at polarity
-    python -m repro report --store campaign_store.jsonl
+    python -m repro report --store campaign_store.sqlite
     python -m repro paper-tables
 
 ``run`` and ``paper-tables`` resume from their store by default:
 interrupt them mid-grid and the rerun recomputes only unfinished tasks.
-The store is pluggable (``--backend jsonl|sqlite``, default: detect
-from the file): JSONL is the single-writer default; sqlite coordinates
-*multiple concurrent runner processes* sharing one store via atomic
-task claims — point N ``repro run`` invocations at the same
-``--backend sqlite --store grid.sqlite`` and they split the grid.
+The store is a WAL-mode sqlite database that coordinates *multiple
+concurrent runner processes* via atomic task claims — point N
+``repro run`` invocations at the same ``--store grid.sqlite`` and they
+split the grid.  ``repro campaign export`` prints a store as sorted
+JSONL; ``repro campaign migrate-store`` imports a JSONL store.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ import sys
 from pathlib import Path
 
 from repro.campaign.backends import (
-    BACKENDS,
     migrate_jsonl_to_sqlite,
     open_store,
+    require_sqlite,
+    scan_records,
 )
 from repro.campaign.registry import get_registry
 from repro.campaign.runner import RetryPolicy, expand_grid, run_campaign
-from repro.campaign.store import StoreLockedError
+from repro.campaign.store import strip_volatile
 from repro.campaign.tables import (
     SECTION5_READING,
     SECTION5_SUITE as PAPER_SUITE,
@@ -70,8 +72,8 @@ from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, TASK_RUNNERS
 SMOKE_CIRCUITS: tuple[str, ...] = ("c17", "tmr_voter")
 SMOKE_FAULT_CLASSES: tuple[str, ...] = ("stuck_at", "polarity")
 
-DEFAULT_STORE = "campaign_store.jsonl"
-PAPER_STORE = "benchmarks/out/paper_campaign.jsonl"
+DEFAULT_STORE = "campaign_store.sqlite"
+PAPER_STORE = "benchmarks/out/paper_campaign.sqlite"
 
 #: Static name lists so parser construction stays import-light (the
 #: drivers behind them are imported lazily by their subcommands).
@@ -126,13 +128,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
              f"{RetryPolicy.watchdog_grace:g}s)",
     )
     parser.add_argument(
-        "--backend", default="auto",
-        choices=("auto", *sorted(BACKENDS)),
-        help="store backend: jsonl (single writer, fails fast if "
-             "locked) or sqlite (multi-runner, atomic task claims); "
-             "auto detects from the store file (default)",
-    )
-    parser.add_argument(
         "--fsync", action="store_true",
         help="fsync the store after every record (survives machine "
              "crashes, not just process kills)",
@@ -165,50 +160,57 @@ def _retry_policy(args) -> RetryPolicy:
     return RetryPolicy(**overrides)
 
 
-def _resolve_store(args, default: str) -> str:
-    """The effective store path: when ``--backend sqlite`` is asked
-    for but the store path was left at its JSONL-named default, swap
-    the suffix so the two backends' default stores do not collide."""
-    if args.store == default and getattr(args, "backend", "auto") == "sqlite":
-        return str(Path(default).with_suffix(".sqlite"))
-    return args.store
+def _not_sqlite(path) -> bool:
+    """Whether ``path`` holds a file that is not a sqlite store (an
+    old JSONL store, say), after printing why; callers exit 2."""
+    try:
+        require_sqlite(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return True
+    return False
+
+
+def _campaign(args, grid, store_path):
+    """Run ``grid`` against the store at ``store_path`` with the grid
+    flags, winding down gracefully on SIGTERM/SIGINT; ``None`` when the
+    path holds no sqlite store."""
+    from repro.campaign.supervisor import graceful_shutdown
+
+    if _not_sqlite(store_path):
+        return None
+    with open_store(store_path, fsync=args.fsync) as store, \
+            graceful_shutdown() as stop:
+        return run_campaign(
+            grid,
+            store=store,
+            workers=args.workers or 1,
+            timeout=args.timeout,
+            resume=not args.no_resume,
+            progress=lambda line: print(line, file=sys.stderr),
+            policy=_retry_policy(args),
+            should_stop=stop.is_set,
+        )
+
+
+def _print_store_summary(result) -> None:
+    external = (
+        f", {result.n_external} run elsewhere" if result.n_external else ""
+    )
+    print(f"\nstore: {result.store_path} "
+          f"({result.n_run} run, {result.n_skipped} resumed, "
+          f"{result.n_failed} failed{external})")
 
 
 def _run_grid(args, circuits, fault_classes, store_path) -> int:
-    from repro.campaign.supervisor import graceful_shutdown
-
-    grid = expand_grid(
-        circuits, fault_classes, engine=args.engine
+    result = _campaign(
+        args, expand_grid(circuits, fault_classes, engine=args.engine),
+        store_path,
     )
-    try:
-        store = open_store(store_path, args.backend, fsync=args.fsync)
-    except StoreLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        with store, graceful_shutdown() as stop:
-            result = run_campaign(
-                grid,
-                store=store,
-                workers=args.workers or 1,
-                timeout=args.timeout,
-                resume=not args.no_resume,
-                progress=lambda line: print(line, file=sys.stderr),
-                policy=_retry_policy(args),
-                should_stop=stop.is_set,
-            )
-    except StoreLockedError as exc:
-        # JSONL locks lazily, on the first append.
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if result is None:
+        return 2
     print(render_report(result.records))
-    if result.store_path is not None:
-        external = (
-            f", {result.n_external} run elsewhere" if result.n_external else ""
-        )
-        print(f"\nstore: {result.store_path} "
-              f"({result.n_run} run, {result.n_skipped} resumed, "
-              f"{result.n_failed} failed{external})")
+    _print_store_summary(result)
     if result.interrupted:
         print("interrupted: claims released, store flushed — rerun to "
               "resume", file=sys.stderr)
@@ -216,6 +218,19 @@ def _run_grid(args, circuits, fault_classes, store_path) -> int:
     # Exit nonzero whenever any cell did not finish ok (error, timeout
     # or poisoned) so CI grids actually gate on campaign health.
     return 1 if result.n_failed else 0
+
+
+def _stored_records(path: Path) -> tuple[int, list[dict]]:
+    """The latest record per task of the store at ``path``, read
+    without touching it, with the exit status so far: 1 when there is
+    no store, 2 when the path holds no sqlite store."""
+    if not path.exists():
+        print(f"no store at {path}", file=sys.stderr)
+        return 1, []
+    if _not_sqlite(path):
+        return 2, []
+    latest = {record["task_id"]: record for record in scan_records(path)}
+    return 0, list(latest.values())
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +342,13 @@ def cmd_run(args) -> int:
             print("no circuits selected: pass --circuits, --tag, --bench "
                   "or --smoke", file=sys.stderr)
             return 2
-    return _run_grid(
-        args, circuits, fault_classes, _resolve_store(args, DEFAULT_STORE)
-    )
+    return _run_grid(args, circuits, fault_classes, args.store)
 
 
 def cmd_report(args) -> int:
-    if not Path(args.store).exists():
-        print(f"no store at {args.store}", file=sys.stderr)
-        return 1
-    with open_store(args.store, args.backend, lock=False) as store:
-        records = list(store.latest().values())
+    status, records = _stored_records(Path(args.store))
+    if status:
+        return status
     if not records:
         print(f"no records in {args.store}", file=sys.stderr)
         return 1
@@ -353,31 +364,14 @@ def cmd_report(args) -> int:
 
 
 def cmd_paper_tables(args) -> int:
-    from repro.campaign.supervisor import graceful_shutdown
-
     grid = expand_grid(
         _select_circuits(args) or list(PAPER_SUITE),
         args.fault_classes or DEFAULT_FAULT_CLASSES,
         engine=args.engine,
     )
-    try:
-        with open_store(
-            _resolve_store(args, PAPER_STORE), args.backend,
-            fsync=args.fsync,
-        ) as store, graceful_shutdown() as stop:
-            result = run_campaign(
-                grid,
-                store=store,
-                workers=args.workers or 1,
-                timeout=args.timeout,
-                resume=not args.no_resume,
-                progress=lambda line: print(line, file=sys.stderr),
-                policy=_retry_policy(args),
-                should_stop=stop.is_set,
-            )
-    except StoreLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    result = _campaign(args, grid, args.store)
+    if result is None:
+        return 2
     if result.interrupted:
         print("interrupted: claims released, store flushed — rerun to "
               "resume", file=sys.stderr)
@@ -391,31 +385,27 @@ def cmd_paper_tables(args) -> int:
     print(escape_table(result.records))
     print()
     print(SECTION5_READING)
-    if result.store_path is not None:
-        external = (
-            f", {result.n_external} run elsewhere" if result.n_external else ""
-        )
-        print(f"\nstore: {result.store_path} "
-              f"({result.n_run} run, {result.n_skipped} resumed, "
-              f"{result.n_failed} failed{external})")
+    _print_store_summary(result)
     return 1 if result.n_failed else 0
 
 
 def cmd_verify_store(args) -> int:
-    """Integrity census of a campaign store (``--repair`` additionally
-    heals torn tails / quarantines corrupt rows and re-queues their
-    tasks).  Exit 0 iff the store is healthy."""
-    if not Path(args.store).exists():
-        print(f"no store at {args.store}", file=sys.stderr)
+    """Integrity census of a campaign store, exit 0 iff healthy.  The
+    store is opened read-only; ``--repair`` instead opens it for
+    writing, quarantines corrupt rows and re-queues their tasks."""
+    path = Path(args.store)
+    if not path.exists():
+        print(f"no store at {path}", file=sys.stderr)
         return 1
-    with open_store(args.store, args.backend, lock=False) as store:
+    if _not_sqlite(path):
+        return 2
+    with open_store(path, read_only=not args.repair) as store:
         report = store.verify(repair=args.repair)
     for key in (
         "backend", "path", "store_schema", "n_records", "n_tasks_ok",
-        "n_corrupt", "n_quarantined", "n_stale_claims", "torn_tail",
+        "n_corrupt", "n_quarantined", "n_stale_claims",
     ):
-        if key in report:
-            print(f"{key:>15}: {report[key]}")
+        print(f"{key:>15}: {report[key]}")
     if report.get("tasks"):
         print(f"{'tasks':>15}: {json.dumps(report['tasks'])}")
     for problem in report["problems"]:
@@ -424,8 +414,20 @@ def cmd_verify_store(args) -> int:
     return 0 if report["ok"] else 1
 
 
+def cmd_export(args) -> int:
+    """Print the latest record of each task as JSONL, sorted by task id
+    with the volatile fields stripped — the diff-able form of a store
+    (and a valid ``migrate-store`` source)."""
+    status, records = _stored_records(Path(args.store))
+    if status:
+        return status
+    for record in strip_volatile(records):
+        print(json.dumps(record, sort_keys=True, ensure_ascii=False))
+    return 0
+
+
 def cmd_migrate_store(args) -> int:
-    """One-way JSONL → sqlite store migration (source left in place)."""
+    """One-way JSONL → sqlite store import (source left in place)."""
     src, dst = Path(args.store), Path(args.to)
     if not src.exists():
         print(f"no store at {src}", file=sys.stderr)
@@ -491,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(p_run)
     p_run.add_argument(
         "--store", default=DEFAULT_STORE, metavar="PATH",
-        help=f"JSONL checkpoint/result store (default {DEFAULT_STORE})",
+        help=f"sqlite checkpoint/result store (default {DEFAULT_STORE})",
     )
     p_run.add_argument(
         "--smoke", action="store_true",
@@ -508,9 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
     p_report.add_argument(
-        "--backend", default="auto", choices=("auto", *sorted(BACKENDS)),
-    )
-    p_report.add_argument(
         "--table", default="all",
         choices=("all", "coverage", "escapes", "tasks"),
     )
@@ -518,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_campaign = sub.add_parser(
         "campaign",
-        help="store maintenance: integrity checks and backend migration",
+        help="store maintenance: integrity checks, JSONL export/import",
     )
     campaign_sub = p_campaign.add_subparsers(
         dest="campaign_command", required=True
@@ -541,17 +540,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc_verify.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
     pc_verify.add_argument(
-        "--backend", default="auto", choices=("auto", *sorted(BACKENDS)),
-    )
-    pc_verify.add_argument(
         "--repair", action="store_true",
-        help="also heal torn tails / quarantine corrupt rows and "
-             "re-queue their tasks",
+        help="also quarantine corrupt rows and re-queue their tasks "
+             "(without it the store is opened read-only)",
     )
     pc_verify.set_defaults(func=cmd_verify_store)
+    pc_export = campaign_sub.add_parser(
+        "export",
+        help="print the latest record per task as sorted JSONL "
+             "(volatile fields stripped)",
+    )
+    pc_export.add_argument("--store", default=DEFAULT_STORE, metavar="PATH")
+    pc_export.set_defaults(func=cmd_export)
     pc_migrate = campaign_sub.add_parser(
         "migrate-store",
-        help="one-way JSONL -> sqlite migration (source untouched)",
+        help="one-way JSONL -> sqlite import (source untouched)",
     )
     pc_migrate.add_argument(
         "--store", required=True, metavar="SRC", help="JSONL source store"
@@ -573,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(p_paper)
     p_paper.add_argument(
         "--store", default=PAPER_STORE, metavar="PATH",
-        help=f"JSONL store (default {PAPER_STORE})",
+        help=f"sqlite store (default {PAPER_STORE})",
     )
     p_paper.set_defaults(func=cmd_paper_tables)
 

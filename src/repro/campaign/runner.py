@@ -24,15 +24,15 @@ orchestrated campaigns:
   cells that repeatedly kill their worker.  Failure modes become
   record statuses (``error`` / ``timeout`` / ``poisoned``) — never a
   crashed campaign.
-* **Checkpointing** — each finished record is appended to the JSONL
-  :class:`~repro.campaign.store.ResultStore` immediately; with
+* **Checkpointing** — each finished record is committed to the sqlite
+  store (:mod:`repro.campaign.backends`) immediately; with
   ``resume=True`` (default) a rerun skips every task whose latest
   stored record succeeded, so an interrupted campaign continues
   instead of restarting.
 
 Because tasks are deterministic and records carry no worker identity,
 the *final store content* is identical (up to the volatile
-``runtime_s`` / ``attempt`` / ``failures`` fields and line order) for
+``runtime_s`` / ``attempt`` / ``failures`` fields and row order) for
 1-worker and N-worker runs, for interrupted-then-resumed runs, and for
 runs disturbed by injected worker kills/hangs/transient errors —
 ``tests/test_campaign.py`` and ``tests/test_campaign_chaos.py``
@@ -56,10 +56,10 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.campaign.backends import JsonlBackend, ResultBackend, open_store
+from repro.campaign.backends import SqliteBackend, open_store
 from repro.campaign.registry import Registry, get_registry
 from repro.circuits.generators import BENCHMARK_BUILDERS
-from repro.campaign.store import SCHEMA_VERSION, ResultStore
+from repro.campaign.store import SCHEMA_VERSION
 from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, run_fault_class
 from repro.logic.bench_format import parse_bench
 from repro.logic.network import Network
@@ -191,9 +191,9 @@ class CampaignResult:
     n_run: int
     n_skipped: int
     store_path: Path | None
-    #: Tasks another runner process claimed first (multi-runner sqlite
-    #: campaigns only): not computed here, recovered from the store
-    #: scan where already committed.
+    #: Tasks another runner process claimed first (multi-runner
+    #: campaigns): not computed here, recovered from the store scan
+    #: where already committed.
     n_external: int = 0
     #: Whether the campaign stopped early because its ``should_stop``
     #: hook fired (cooperative cancel / graceful shutdown).  Unfinished
@@ -381,14 +381,13 @@ def run_task_with_retries(
 
 def run_campaign(
     tasks: Sequence[TaskSpec],
-    store: ResultBackend | ResultStore | str | Path | None = None,
+    store: SqliteBackend | str | Path | None = None,
     workers: int = 1,
     timeout: float | None = None,
     resume: bool = True,
     progress: Callable[[str], None] | None = None,
     policy: RetryPolicy | None = None,
     chaos=None,
-    backend: str = "auto",
     should_stop: Callable[[], bool] | None = None,
 ) -> CampaignResult:
     """Run a task grid with checkpointing, resume and fault tolerance.
@@ -396,12 +395,10 @@ def run_campaign(
     Args:
         tasks: Grid cells from :func:`expand_grid` (or hand-built).
         store: Checkpoint target; ``None`` runs purely in memory.  A
-            path gets a backend the campaign opens and closes itself
-            (``backend`` selects which); a backend instance — or a bare
-            :class:`ResultStore`, wrapped in a
-            :class:`~repro.campaign.backends.jsonl.JsonlBackend` — stays
-            caller-owned (so its ``fsync``/``lock`` configuration and
-            handle lifetime are the caller's).
+            path gets a store the campaign opens and closes itself; an
+            open :class:`~repro.campaign.backends.sqlite.SqliteBackend`
+            stays caller-owned (so its ``fsync`` configuration and
+            connection lifetime are the caller's).
         workers: Pool size; ``1`` executes inline in this process,
             ``>1`` fans out over the supervised worker layer
             (:mod:`repro.campaign.supervisor`) with watchdog kills,
@@ -414,28 +411,22 @@ def run_campaign(
         policy: Retry/backoff/watchdog knobs (:class:`RetryPolicy`).
         chaos: Fault-injection hook for the chaos test harness
             (:class:`repro.campaign.chaos.ChaosPolicy`; its ``storage``
-            script reaches the backend of a campaign-owned store).
-        backend: Store backend name for path targets — ``"jsonl"``,
-            ``"sqlite"`` or ``"auto"`` (detect from the file).
+            script reaches a campaign-owned store).
         should_stop: Cooperative-cancel hook, polled between cells (and
             every supervisor tick).  Once it returns True no new cell
             is started, in-flight supervised workers are killed, claims
             are released and the result comes back with
             ``interrupted=True`` — the store is left resumable.
 
-    On a claiming backend (sqlite) the pending tasks are registered
-    and then *claimed* one by one, so N independent runner processes
+    With a store, the pending tasks are registered and then
+    *claimed* one by one, so N independent runner processes
     pointed at one store split the grid between them: a cell another
     runner claimed first is skipped here (counted in ``n_external``)
     and its record recovered from the final store scan.
     """
     owns_store = isinstance(store, (str, Path))
     if owns_store:
-        store = open_store(
-            store, backend, chaos=getattr(chaos, "storage", None)
-        )
-    elif isinstance(store, ResultStore):
-        store = JsonlBackend(store=store, chaos=getattr(chaos, "storage", None))
+        store = open_store(store, chaos=getattr(chaos, "storage", None))
     policy = policy or RetryPolicy()
     say = progress or (lambda _line: None)
 
@@ -453,8 +444,7 @@ def run_campaign(
         say(f"resume: {n_skipped} task(s) already in "
             f"{store.path if store else 'store'}, {len(pending)} to run")
 
-    claiming = store is not None and store.supports_claiming
-    if claiming and pending:
+    if store is not None and pending:
         store.register(
             [spec.task_id for spec in pending], force=not resume
         )
@@ -491,7 +481,7 @@ def run_campaign(
                     if should_stop is not None and should_stop():
                         interrupted = True
                         break
-                    if claiming and not store.claim(spec.task_id):
+                    if store is not None and not store.claim(spec.task_id):
                         lost_claim(spec)
                         continue
                     finish(
@@ -507,7 +497,7 @@ def run_campaign(
                     policy=policy,
                     chaos=chaos,
                     emit=finish,
-                    claim=store.claim if claiming else None,
+                    claim=store.claim if store is not None else None,
                     external=lost_claim,
                     should_stop=should_stop,
                 )
@@ -515,7 +505,7 @@ def run_campaign(
             say(f"interrupted: {len(fresh)}/{len(pending)} cell(s) "
                 "finished; store left resumable")
     finally:
-        if claiming:
+        if store is not None:
             store.release()  # hand back claims an exception left behind
         # Cells another runner claimed are (usually) in the store by
         # now; recover their records from a final scan.  A cell still

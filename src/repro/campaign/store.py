@@ -1,25 +1,7 @@
-"""JSONL result store: the campaign's checkpoint and report substrate.
+"""The campaign record schema and its comparison helpers.
 
-One line per finished task, appended and flushed as results arrive, so
-a killed campaign loses at most the record being written.  The loader
-tolerates a torn final line (the kill signature) by dropping it; a
-rerun then recomputes exactly the missing tasks and appends them —
-resume semantics fall out of the file format.
-
-Durability and coordination knobs (all opt-in or zero-config):
-
-* The store holds **one persistent append handle** for its lifetime
-  (flushed per record) instead of reopening the file per append;
-  :meth:`ResultStore.close` (or garbage collection) releases it.
-* ``fsync=True`` adds an ``os.fsync`` after every record, so a machine
-  crash — not just a process kill — loses at most the in-flight line.
-* **Advisory file locking** (``flock``, where the platform has it)
-  makes the append handle exclusive: two campaigns pointed at one
-  store file fail fast with :class:`StoreLockedError` instead of
-  interleaving torn writes.  Readers never take the lock.
-
-Record schema (``schema: 2``) — see ``docs/CAMPAIGNS.md`` for the
-field-by-field reference::
+Every finished task becomes one record (``schema: 2``) — see
+``docs/CAMPAIGNS.md`` for the field-by-field reference::
 
     {
       "schema": 2,
@@ -37,228 +19,37 @@ field-by-field reference::
     }
 
 Schema-1 records (pre-supervisor) load and resume unchanged — the
-reader is schema-agnostic and the resume key (``task_id`` + ``status``)
-is common to both.
+resume key (``task_id`` + ``status``) is common to both.  The records
+live in the sqlite store of :mod:`repro.campaign.backends`.
 
 ``runtime_s``, ``attempt`` and ``failures`` are the nondeterministic
 fields (they depend on wall-clock and on which injected/real faults a
 run happened to survive); the storage provenance stamps ``backend``
-and ``store_schema`` (added by the pluggable backends of
-:mod:`repro.campaign.backends`) likewise differ between stores that
-hold the same results.  :func:`strip_volatile` removes them all so
-stores from different runs/worker counts/backends compare equal.
+and ``store_schema`` likewise differ between a store and its JSONL
+export or import.  :func:`strip_volatile` removes them all so stores
+from different runs and worker counts compare equal.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import IO, Iterable, Sequence
-
-try:  # POSIX advisory locking; absent e.g. on Windows -> lock is a no-op
-    import fcntl
-except ImportError:  # pragma: no cover - platform dependent
-    fcntl = None  # type: ignore[assignment]
+from typing import Iterable, Sequence
 
 SCHEMA_VERSION = 2
 
 #: Fields that legitimately differ between runs that computed the same
 #: results: wall-clock, the retry/fault-injection history, and the
-#: storage backend the record happens to live in.
+#: storage provenance the store stamps on each record.
 VOLATILE_FIELDS: tuple[str, ...] = (
     "runtime_s", "attempt", "failures", "backend", "store_schema",
 )
-
-
-class StoreLockedError(RuntimeError):
-    """Another campaign holds the append lock on this store file.
-
-    ``pid`` is the holder's process id when it could be discovered
-    (via the sidecar ``<store>.lock`` pidfile the lock owner writes);
-    the message carries a retry hint either way.
-    """
-
-    def __init__(self, path: "str | Path", pid: int | None = None) -> None:
-        self.path = Path(path)
-        self.pid = pid
-        holder = f"PID {pid}" if pid is not None else "another process"
-        super().__init__(
-            f"{path}: store is locked by {holder} (two JSONL writers "
-            "would interleave torn records); wait for that campaign to "
-            "finish and retry, or share the store through the sqlite "
-            "backend (--backend sqlite), which coordinates multiple "
-            "runners with atomic task claims"
-        )
-
-
-class ResultStore:
-    """Append-only JSONL record store with corrupt-tail tolerance.
-
-    The first :meth:`append` heals a torn tail, opens the file once and
-    (where supported) takes an exclusive advisory lock; the handle is
-    then reused for every subsequent record and released by
-    :meth:`close` (also a context-manager exit).
-    """
-
-    def __init__(
-        self, path: str | Path, *, fsync: bool = False, lock: bool = True
-    ) -> None:
-        self.path = Path(path)
-        self.fsync = fsync
-        self.lock = lock
-        self._tail_healed = False
-        self._handle: IO[str] | None = None
-        self._owns_pidfile = False
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def _pidfile(self) -> Path:
-        """Sidecar advertising the lock holder's PID (best-effort; the
-        flock on the store file itself is the actual exclusion)."""
-        return self.path.with_name(self.path.name + ".lock")
-
-    def _lock_holder(self) -> int | None:
-        """The PID the current lock holder advertised, if readable."""
-        try:
-            return int(self._pidfile.read_text().strip())
-        except (OSError, ValueError):
-            return None
-
-    def _heal_torn_tail(self) -> None:
-        """Drop a trailing partial line (mid-write kill) before the
-        first append, so the file stays clean one-record-per-line JSONL.
-        The dropped record's task simply reruns."""
-        if self._tail_healed:
-            return
-        self._tail_healed = True
-        if not self.path.exists():
-            return
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            keep = data.rfind(b"\n") + 1  # 0 when no newline at all
-            with self.path.open("r+b") as raw:
-                raw.truncate(keep)
-
-    def heal(self) -> None:
-        """Re-run torn-tail healing on demand (backends call this
-        between append retries after a failed/partial write, which can
-        leave a fresh torn tail at any point in the store's life)."""
-        self._tail_healed = False
-        self._heal_torn_tail()
-
-    def _ensure_handle(self) -> IO[str]:
-        """The persistent append handle (healed, opened and locked on
-        first use; transparently reopened after :meth:`close`)."""
-        if self._handle is not None and not self._handle.closed:
-            return self._handle
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._heal_torn_tail()
-        handle = self.path.open("a")
-        if self.lock and fcntl is not None:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                holder = self._lock_holder()
-                handle.close()
-                raise StoreLockedError(self.path, holder) from None
-            try:
-                self._pidfile.write_text(f"{os.getpid()}\n")
-                self._owns_pidfile = True
-            except OSError:  # pragma: no cover - pidfile is best-effort
-                pass
-        self._handle = handle
-        return handle
-
-    def close(self) -> None:
-        """Release the append handle (and with it the advisory lock)."""
-        if self._handle is not None:
-            if not self._handle.closed:
-                self._handle.close()
-            self._handle = None
-        if self._owns_pidfile:
-            self._owns_pidfile = False
-            try:
-                self._pidfile.unlink()
-            except OSError:  # pragma: no cover - pidfile is best-effort
-                pass
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    # -- writing -----------------------------------------------------------
-
-    def append(self, record: dict) -> None:
-        """Append one record and flush (the checkpoint write); with
-        ``fsync=True`` also force it to stable storage."""
-        handle = self._ensure_handle()
-        handle.write(
-            json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-        )
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
-
-    # -- reading -----------------------------------------------------------
-
-    def load(self) -> list[dict]:
-        """All parseable records, in file order.
-
-        A torn trailing line (interrupted write) is skipped — including
-        one truncated *inside* a multi-byte UTF-8 sequence, which is
-        why decoding happens per line, on bytes.  A corrupt line in the
-        *middle* of the file raises, because that means the store was
-        edited, not killed.
-        """
-        if not self.path.exists():
-            return []
-        records: list[dict] = []
-        data = self.path.read_bytes()
-        terminated = data.endswith(b"\n")
-        lines = data.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()  # the terminator itself, not an empty record
-        for k, raw in enumerate(lines):
-            if not raw.strip():
-                continue
-            try:
-                records.append(json.loads(raw.decode("utf-8")))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                # Only an *unterminated* final line is the kill
-                # signature; a newline-terminated corrupt line anywhere
-                # means the store was edited.
-                if k == len(lines) - 1 and not terminated:
-                    break
-                raise ValueError(
-                    f"{self.path}: corrupt record on line {k + 1}"
-                ) from None
-        return records
-
-    def latest(self) -> dict[str, dict]:
-        """task_id -> most recent record (reruns supersede old rows)."""
-        latest: dict[str, dict] = {}
-        for record in self.load():
-            latest[record["task_id"]] = record
-        return latest
 
 
 def strip_volatile(records: Iterable[dict]) -> list[dict]:
     """Drop nondeterministic fields (:data:`VOLATILE_FIELDS` —
     ``runtime_s``, the retry provenance ``attempt``/``failures``, and
     the storage provenance ``backend``/``store_schema``) so stores
-    from different runs — and different backends — compare equal;
-    sorted by task id for set-like comparison regardless of completion
-    order."""
+    from different runs compare equal; sorted by task id for set-like
+    comparison regardless of completion order."""
     stripped = []
     for record in records:
         record = dict(record)

@@ -171,7 +171,7 @@ def run_supervised(
     """Run ``tasks`` on supervised workers, calling ``emit`` exactly
     once per cell with its final record (completion order).
 
-    With a ``claim`` callback (claiming store backends), each cell is
+    With a ``claim`` callback (a campaign with a store), each cell is
     claimed exactly once before its first dispatch; a cell another
     runner owns is dropped from this run and reported via ``external``
     instead of ``emit`` — the other runner's store row is its record.

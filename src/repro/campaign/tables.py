@@ -1,4 +1,4 @@
-"""Render the paper's campaign tables from stored JSONL records.
+"""Render the paper's campaign tables from stored campaign records.
 
 This is the read side of the campaign subsystem: everything here is a
 pure function of the record dicts (:mod:`repro.campaign.store`), so

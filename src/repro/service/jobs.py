@@ -46,7 +46,6 @@ import contextlib
 import dataclasses
 import json
 import os
-import sqlite3
 import threading
 import time
 import uuid
@@ -54,6 +53,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
+from repro.campaign.backends import scan_records
 from repro.campaign.runner import (
     RetryPolicy,
     TaskSpec,
@@ -207,39 +207,6 @@ class Job:
             "finished_at": self.finished_at,
             "error": self.error,
         }
-
-
-def _scan_records(store_path: Path) -> list[dict]:
-    """All records of the shared sqlite store in commit order, through
-    a short-lived read-only connection.
-
-    Status/results polling must not mutate the store (the backends'
-    ``open`` runs repair + stale-claim reclamation), and the polling
-    thread is never the campaign thread, so this bypasses the backend
-    entirely.  A missing store (no job ran yet) is just empty.
-    """
-    if not store_path.exists():
-        return []
-    uri = f"file:{store_path}?mode=ro"
-    try:
-        conn = sqlite3.connect(uri, uri=True, timeout=5.0)
-    except sqlite3.OperationalError:
-        return []
-    try:
-        rows = conn.execute(
-            "SELECT record FROM results ORDER BY seq"
-        ).fetchall()
-    except sqlite3.OperationalError:  # store still being initialised
-        return []
-    finally:
-        conn.close()
-    records = []
-    for (text,) in rows:
-        try:
-            records.append(json.loads(text))
-        except json.JSONDecodeError:  # pragma: no cover - quarantine's job
-            continue
-    return records
 
 
 class JobManager:
@@ -413,7 +380,7 @@ class JobManager:
         job = self.get(job_id)
         wanted = set(job.task_ids)
         latest: dict[str, dict] = {}
-        for record in _scan_records(self.store_path):
+        for record in scan_records(self.store_path):
             if record.get("task_id") in wanted:
                 latest[record["task_id"]] = record
         n_ok = sum(1 for r in latest.values() if r.get("status") == "ok")
@@ -449,7 +416,7 @@ class JobManager:
         wanted = set(job.task_ids)
         mine = [
             record
-            for record in _scan_records(self.store_path)
+            for record in scan_records(self.store_path)
             if record.get("task_id") in wanted
         ]
         return {
@@ -517,7 +484,6 @@ class JobManager:
             result = run_campaign(
                 job.spec.expand(),
                 store=self.store_path,
-                backend="sqlite",
                 workers=job.spec.workers,
                 timeout=job.spec.timeout,
                 resume=True,

@@ -1,21 +1,28 @@
 """Tests for the campaign subsystem (registry, runner, store, tables, CLI).
 
-The three ISSUE-mandated behaviours are covered explicitly:
+The core behaviours are covered explicitly:
 
 * bench-format round-trip through the registry,
-* resume-from-checkpoint: a store truncated mid-record (the kill
-  signature) reruns only the missing tasks and converges to the same
-  final store as an uninterrupted run,
-* report-table rendering from a canned store.
+* resume-from-checkpoint: a store left by a runner killed mid-commit
+  reruns only the missing tasks and converges to the same final store
+  as an uninterrupted run,
+* report-table rendering from a canned store,
+* the store CLI: read-only ``report``/``verify-store``/``export``, and
+  refusal of files that are not sqlite stores.
 """
 
 import json
-import os
 import signal
+import sqlite3
 import time
 
 import pytest
 
+from repro.campaign.backends import (
+    SqliteBackend,
+    migrate_jsonl_to_sqlite,
+    open_store,
+)
 from repro.campaign.registry import Registry, get_registry, size_class
 from repro.campaign.runner import (
     FALLBACK_CHAINS,
@@ -24,12 +31,7 @@ from repro.campaign.runner import (
     expand_grid,
     run_campaign,
 )
-from repro.campaign.store import (
-    ResultStore,
-    StoreLockedError,
-    stores_equal,
-    strip_volatile,
-)
+from repro.campaign.store import stores_equal, strip_volatile
 from repro.campaign.tables import (
     coverage_table,
     escape_table,
@@ -42,6 +44,32 @@ from repro.logic.bench_format import write_bench
 
 GRID_CIRCUITS = ("c17", "tmr_voter")
 GRID_CLASSES = ("stuck_at", "polarity")
+
+#: A PID no live process can have (above any kernel's pid_max).
+DEAD_PID = 99999999
+
+
+def _killed_store(path, committed, killed_task):
+    """The store a runner SIGKILLed mid-commit leaves behind: the
+    ``committed`` records, and ``killed_task`` still claimed by the dead
+    process (WAL recovery erases its uncommitted row)."""
+    with SqliteBackend(path).open() as store:
+        store.register([r["task_id"] for r in committed] + [killed_task])
+        for record in committed:
+            assert store.claim(record["task_id"])
+            store.append(dict(record))
+    conn = sqlite3.connect(str(path))
+    conn.execute(
+        "UPDATE tasks SET status='claimed', owner_pid=?, claimed_at=0 "
+        "WHERE task_id=?", (DEAD_PID, killed_task),
+    )
+    conn.commit(); conn.close()
+
+
+def _stored(path, latest=True):
+    """The latest record per task (or every row) of a store, read-only."""
+    with open_store(path, read_only=True) as store:
+        return list(store.latest().values()) if latest else store.load()
 
 
 @pytest.fixture(scope="module")
@@ -134,23 +162,18 @@ class TestRunnerResume:
         self, tmp_path, reference_records
     ):
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
-        store_path = tmp_path / "campaign.jsonl"
+        store_path = tmp_path / "campaign.sqlite"
 
-        # Simulate a kill after two finished tasks, mid-write of the
-        # third: two intact records plus a torn trailing line.
-        lines = [
-            json.dumps(record, sort_keys=True)
-            for record in reference_records
-        ]
-        store_path.write_text(
-            lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2]
+        # Simulate a kill after two finished tasks, mid-commit of the
+        # third: two committed records plus the third's orphaned claim.
+        _killed_store(
+            store_path, reference_records[:2], reference_records[2]["task_id"]
         )
 
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 2
         assert result.n_run == 2
-        final = list(ResultStore(store_path).latest().values())
-        assert stores_equal(final, reference_records)
+        assert stores_equal(_stored(store_path), reference_records)
         # The records handed back are in grid order and complete.
         assert [r["task_id"] for r in result.records] == [
             t.task_id for t in grid
@@ -158,26 +181,29 @@ class TestRunnerResume:
 
     def test_resume_disabled_recomputes_everything(self, tmp_path):
         grid = expand_grid(["c17"], ["stuck_at"])
-        store_path = tmp_path / "campaign.jsonl"
+        store_path = tmp_path / "campaign.sqlite"
         run_campaign(grid, store=store_path)
         result = run_campaign(grid, store=store_path, resume=False)
         assert result.n_run == 1
-        assert len(ResultStore(store_path).load()) == 2  # appended rerun
-        assert len(ResultStore(store_path).latest()) == 1
+        assert len(_stored(store_path, latest=False)) == 2  # appended rerun
+        assert len(_stored(store_path)) == 1
 
     def test_mid_file_corruption_raises(self, tmp_path):
-        store_path = tmp_path / "campaign.jsonl"
-        store_path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
+        # Importing a JSONL store that was edited mid-file fails before
+        # the destination store is created.
+        src, dst = tmp_path / "campaign.jsonl", tmp_path / "campaign.sqlite"
+        src.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
         with pytest.raises(ValueError, match="corrupt record"):
-            ResultStore(store_path).load()
+            migrate_jsonl_to_sqlite(src, dst)
+        assert not dst.exists()
 
     def test_terminated_corrupt_final_line_raises(self, tmp_path):
         # A newline-terminated corrupt line is an edit, not a kill —
         # only an unterminated tail is silently dropped.
-        store_path = tmp_path / "campaign.jsonl"
-        store_path.write_text('{"task_id": "a"}\nnot json\n')
+        src = tmp_path / "campaign.jsonl"
+        src.write_text('{"task_id": "a"}\nnot json\n')
         with pytest.raises(ValueError, match="corrupt record"):
-            ResultStore(store_path).load()
+            migrate_jsonl_to_sqlite(src, tmp_path / "campaign.sqlite")
 
 
 class TestRunnerDeterminism:
@@ -186,10 +212,10 @@ class TestRunnerDeterminism:
     ):
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         parallel = run_campaign(
-            grid, store=tmp_path / "w2.jsonl", workers=2
+            grid, store=tmp_path / "w2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, reference_records)
-        stored = ResultStore(tmp_path / "w2.jsonl").load()
+        stored = _stored(tmp_path / "w2.sqlite", latest=False)
         assert stores_equal(stored, reference_records)
 
     def test_strip_volatile_orders_and_drops_runtime(self):
@@ -206,9 +232,9 @@ class TestMultiwordResume:
     """Kill/restart determinism for multi-word campaign cells.
 
     The ``fault_sim`` task routes through the 2-D numpy engine on the
-    ISCAS-class corpus; resume after a torn-tail kill and any worker
-    count must still reproduce a bit-identical JSONL store, exactly as
-    the single-word cells promise.
+    ISCAS-class corpus; resume after a mid-commit kill and any worker
+    count must still reproduce a bit-identical store, exactly as the
+    single-word cells promise.
     """
 
     GRID = (("c17", "cpx432"), ("fault_sim",))
@@ -226,23 +252,21 @@ class TestMultiwordResume:
 
     def test_kill_and_resume_bit_identical(self, tmp_path, mw_reference):
         grid = expand_grid(*self.GRID, engine="auto")
-        store_path = tmp_path / "mw.jsonl"
-        lines = [json.dumps(r, sort_keys=True) for r in mw_reference]
-        # Kill signature: first record intact, second torn mid-write.
-        store_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        store_path = tmp_path / "mw.sqlite"
+        # Kill signature: first record committed, second claimed only.
+        _killed_store(store_path, mw_reference[:1], mw_reference[1]["task_id"])
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 1
         assert result.n_run == 1
-        final = list(ResultStore(store_path).latest().values())
-        assert stores_equal(final, mw_reference)
+        assert stores_equal(_stored(store_path), mw_reference)
 
     def test_worker_count_invariant(self, tmp_path, mw_reference):
         grid = expand_grid(*self.GRID, engine="auto")
         parallel = run_campaign(
-            grid, store=tmp_path / "mw2.jsonl", workers=2
+            grid, store=tmp_path / "mw2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, mw_reference)
-        stored = ResultStore(tmp_path / "mw2.jsonl").load()
+        stored = _stored(tmp_path / "mw2.sqlite", latest=False)
         assert stores_equal(stored, mw_reference)
 
     def test_fault_sim_metrics_shape(self):
@@ -290,7 +314,7 @@ class TestSequentialResume:
     ``fault_sim`` on a sequential corpus circuit time-frame expands the
     netlist and simulates per-cycle input sequences; the resulting
     store must carry the same bit-identical guarantees as the
-    combinational cells — resume after a torn-tail kill and any worker
+    combinational cells — resume after a mid-commit kill and any worker
     count reproduce the reference records exactly.
     """
 
@@ -311,23 +335,23 @@ class TestSequentialResume:
 
     def test_kill_and_resume_bit_identical(self, tmp_path, seq_reference):
         grid = expand_grid(*self.GRID, engine="auto")
-        store_path = tmp_path / "seq.jsonl"
-        lines = [json.dumps(r, sort_keys=True) for r in seq_reference]
-        # Kill signature: first record intact, second torn mid-write.
-        store_path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
+        store_path = tmp_path / "seq.sqlite"
+        # Kill signature: first record committed, second claimed only.
+        _killed_store(
+            store_path, seq_reference[:1], seq_reference[1]["task_id"]
+        )
         result = run_campaign(grid, store=store_path)
         assert result.n_skipped == 1
         assert result.n_run == 1
-        final = list(ResultStore(store_path).latest().values())
-        assert stores_equal(final, seq_reference)
+        assert stores_equal(_stored(store_path), seq_reference)
 
     def test_worker_count_invariant(self, tmp_path, seq_reference):
         grid = expand_grid(*self.GRID, engine="auto")
         parallel = run_campaign(
-            grid, store=tmp_path / "seq2.jsonl", workers=2
+            grid, store=tmp_path / "seq2.sqlite", workers=2
         )
         assert stores_equal(parallel.records, seq_reference)
-        stored = ResultStore(tmp_path / "seq2.jsonl").load()
+        stored = _stored(tmp_path / "seq2.sqlite", latest=False)
         assert stores_equal(stored, seq_reference)
 
     def test_s27_fault_sim_full_stuck_at_coverage(self):
@@ -381,17 +405,18 @@ class TestRunnerFailureModes:
             del TASK_RUNNERS["sleepy"]
 
     def test_failed_tasks_are_retried_on_resume(self, tmp_path):
-        store_path = tmp_path / "campaign.jsonl"
-        ResultStore(store_path).append(
-            {
-                "task_id": "c17/stuck_at/compiled",
-                "circuit": "c17",
-                "fault_class": "stuck_at",
-                "engine": "compiled",
-                "status": "timeout",
-                "runtime_s": 0.0,
-            }
-        )
+        store_path = tmp_path / "campaign.sqlite"
+        with SqliteBackend(store_path).open() as store:
+            store.append(
+                {
+                    "task_id": "c17/stuck_at/compiled",
+                    "circuit": "c17",
+                    "fault_class": "stuck_at",
+                    "engine": "compiled",
+                    "status": "timeout",
+                    "runtime_s": 0.0,
+                }
+            )
         result = run_campaign(
             expand_grid(["c17"], ["stuck_at"]), store=store_path
         )
@@ -431,10 +456,10 @@ CANNED_RECORDS = [
 
 class TestTables:
     def test_coverage_table_from_canned_store(self, tmp_path):
-        store = ResultStore(tmp_path / "canned.jsonl")
-        for record in CANNED_RECORDS:
-            store.append(record)
-        table = coverage_table(store.load())
+        with SqliteBackend(tmp_path / "canned.sqlite").open() as store:
+            for record in CANNED_RECORDS:
+                store.append(dict(record))
+            table = coverage_table(store.load())
         row = next(
             line for line in table.splitlines() if line.startswith("rca4")
         )
@@ -490,7 +515,7 @@ class TestCli:
     def test_run_report_round_trip(self, tmp_path, capsys):
         from repro.campaign.cli import main
 
-        store = str(tmp_path / "cli.jsonl")
+        store = str(tmp_path / "cli.sqlite")
         assert main(
             ["run", "--circuits", "c17", "--fault-classes", "stuck_at",
              "--store", store, "--workers", "1"]
@@ -502,12 +527,161 @@ class TestCli:
     def test_run_requires_circuit_selection(self, tmp_path):
         from repro.campaign.cli import main
 
-        assert main(["run", "--store", str(tmp_path / "x.jsonl")]) == 2
+        assert main(["run", "--store", str(tmp_path / "x.sqlite")]) == 2
 
     def test_report_on_missing_store(self, tmp_path):
         from repro.campaign.cli import main
 
-        assert main(["report", "--store", str(tmp_path / "none.jsonl")]) == 1
+        assert main(["report", "--store", str(tmp_path / "none.sqlite")]) == 1
+
+
+def _table_rows(path):
+    """Every row of the store's tables, read through plain sqlite."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return {
+            table: conn.execute(f"SELECT * FROM {table}").fetchall()
+            for table in ("results", "tasks", "quarantine")
+        }
+    finally:
+        conn.close()
+
+
+class TestStoreCli:
+    """``report``/``export``/``verify-store`` never write to a store;
+    only ``verify-store --repair`` does."""
+
+    @pytest.fixture
+    def tampered_store(self, tmp_path):
+        """A c17 stuck_at+iddq store with one result row edited."""
+        path = tmp_path / "c17.sqlite"
+        run_campaign(expand_grid(["c17"], ["stuck_at", "iddq"]), store=path)
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "UPDATE results SET record = replace(record, '\"ok\"', "
+            "'\"OK\"') WHERE task_id = 'c17/iddq/compiled'"
+        )
+        conn.commit(); conn.close()
+        return path
+
+    def _verify(self, capsys, path, *extra):
+        from repro.campaign.cli import main
+
+        code = main(["campaign", "verify-store", "--store", str(path), *extra])
+        fields = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, _, value = line.partition(":")
+            fields[key.strip()] = value.strip()
+        return code, fields
+
+    def test_verify_store_without_repair_is_read_only(
+        self, tampered_store, capsys
+    ):
+        before = _table_rows(tampered_store)
+        assert len(before["results"]) == 2
+        code, fields = self._verify(capsys, tampered_store)
+        assert code == 1
+        assert fields["n_corrupt"] == "1"
+        assert fields["n_quarantined"] == "0"
+        after = _table_rows(tampered_store)
+        assert after["quarantine"] == []
+        assert after == before
+
+    def test_verify_store_repair_quarantines(self, tampered_store, capsys):
+        code, fields = self._verify(capsys, tampered_store, "--repair")
+        assert code == 1                 # quarantined cell not recomputed
+        assert fields["n_quarantined"] == "1"
+        rows = _table_rows(tampered_store)
+        assert len(rows["results"]) == 1 and len(rows["quarantine"]) == 1
+
+    def test_report_and_export_leave_the_store_untouched(
+        self, tampered_store, capsys
+    ):
+        from repro.campaign.cli import main
+
+        before = _table_rows(tampered_store)
+        assert main(["report", "--store", str(tampered_store)]) == 0
+        assert main(
+            ["campaign", "export", "--store", str(tampered_store)]
+        ) == 0
+        capsys.readouterr()
+        assert _table_rows(tampered_store) == before
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--circuits", "c17", "--fault-classes", "stuck_at"],
+        ["paper-tables", "--circuits", "c17", "--fault-classes", "stuck_at"],
+        ["report"],
+        ["campaign", "verify-store"],
+        ["campaign", "export"],
+    ])
+    def test_non_sqlite_store_rejected(self, tmp_path, capsys, command):
+        from repro.campaign.cli import main
+
+        old = tmp_path / "old.jsonl"
+        old.write_text(
+            json.dumps({"task_id": "c17/stuck_at/compiled", "status": "ok"})
+            + "\n"
+        )
+        data = old.read_bytes()
+        assert main([*command, "--store", str(old)]) == 2
+        assert "repro campaign migrate-store" in capsys.readouterr().err
+        assert old.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
+
+    def test_export_of_missing_store_fails(self, tmp_path, capsys):
+        from repro.campaign.cli import main
+
+        path = tmp_path / "none.sqlite"
+        assert main(["campaign", "export", "--store", str(path)]) == 1
+        assert "no store" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_migrate_store_of_missing_source_fails(self, tmp_path):
+        from repro.campaign.cli import main
+
+        assert main(
+            ["campaign", "migrate-store", "--store",
+             str(tmp_path / "none.jsonl"), "--to", str(tmp_path / "x.sqlite")]
+        ) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def _export(self, capsys, path) -> str:
+        from repro.campaign.cli import main
+
+        capsys.readouterr()
+        assert main(["campaign", "export", "--store", str(path)]) == 0
+        return capsys.readouterr().out
+
+    def test_export_is_worker_count_invariant(self, tmp_path, capsys):
+        from repro.campaign.cli import main
+
+        exports = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"smoke{workers}.sqlite"
+            assert main(
+                ["run", "--smoke", "--workers", workers, "--store", str(path)]
+            ) == 0
+            exports.append(self._export(capsys, path))
+        assert exports[0] == exports[1]
+        lines = exports[0].splitlines()
+        assert len(lines) == 4                      # one line per cell
+        records = [json.loads(line) for line in lines]
+        assert records == strip_volatile(records)   # sorted, stripped
+
+    def test_export_migrate_export_round_trip(self, tmp_path, capsys):
+        from repro.campaign.cli import main
+
+        store = tmp_path / "a.sqlite"
+        run_campaign(expand_grid(["c17"], ["stuck_at", "polarity"]), store=store)
+        first = self._export(capsys, store)
+        exported = tmp_path / "a.jsonl"
+        exported.write_text(first)
+        imported = tmp_path / "b.sqlite"
+        assert main(
+            ["campaign", "migrate-store", "--store", str(exported),
+             "--to", str(imported)]
+        ) == 0
+        assert self._export(capsys, imported) == first
 
 
 class TestDocstringExamples:
@@ -570,79 +744,43 @@ class TestReviewRegressions:
         cli.main(
             ["run", "--smoke", "--workers", "1",
              "--fault-classes", "stuck_at",
-             "--store", str(tmp_path / "s.jsonl")]
+             "--store", str(tmp_path / "s.sqlite")]
         )
         assert seen["workers"] == 1
 
 
 class TestStoreHardening:
     def test_append_reuses_one_persistent_handle(self, tmp_path):
-        """Regression: ``append`` used to reopen (and re-heal) the file
-        per record; the store must hold one handle for its lifetime."""
-        store = ResultStore(tmp_path / "s.jsonl")
-        store.append({"task_id": "a", "status": "ok"})
-        handle = store._handle
-        store.append({"task_id": "b", "status": "ok"})
-        assert store._handle is handle
-        assert len(store.load()) == 2   # flushed per record, readable live
-        store.close()
-
-    def test_heal_then_append_stays_one_record_per_line(self, tmp_path):
-        """Appending after torn-tail healing must not glue the new
-        record onto the truncated remnant."""
-        path = tmp_path / "s.jsonl"
-        path.write_text('{"task_id": "a", "status": "ok"}\n{"task_id": "b')
-        with ResultStore(path) as store:
-            store.append({"task_id": "c", "status": "ok"})
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["task_id"] for line in lines] == ["a", "c"]
-        assert path.read_text().endswith("\n")
+        """The store holds one connection for its lifetime, and every
+        append is committed as it returns (readable by other readers)."""
+        with SqliteBackend(tmp_path / "s.sqlite").open() as store:
+            store.append({"task_id": "a", "status": "ok"})
+            handle = store._conn
+            store.append({"task_id": "b", "status": "ok"})
+            assert store._conn is handle
+            assert len(_stored(tmp_path / "s.sqlite", latest=False)) == 2
 
     def test_handle_reopens_after_close(self, tmp_path):
-        store = ResultStore(tmp_path / "s.jsonl")
+        store = SqliteBackend(tmp_path / "s.sqlite")
         store.append({"task_id": "a", "status": "ok"})
         store.close()
         store.append({"task_id": "b", "status": "ok"})
         store.close()
-        assert len(store.load()) == 2
+        assert len(_stored(tmp_path / "s.sqlite", latest=False)) == 2
 
     def test_fsync_append_round_trip(self, tmp_path):
-        with ResultStore(tmp_path / "s.jsonl", fsync=True) as store:
+        with SqliteBackend(tmp_path / "s.sqlite", fsync=True).open() as store:
+            # fsync=True means synchronous=FULL (machine-crash durable).
+            assert store._conn.execute("PRAGMA synchronous").fetchone() == (2,)
             store.append({"task_id": "a", "status": "ok"})
             store.append({"task_id": "b", "status": "ok"})
-        assert len(ResultStore(tmp_path / "s.jsonl").load()) == 2
-
-    def test_second_writer_fails_fast(self, tmp_path):
-        pytest.importorskip("fcntl")
-        first = ResultStore(tmp_path / "s.jsonl")
-        first.append({"task_id": "a", "status": "ok"})
-        second = ResultStore(tmp_path / "s.jsonl")
-        with pytest.raises(StoreLockedError, match="locked by PID") as info:
-            second.append({"task_id": "b", "status": "ok"})
-        # Satellite: the error names the holding PID and a retry hint.
-        assert info.value.pid == os.getpid()
-        assert "retry" in str(info.value)
-        # Readers are never blocked by the writer's lock.
-        assert len(second.load()) == 1
-        # Closing the first writer releases the lock.
-        first.close()
-        second.append({"task_id": "b", "status": "ok"})
-        second.close()
-        assert len(second.load()) == 2
-
-    def test_lock_opt_out(self, tmp_path):
-        first = ResultStore(tmp_path / "s.jsonl")
-        first.append({"task_id": "a", "status": "ok"})
-        unlocked = ResultStore(tmp_path / "s.jsonl", lock=False)
-        unlocked.append({"task_id": "b", "status": "ok"})
-        first.close()
-        unlocked.close()
+        assert len(_stored(tmp_path / "s.sqlite", latest=False)) == 2
 
     def test_corrupt_line_error_names_the_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
         with pytest.raises(ValueError, match="line 2"):
-            ResultStore(path).load()
+            migrate_jsonl_to_sqlite(path, tmp_path / "s.sqlite")
 
     def test_strip_volatile_drops_retry_provenance(self):
         records = [
@@ -671,7 +809,7 @@ class TestCliExitCodes:
         try:
             code = main(
                 ["run", "--circuits", "c17", "--fault-classes", "boom",
-                 "--store", str(tmp_path / "f.jsonl")]
+                 "--store", str(tmp_path / "f.sqlite")]
             )
         finally:
             del TASK_RUNNERS["boom"]
@@ -693,7 +831,7 @@ class TestCliExitCodes:
             code = main(
                 ["run", "--circuits", "c17", "--fault-classes", "sleepy",
                  "--timeout", "0.2",
-                 "--store", str(tmp_path / "t.jsonl")]
+                 "--store", str(tmp_path / "t.sqlite")]
             )
         finally:
             del TASK_RUNNERS["sleepy"]
@@ -714,7 +852,7 @@ class TestCliExitCodes:
 
         TASK_RUNNERS["flaky"] = flaky
         try:
-            store = str(tmp_path / "r.jsonl")
+            store = str(tmp_path / "r.sqlite")
             args = ["run", "--circuits", "c17", "--fault-classes", "flaky",
                     "--store", store]
             assert main(args) == 1

@@ -1,13 +1,13 @@
-"""Pluggable store backends: protocol, sqlite semantics, migration,
-multi-runner coordination and cross-backend determinism.
+"""The sqlite campaign store: format check, claim semantics, JSONL
+import, multi-runner coordination and kill/resume determinism.
 
 The contract under test mirrors the engine differential harness: the
 *storage* layer must never change what a campaign computes.  A grid
-run against the sqlite backend — on any worker count, split across
-independent runner processes, interrupted by kills — must converge to
-the same records (after :func:`strip_volatile`) as the single-worker
-JSONL run, and the multi-runner split must produce exactly one result
-row per task: none lost, none duplicated.
+run against the store — on any worker count, split across independent
+runner processes, interrupted by kills — must converge to the same
+records (after :func:`strip_volatile`) as the undisturbed single-worker
+run, and the multi-runner split must produce exactly one result row per
+task: none lost, none duplicated.
 """
 
 import json
@@ -20,17 +20,14 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.backends import (
-    BACKENDS,
-    JsonlBackend,
-    ResultBackend,
     SqliteBackend,
-    detect_backend,
     migrate_jsonl_to_sqlite,
     open_store,
+    scan_records,
 )
-from repro.campaign.chaos import ChaosPolicy, StorageChaos, tear_tail
+from repro.campaign.chaos import ChaosPolicy, StorageChaos
 from repro.campaign.runner import RetryPolicy, expand_grid, run_campaign
-from repro.campaign.store import ResultStore, stores_equal, strip_volatile
+from repro.campaign.store import stores_equal, strip_volatile
 
 needs_posix = pytest.mark.skipif(
     os.name != "posix", reason="needs POSIX kill/fork semantics"
@@ -54,37 +51,64 @@ def _ok_record(task_id, n=1):
     }
 
 
+def _jsonl(records) -> str:
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
 # ---------------------------------------------------------------------------
-# Detection + protocol
+# Store format check
 # ---------------------------------------------------------------------------
 
 class TestDetection:
     def test_existing_files_classified_by_content(self, tmp_path):
         jsonl = tmp_path / "weird.sqlite"   # misleading suffix
         jsonl.write_text('{"task_id": "a"}\n')
-        assert detect_backend(jsonl) == "jsonl"
+        with pytest.raises(ValueError, match="migrate-store"):
+            open_store(jsonl)
+        assert jsonl.read_text() == '{"task_id": "a"}\n'   # untouched
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weird.sqlite"]
 
         db = tmp_path / "weird.jsonl"       # misleading suffix
-        sqlite3.connect(str(db)).executescript(
-            "CREATE TABLE t (x INTEGER); INSERT INTO t VALUES (1);"
-        )
-        assert detect_backend(db) == "sqlite"
-
-    def test_missing_files_classified_by_suffix(self, tmp_path):
-        assert detect_backend(tmp_path / "a.jsonl") == "jsonl"
-        assert detect_backend(tmp_path / "a.txt") == "jsonl"
-        for suffix in (".sqlite", ".sqlite3", ".db", ".sq3"):
-            assert detect_backend(tmp_path / f"a{suffix}") == "sqlite"
+        with open_store(db) as store:
+            store.append(_ok_record("a"))
+        with open_store(db) as store:
+            assert len(store.load()) == 1
 
     def test_open_store_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown backend"):
-            open_store(tmp_path / "a.jsonl", "etcd")
+        with pytest.raises(ValueError, match="migrate-store"):
+            open_store(tmp_path / "a.jsonl", "jsonl")
+        assert not (tmp_path / "a.jsonl").exists()
 
-    def test_both_backends_satisfy_the_protocol(self, tmp_path):
-        for name, cls in BACKENDS.items():
-            backend = cls(tmp_path / f"p.{name}")
-            assert isinstance(backend, ResultBackend)
-            backend.close() if name == "sqlite" else None
+
+class TestReadOnlyAccess:
+    """Read-only opens and scans never create, repair or write."""
+
+    def test_read_only_open_refuses_writes(self, tmp_path):
+        path = tmp_path / "s.sqlite"
+        with open_store(path) as store:
+            store.append(_ok_record("a"))
+        with open_store(path, read_only=True) as store:
+            assert [r["task_id"] for r in store.load()] == ["a"]
+            with pytest.raises(sqlite3.OperationalError, match="readonly"):
+                store.append(_ok_record("b"))
+        with open_store(path, read_only=True) as store:
+            assert len(store.load()) == 1
+
+    def test_read_only_open_creates_nothing(self, tmp_path):
+        with pytest.raises(sqlite3.OperationalError):
+            open_store(tmp_path / "missing.sqlite", read_only=True)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scan_of_missing_store_is_empty(self, tmp_path):
+        assert scan_records(tmp_path / "missing.sqlite") == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_file_becomes_a_fresh_store(self, tmp_path):
+        path = tmp_path / "empty.sqlite"
+        path.write_bytes(b"")
+        with open_store(path) as store:
+            store.append(_ok_record("a"))
+        assert scan_records(path)[0]["task_id"] == "a"
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +246,10 @@ class TestSqliteCorruptionRecovery:
             store.claim("b"); store.append(_ok_record("b"))
         self._tamper(path, "a")
 
-        # repair=False only reports.
-        probe = SqliteBackend(path)
-        probe._conn = sqlite3.connect(str(path), isolation_level=None)
-        report = probe.verify(repair=False)
+        # A read-only open with repair=False only reports.
+        with SqliteBackend(path, read_only=True).open() as probe:
+            report = probe.verify(repair=False)
         assert report["ok"] is False and report["n_corrupt"] == 1
-        probe._conn.close()
 
         # open() quarantines the torn row and re-queues its task.
         with SqliteBackend(path).open() as store:
@@ -245,7 +267,7 @@ class TestSqliteCorruptionRecovery:
     def test_campaign_recomputes_quarantined_cell(self, tmp_path):
         path = tmp_path / "s.sqlite"
         grid = expand_grid(["c17"], ["stuck_at", "polarity"])
-        reference = run_campaign(grid, store=path, backend="sqlite")
+        reference = run_campaign(grid, store=path)
         assert reference.n_failed == 0
         self._tamper(path, "c17/stuck_at/compiled")
         rerun = run_campaign(grid, store=path)
@@ -264,8 +286,9 @@ class TestMigration:
     def test_jsonl_to_sqlite_preserves_records_and_resume(self, tmp_path):
         src, dst = tmp_path / "a.jsonl", tmp_path / "a.sqlite"
         grid = expand_grid(["c17"], ["stuck_at", "polarity"])
-        jsonl_run = run_campaign(grid, store=src)
+        jsonl_run = run_campaign(grid)
         assert jsonl_run.n_failed == 0
+        src.write_text(_jsonl(jsonl_run.records))
 
         count = migrate_jsonl_to_sqlite(src, dst)
         assert count == 2
@@ -281,7 +304,7 @@ class TestMigration:
 
     def test_migration_refuses_existing_destination(self, tmp_path):
         src = tmp_path / "a.jsonl"
-        ResultStore(src).append(_ok_record("a"))
+        src.write_text(_jsonl([_ok_record("a")]))
         dst = tmp_path / "exists.sqlite"
         dst.write_bytes(b"precious")
         with pytest.raises(FileExistsError, match="refusing"):
@@ -290,102 +313,32 @@ class TestMigration:
 
     def test_migration_tolerates_torn_source_tail(self, tmp_path):
         src, dst = tmp_path / "a.jsonl", tmp_path / "a.sqlite"
-        store = ResultStore(src)
-        store.append(_ok_record("a"))
-        store.append(_ok_record("b"))
-        store.close()
-        tear_tail(src)
+        text = _jsonl([_ok_record("a"), _ok_record("b")])
+        src.write_text(text[: len(text) - 20])     # killed mid-record
         assert migrate_jsonl_to_sqlite(src, dst) == 1   # torn row dropped
         with open_store(dst) as migrated:
             assert [r["task_id"] for r in migrated.load()] == ["a"]
 
 
-# ---------------------------------------------------------------------------
-# JSONL backend via the protocol
-# ---------------------------------------------------------------------------
-
-class TestJsonlBackend:
-    def test_wraps_store_and_stamps_provenance(self, tmp_path):
-        with JsonlBackend(tmp_path / "a.jsonl") as backend:
-            assert backend.claim("anything")       # vacuous claiming
-            backend.append(_ok_record("a"))
-        record = ResultStore(tmp_path / "a.jsonl").load()[0]
-        assert record["backend"] == "jsonl"
-        assert record["store_schema"] == JsonlBackend.STORE_SCHEMA
-
-    def test_verify_reports_torn_tail_and_repairs(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        store = ResultStore(path)
-        store.append(_ok_record("a"))
-        store.append(_ok_record("b"))
-        store.close()
-        tear_tail(path)
-        backend = JsonlBackend(path, lock=False)
-        report = backend.verify()
-        assert report["torn_tail"] is True
-        assert report["ok"] is True        # recoverable kill signature
-        assert report["n_records"] == 1    # torn row dropped by the loader
-        repaired = backend.verify(repair=True)
-        assert repaired["torn_tail"] is False
-        assert path.read_bytes().endswith(b"\n")
-
-    def test_verify_flags_mid_file_corruption(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        path.write_text('{"task_id": "a"}\nnot json\n{"task_id": "b"}\n')
-        report = JsonlBackend(path, lock=False).verify()
-        assert report["ok"] is False
-        assert report["n_corrupt"] == 1
-
-    def test_enospc_append_retries_and_heals(self, tmp_path):
-        chaos = StorageChaos({"append": {"a": ("enospc", "torn", "ok")}})
-        with JsonlBackend(tmp_path / "a.jsonl", chaos=chaos) as backend:
-            backend.append(_ok_record("a"))     # 2 failures, then lands
-            backend.append(_ok_record("b"))
-        records = ResultStore(tmp_path / "a.jsonl").load()
-        assert [r["task_id"] for r in records] == ["a", "b"]
-        # The torn attempt's half line was healed away, not glued to
-        # the successful rewrite.
-        for line in (tmp_path / "a.jsonl").read_text().splitlines():
-            json.loads(line)
-
-
 class TestUtf8Tear:
-    """Satellite: a tail torn *inside* a multi-byte UTF-8 sequence."""
-
-    def _non_ascii_store(self, path):
-        store = ResultStore(path)
-        store.append(_ok_record("a"))
-        record = _ok_record("b")
-        record["error"] = "μ-fault: polarity gate Θ misread"  # multi-byte
-        store.append(record)
-        store.close()
-        return store
+    """A JSONL source torn *inside* a multi-byte UTF-8 sequence."""
 
     def test_tear_inside_utf8_sequence(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        self._non_ascii_store(path)
-        tear_tail(path, inside_utf8=True)
-        tail = path.read_bytes()
+        """The torn tail is undecodable, not just unparseable; the
+        import drops it like any other torn tail."""
+        src, dst = tmp_path / "a.jsonl", tmp_path / "a.sqlite"
+        record = _ok_record("b")
+        record["error"] = "μ-fault: polarity gate Θ misread"  # multi-byte
+        data = (_jsonl([_ok_record("a")]) + json.dumps(
+            record, sort_keys=True, ensure_ascii=False
+        ) + "\n").encode("utf-8")
+        cut = data.rindex("Θ".encode("utf-8")) + 1
+        src.write_bytes(data[:cut])
         with pytest.raises(UnicodeDecodeError):
-            tail.decode("utf-8")               # the tear is mid-character
-
-    def test_loader_and_healing_survive_utf8_tear(self, tmp_path):
-        path = tmp_path / "a.jsonl"
-        self._non_ascii_store(path)
-        tear_tail(path, inside_utf8=True)
-        records = ResultStore(path, lock=False).load()
-        assert [r["task_id"] for r in records] == ["a"]   # torn row dropped
-        store = ResultStore(path)
-        store.append(_ok_record("c"))
-        store.close()
-        lines = path.read_bytes().split(b"\n")
-        assert [json.loads(l)["task_id"] for l in lines if l] == ["a", "c"]
-
-    def test_tear_inside_utf8_requires_multibyte_content(self, tmp_path):
-        path = tmp_path / "ascii.jsonl"
-        ResultStore(path).append(_ok_record("a"))
-        with pytest.raises(ValueError, match="pure ASCII"):
-            tear_tail(path, inside_utf8=True)
+            data[:cut].decode("utf-8")       # the tear is mid-character
+        assert migrate_jsonl_to_sqlite(src, dst) == 1
+        with open_store(dst) as migrated:
+            assert [r["task_id"] for r in migrated.load()] == ["a"]
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +349,7 @@ def _runner_process(store_path, start, done_counts, index):
     """One independent runner process sharing the sqlite store."""
     start.wait()
     grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
-    result = run_campaign(
-        grid, store=Path(store_path), backend="sqlite", policy=FAST,
-    )
+    result = run_campaign(grid, store=Path(store_path), policy=FAST)
     done_counts[index] = result.n_run
 
 
@@ -408,7 +359,8 @@ class TestMultiRunner:
     def test_two_processes_share_one_store_no_dup_no_loss(self, tmp_path):
         """ISSUE acceptance: two concurrent runner processes complete a
         full smoke grid on one sqlite store — zero duplicated rows,
-        zero lost rows, and the result equals a 1-worker JSONL run."""
+        zero lost rows, and the result equals an undisturbed 1-worker
+        run."""
         context = multiprocessing.get_context("fork")
         store_path = tmp_path / "shared.sqlite"
         start = context.Event()
@@ -443,36 +395,36 @@ class TestMultiRunner:
         assert counts[0] + counts[1] == len(grid)
 
         # And the shared-store result equals an undisturbed 1-worker
-        # JSONL campaign.
-        oracle = run_campaign(grid, store=tmp_path / "oracle.jsonl")
+        # campaign.
+        oracle = run_campaign(grid, store=tmp_path / "oracle.sqlite")
         assert stores_equal(records, oracle.records)
 
 
 # ---------------------------------------------------------------------------
-# Satellite: sequential cells, both backends, kill/resume + 1-vs-N
+# Sequential cells: kill/resume + 1-vs-N
 # ---------------------------------------------------------------------------
 
 SEQ_GRID = (("s27", "sqx344"), ("fault_sim",))
 SEQ_KILL_TASK = "sqx344/fault_sim/auto"
 
 
-def _seq_killed_runner(store_path, backend):
-    """Child: run the sequential grid but die mid-append (mid-line for
-    JSONL, mid-transaction for sqlite) on the second cell."""
+def _seq_killed_runner(store_path):
+    """Child: run the sequential grid but die mid-append-transaction on
+    the second cell."""
     chaos = ChaosPolicy(
         {}, storage=StorageChaos({"append": {SEQ_KILL_TASK: ("kill",)}})
     )
     run_campaign(
         expand_grid(*SEQ_GRID, engine="auto"),
-        store=Path(store_path), backend=backend, policy=FAST, chaos=chaos,
+        store=Path(store_path), policy=FAST, chaos=chaos,
     )
 
 
 @needs_posix
 @needs_fork
 class TestSequentialBackendDeterminism:
-    """Satellite: 1-vs-N determinism for the sequential (s27/sqx344)
-    cells on BOTH backends, including kill/resume mid-grid."""
+    """1-vs-N determinism for the sequential (s27/sqx344) cells,
+    including kill/resume mid-grid."""
 
     @pytest.fixture(scope="class")
     def seq_oracle(self):
@@ -480,37 +432,36 @@ class TestSequentialBackendDeterminism:
         assert all(r["status"] == "ok" for r in result.records)
         return result.records
 
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_kill_mid_grid_then_parallel_resume_converges(
-        self, tmp_path, seq_oracle, backend
+        self, tmp_path, seq_oracle
     ):
-        store_path = tmp_path / f"seq.{backend}"
+        store_path = tmp_path / "seq.sqlite"
         context = multiprocessing.get_context("fork")
         proc = context.Process(
-            target=_seq_killed_runner, args=(str(store_path), backend)
+            target=_seq_killed_runner, args=(str(store_path),)
         )
         proc.start()
         proc.join(300)
         # The runner died by SIGKILL mid-append, as scripted.
         assert proc.exitcode is not None and proc.exitcode < 0
 
-        # The interrupted store holds only complete rows (recovery may
-        # run lazily on the next open, so open through the backend).
-        with open_store(store_path, backend, lock=False) as store:
+        # The interrupted store holds only complete rows (WAL recovery
+        # erased the uncommitted one).
+        with open_store(store_path) as store:
             survivors = store.latest()
         assert SEQ_KILL_TASK not in survivors
         assert all(r["status"] == "ok" for r in survivors.values())
 
         # Resume with 2 workers: recomputes exactly the killed cell and
-        # converges to the 1-worker in-memory oracle on both backends.
+        # converges to the 1-worker in-memory oracle.
         result = run_campaign(
             expand_grid(*SEQ_GRID, engine="auto"),
-            store=store_path, backend=backend, workers=2, policy=FAST,
+            store=store_path, workers=2, policy=FAST,
         )
         assert result.n_run == 1
         assert result.n_skipped == len(survivors)
         assert stores_equal(result.records, seq_oracle)
-        with open_store(store_path, backend, lock=False) as store:
+        with open_store(store_path) as store:
             assert stores_equal(list(store.latest().values()), seq_oracle)
             assert store.verify(repair=True)["ok"] is True
 
@@ -521,10 +472,10 @@ class TestSequentialBackendDeterminism:
 
 class TestStorageChaos:
     def test_scripts_consumed_per_event_and_task(self):
-        chaos = StorageChaos({"append": {"a": ("enospc", "torn")}})
+        chaos = StorageChaos({"append": {"a": ("enospc", "kill")}})
         assert chaos.append_fault("a") == "enospc"
         assert chaos.append_fault("b") == "ok"     # other tasks clean
-        assert chaos.append_fault("a") == "torn"
+        assert chaos.append_fault("a") == "kill"
         assert chaos.append_fault("a") == "ok"     # past the script
         chaos.claim_fault("a")                     # no claim script: ok
 

@@ -3,14 +3,12 @@
 The differential discipline of ``tests/test_multiword_engine.py``
 applied to the execution layer itself: a campaign subjected to scripted
 worker SIGKILLs, native-style hangs (soft timeout disarmed), transient
-and permanent exceptions, engine failures and mid-write store
-truncation must
+and permanent exceptions, engine failures and storage faults must
 
 * always complete with one final record per cell (never wedge, never
   crash the parent),
 * converge — up to the volatile ``runtime_s``/``attempt``/``failures``
-  fields — to the byte-identical store of an undisturbed single-worker
-  run, and
+  fields — to the store of an undisturbed single-worker run, and
 * quarantine cells that keep killing workers as ``poisoned`` after a
   bounded number of respawns, leaving them resumable.
 
@@ -18,9 +16,9 @@ Set ``REPRO_CHAOS_STORE_DIR`` to persist the stores the scenarios
 write (the CI ``chaos-smoke`` job uploads them as artifacts).
 """
 
-import json
 import multiprocessing
 import os
+import sqlite3
 import threading
 import time
 from pathlib import Path
@@ -29,14 +27,13 @@ import pytest
 
 from repro.campaign import chaos as chaos_module
 from repro.campaign import runner as runner_module
-from repro.campaign.backends import BACKENDS, open_store
+from repro.campaign.backends import open_store
 from repro.campaign.chaos import (
     ChaosEngineError,
     ChaosPolicy,
     ChaosTransientError,
     StorageChaos,
     hold_sqlite_write_lock,
-    tear_tail,
 )
 from repro.campaign.tables import coverage_table
 from repro.campaign.runner import (
@@ -48,7 +45,7 @@ from repro.campaign.runner import (
     run_campaign,
     run_task_with_retries,
 )
-from repro.campaign.store import ResultStore, stores_equal
+from repro.campaign.store import stores_equal
 from repro.campaign.tasks import TASK_RUNNERS
 
 GRID_CIRCUITS = ("c17", "tmr_voter")
@@ -70,13 +67,6 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _chaos_backends() -> tuple[str, ...]:
-    """Backends the storage-chaos matrix covers; ``REPRO_CHAOS_BACKEND``
-    (the CI matrix variable) restricts a job to one of them."""
-    only = os.environ.get("REPRO_CHAOS_BACKEND")
-    return (only,) if only in BACKENDS else tuple(sorted(BACKENDS))
-
-
 @pytest.fixture(scope="module")
 def undisturbed():
     """The oracle: an uninterrupted inline run of the chaos grid."""
@@ -85,36 +75,28 @@ def undisturbed():
     return result.records
 
 
-def _fresh_store_path(tmp_path, node_name, backend="jsonl") -> Path:
+@pytest.fixture
+def chaos_store(tmp_path, request) -> Path:
     """Store path for a scenario; lands in ``REPRO_CHAOS_STORE_DIR``
     when set so CI can upload the surviving stores as artifacts."""
     base = os.environ.get("REPRO_CHAOS_STORE_DIR")
     directory = Path(base) if base else tmp_path
     directory.mkdir(parents=True, exist_ok=True)
-    suffix = "sqlite" if backend == "sqlite" else "jsonl"
-    path = directory / f"{node_name}.{suffix}"
-    # Stale stores (and sqlite WAL sidecars) would satisfy resume.
+    path = directory / f"{request.node.name}.sqlite"
+    # Stale stores (and their WAL sidecars) would satisfy resume.
     for stale in (path, *path.parent.glob(f"{path.name}-*")):
         stale.unlink(missing_ok=True)
     return path
 
 
-@pytest.fixture
-def chaos_store(tmp_path, request):
-    """JSONL store path for a scenario (see :func:`_fresh_store_path`)."""
-    return _fresh_store_path(tmp_path, request.node.name)
-
-
-@pytest.fixture
-def chaos_store_factory(tmp_path, request):
-    """Per-backend store paths for the storage-chaos matrix."""
-    return lambda backend: _fresh_store_path(
-        tmp_path, request.node.name, backend
-    )
-
-
 def _record(records, task_id):
     return next(r for r in records if r["task_id"] == task_id)
+
+
+def _stored(path) -> list[dict]:
+    """The latest record per task of a store, read-only."""
+    with open_store(path, read_only=True) as store:
+        return list(store.latest().values())
 
 
 class TestChaosPolicy:
@@ -241,9 +223,7 @@ class TestSupervisedChaos:
         assert record["attempt"] == 2
         assert record["failures"][0]["kind"] == "crash"
         assert stores_equal(result.records, undisturbed)
-        assert stores_equal(
-            list(ResultStore(chaos_store).latest().values()), undisturbed
-        )
+        assert stores_equal(_stored(chaos_store), undisturbed)
 
     def test_hung_cell_is_killed_by_watchdog_and_retried(
         self, chaos_store, undisturbed
@@ -279,11 +259,14 @@ class TestSupervisedChaos:
         )
         assert result.n_failed == 0
         assert stores_equal(result.records, undisturbed)
-        stored = list(ResultStore(chaos_store).latest().values())
-        assert stores_equal(stored, undisturbed)
-        # The store file itself is clean one-record-per-line JSONL.
-        lines = chaos_store.read_text().splitlines()
-        assert all(json.loads(line) for line in lines)
+        # The store itself is clean: one committed row per cell.
+        with open_store(chaos_store, read_only=True) as store:
+            rows = store.load()
+            assert store.verify()["ok"] is True
+        assert stores_equal(rows, undisturbed)
+        assert sorted(r["task_id"] for r in rows) == sorted(
+            t.task_id for t in grid
+        )
 
     def test_poison_task_is_quarantined_not_looped(
         self, chaos_store, undisturbed
@@ -310,9 +293,7 @@ class TestSupervisedChaos:
         rerun = run_campaign(grid, store=chaos_store, policy=FAST)
         assert rerun.n_skipped == 3
         assert rerun.n_run == 1
-        assert stores_equal(
-            list(ResultStore(chaos_store).latest().values()), undisturbed
-        )
+        assert stores_equal(_stored(chaos_store), undisturbed)
 
     def test_clean_supervised_run_matches_inline(
         self, chaos_store, undisturbed
@@ -374,24 +355,22 @@ class TestStoreChaos:
     ):
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         run_campaign(grid, store=chaos_store)
-        tear_tail(chaos_store)
-        assert not chaos_store.read_bytes().endswith(b"\n")  # torn
+        # Truncate the last committed row mid-record: its checksum no
+        # longer matches, so the next open quarantines it.
+        conn = sqlite3.connect(str(chaos_store))
+        conn.execute(
+            "UPDATE results SET record = substr(record, 1, length(record) / 2)"
+            " WHERE seq = (SELECT MAX(seq) FROM results)"
+        )
+        conn.commit(); conn.close()
 
         result = run_campaign(grid, store=chaos_store, policy=FAST)
         assert result.n_skipped == 3
         assert result.n_run == 1              # exactly the torn record
-        assert stores_equal(
-            list(ResultStore(chaos_store).latest().values()), undisturbed
-        )
-        # Healing kept the file one-record-per-line.
-        for line in chaos_store.read_text().splitlines():
-            json.loads(line)
-
-    def test_tear_tail_requires_records(self, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_bytes(b"")
-        with pytest.raises(ValueError, match="nothing to tear"):
-            tear_tail(empty)
+        assert stores_equal(_stored(chaos_store), undisturbed)
+        with open_store(chaos_store, read_only=True) as store:
+            report = store.verify()
+        assert report["ok"] is True and report["n_quarantined"] == 1
 
 
 def _claim_kill_child(store_path):
@@ -399,7 +378,7 @@ def _claim_kill_child(store_path):
     first grid cell: it claims, then dies before computing anything."""
     run_campaign(
         expand_grid(GRID_CIRCUITS, GRID_CLASSES),
-        store=Path(store_path), backend="sqlite", policy=FAST,
+        store=Path(store_path), policy=FAST,
         chaos=ChaosPolicy({}, storage=StorageChaos(
             {"claim": {KILL: ("kill",)}}
         )),
@@ -412,47 +391,44 @@ def _midtxn_kill_child(store_path):
     it."""
     run_campaign(
         expand_grid(GRID_CIRCUITS, GRID_CLASSES),
-        store=Path(store_path), backend="sqlite", policy=FAST,
+        store=Path(store_path), policy=FAST,
         chaos=ChaosPolicy({}, storage=StorageChaos(
             {"append": {FLAKY: ("kill",)}}
         )),
     )
 
 
-@pytest.mark.parametrize("backend", _chaos_backends())
-class TestStorageChaosMatrix:
-    """Storage faults the CI chaos matrix runs per backend."""
+class TestStorageFaults:
+    """Out-of-space faults at the store's append seam."""
 
     def test_enospc_disturbed_campaign_converges(
-        self, chaos_store_factory, undisturbed, backend
+        self, chaos_store, undisturbed
     ):
         """Two injected out-of-space failures on one cell's append are
-        absorbed by the backend's bounded-backoff retry."""
-        store_path = chaos_store_factory(backend)
+        absorbed by the store's bounded-backoff retry."""
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         result = run_campaign(
-            grid, store=store_path, backend=backend, policy=FAST,
+            grid, store=chaos_store, policy=FAST,
             chaos=ChaosPolicy({}, storage=StorageChaos(
                 {"append": {KILL: ("enospc", "enospc")}}
             )),
         )
         assert result.n_failed == 0
         assert stores_equal(result.records, undisturbed)
-        with open_store(store_path, backend, lock=False) as store:
+        with open_store(chaos_store) as store:
             assert stores_equal(
                 list(store.latest().values()), undisturbed
             )
             assert store.verify(repair=True)["ok"] is True
 
     def test_exec_and_storage_chaos_combined(
-        self, chaos_store_factory, undisturbed, backend
+        self, chaos_store, undisturbed
     ):
         """Worker-layer faults (transient error) and storage-layer
         faults (enospc) in one campaign still converge."""
-        store_path = chaos_store_factory(backend)
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         result = run_campaign(
-            grid, store=store_path, backend=backend, policy=FAST,
+            grid, store=chaos_store, policy=FAST,
             chaos=ChaosPolicy(
                 {FLAKY: ("transient", "ok")},
                 storage=StorageChaos({"append": {HANG: ("enospc",)}}),
@@ -464,25 +440,21 @@ class TestStorageChaosMatrix:
 
 @needs_posix
 @needs_fork
-@pytest.mark.skipif(
-    os.environ.get("REPRO_CHAOS_BACKEND") == "jsonl",
-    reason="sqlite-specific acceptance scenario",
-)
 class TestSqliteStorageAcceptance:
-    """ISSUE acceptance: kill-between-claim-and-commit, mid-transaction
-    kill and sustained lock contention on one sqlite store; the
-    campaign resumes and renders paper tables *bit-identical* to an
-    undisturbed 1-worker JSONL run."""
+    """Kill-between-claim-and-commit, mid-transaction kill and
+    sustained lock contention on one store; the campaign resumes and
+    renders paper tables *bit-identical* to an undisturbed 1-worker
+    run."""
 
-    def test_chaos_disturbed_sqlite_matches_undisturbed_jsonl(
-        self, tmp_path, chaos_store_factory
+    def test_chaos_disturbed_sqlite_matches_undisturbed_run(
+        self, tmp_path, chaos_store
     ):
         context = multiprocessing.get_context("fork")
-        store_path = chaos_store_factory("sqlite")
+        store_path = chaos_store
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
 
-        # Undisturbed oracle: 1 worker, JSONL store.
-        oracle_path = tmp_path / "oracle.jsonl"
+        # Undisturbed oracle: 1 worker, its own store.
+        oracle_path = tmp_path / "oracle.sqlite"
         oracle = run_campaign(grid, store=oracle_path)
         assert oracle.n_failed == 0
 
@@ -492,7 +464,7 @@ class TestSqliteStorageAcceptance:
         )
         proc.start(); proc.join(120)
         assert proc.exitcode is not None and proc.exitcode < 0
-        with open_store(store_path, lock=False) as store:
+        with open_store(store_path) as store:
             assert store.load() == []           # claimed, never committed
             # Opening reclaimed the dead runner's claim: every cell is
             # pending again, nothing stuck in 'claimed'.
@@ -504,7 +476,7 @@ class TestSqliteStorageAcceptance:
         )
         proc.start(); proc.join(120)
         assert proc.exitcode is not None and proc.exitcode < 0
-        with open_store(store_path, lock=False) as store:
+        with open_store(store_path) as store:
             rows = store.load()
             # WAL recovery erased the uncommitted row; the rows that
             # did commit before the kill are intact and complete.
@@ -519,16 +491,14 @@ class TestSqliteStorageAcceptance:
         holder.start()
         ready.wait(10)
         try:
-            result = run_campaign(
-                grid, store=store_path, backend="sqlite", policy=FAST
-            )
+            result = run_campaign(grid, store=store_path, policy=FAST)
         finally:
             holder.join()
         assert result.n_failed == 0
 
         # Bit-identical convergence: same records up to volatile
         # fields, and the rendered paper table is the same string.
-        with open_store(store_path, lock=False) as store:
+        with open_store(store_path) as store:
             stored = list(store.latest().values())
             rows = store.load()
             assert store.verify(repair=True)["ok"] is True

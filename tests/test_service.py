@@ -447,7 +447,7 @@ class TestProcessFailureModes:
             SLOW_SPEC["circuits"], SLOW_SPEC["fault_classes"], "compiled"
         )
         fresh_path = tmp_path / "undisturbed.sqlite"
-        run_campaign(tasks, store=fresh_path, backend="sqlite")
+        run_campaign(tasks, store=fresh_path)
         with open_store(fresh_path, "sqlite") as store:
             undisturbed = store.latest()
         assert stores_equal(
@@ -461,7 +461,7 @@ class TestProcessFailureModes:
             sys.executable, "-m", "repro", "run",
             "--circuits", *SLOW_SPEC["circuits"],
             "--fault-classes", *SLOW_SPEC["fault_classes"],
-            "--backend", "sqlite", "--store", str(store), "--workers", "1",
+            "--store", str(store), "--workers", "1",
         ]
         proc = subprocess.Popen(
             argv, env=_subprocess_env(), cwd=tmp_path,

@@ -35,10 +35,6 @@ BACKTICK_PATH = re.compile(
 #: Path prefixes that are generated at run time, not checked in.
 GENERATED_PREFIXES = (
     "benchmarks/out",
-    "campaign_store.jsonl",
-    "campaign_smoke.jsonl",
-    "tutorial.jsonl",
-    "campaign.jsonl",
     "my_circuit.bench",
 )
 
