@@ -10,20 +10,26 @@ observables the paper uses:
 
 The static truth-table/IDDQ observations run on the batched analog
 engine (one vectorized multi-point Newton solve over the whole input
-cube per testbench); :func:`screen_cell_faults` drives that measurement
-over a cell's circuit-fault universe from :mod:`repro.faults` — the
-SPICE-side screen of the unified fault API.
+cube per testbench), and the delay comparison integrates the rising and
+falling edge as one 2-point transient sweep.  The fault-free side of
+every comparison depends only on ``(cell, fanout)`` and is memoised by
+:func:`fault_free_reference`.  :func:`screen_cell_faults` drives the
+measurement over a cell's circuit-fault universe from
+:mod:`repro.faults` — the SPICE-side screen of the unified fault API.
+A bias point that does not converge is reported as an unresolved
+vector, not raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 from repro.core.fault_models import CircuitFault, InterconnectBridgeFault
-from repro.gates.builder import build_cell_circuit
+from repro.gates.builder import Testbench, build_cell_circuit
 from repro.gates.cell import Cell
-from repro.gates.characterize import transition_delay
+from repro.gates.characterize import edge_pair_delays
 from repro.spice.batched import solve_dc_sweep
 from repro.spice.measure import logic_level
 
@@ -36,12 +42,18 @@ DELAY_DETECT_RATIO = 1.3
 
 @dataclasses.dataclass(frozen=True)
 class VectorObservation:
-    """Measurements for one static input vector."""
+    """Measurements for one static input vector.
+
+    ``converged`` is False when the DC solve of this bias point did not
+    converge; ``v_out``/``iddq`` then hold the last Newton iterate and
+    must not be read as a measurement.
+    """
 
     vector: tuple[int, ...]
     v_out: float
     logic_out: int | None
     iddq: float
+    converged: bool = True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,6 +70,9 @@ class DetectionReport:
         delay_ratio: worst faulty/fault-free delay (nan when not
             measured; inf when the faulty gate never switches).
         observations: Per-vector raw measurements.
+        unresolved_vectors: Vectors whose faulty (or fault-free) DC
+            solve did not converge.  They enter neither the output nor
+            the IDDQ verdict, nor ``worst_iddq_ratio``.
     """
 
     fault_description: str
@@ -66,6 +81,7 @@ class DetectionReport:
     worst_iddq_ratio: float
     delay_ratio: float
     observations: tuple[VectorObservation, ...]
+    unresolved_vectors: tuple[tuple[int, ...], ...] = ()
 
     @property
     def output_detectable(self) -> bool:
@@ -88,25 +104,77 @@ class DetectionReport:
         )
 
 
-def _static_observations(bench) -> list[VectorObservation]:
+def _static_observations(bench: Testbench) -> tuple[VectorObservation, ...]:
     """Truth table + IDDQ over the full input cube, as one batched
     multi-point DC solve (``mode="exact"``: per-point identical to the
-    historical vector-at-a-time :func:`repro.spice.dc.solve_dc` loop)."""
+    historical vector-at-a-time :func:`repro.spice.dc.solve_dc` loop).
+    Points that fail to converge come back with ``converged=False``."""
     vectors = list(itertools.product((0, 1), repeat=bench.cell.n_inputs))
     sweep = solve_dc_sweep(
-        bench.circuit, [bench.vector_bias(v) for v in vectors]
+        bench.circuit,
+        [bench.vector_bias(v) for v in vectors],
+        raise_on_failure=False,
     )
     v_out = sweep.voltages("out")
     iddq = sweep.supply_currents("vdd")
-    return [
+    return tuple(
         VectorObservation(
             vector=vector,
             v_out=float(v_out[k]),
             logic_out=logic_level(float(v_out[k]), bench.vdd),
             iddq=float(iddq[k]),
+            converged=bool(sweep.converged[k]),
         )
         for k, vector in enumerate(vectors)
-    ]
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultFreeReference:
+    """Fault-free measurements of one ``(cell, fanout)`` testbench.
+
+    Holds results only, never a :class:`Testbench`: the static
+    observations, and the rise/fall delays of each ``(delay input,
+    other bits)`` pair, measured on a private bench the first time they
+    are asked for.  The fields are frozen, but ``_delays`` is a mutable
+    dict that :meth:`edge_delays` fills lazily: a cache owned by the
+    :func:`fault_free_reference` memo, to be read only through
+    :meth:`edge_delays`.  It holds at most one entry per delay edge of
+    the cell, and goes with the reference on ``cache_clear()``.
+    """
+
+    cell: Cell
+    fanout: int
+    observations: tuple[VectorObservation, ...]
+    _delays: dict = dataclasses.field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def edge_delays(
+        self, input_name: str, other_bits: dict[str, int]
+    ) -> tuple[float, float]:
+        """Fault-free ``(rising, falling)`` input-edge delays."""
+        key = (input_name, tuple(sorted(other_bits.items())))
+        delays = self._delays.get(key)
+        if delays is None:
+            bench = build_cell_circuit(self.cell, fanout=self.fanout)
+            delays = edge_pair_delays(bench, input_name, other_bits)
+            self._delays[key] = delays
+        return delays
+
+
+@functools.lru_cache(maxsize=64)
+def fault_free_reference(cell: Cell, fanout: int = 4) -> FaultFreeReference:
+    """Memoised fault-free reference for ``(cell, fanout)``.
+
+    Every fault screened on the same cell and loading compares against
+    the same fault-free bench, so it is solved once per process.  Call
+    ``fault_free_reference.cache_clear()`` after changing device
+    physics in place (as after
+    :func:`~repro.device.cache.clear_model_caches`).
+    """
+    bench = build_cell_circuit(cell, fanout=fanout)
+    return FaultFreeReference(cell, fanout, _static_observations(bench))
 
 
 def characterise_fault(
@@ -116,9 +184,10 @@ def characterise_fault(
     measure_delay: bool = True,
     delay_input: str | None = None,
     delay_other_bits: dict[str, int] | None = None,
-    good_reference: tuple | None = None,
 ) -> DetectionReport:
     """Inject ``fault`` into a fresh testbench and measure detectability.
+
+    The fault-free side comes from :func:`fault_free_reference`.
 
     Args:
         cell: Cell under test.
@@ -129,16 +198,8 @@ def characterise_fault(
             to the first input).
         delay_other_bits: Static values of the remaining inputs during
             the delay measurement (defaults to the all-zeros side).
-        good_reference: Precomputed ``(good_bench, good_observations)``
-            for this ``(cell, fanout)`` — the fault-free measurement is
-            fault-independent, so screens over a whole universe share
-            one reference instead of re-solving it per fault.
     """
-    if good_reference is None:
-        good_bench = build_cell_circuit(cell, fanout=fanout)
-        good_obs = _static_observations(good_bench)
-    else:
-        good_bench, good_obs = good_reference
+    reference = fault_free_reference(cell, fanout)
     bad_bench = build_cell_circuit(cell, fanout=fanout)
     fault.apply(bad_bench)
 
@@ -146,8 +207,12 @@ def characterise_fault(
 
     output_vectors = []
     iddq_vectors = []
+    unresolved = []
     worst_ratio = 0.0
-    for good, bad in zip(good_obs, bad_obs):
+    for good, bad in zip(reference.observations, bad_obs):
+        if not (good.converged and bad.converged):
+            unresolved.append(good.vector)
+            continue
         if bad.logic_out != good.logic_out:
             output_vectors.append(good.vector)
         ratio = bad.iddq / max(good.iddq, 1e-15)
@@ -163,13 +228,9 @@ def characterise_fault(
         }
         # Worst ratio over both edges: a weakened pull-up only shows on
         # the rising-output edge and vice versa.
-        for rising in (True, False):
-            good_delay = transition_delay(
-                good_bench, input_name, others, rising=rising
-            )
-            bad_delay = transition_delay(
-                bad_bench, input_name, others, rising=rising
-            )
+        good_delays = reference.edge_delays(input_name, others)
+        bad_delays = edge_pair_delays(bad_bench, input_name, others)
+        for good_delay, bad_delay in zip(good_delays, bad_delays):
             if good_delay > 0:
                 ratio = bad_delay / good_delay
                 if not (ratio <= delay_ratio):  # NaN-safe max
@@ -181,7 +242,8 @@ def characterise_fault(
         iddq_vectors=tuple(iddq_vectors),
         worst_iddq_ratio=worst_ratio,
         delay_ratio=delay_ratio,
-        observations=tuple(bad_obs),
+        observations=bad_obs,
+        unresolved_vectors=tuple(unresolved),
     )
 
 
@@ -217,22 +279,22 @@ def screen_cell_faults(
     (:func:`repro.faults.circuit_faults_for_cell`); each fault is
     injected into a fresh FO-``fanout`` testbench and measured with the
     batched truth-table/IDDQ observation (delay optional — transients
-    dominate the runtime).  Reports come back in universe order, so the
-    screen composes with the census and campaign tables.
+    dominate the runtime) against the memoised fault-free reference.  A
+    fault whose bias points do not all converge still gets a report,
+    with those vectors in ``unresolved_vectors``.  Reports come back in
+    universe order, so the screen composes with the census and campaign
+    tables.
     """
     if faults is None:
         from repro.faults import circuit_faults_for_cell
 
         faults = circuit_faults_for_cell(cell)
-    good_bench = build_cell_circuit(cell, fanout=fanout)
-    good_reference = (good_bench, _static_observations(good_bench))
     return [
         characterise_fault(
             cell,
             _resolve_bench_nets(cell, fault),
             fanout=fanout,
             measure_delay=measure_delay,
-            good_reference=good_reference,
         )
         for fault in faults
     ]

@@ -79,7 +79,12 @@ def cached_table_model(
 
 
 def clear_model_caches() -> None:
-    """Drop every memoised device and table model (and reset stats)."""
+    """Drop every memoised device and table model (and reset stats).
+
+    Results solved with the old models are not dropped here: clear the
+    detection layer's fault-free reference memo too
+    (``repro.core.detection.fault_free_reference.cache_clear()``).
+    """
     _DEVICE_CACHE.clear()
     _TABLE_CACHE.clear()
     for key in _STATS:

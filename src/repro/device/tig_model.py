@@ -38,6 +38,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 TERMINALS = ("d", "cg", "pgs", "pgd", "s")
 """Canonical terminal ordering used by terminal-current dictionaries."""
 
+_COLUMN = {name: k for k, name in enumerate(TERMINALS)}
+
+#: The twelve gated segments of one evaluation, ordered (direction,
+#: branch, position): forward flow (source is the low terminal) then
+#: reverse; electron then hole branch; injection polarity gate, control
+#: gate, exit polarity gate.  Each entry is ``(gate, branch, reference
+#: terminal)``: electrons are injected at the low terminal, holes at the
+#: high one, and each segment's gate voltage is taken relative to its
+#: branch's injection terminal.
+_SEGMENTS = (
+    ("pgs", "n", "s"), ("cg", "n", "s"), ("pgd", "n", "s"),
+    ("pgd", "p", "d"), ("cg", "p", "d"), ("pgs", "p", "d"),
+    ("pgd", "n", "d"), ("cg", "n", "d"), ("pgs", "n", "d"),
+    ("pgs", "p", "s"), ("cg", "p", "s"), ("pgd", "p", "s"),
+)
+#: Gather index ``(2, 12)`` into the terminal axis: gate, reference.
+_SEGMENT_TERMINALS = np.array(
+    [[_COLUMN[gate] for gate, _b, _r in _SEGMENTS],
+     [_COLUMN[ref] for _g, _b, ref in _SEGMENTS]]
+)
+#: +1 for electron segments, -1 for hole segments (mirrored activation).
+_SEGMENT_SIGN = np.array(
+    [1.0 if branch == "n" else -1.0 for _g, branch, _r in _SEGMENTS]
+)
+#: Carrier-exit segments, softened by ``drain_weight``.
+_EXIT_SEGMENTS = np.arange(2, 12, 3)
+
 
 @dataclasses.dataclass(frozen=True)
 class OperatingPoint:
@@ -76,128 +103,79 @@ class TIGSiNWFET:
         unit = physics.saturation_factor(
             params.vdd, params.v_dsat, params.v_early
         )
-        on_activation = self._series(
-            np.array(1.0), np.array(1.0), np.array(1.0)
-        )
+        on_activation = physics.series_activation(1.0, 1.0, 1.0)
         self._i0 = params.i_on / (float(unit) * float(on_activation))
-
-    # ------------------------------------------------------------------
-    # Branch activations
-    # ------------------------------------------------------------------
-    def _gate_adjustments(self, gate: str, branch: str) -> tuple[float, float]:
-        """Return (threshold shift, activation factor) from the defect."""
-        if self.defect is None:
-            return 0.0, 1.0
-        return (
-            self.defect.vth_shift(gate, branch),
-            self.defect.segment_factor(gate, branch),
-        )
-
-    def _segment_activations_n(
-        self,
-        v_cg: np.ndarray,
-        v_pg_inj: np.ndarray,
-        v_pg_exit: np.ndarray,
-        v_ref: np.ndarray,
-        gate_inj: str,
-        gate_exit: str,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Electron-branch activations (injection PG, CG, exit PG).
-
-        ``gate_inj``/``gate_exit`` name the physical polarity gate at the
-        carrier-injection and carrier-exit ends for this flow direction,
-        so device-level defects attach to the right physical terminal.
-        """
-        p = self.params
-        shift, factor = self._gate_adjustments(gate_inj, "n")
-        a_inj = factor * physics.n_activation(
-            v_pg_inj - v_ref, p.vth_pg + shift, p.ss_pg
-        )
-        shift, factor = self._gate_adjustments("cg", "n")
-        a_cg = factor * physics.n_activation(
-            v_cg - v_ref, p.vth_cg + shift, p.ss_cg
-        )
-        shift, factor = self._gate_adjustments(gate_exit, "n")
-        a_exit = physics.n_activation(
-            v_pg_exit - v_ref, p.vth_pg + shift, p.ss_pg
-        )
-        a_exit = factor * np.power(
-            np.maximum(a_exit, physics.ACTIVATION_FLOOR), p.drain_weight
-        )
-        return a_inj, a_cg, a_exit
-
-    def _segment_activations_p(
-        self,
-        v_cg: np.ndarray,
-        v_pg_inj: np.ndarray,
-        v_pg_exit: np.ndarray,
-        v_ref: np.ndarray,
-        gate_inj: str,
-        gate_exit: str,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Hole-branch activations (injection PG, CG, exit PG)."""
-        p = self.params
-        shift, factor = self._gate_adjustments(gate_inj, "p")
-        a_inj = factor * physics.p_activation(
-            v_pg_inj - v_ref, p.vth_pg + shift, p.ss_pg
-        )
-        shift, factor = self._gate_adjustments("cg", "p")
-        a_cg = factor * physics.p_activation(
-            v_cg - v_ref, p.vth_cg + shift, p.ss_cg
-        )
-        shift, factor = self._gate_adjustments(gate_exit, "p")
-        a_exit = physics.p_activation(
-            v_pg_exit - v_ref, p.vth_pg + shift, p.ss_pg
-        )
-        a_exit = factor * np.power(
-            np.maximum(a_exit, physics.ACTIVATION_FLOOR), p.drain_weight
-        )
-        return a_inj, a_cg, a_exit
-
-    def _series(self, *segments: np.ndarray) -> np.ndarray:
-        """Series combination with defect hooks applied."""
-        return np.asarray(physics.series_activation(*segments))
+        # Per-segment threshold, slope and activation factor; the
+        # defect's shifts and factors are read once, here.
+        vth, ss, factor = [], [], []
+        for gate, branch, _ref in _SEGMENTS:
+            is_cg = gate == "cg"
+            shift = 0.0 if defect is None else defect.vth_shift(gate, branch)
+            vth.append((params.vth_cg if is_cg else params.vth_pg) + shift)
+            ss.append(params.ss_cg if is_cg else params.ss_pg)
+            factor.append(
+                1.0 if defect is None else defect.segment_factor(gate, branch)
+            )
+        self._vth = np.array(vth)
+        self._ss = np.array(ss)
+        self._factor = np.array(factor)
 
     # ------------------------------------------------------------------
     # Current evaluation
     # ------------------------------------------------------------------
-    def _directional_current(
-        self,
-        v_cg: np.ndarray,
-        v_pg_low: np.ndarray,
-        v_pg_high: np.ndarray,
-        v_low: np.ndarray,
-        v_high: np.ndarray,
-        gate_low: str,
-        gate_high: str,
-    ) -> np.ndarray:
-        """Channel current magnitude for carriers flowing low -> high.
+    def _channel_current(self, volts: np.ndarray) -> np.ndarray:
+        """Current into the drain for terminal voltages ``(..., 5)``.
 
-        Electrons are injected at the low-potential terminal (gated by
-        ``v_pg_low``); holes at the high-potential terminal (gated by
-        ``v_pg_high``).  ``v_low``/``v_high`` are the corresponding
-        terminal potentials, and ``gate_low``/``gate_high`` the physical
-        names ('pgs'/'pgd') of the polarity gates at those ends.  The
-        returned current magnitude already includes both carrier branches
-        but not the leakage floor.
+        The one compact-model kernel: all twelve gated segments (see
+        :data:`_SEGMENTS`) are evaluated as one stacked ``(..., 12)``
+        pass — one gather of gate-minus-reference voltages, one
+        logistic, one exit-segment power, one series combination per
+        group of three.  The defect's channel-current and drain-current
+        hooks are applied to the combined result.
         """
         p = self.params
-        vds_eff = physics.smooth_positive(v_high - v_low)
+        gathered = volts[..., _SEGMENT_TERMINALS]  # (..., 2, 12)
+        arg = gathered[..., 0, :] - gathered[..., 1, :]
+        arg *= _SEGMENT_SIGN
+        arg -= self._vth
+        arg /= self._ss
+        act = physics.logistic10(arg)
+        exit_act = np.maximum(
+            act[..., _EXIT_SEGMENTS], physics.ACTIVATION_FLOOR
+        )
+        act[..., _EXIT_SEGMENTS] = np.power(exit_act, p.drain_weight)
+        act *= self._factor
+        np.maximum(act, physics.ACTIVATION_FLOOR, out=act)
+        inverse = np.divide(1.0, act, out=act).reshape(
+            act.shape[:-1] + (2, 2, 3)
+        )
+        inverse_sum = inverse[..., 0] + inverse[..., 1]
+        inverse_sum += inverse[..., 2]
+        series = 3 / inverse_sum  # (..., direction, branch)
 
-        n_inj, n_cg, n_exit = self._segment_activations_n(
-            v_cg, v_pg_low, v_pg_high, v_low, gate_low, gate_high
-        )
-        p_inj, p_cg, p_exit = self._segment_activations_p(
-            v_cg, v_pg_high, v_pg_low, v_high, gate_high, gate_low
-        )
-        g_n = self._series(n_inj, n_cg, n_exit)
-        g_p = self._series(p_inj, p_cg, p_exit)
+        v_d = volts[..., 0]
+        v_s = volts[..., 4]
+        vds = np.empty(volts.shape[:-1] + (2,))  # forward, reverse
+        np.subtract(v_d, v_s, out=vds[..., 0])
+        np.subtract(v_s, v_d, out=vds[..., 1])
+        vds_eff = physics.smooth_positive(vds)
         sat = physics.saturation_factor(vds_eff, p.v_dsat, p.v_early)
         current = (
-            self._i0 * (g_n + p.p_branch_factor * g_p) * sat
+            self._i0
+            * (series[..., 0] + p.p_branch_factor * series[..., 1])
+            * sat
         )
+        forward = current[..., 0]
+        reverse = current[..., 1]
         if self.defect is not None:
-            current = self.defect.scale_channel_current(self, current)
+            forward = self.defect.scale_channel_current(self, forward)
+            reverse = self.defect.scale_channel_current(self, reverse)
+        floor = p.i_floor * np.tanh(vds[..., 0] / 0.05)
+        current = forward - reverse + floor
+        if self.defect is not None:
+            current = current + self.defect.extra_drain_current(
+                self, volts[..., 1], volts[..., 2], volts[..., 3], v_d, v_s
+            )
         return current
 
     def drain_current(
@@ -214,27 +192,14 @@ class TIGSiNWFET:
         (normal n-type operation with ``v_d > v_s``).  Vectorised: any
         argument may be a numpy array (they broadcast together).
         """
-        v_cg = np.asarray(v_cg, dtype=float)
-        v_pgs = np.asarray(v_pgs, dtype=float)
-        v_pgd = np.asarray(v_pgd, dtype=float)
-        v_d = np.asarray(v_d, dtype=float)
-        v_s = np.asarray(v_s, dtype=float)
-
-        # Forward: source is the low terminal (electron injection at S).
-        forward = self._directional_current(
-            v_cg, v_pgs, v_pgd, v_s, v_d, "pgs", "pgd"
+        volts = np.stack(
+            np.broadcast_arrays(
+                *(np.asarray(v, dtype=float)
+                  for v in (v_d, v_cg, v_pgs, v_pgd, v_s))
+            ),
+            axis=-1,
         )
-        # Reverse: drain is the low terminal.
-        reverse = self._directional_current(
-            v_cg, v_pgd, v_pgs, v_d, v_s, "pgd", "pgs"
-        )
-        floor = self.params.i_floor * np.tanh((v_d - v_s) / 0.05)
-        current = forward - reverse + floor
-
-        if self.defect is not None:
-            current = current + self.defect.extra_drain_current(
-                self, v_cg, v_pgs, v_pgd, v_d, v_s
-            )
+        current = self._channel_current(volts)
         if current.shape == ():
             return float(current)
         return current
@@ -281,12 +246,7 @@ class TIGSiNWFET:
         volts = np.asarray(volts, dtype=float)
         if volts.shape[-1] != 5:
             raise ValueError("last axis must hold (d, cg, pgs, pgd, s)")
-        v_d = volts[..., 0]
-        v_cg = volts[..., 1]
-        v_pgs = volts[..., 2]
-        v_pgd = volts[..., 3]
-        v_s = volts[..., 4]
-        i_d = np.asarray(self.drain_current(v_cg, v_pgs, v_pgd, v_d, v_s))
+        i_d = self._channel_current(volts)
         out = np.zeros_like(volts)
         out[..., 0] = i_d
         out[..., 4] = -i_d
@@ -299,7 +259,9 @@ class TIGSiNWFET:
                 # the terminal currents sum to zero.
                 gate, resistance, alpha = spec
                 gate_col = {"cg": 1, "pgs": 2, "pgd": 3}[gate]
-                v_channel = alpha * v_d + (1.0 - alpha) * v_s
+                v_channel = (
+                    alpha * volts[..., 0] + (1.0 - alpha) * volts[..., 4]
+                )
                 i_shunt = (volts[..., gate_col] - v_channel) / resistance
                 out[..., gate_col] -= i_shunt
                 out[..., 4] += i_shunt

@@ -12,6 +12,7 @@ from repro.gates.characterize import (
     GateCharacterisation,
     characterise,
     dc_truth_table,
+    edge_pair_delays,
     static_leakage,
     transition_delay,
     verify_truth_table,
@@ -58,6 +59,7 @@ __all__ = [
     "build_cell_circuit",
     "characterise",
     "dc_truth_table",
+    "edge_pair_delays",
     "get_cell",
     "static_leakage",
     "transition_delay",

@@ -33,6 +33,11 @@ from repro.spice.mna import MNASystem
 from repro.spice.transient import run_transient
 from repro.spice.waveforms import Complement, DC, Step
 
+# Delay-measurement window: input edge time, transient length, step.
+_T_EDGE = 200e-12
+_T_STOP = 1.4e-9
+_DT = 2e-12
+
 
 @dataclasses.dataclass(frozen=True)
 class GateCharacterisation:
@@ -185,9 +190,9 @@ def transition_delay(
     input_name: str,
     other_bits: dict[str, int],
     rising: bool = True,
-    t_edge: float = 200e-12,
-    t_stop: float = 1.4e-9,
-    dt: float = 2e-12,
+    t_edge: float = _T_EDGE,
+    t_stop: float = _T_STOP,
+    dt: float = _DT,
 ) -> float:
     """Propagation delay for one input edge, other inputs held static.
 
@@ -200,6 +205,60 @@ def transition_delay(
     bench.set_input(input_name, Step(v0, v1, t_edge, 20e-12))
     result = run_transient(bench.circuit, t_stop, dt)
     return propagation_delay(result, input_name, "out", vdd)
+
+
+def _edge_overrides(
+    bench: Testbench,
+    transitions: list[tuple[str, dict[str, int], bool]],
+    t_edge: float,
+) -> list[dict[str, object]]:
+    """Source drives of single-input edges, one sweep point each.
+
+    Each ``(input, other bits, rising)`` transition becomes the
+    override mapping :func:`~repro.spice.batched.run_transient_sweep`
+    takes: the other inputs held at their static levels, the edge input
+    stepped at ``t_edge``, complement sources tracking their inputs —
+    the drive :func:`transition_delay` sets on the bench itself.
+    """
+    vdd = bench.vdd
+    overrides = []
+    for input_name, others, rising in transitions:
+        v0, v1 = (0.0, vdd) if rising else (vdd, 0.0)
+        point: dict[str, object] = {}
+
+        def drive(name: str, waveform) -> None:
+            point[f"vin_{name}"] = waveform
+            if f"vin_{name}_n" in bench.circuit.vsources:
+                point[f"vin_{name}_n"] = Complement(waveform, vdd)
+
+        for name, bit in others.items():
+            drive(name, DC(bit * vdd))
+        drive(input_name, Step(v0, v1, t_edge, 20e-12))
+        overrides.append(point)
+    return overrides
+
+
+def edge_pair_delays(
+    bench: Testbench, input_name: str, other_bits: dict[str, int]
+) -> tuple[float, float]:
+    """Delays of the rising and the falling ``input_name`` edge.
+
+    Both edges integrate as one 2-point lockstep transient sweep; each
+    equals :func:`transition_delay` at its default window for that edge
+    (``inf`` when the output never responds).  The bench's own drives
+    are left as they are.
+    """
+    transitions = [
+        (input_name, other_bits, True), (input_name, other_bits, False)
+    ]
+    rise, fall = run_transient_sweep(
+        bench.circuit, _edge_overrides(bench, transitions, _T_EDGE),
+        _T_STOP, _DT,
+    )
+    return (
+        propagation_delay(rise, input_name, "out", bench.vdd),
+        propagation_delay(fall, input_name, "out", bench.vdd),
+    )
 
 
 def _flipping_transitions(
@@ -229,9 +288,9 @@ def _flipping_transitions(
 
 def worst_case_delay(
     bench: Testbench,
-    t_edge: float = 200e-12,
-    t_stop: float = 1.4e-9,
-    dt: float = 2e-12,
+    t_edge: float = _T_EDGE,
+    t_stop: float = _T_STOP,
+    dt: float = _DT,
     engine: str = "batched",
     system: MNASystem | None = None,
 ) -> float:
@@ -256,28 +315,14 @@ def worst_case_delay(
         return worst
     if engine != "batched":
         raise ValueError(f"unknown engine {engine!r}")
-    vdd = bench.vdd
-    overrides = []
-    for input_name, others, rising in transitions:
-        v0, v1 = (0.0, vdd) if rising else (vdd, 0.0)
-        point: dict[str, object] = {}
-
-        def drive(name: str, waveform) -> None:
-            point[f"vin_{name}"] = waveform
-            if f"vin_{name}_n" in bench.circuit.vsources:
-                point[f"vin_{name}_n"] = Complement(waveform, vdd)
-
-        for name, bit in others.items():
-            drive(name, DC(bit * vdd))
-        drive(input_name, Step(v0, v1, t_edge, 20e-12))
-        overrides.append(point)
+    overrides = _edge_overrides(bench, transitions, t_edge)
     results = run_transient_sweep(
         bench.circuit, overrides, t_stop, dt, system=system
     )
     worst = 0.0
     for (input_name, _others, _rising), result in zip(transitions, results):
         worst = max(
-            worst, propagation_delay(result, input_name, "out", vdd)
+            worst, propagation_delay(result, input_name, "out", bench.vdd)
         )
     return worst
 

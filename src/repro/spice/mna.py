@@ -225,15 +225,6 @@ class MNASystem:
                 b[n] += value
         return b
 
-    def _terminal_voltages(
-        self, x: np.ndarray, index_matrix: np.ndarray
-    ) -> np.ndarray:
-        """Gather device terminal voltages from the unknown vector."""
-        volts = np.where(
-            index_matrix >= 0, x[np.clip(index_matrix, 0, None)], 0.0
-        )
-        return volts
-
     def device_contributions(
         self, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,9 +237,9 @@ class MNASystem:
         i_dev = np.zeros(self.size)
         j_dev = np.zeros((self.size, self.size))
         j_flat = j_dev.ravel()
-        for (model, _names, index_matrix, i_valid, i_targets,
-             j_valid, j_targets, _index_clipped) in self.device_groups:
-            base = self._terminal_voltages(x, index_matrix)  # (n, 5)
+        for (model, _names, _index_matrix, i_valid, i_targets,
+             j_valid, j_targets, index_clipped) in self.device_groups:
+            base = np.where(i_valid, x[index_clipped], 0.0)  # (n, 5)
             n = base.shape[0]
             # Perturbation tensor: slot 0 is the base point, slots 1..5
             # perturb one terminal each (only where the terminal is a real

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.detection import fault_free_reference
 from repro.core.fault_models import (
     ChannelBreakFault,
     DriveDriftFault,
@@ -307,11 +308,15 @@ class TestTransientSweep:
 
 
 class TestModelMemo:
+    # The fault-free reference memo of the detection layer holds results
+    # solved with these models, so it is cleared alongside them.
     def setup_method(self):
         clear_model_caches()
+        fault_free_reference.cache_clear()
 
     def teardown_method(self):
         clear_model_caches()
+        fault_free_reference.cache_clear()
 
     def test_device_cache_hits(self):
         a = cached_device()

@@ -257,7 +257,9 @@ class TestDeviceContributionScatter:
         i_dev = np.zeros(system.size)
         j_dev = np.zeros((system.size, system.size))
         for model, _names, index_matrix, *_ in system.device_groups:
-            base = system._terminal_voltages(x, index_matrix)
+            base = np.where(
+                index_matrix >= 0, x[np.clip(index_matrix, 0, None)], 0.0
+            )
             n = base.shape[0]
             pert = np.broadcast_to(base[:, None, :], (n, 6, 5)).copy()
             for j in range(5):

@@ -1,16 +1,19 @@
 """Tests for the TIG-SiNWFET compact model and its calibration."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tig_segments
 
 from repro.device import (
     DEFAULT_PARAMS,
     ChannelBreak,
     CurveMetrics,
+    DeviceDefect,
     GateOxideShort,
     ParameterDrift,
     TIGSiNWFET,
@@ -247,3 +250,98 @@ class TestParameterDrift:
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):
             ParameterDrift(i_on_factor=0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class _HookedDefect(DeviceDefect):
+    """Overrides every query and hook of :class:`DeviceDefect`, with
+    values that differ per gate and per carrier branch."""
+
+    def vth_shift(self, gate: str, branch: str) -> float:
+        shift = {"pgs": 0.03, "cg": -0.05, "pgd": 0.11}[gate]
+        return shift if branch == "n" else -0.5 * shift
+
+    def segment_factor(self, gate: str, branch: str) -> float:
+        if branch == "n":
+            return 0.9
+        return {"pgs": 0.8, "cg": 1.3, "pgd": 0.6}[gate]
+
+    def scale_channel_current(self, model, current):
+        return current * 0.75 + 1e-12
+
+    def extra_drain_current(self, model, v_cg, v_pgs, v_pgd, v_d, v_s):
+        return 1e-9 * (v_cg - v_pgd) + 2e-10 * v_d
+
+    def shunt_spec(self):
+        return ("pgd", 2e7, 0.3)
+
+
+class _CountingDefect(GateOxideShort):
+    """A GOS that counts how often the model asks for its adjustments."""
+
+    calls = 0
+
+    def vth_shift(self, gate, branch):
+        type(self).calls += 1
+        return super().vth_shift(gate, branch)
+
+    def segment_factor(self, gate, branch):
+        type(self).calls += 1
+        return super().segment_factor(gate, branch)
+
+
+KERNEL_DEFECTS = [
+    None,
+    GateOxideShort("pgs"),
+    GateOxideShort("cg", severity=0.5),
+    GateOxideShort("pgd"),
+    ChannelBreak(),
+    ChannelBreak(0.4),
+    ParameterDrift(dvth_cg=0.1, dvth_pg=-0.05, i_on_factor=0.7),
+    _HookedDefect(),
+]
+
+
+@pytest.mark.parametrize("defect", KERNEL_DEFECTS, ids=repr)
+class TestFusedKernelMatchesSegmentOracle:
+    """The fused twelve-segment kernel is bit-identical to the
+    per-segment evaluation it replaced (``tests/oracles``)."""
+
+    @pytest.mark.parametrize(
+        "shape", [(7, 6, 5), (3, 7, 6, 5), (1, 6, 5), (5,)]
+    )
+    @pytest.mark.parametrize("span", [(-0.2, 1.4), (-6.0, 6.0)])
+    def test_terminal_current_matrix(self, defect, shape, span):
+        model = TIGSiNWFET(defect=defect)
+        volts = np.random.default_rng(7).uniform(*span, size=shape)
+        fused = model.terminal_current_matrix(volts)
+        reference = tig_segments.terminal_current_matrix(model, volts)
+        assert fused.shape == volts.shape
+        assert np.array_equal(fused, reference)
+
+    def test_scalar_drain_current(self, defect):
+        model = TIGSiNWFET(defect=defect)
+        rng = np.random.default_rng(11)
+        for volts in rng.uniform(-0.3, 1.5, size=(50, 5)):
+            fused = model.drain_current(*volts)
+            assert type(fused) is float
+            assert fused == tig_segments.drain_current(model, *volts)
+
+    def test_broadcast_drain_current(self, defect):
+        model = TIGSiNWFET(defect=defect)
+        vcg = np.linspace(-0.2, 1.4, 33)
+        vd = np.linspace(0.0, 1.2, 5)[:, None]
+        fused = model.drain_current(vcg, VDD, 0.4, vd, 0.0)
+        reference = tig_segments.drain_current(model, vcg, VDD, 0.4, vd, 0.0)
+        assert fused.shape == (5, 33)
+        assert np.array_equal(fused, reference)
+
+
+def test_defect_adjustments_read_once_at_construction():
+    _CountingDefect.calls = 0
+    model = TIGSiNWFET(defect=_CountingDefect("cg"))
+    at_init = _CountingDefect.calls
+    assert at_init == 24  # a shift and a factor per segment
+    model.terminal_current_matrix(np.full((4, 6, 5), 0.6))
+    model.drain_current(VDD, VDD, VDD, VDD, 0.0)
+    assert _CountingDefect.calls == at_init
