@@ -228,13 +228,17 @@ class SqliteBackend:
             timeout=self.busy_timeout_s,
             isolation_level=None,  # autocommit; transactions are explicit
         )
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute(
-            f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
-        )
-        conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
         self._conn = conn
-        self._init_schema()
+        try:
+            # Switching a fresh file to WAL fails at once with "database
+            # is locked" (no busy wait) while another process holds its
+            # write lock, e.g. a concurrent runner creating the schema.
+            self._with_retry(self._configure)
+            self._with_retry(self._init_schema)
+        except BaseException:
+            conn.close()
+            self._conn = None
+            raise
         self.verify(repair=True)
         self._requeue_stale()
         return self
@@ -261,6 +265,16 @@ class SqliteBackend:
             self.open()
         assert self._conn is not None
         return self._conn
+
+    def _configure(self) -> None:
+        assert self._conn is not None
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute(
+            f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
+        )
+        self._conn.execute(
+            f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
+        )
 
     def _init_schema(self) -> None:
         assert self._conn is not None

@@ -376,8 +376,18 @@ class JobManager:
         return [self.status(job_id) for job_id in ids]
 
     def status(self, job_id: str) -> dict:
-        """Lifecycle state plus live per-task counts from the store."""
+        """Lifecycle state plus live per-task counts from the store.
+
+        The lifecycle fields are read before the store is scanned: a
+        job's records are committed before it turns terminal, so a
+        terminal state always comes with complete counts.
+        """
         job = self.get(job_id)
+        with self._lock:
+            state = job.state
+            started_at = job.started_at
+            finished_at = job.finished_at
+            error = job.error
         wanted = set(job.task_ids)
         latest: dict[str, dict] = {}
         for record in scan_records(self.store_path):
@@ -393,12 +403,12 @@ class JobManager:
         }
         return {
             "id": job.id,
-            "state": job.state,
+            "state": state,
             "spec": job.spec.to_payload(),
             "submitted_at": job.submitted_at,
-            "started_at": job.started_at,
-            "finished_at": job.finished_at,
-            "error": job.error,
+            "started_at": started_at,
+            "finished_at": finished_at,
+            "error": error,
             "counts": counts,
         }
 

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import threading
 import time
 from pathlib import Path
 
@@ -25,7 +26,11 @@ from repro.campaign.backends import (
     open_store,
     scan_records,
 )
-from repro.campaign.chaos import ChaosPolicy, StorageChaos
+from repro.campaign.chaos import (
+    ChaosPolicy,
+    StorageChaos,
+    hold_sqlite_write_lock,
+)
 from repro.campaign.runner import RetryPolicy, expand_grid, run_campaign
 from repro.campaign.store import stores_equal, strip_volatile
 
@@ -146,6 +151,27 @@ class TestSqliteBackend:
         conn.commit(); conn.close()
         with pytest.raises(RuntimeError, match="newer than this code"):
             SqliteBackend(path).open()
+
+    def test_fresh_open_rides_out_a_held_write_lock(self, tmp_path):
+        """Switching a fresh file to WAL fails at once, without a busy
+        wait, while another connection holds its write lock (as when
+        several runners open one new store together); open must back
+        off and retry instead of raising "database is locked"."""
+        path = tmp_path / "s.sqlite"
+        ready = threading.Event()
+        holder = threading.Thread(
+            target=hold_sqlite_write_lock, args=(path, 0.2, ready)
+        )
+        holder.start()
+        assert ready.wait(10)
+        try:
+            with SqliteBackend(path).open() as store:
+                store.append(_ok_record("a"))
+        finally:
+            holder.join(10)
+        assert not holder.is_alive()
+        with open_store(path) as store:
+            assert [r["task_id"] for r in store.load()] == ["a"]
 
     def test_verify_reports_healthy_store(self, tmp_path):
         with SqliteBackend(tmp_path / "s.sqlite").open() as store:

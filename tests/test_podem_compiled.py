@@ -4,8 +4,9 @@ The compiled engine (:mod:`repro.atpg.podem_compiled`) mirrors the
 legacy dict-based search decision-for-decision, so the two must agree
 on *everything*: success flags, generated vectors, backtrack counts,
 and the detected / untestable / aborted partition of every campaign —
-swept here over every generated benchmark and every fault class, plus
-the edge cases (redundant untestable faults, backtrack-budget aborts,
+swept here over every generated benchmark and every fault class, over
+aborted, untestable and detected faults of the corpus circuit cpx432,
+plus the edge cases (redundant untestable faults, backtrack-budget aborts,
 faults on primary outputs/inputs, justification-only searches).
 """
 
@@ -23,8 +24,8 @@ from repro.atpg import (
     run_stuck_at_atpg,
     stuck_at_faults,
 )
-from repro.atpg.podem_compiled import compiled_justify_and_propagate
-from repro.faults import StuckAtFault
+from repro.campaign import get_registry
+from repro.faults import StuckAtFault, get_universe
 from repro.circuits import BENCHMARK_BUILDERS, build_benchmark
 from repro.logic.compiled import (
     compile_network,
@@ -134,6 +135,76 @@ def test_campaign_partition_identical(name):
 
 
 # ---------------------------------------------------------------------------
+# Corpus mirror: cpx432
+# ---------------------------------------------------------------------------
+
+def _outcome(result):
+    """PODEM outcome class; None for a detection with no backtrack."""
+    if result.aborted:
+        return "aborted"
+    if not result.success:
+        return "untestable"
+    return "detected" if result.backtracks else None
+
+
+def _corpus_subset(network, quotas):
+    """cpx432 faults of each outcome class, first come first served.
+
+    Walks the collapsed stuck-at list in collapse order, stems and then
+    branch faults, and keeps the first faults whose compiled outcome
+    ``(is_branch, class)`` still has room in ``quotas``.  Trivial
+    detections (no backtrack) are skipped: they exercise no search.
+    """
+    faults = get_universe("stuck_at").collapse(network)
+    need = dict(quotas)
+    chosen = []
+    for branch in (False, True):
+        for fault in faults:
+            if not any(n for (b, _), n in need.items() if b == branch):
+                break
+            if fault.is_branch != branch:
+                continue
+            compiled = generate_test(network, fault, engine="compiled")
+            key = (branch, _outcome(compiled))
+            if need.get(key):
+                need[key] -= 1
+                chosen.append((fault, compiled))
+    assert not any(need.values()), need
+    return chosen
+
+
+def _mirror_corpus(quotas):
+    network = get_registry().load("cpx432")
+    for fault, compiled in _corpus_subset(network, quotas):
+        legacy = generate_test(network, fault, engine="legacy")
+        assert _same_result(legacy, compiled), fault.name
+        if compiled.success:
+            assert detects_stuck_at(network, fault, compiled.vector)
+
+
+def test_cpx432_subset_matches_legacy():
+    """One aborted, two untestable and a few detected faults (stems
+    and branches) give identical results on both engines."""
+    _mirror_corpus({
+        (False, "aborted"): 1,
+        (False, "untestable"): 2,
+        (False, "detected"): 3,
+        (True, "detected"): 2,
+    })
+
+
+@pytest.mark.slow
+def test_cpx432_hard_faults_match_legacy():
+    _mirror_corpus({
+        (False, "aborted"): 5,
+        (False, "untestable"): 6,
+        (False, "detected"): 8,
+        (True, "detected"): 4,
+        (True, "untestable"): 1,
+    })
+
+
+# ---------------------------------------------------------------------------
 # Edge cases
 # ---------------------------------------------------------------------------
 
@@ -201,33 +272,11 @@ def test_justification_only_matches_legacy():
         assert _same_result(legacy, compiled), local
 
 
-def test_controllability_heuristic_finds_verified_tests():
-    """The guided backtrace is allowed to differ from the mirror, but
-    every generated vector must still be oracle-valid and testable
-    faults must stay testable."""
-    network = build_benchmark("rca8")
-    for fault in _sample(stuck_at_faults(network)):
-        mirror = generate_test(network, fault, engine="compiled")
-        guided = compiled_justify_and_propagate(
-            network,
-            [(fault.net, 1 - fault.value)],
-            line_fault=fault,
-            heuristic="controllability",
-        )
-        assert guided.success == mirror.success, fault.name
-        if guided.success:
-            assert detects_stuck_at(network, fault, guided.vector)
-
-
-def test_unknown_engine_and_heuristic_rejected():
+def test_unknown_engine_rejected():
     network = build_benchmark("c17")
     fault = StuckAtFault("g10", 0)
     with pytest.raises(ValueError):
         generate_test(network, fault, engine="nope")
-    with pytest.raises(ValueError):
-        compiled_justify_and_propagate(
-            network, [("g10", 1)], line_fault=fault, heuristic="nope"
-        )
 
 
 # ---------------------------------------------------------------------------

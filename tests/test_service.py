@@ -31,6 +31,7 @@ from repro.service.api import (
     ServiceHTTPError,
     create_server,
 )
+from repro.service import jobs as jobs_module
 from repro.service.jobs import JobError, JobManager, JobSpec
 from repro.service.metrics import (
     Registry,
@@ -343,6 +344,26 @@ class TestJobFailureModes:
         status = manager.cancel(job_id)
         assert status["state"] == "cancelled"
         assert manager.status(job_id)["counts"]["pending"] == SMALL_TASKS
+
+    def test_status_state_is_not_newer_than_its_counts(
+        self, tmp_path, monkeypatch
+    ):
+        """A job can finish while status() scans the store; the state
+        it reports must not be newer than the records it counted, or a
+        poller sees 'done' with tasks still pending."""
+        manager = JobManager(tmp_path / "state")  # never started
+        job_id = manager.submit(SMALL_SPEC)["id"]
+        job = manager.get(job_id)
+
+        def scan_then_finish(_path):
+            job.state = "done"  # the worker finishes mid-scan
+            return []
+
+        monkeypatch.setattr(jobs_module, "scan_records", scan_then_finish)
+        status = manager.status(job_id)
+        assert status["state"] == "queued"
+        assert status["counts"]["pending"] == SMALL_TASKS
+        assert manager.status(job_id)["state"] == "done"
 
     def test_stop_requeues_running_job_and_restart_resumes(self, tmp_path):
         manager = JobManager(tmp_path / "state", job_workers=1).start()
