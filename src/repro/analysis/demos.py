@@ -256,10 +256,10 @@ def demo_atpg_flow() -> None:
        paper's polarity-inversion procedure.
     """
     from repro.atpg import (
+        parallel_polarity_simulation,
         parallel_stuck_at_simulation,
         run_polarity_atpg,
         select_iddq_vectors,
-        serial_polarity_simulation,
     )
     from repro.campaign.tasks import classic_stuck_at_testset
     from repro.circuits import ripple_carry_adder
@@ -279,7 +279,7 @@ def demo_atpg_flow() -> None:
 
     # 2. How much of the CP fault universe does that set cover?
     pol_faults = get_universe("polarity").enumerate(network)
-    pol_by_sa = serial_polarity_simulation(network, pol_faults, test_set)
+    pol_by_sa = parallel_polarity_simulation(network, pol_faults, test_set)
     print(f"\n[2] polarity faults (stuck-at n/p): {len(pol_faults)} total")
     print(f"    detected by the classic stuck-at set: "
           f"{pol_by_sa.coverage:.1%}  <-- the paper's gap")

@@ -61,7 +61,6 @@ from repro.atpg.fault_sim import (
     parallel_stuck_open_simulation,
     polarity_detection_words,
     polarity_injection,
-    serial_polarity_simulation,
     stuck_at_detection_words,
     stuck_at_injection,
     stuck_open_detection_words,
@@ -126,7 +125,6 @@ __all__ = [
     "run_sof_atpg",
     "run_stuck_at_atpg",
     "select_iddq_vectors",
-    "serial_polarity_simulation",
     "stuck_at_detection_words",
     "stuck_at_faults",
     "stuck_at_injection",

@@ -50,8 +50,6 @@ is documented once, in :mod:`repro.logic.compiled`.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 from typing import Mapping, Sequence
 
 from repro.faults.logic import (
@@ -262,7 +260,7 @@ def detects_stuck_open(
     flat_test = uv.flatten_vector(test_vector, initial_state)
     init_values = simulate(uv.network, flat_init)
     test_values = simulate(uv.network, flat_test)
-    table = _broken_local_table(fault.gtype, fault.transistor)
+    table = fault.broken_table()
     line_overrides: dict[str, int] = {}
     for gname in uv.replica_gates(fault.gate):
         gate = uv.network.gates[gname]
@@ -310,21 +308,6 @@ def polarity_injection(
     return FaultInjection(
         tables={cnet.gate_op[fault.gate]: fault.faulty_table()}
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _broken_local_table(
-    gtype: str, transistor: str
-) -> dict[tuple[int, ...], int]:
-    """Local table of a gate with one channel broken: 0/1/X/Z per
-    binary input vector (Z = output floats, retains previous value)."""
-    cell = ALL_CELLS[gtype]
-    return {
-        vector: evaluate(
-            cell, vector, {transistor: DeviceState.STUCK_OPEN}
-        ).output
-        for vector in itertools.product((0, 1), repeat=cell.n_inputs)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -669,33 +652,6 @@ def parallel_polarity_simulation(
     )
 
 
-def serial_polarity_simulation(
-    network: Network,
-    faults: Sequence[PolarityFault],
-    vectors,
-    iddq: bool = False,
-    unroll: int | None = None,
-    initial_state: Mapping[str, int] | None = None,
-) -> FaultSimResult:
-    """Serial polarity campaign — kept as the cross-check oracle for
-    :func:`parallel_polarity_simulation`."""
-    detected: dict[str, int] = {}
-    undetected = {f.name for f in faults}
-    for k, vector in enumerate(vectors):
-        for fault in faults:
-            if fault.name not in undetected:
-                continue
-            if detects_polarity(
-                network, fault, vector, iddq=iddq,
-                unroll=unroll, initial_state=initial_state,
-            ):
-                detected[fault.name] = k
-                undetected.discard(fault.name)
-    return FaultSimResult(
-        detected=detected, undetected=sorted(undetected)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batched two-pattern stuck-open campaigns
 # ---------------------------------------------------------------------------
@@ -716,7 +672,7 @@ def _stuck_open_bad_words(
     table: definite entries drive their rails, Z entries copy the
     init-pattern output word bitwise.
     """
-    table = _broken_local_table(fault.gtype, fault.transistor)
+    table = fault.broken_table()
     init_pins = cnet.gate_input_words(good_init, gate_name)
     test_pins = cnet.gate_input_words(good_test, gate_name)
     init_ones, init_zeros = eval_table_packed(table, init_pins, mask)
@@ -770,7 +726,7 @@ def _multiword_stuck_open_words(
     good_test = mw.simulate_good(cnet, test_mv)
     injections = []
     for fault, gates in zip(faults, gate_lists):
-        table = _broken_local_table(fault.gtype, fault.transistor)
+        table = fault.broken_table()
         words = {}
         for gname in gates:
             init_pins = mw.gate_input_rows(cnet, good_init, gname)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.atpg.fault_sim import detects_polarity
+from repro.atpg import fault_sim
 from repro.atpg.polarity_atpg import generate_polarity_test
 from repro.faults.logic import PolarityFault
 from repro.logic.network import Network
@@ -51,9 +51,16 @@ def select_iddq_vectors(
 ) -> IddqSelection:
     """Generate candidate vectors per fault, then greedily compact.
 
-    Candidate generation goes through the justification-only ATPG; the
-    greedy pass then keeps the subset of vectors that still covers every
-    coverable fault, largest marginal gain first.
+    Candidate generation goes through the justification-only ATPG
+    (``engine`` selects its PODEM implementation).  The candidate x
+    fault cover matrix then comes from two batched sweeps of every
+    candidate over the coverable faults, one IDDQ and one voltage
+    :func:`~repro.atpg.fault_sim.polarity_detection_words` call; a
+    candidate covers a fault when either word has its bit.  Each
+    candidate's row is an int bitset (bit ``i`` = coverable fault
+    ``i``), and the greedy pass keeps the subset of vectors that still
+    covers every coverable fault, largest marginal gain first (ties go
+    to the lowest candidate index).
     """
     if faults is None:
         from repro.faults import get_universe
@@ -61,7 +68,6 @@ def select_iddq_vectors(
         faults = get_universe("polarity").collapse(network)
 
     candidates: list[dict[str, int]] = []
-    fault_of_candidate: list[str] = []
     uncovered_names: list[str] = []
     for fault in faults:
         test = generate_polarity_test(
@@ -72,41 +78,55 @@ def select_iddq_vectors(
             uncovered_names.append(fault.name)
             continue
         candidates.append(_fill(network, test.vector))
-        fault_of_candidate.append(fault.name)
 
-    # Detection matrix: candidate index -> set of covered fault names.
-    coverable = [f for f in faults if f.name not in set(uncovered_names)]
-    matrix: list[set[str]] = []
-    for vector in candidates:
-        covered = {
-            f.name
-            for f in coverable
-            if detects_polarity(network, f, vector, iddq=True)
-            or detects_polarity(network, f, vector, iddq=False)
-        }
-        matrix.append(covered)
+    uncoverable = set(uncovered_names)
+    coverable = [f for f in faults if f.name not in uncoverable]
+    # Per-fault words over the candidates (bit k = candidate k) ...
+    fault_words = [0] * len(coverable)
+    if candidates and coverable:
+        fault_words = [
+            by_iddq | by_voltage
+            for by_iddq, by_voltage in zip(
+                fault_sim.polarity_detection_words(
+                    network, coverable, candidates, iddq=True
+                ),
+                fault_sim.polarity_detection_words(
+                    network, coverable, candidates
+                ),
+            )
+        ]
+    # ... transposed into per-candidate rows (bit i = coverable fault i).
+    matrix = [0] * len(candidates)
+    for i, word in enumerate(fault_words):
+        while word:
+            low = word & -word
+            matrix[low.bit_length() - 1] |= 1 << i
+            word ^= low
 
-    remaining = {f.name for f in coverable}
+    remaining = (1 << len(coverable)) - 1
     chosen: list[int] = []
     while remaining:
         best, best_gain = None, 0
-        for k, covered in enumerate(matrix):
-            gain = len(covered & remaining)
+        for k, row in enumerate(matrix):
+            gain = (row & remaining).bit_count()
             if gain > best_gain:
                 best, best_gain = k, gain
         if best is None:
-            uncovered_names.extend(sorted(remaining))
+            uncovered_names.extend(
+                f.name for i, f in enumerate(coverable) if remaining >> i & 1
+            )
             break
         chosen.append(best)
-        remaining -= matrix[best]
+        remaining &= ~matrix[best]
 
-    vectors = [candidates[k] for k in chosen]
     covered: dict[str, int] = {}
-    for order, k in enumerate(chosen):
-        for name in matrix[k]:
-            covered.setdefault(name, order)
+    for fault, word in zip(coverable, fault_words):
+        for order, k in enumerate(chosen):
+            if word >> k & 1:
+                covered[fault.name] = order
+                break
     return IddqSelection(
-        vectors=vectors,
+        vectors=[candidates[k] for k in chosen],
         covered=covered,
         uncovered=sorted(set(uncovered_names)),
     )

@@ -42,6 +42,11 @@ from repro.logic.values import (
 )
 
 
+#: Accepted values of every PODEM ``engine`` argument (and of the
+#: campaign CLI's ``--engine`` and the job service's ``engine`` field).
+PODEM_ENGINES = ("compiled", "legacy")
+
+
 @dataclasses.dataclass
 class PodemResult:
     """Outcome of a PODEM run.
@@ -252,7 +257,10 @@ def justify_and_propagate(
             max_backtracks=max_backtracks,
         )
     if engine != "legacy":
-        raise ValueError(f"unknown PODEM engine {engine!r}")
+        raise ValueError(
+            f"unknown PODEM engine {engine!r}; expected one of "
+            f"{list(PODEM_ENGINES)}"
+        )
     machine = _FaultMachine(
         network,
         line_fault=line_fault,

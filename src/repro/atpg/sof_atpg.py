@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from repro.atpg.fault_sim import detects_stuck_open
+from repro.atpg import fault_sim
 from repro.atpg.podem import justify_and_propagate
 from repro.faults.logic import StuckOpenFault
 from repro.gates.library import ALL_CELLS
@@ -117,7 +117,9 @@ def generate_stuck_open_test(
             full_test = _fill_dont_cares(network, test_vector)
             # Independent verification through the two-pattern fault
             # simulator (ATPG output is never trusted unverified).
-            if detects_stuck_open(network, fault, init_vector, full_test):
+            if fault_sim.stuck_open_detection_words(
+                network, [fault], [(init_vector, full_test)]
+            )[0]:
                 return StuckOpenTest(
                     fault=fault,
                     init_vector=init_vector,
@@ -144,14 +146,17 @@ def run_sof_atpg(
 ) -> SofAtpgResult:
     """Two-pattern ATPG over all (or the given) stuck-open faults.
 
-    With ``drop_detected``, every generated pattern pair is batch
-    fault-simulated (compiled engine) against the still-untargeted
-    faults; collaterally detected faults are dropped instead of getting
-    a dedicated test — far fewer PODEM searches on large circuits.
-    ``engine`` selects the PODEM implementation (compiled default /
-    legacy oracle) for both patterns of every two-pattern search.
+    DP-masked faults (read from the per-cell broken-channel memo) go
+    straight to ``masked``.  Every generated pair is verified by the
+    batched two-pattern fault simulator before it is kept.  With
+    ``drop_detected``, every generated pattern pair is also batch
+    fault-simulated against the still-untargeted faults (the fault
+    simulator's ``auto`` engine selection); collaterally detected
+    faults are dropped instead of getting a dedicated test — far fewer
+    PODEM searches on large circuits.  ``engine`` selects the PODEM
+    implementation (compiled default / legacy oracle) for both patterns
+    of every two-pattern search.
     """
-    from repro.atpg.fault_sim import stuck_open_detection_words
     from repro.faults import get_universe
 
     if faults is None:
@@ -179,7 +184,7 @@ def run_sof_atpg(
             f for f in faults[k + 1:]
             if f.name not in dropped and not f.is_masked()
         ]
-        words = stuck_open_detection_words(
+        words = fault_sim.stuck_open_detection_words(
             network, candidates,
             [(test.init_vector, test.test_vector)],
         )

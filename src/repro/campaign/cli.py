@@ -48,6 +48,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.atpg.podem import PODEM_ENGINES
 from repro.campaign.backends import (
     migrate_jsonl_to_sqlite,
     open_store,
@@ -102,7 +103,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         help=f"subset of {sorted(TASK_RUNNERS)} (default: all)",
     )
     parser.add_argument(
-        "--engine", default="compiled", choices=("compiled", "legacy"),
+        "--engine", default="compiled", choices=PODEM_ENGINES,
         help="PODEM engine backing every generation step",
     )
     parser.add_argument(

@@ -241,6 +241,28 @@ def polarity_faults(network: Network) -> list[PolarityFault]:
 # Stuck-open (channel break) faults
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _broken_behaviour(
+    gtype: str, transistor: str
+) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+    """Broken-channel local table + floating vectors for a stuck-open
+    fault on one transistor of a cell type.
+
+    Returns ``(broken_table, floating_vectors)``: the table maps binary
+    input tuples to 0/1/X/Z, and the floating vectors are its Z entries
+    in input order.
+    """
+    cell = ALL_CELLS[gtype]
+    table = {
+        vector: evaluate(
+            cell, vector, {transistor: DeviceState.STUCK_OPEN}
+        ).output
+        for vector in itertools.product((0, 1), repeat=cell.n_inputs)
+    }
+    floating = tuple(v for v, out in table.items() if out == Z)
+    return table, floating
+
+
 @dataclasses.dataclass(frozen=True)
 class StuckOpenFault:
     """Full channel break on one transistor of a gate instance.
@@ -264,29 +286,19 @@ class StuckOpenFault:
     def name(self) -> str:
         return f"{self.gate}.{self.transistor}/sop"
 
+    def broken_table(self) -> dict[tuple[int, ...], int]:
+        """Local table with the channel broken: 0/1/X/Z per binary input
+        vector (Z = the output floats and retains its previous value)."""
+        return _broken_behaviour(self.gtype, self.transistor)[0]
+
     def is_masked(self) -> bool:
         """True when no local vector makes this transistor essential
         (DP redundancy): the break never floats the output."""
-        cell = ALL_CELLS[self.gtype]
-        for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-            broken = evaluate(
-                cell, vector, {self.transistor: DeviceState.STUCK_OPEN}
-            )
-            if broken.output == Z:
-                return False
-        return True
+        return not _broken_behaviour(self.gtype, self.transistor)[1]
 
     def floating_vectors(self) -> list[tuple[int, ...]]:
         """Local vectors under which the broken gate's output floats."""
-        cell = ALL_CELLS[self.gtype]
-        vectors = []
-        for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-            broken = evaluate(
-                cell, vector, {self.transistor: DeviceState.STUCK_OPEN}
-            )
-            if broken.output == Z:
-                vectors.append(vector)
-        return vectors
+        return list(_broken_behaviour(self.gtype, self.transistor)[1])
 
 
 def stuck_open_faults(network: Network) -> list[StuckOpenFault]:

@@ -53,6 +53,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
+from repro.atpg.podem import PODEM_ENGINES
 from repro.campaign.backends import scan_records
 from repro.campaign.runner import (
     RetryPolicy,
@@ -137,8 +138,10 @@ class JobSpec:
                 f"available: {sorted(TASK_RUNNERS)}"
             )
         engine = payload.get("engine", "compiled")
-        if not isinstance(engine, str):
-            raise JobError("'engine' must be a string")
+        if engine not in PODEM_ENGINES:
+            raise JobError(
+                f"unknown engine {engine!r}; accepted: {list(PODEM_ENGINES)}"
+            )
         workers = payload.get("workers", 1)
         if not isinstance(workers, int) or workers < 1:
             raise JobError("'workers' must be a positive integer")

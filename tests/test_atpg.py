@@ -6,6 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.serial_atpg import serial_polarity_simulation
 
 from repro.atpg import (
     PolarityFault,
@@ -22,7 +23,6 @@ from repro.atpg import (
     run_polarity_atpg,
     run_sof_atpg,
     select_iddq_vectors,
-    serial_polarity_simulation,
     stuck_at_faults,
     stuck_open_faults,
 )

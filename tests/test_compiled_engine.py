@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.serial_atpg import serial_polarity_simulation
 
 from repro.atpg import (
     detects_polarity,
@@ -21,7 +22,6 @@ from repro.atpg import (
     polarity_faults,
     run_sof_atpg,
     run_stuck_at_atpg,
-    serial_polarity_simulation,
     stuck_at_detection_words,
     stuck_at_faults,
     stuck_open_detection_words,

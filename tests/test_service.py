@@ -189,6 +189,8 @@ class TestJobSpec:
         ({"circuits": ["c17"], "workers": 0}, "workers"),
         ({"circuits": ["c17"], "timeout": -1}, "timeout"),
         ({"circuits": ["c17"], "bogus": 1}, "bogus"),
+        ({"circuits": ["c17"], "engine": "bogus"}, "compiled.*legacy"),
+        ({"circuits": ["c17"], "engine": 3}, "engine"),
     ])
     def test_invalid_payloads(self, payload, fragment):
         with pytest.raises(JobError, match=fragment):
@@ -274,6 +276,22 @@ class TestServiceAPI:
         with pytest.raises(ServiceHTTPError) as err:
             client._json("GET", "/no/such/route")
         assert err.value.code == 404
+
+    def test_unknown_engine_rejected_before_queueing(self, service):
+        manager, client = service
+        job = client.submit(
+            {"circuits": ["c17"], "fault_classes": ["stuck_at"]}
+        )
+        assert client.wait(job["id"])["state"] == "done"
+        rows = _store_task_ids(manager.store_path)
+        claims = _claim_statuses(manager.store_path)
+        with pytest.raises(ServiceHTTPError) as err:
+            client.submit({"circuits": ["c17"], "engine": "bogus"})
+        assert err.value.code == 400
+        assert "compiled" in str(err.value) and "legacy" in str(err.value)
+        assert [j["id"] for j in client.jobs()] == [job["id"]]
+        assert _store_task_ids(manager.store_path) == rows
+        assert _claim_statuses(manager.store_path) == claims
 
     def test_metrics_content_type(self, service):
         _, client = service
