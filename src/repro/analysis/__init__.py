@@ -6,60 +6,43 @@ experiment <name>`` dispatches through
 coverage study runs as a campaign grid (see :mod:`repro.campaign`).
 """
 
-from repro.analysis.atpg_experiments import (
-    CircuitCoverage,
-    classic_stuck_at_testset,
-    coverage_for,
-    coverage_from_records,
-    experiment_atpg_coverage,
-)
-from repro.analysis.experiments import (
-    EXPERIMENTS,
-    FIG5_PANELS,
-    experiment_fig3,
-    experiment_fig4,
-    experiment_fig5,
-    experiment_sec5c,
-    experiment_table1,
-    experiment_table2,
-    experiment_table3,
-)
-from repro.analysis.report import (
-    ascii_table,
-    format_quantity,
-    format_series,
-    save_report,
-)
-from repro.analysis.sweeps import (
-    VcutPoint,
-    VcutSweep,
-    pull_down_vcut_axis,
-    pull_up_vcut_axis,
-    vcut_sweep,
-)
+from __future__ import annotations
 
-__all__ = [
-    "CircuitCoverage",
-    "EXPERIMENTS",
-    "FIG5_PANELS",
-    "VcutPoint",
-    "VcutSweep",
-    "ascii_table",
-    "classic_stuck_at_testset",
-    "coverage_for",
-    "coverage_from_records",
-    "experiment_atpg_coverage",
-    "experiment_fig3",
-    "experiment_fig4",
-    "experiment_fig5",
-    "experiment_sec5c",
-    "experiment_table1",
-    "experiment_table2",
-    "experiment_table3",
-    "format_quantity",
-    "format_series",
-    "pull_down_vcut_axis",
-    "pull_up_vcut_axis",
-    "save_report",
-    "vcut_sweep",
-]
+# Public names resolve on first use (PEP 562), so importing one submodule
+# does not load its siblings.
+_LAZY = {
+    "CircuitCoverage": "repro.analysis.atpg_experiments",
+    "classic_stuck_at_testset": "repro.analysis.atpg_experiments",
+    "coverage_for": "repro.analysis.atpg_experiments",
+    "coverage_from_records": "repro.analysis.atpg_experiments",
+    "experiment_atpg_coverage": "repro.analysis.atpg_experiments",
+    "EXPERIMENTS": "repro.analysis.experiments",
+    "FIG5_PANELS": "repro.analysis.experiments",
+    "experiment_fig3": "repro.analysis.experiments",
+    "experiment_fig4": "repro.analysis.experiments",
+    "experiment_fig5": "repro.analysis.experiments",
+    "experiment_sec5c": "repro.analysis.experiments",
+    "experiment_table1": "repro.analysis.experiments",
+    "experiment_table2": "repro.analysis.experiments",
+    "experiment_table3": "repro.analysis.experiments",
+    "ascii_table": "repro.analysis.report",
+    "format_quantity": "repro.analysis.report",
+    "format_series": "repro.analysis.report",
+    "save_report": "repro.analysis.report",
+    "VcutPoint": "repro.analysis.sweeps",
+    "VcutSweep": "repro.analysis.sweeps",
+    "pull_down_vcut_axis": "repro.analysis.sweeps",
+    "pull_up_vcut_axis": "repro.analysis.sweeps",
+    "vcut_sweep": "repro.analysis.sweeps",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

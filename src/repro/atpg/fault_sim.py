@@ -58,6 +58,7 @@ from repro.faults.logic import (
     StuckOpenFault,
 )
 from repro.gates.library import ALL_CELLS
+from repro.logic import multiword as mw
 from repro.logic import sequential
 from repro.logic.compiled import (
     CompiledNetwork,
@@ -416,8 +417,6 @@ def _multiword_detection_words(
     vectors: Sequence[TestVector],
 ) -> list[int]:
     """One 2-D fault x vector sweep over the whole problem."""
-    from repro.logic import multiword as mw
-
     mv = mw.pack_vectors_multiword(cnet, vectors)
     good = mw.simulate_good(cnet, mv)
     return mw.batch_detect(cnet, mv, good, injections)
@@ -540,8 +539,6 @@ def _multiword_polarity_words(
     vectors driving any of its gate replicas into a conflict-activating
     combination.
     """
-    from repro.logic import multiword as mw
-
     mv = mw.pack_vectors_multiword(cnet, vectors)
     good = mw.simulate_good(cnet, mv)
     if not iddq:
@@ -718,8 +715,6 @@ def _multiword_stuck_open_words(
     init-pattern output bitwise), then the whole fault list runs as one
     word-forced 2-D sweep against the shared good test simulation.
     """
-    from repro.logic import multiword as mw
-
     init_mv = mw.pack_vectors_multiword(cnet, [p[0] for p in pairs])
     test_mv = mw.pack_vectors_multiword(cnet, [p[1] for p in pairs])
     good_init = mw.simulate_good(cnet, init_mv)

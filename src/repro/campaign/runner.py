@@ -63,7 +63,7 @@ from repro.campaign.store import SCHEMA_VERSION
 from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, run_fault_class
 from repro.logic.bench_format import parse_bench
 from repro.logic.network import Network
-from repro.service.metrics import counter, histogram
+from repro.obs import counter, histogram
 
 #: Whether the in-worker soft timeout is available.  Module-level so
 #: tests can simulate SIGALRM-less platforms (the supervisor's watchdog

@@ -1,100 +1,65 @@
 """The paper's primary contribution: CP fault models, inductive fault
 analysis, detectability measurement and the new test algorithms."""
 
-from repro.core.classify import (
-    ApplicableModel,
-    BehaviourPoint,
-    SweepClassification,
-    classify_point,
-    classify_sweep,
-)
-from repro.core.defects import (
-    DefectMechanism,
-    DefectSite,
-    FABRICATION_STEPS,
-    FabricationStep,
-    enumerate_defect_sites,
-    table_i_rows,
-)
-from repro.core.detection import (
-    DetectionReport,
-    IDDQ_DETECT_RATIO,
-    VectorObservation,
-    characterise_fault,
-    screen_cell_faults,
-)
-from repro.core.fault_models import (
-    ChannelBreakFault,
-    CircuitFault,
-    DriveDriftFault,
-    FloatingPolarityGate,
-    GOSFault,
-    InterconnectBridgeFault,
-    StuckAtNType,
-    StuckAtPType,
-    StuckOnFault,
-    TerminalBridgeFault,
-)
-from repro.core.inductive import (
-    IFAResult,
-    IFASummary,
-    run_ifa,
-    summarise_ifa,
-)
-from repro.core.test_algorithms import (
-    ChannelBreakProcedure,
-    ChannelBreakStep,
-    TwoPatternTest,
-    channel_break_procedure,
-    polarity_fault_table,
-    run_channel_break_procedure,
-    simulate_two_pattern,
-    two_pattern_sof_tests,
-)
-# Canonical cross-layer record (the historical PolarityFaultRow name is
-# kept re-exported; the repro.core.test_algorithms path is the shim).
-from repro.faults.records import PolarityFaultRecord
-from repro.faults.records import PolarityFaultRecord as PolarityFaultRow
+from __future__ import annotations
 
-__all__ = [
-    "ApplicableModel",
-    "BehaviourPoint",
-    "ChannelBreakFault",
-    "ChannelBreakProcedure",
-    "ChannelBreakStep",
-    "CircuitFault",
-    "DefectMechanism",
-    "DefectSite",
-    "DetectionReport",
-    "DriveDriftFault",
-    "FABRICATION_STEPS",
-    "FabricationStep",
-    "FloatingPolarityGate",
-    "GOSFault",
-    "IDDQ_DETECT_RATIO",
-    "IFAResult",
-    "IFASummary",
-    "InterconnectBridgeFault",
-    "PolarityFaultRecord",
-    "PolarityFaultRow",
-    "StuckAtNType",
-    "StuckAtPType",
-    "StuckOnFault",
-    "SweepClassification",
-    "TerminalBridgeFault",
-    "TwoPatternTest",
-    "VectorObservation",
-    "channel_break_procedure",
-    "characterise_fault",
-    "classify_point",
-    "classify_sweep",
-    "enumerate_defect_sites",
-    "polarity_fault_table",
-    "run_channel_break_procedure",
-    "run_ifa",
-    "screen_cell_faults",
-    "simulate_two_pattern",
-    "summarise_ifa",
-    "table_i_rows",
-    "two_pattern_sof_tests",
-]
+#: The historical PolarityFaultRow name resolves silently here;
+#: the ``repro.core.test_algorithms`` path is the warning shim.
+_ALIASES = {"PolarityFaultRow": "PolarityFaultRecord"}
+
+# Public names resolve on first use (PEP 562), so importing one submodule
+# does not load its siblings.
+_LAZY = {
+    "ApplicableModel": "repro.core.classify",
+    "BehaviourPoint": "repro.core.classify",
+    "SweepClassification": "repro.core.classify",
+    "classify_point": "repro.core.classify",
+    "classify_sweep": "repro.core.classify",
+    "DefectMechanism": "repro.core.defects",
+    "DefectSite": "repro.core.defects",
+    "FABRICATION_STEPS": "repro.core.defects",
+    "FabricationStep": "repro.core.defects",
+    "enumerate_defect_sites": "repro.core.defects",
+    "table_i_rows": "repro.core.defects",
+    "DetectionReport": "repro.core.detection",
+    "IDDQ_DETECT_RATIO": "repro.core.detection",
+    "VectorObservation": "repro.core.detection",
+    "characterise_fault": "repro.core.detection",
+    "screen_cell_faults": "repro.core.detection",
+    "ChannelBreakFault": "repro.core.fault_models",
+    "CircuitFault": "repro.core.fault_models",
+    "DriveDriftFault": "repro.core.fault_models",
+    "FloatingPolarityGate": "repro.core.fault_models",
+    "GOSFault": "repro.core.fault_models",
+    "InterconnectBridgeFault": "repro.core.fault_models",
+    "StuckAtNType": "repro.core.fault_models",
+    "StuckAtPType": "repro.core.fault_models",
+    "StuckOnFault": "repro.core.fault_models",
+    "TerminalBridgeFault": "repro.core.fault_models",
+    "IFAResult": "repro.core.inductive",
+    "IFASummary": "repro.core.inductive",
+    "run_ifa": "repro.core.inductive",
+    "summarise_ifa": "repro.core.inductive",
+    "ChannelBreakProcedure": "repro.core.test_algorithms",
+    "ChannelBreakStep": "repro.core.test_algorithms",
+    "TwoPatternTest": "repro.core.test_algorithms",
+    "channel_break_procedure": "repro.core.test_algorithms",
+    "polarity_fault_table": "repro.core.test_algorithms",
+    "run_channel_break_procedure": "repro.core.test_algorithms",
+    "simulate_two_pattern": "repro.core.test_algorithms",
+    "two_pattern_sof_tests": "repro.core.test_algorithms",
+    "PolarityFaultRecord": "repro.faults.records",
+    "PolarityFaultRow": "repro.faults.records",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(module_name)
+    return getattr(module, _ALIASES.get(name, name))

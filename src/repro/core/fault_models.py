@@ -16,22 +16,34 @@ Every descriptor knows how to inject itself into a SPICE testbench
 (:meth:`CircuitFault.apply`) and, where meaningful, how to express
 itself as a switch-level :class:`~repro.logic.switch_level.DeviceState`
 for logic-domain analysis — the two evaluation domains the paper uses.
+The descriptors themselves stay light: the device layer is imported
+by the ``apply`` methods that inject a defective compact model, so the
+fault universes can wrap these classes without loading the solver.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+from typing import TYPE_CHECKING
 
-from repro.device.cache import cached_device
-from repro.device.defects import (
-    ChannelBreak,
-    GateOxideShort,
-    ParameterDrift,
-)
-from repro.device.params import DEFAULT_PARAMS
-from repro.gates.builder import Testbench
 from repro.logic.switch_level import DeviceState
+
+if TYPE_CHECKING:
+    from repro.device.defects import DeviceDefect
+    from repro.gates.builder import Testbench
+
+
+def _swap_device_model(
+    bench: Testbench, transistor: str, defect: DeviceDefect
+) -> None:
+    """Give ``transistor`` the memoised compact model of ``defect``."""
+    from repro.device.cache import cached_device
+    from repro.device.params import DEFAULT_PARAMS
+
+    bench.circuit.replace_device_model(
+        bench.device_name(transistor), cached_device(DEFAULT_PARAMS, defect)
+    )
 
 
 class CircuitFault(abc.ABC):
@@ -145,12 +157,11 @@ class GOSFault(CircuitFault):
     severity: float = 1.0
 
     def apply(self, bench: Testbench) -> None:
-        params = DEFAULT_PARAMS
-        model = cached_device(
-            params, GateOxideShort(self.location, self.severity)
-        )
-        bench.circuit.replace_device_model(
-            bench.device_name(self.transistor), model
+        from repro.device.defects import GateOxideShort
+
+        _swap_device_model(
+            bench, self.transistor,
+            GateOxideShort(self.location, self.severity),
         )
 
     def describe(self) -> str:
@@ -165,12 +176,9 @@ class ChannelBreakFault(CircuitFault):
     fraction: float = 1.0
 
     def apply(self, bench: Testbench) -> None:
-        model = cached_device(
-            DEFAULT_PARAMS, ChannelBreak(self.fraction)
-        )
-        bench.circuit.replace_device_model(
-            bench.device_name(self.transistor), model
-        )
+        from repro.device.defects import ChannelBreak
+
+        _swap_device_model(bench, self.transistor, ChannelBreak(self.fraction))
 
     def describe(self) -> str:
         kind = "full" if self.fraction >= 1.0 else f"{self.fraction:.0%}"
@@ -258,11 +266,11 @@ class DriveDriftFault(CircuitFault):
     i_on_factor: float = 0.5
 
     def apply(self, bench: Testbench) -> None:
-        model = cached_device(
-            DEFAULT_PARAMS, ParameterDrift(i_on_factor=self.i_on_factor)
-        )
-        bench.circuit.replace_device_model(
-            bench.device_name(self.transistor), model
+        from repro.device.defects import ParameterDrift
+
+        _swap_device_model(
+            bench, self.transistor,
+            ParameterDrift(i_on_factor=self.i_on_factor),
         )
 
     def describe(self) -> str:

@@ -7,59 +7,43 @@ circuit simulation.  See DESIGN.md section 2 for the substitution
 rationale.
 """
 
-from repro.device.cache import (
-    cached_device,
-    cached_table_model,
-    clear_model_caches,
-    model_cache_stats,
-)
-from repro.device.defects import (
-    ChannelBreak,
-    DeviceDefect,
-    GateOxideShort,
-    ParameterDrift,
-)
-from repro.device.iv import (
-    CurveMetrics,
-    TransferCurve,
-    compare_to_fault_free,
-    id_sat,
-    on_off_ratio,
-    subthreshold_slope,
-    sweep_id_vcg,
-    threshold_voltage,
-)
-from repro.device.params import (
-    DEFAULT_PARAMS,
-    DeviceParameters,
-    table_ii_rows,
-    thermal_voltage,
-)
-from repro.device.table_model import TableModel
-from repro.device.tig_model import TIGSiNWFET, OperatingPoint
+from __future__ import annotations
 
-__all__ = [
-    "ChannelBreak",
-    "CurveMetrics",
-    "DEFAULT_PARAMS",
-    "DeviceDefect",
-    "DeviceParameters",
-    "GateOxideShort",
-    "OperatingPoint",
-    "ParameterDrift",
-    "TIGSiNWFET",
-    "TableModel",
-    "TransferCurve",
-    "cached_device",
-    "cached_table_model",
-    "clear_model_caches",
-    "compare_to_fault_free",
-    "model_cache_stats",
-    "id_sat",
-    "on_off_ratio",
-    "subthreshold_slope",
-    "sweep_id_vcg",
-    "table_ii_rows",
-    "thermal_voltage",
-    "threshold_voltage",
-]
+# Public names resolve on first use (PEP 562), so importing one submodule
+# does not load its siblings.
+_LAZY = {
+    "cached_device": "repro.device.cache",
+    "cached_table_model": "repro.device.cache",
+    "clear_model_caches": "repro.device.cache",
+    "model_cache_stats": "repro.device.cache",
+    "ChannelBreak": "repro.device.defects",
+    "DeviceDefect": "repro.device.defects",
+    "GateOxideShort": "repro.device.defects",
+    "ParameterDrift": "repro.device.defects",
+    "CurveMetrics": "repro.device.iv",
+    "TransferCurve": "repro.device.iv",
+    "compare_to_fault_free": "repro.device.iv",
+    "id_sat": "repro.device.iv",
+    "on_off_ratio": "repro.device.iv",
+    "subthreshold_slope": "repro.device.iv",
+    "sweep_id_vcg": "repro.device.iv",
+    "threshold_voltage": "repro.device.iv",
+    "DEFAULT_PARAMS": "repro.device.params",
+    "DeviceParameters": "repro.device.params",
+    "table_ii_rows": "repro.device.params",
+    "thermal_voltage": "repro.device.params",
+    "TableModel": "repro.device.table_model",
+    "TIGSiNWFET": "repro.device.tig_model",
+    "OperatingPoint": "repro.device.tig_model",
+}
+
+__all__ = sorted(_LAZY)
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.defects import (
     DefectMechanism,
@@ -53,18 +53,15 @@ from repro.core.fault_models import (
     StuckAtPType,
     TerminalBridgeFault,
 )
-from repro.device.defects import (
-    ChannelBreak,
-    DeviceDefect,
-    GateOxideShort,
-    ParameterDrift,
-)
 from repro.faults.logic import PolarityFault, StuckOpenFault
 from repro.faults.universe import FaultUniverse, register_universe
 from repro.gates.cell import Cell
 from repro.gates.library import ALL_CELLS
 from repro.logic.network import Network
 from repro.logic.switch_level import DeviceState
+
+if TYPE_CHECKING:
+    from repro.device.defects import DeviceDefect
 
 #: Floating-PG voltage assumed when lowering a floating-gate site to an
 #: injectable :class:`FloatingPolarityGate` (mid-rail — the worst-case
@@ -162,6 +159,12 @@ class CircuitFaultSite:
 
 
 def _defect_slug(defect: DeviceDefect) -> str:
+    from repro.device.defects import (
+        ChannelBreak,
+        GateOxideShort,
+        ParameterDrift,
+    )
+
     if isinstance(defect, GateOxideShort):
         return f"gos:{defect.location}"
     if isinstance(defect, ChannelBreak):
@@ -182,6 +185,8 @@ def device_defects_for_site(site: DefectSite) -> list[tuple[str, DeviceDefect]]:
     I-V characteristics; every other mechanism is a circuit-level
     condition and lowers directly to :func:`circuit_faults_for_site`.
     """
+    from repro.device.defects import ChannelBreak, GateOxideShort
+
     if site.mechanism is DefectMechanism.NANOWIRE_BREAK:
         return [(site.transistor, ChannelBreak(1.0))]
     if site.mechanism is DefectMechanism.GATE_OXIDE_SHORT:
@@ -193,6 +198,12 @@ def circuit_fault_for_device_defect(
     transistor: str, defect: DeviceDefect
 ) -> CircuitFault | None:
     """Circuit-level wrapper of one device-internal defect."""
+    from repro.device.defects import (
+        ChannelBreak,
+        GateOxideShort,
+        ParameterDrift,
+    )
+
     if isinstance(defect, ChannelBreak):
         return ChannelBreakFault(transistor, defect.fraction)
     if isinstance(defect, GateOxideShort):
@@ -342,6 +353,12 @@ class DeviceDefectUniverse(FaultUniverse):
     description = "channel break, per-gate GOS and drive drift per transistor"
 
     def enumerate(self, network: Network) -> list[DeviceFault]:
+        from repro.device.defects import (
+            ChannelBreak,
+            GateOxideShort,
+            ParameterDrift,
+        )
+
         faults = []
         for gate in _mapped_gates(network):
             cell = ALL_CELLS[gate.gtype]

@@ -2,9 +2,6 @@
 
 Three layers (see ``docs/SERVICE.md``):
 
-* :mod:`repro.service.metrics` — dependency-free Prometheus-text
-  counters/gauges/histograms, importable in-process and rendered at
-  ``GET /metrics``.
 * :mod:`repro.service.jobs` — the async job manager: submit a campaign
   spec, get a job id; jobs run on background workers over the shared
   sqlite store, survive server SIGKILL and resume on restart.
@@ -12,10 +9,13 @@ Three layers (see ``docs/SERVICE.md``):
   (``ThreadingHTTPServer``): ``POST /jobs``, ``GET /jobs/<id>``,
   ``GET /jobs/<id>/results``, ``DELETE /jobs/<id>``, ``GET /healthz``,
   ``GET /metrics`` — wired to ``python -m repro serve``.
+* :mod:`repro.service.metrics` — the cache-counter collectors behind
+  ``repro cache stats`` and the ``repro_cache_events`` gauges; the
+  instruments themselves are :mod:`repro.obs`, at the bottom of the
+  stack, where the campaign runner also records its task metrics.
 
-This ``__init__`` stays lazy: :mod:`repro.campaign.runner` imports
-``repro.service.metrics`` for instrumentation, so eagerly importing
-``jobs``/``api`` here (which import the runner back) would be a cycle.
+Names resolve lazily (PEP 562 ``__getattr__``), so importing the
+package does not start the HTTP and job-manager imports.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ _LAZY = {
     "ServiceClient": "repro.service.api",
     "create_server": "repro.service.api",
     "serve_forever": "repro.service.api",
-    "REGISTRY": "repro.service.metrics",
-    "Registry": "repro.service.metrics",
 }
 
 __all__ = sorted(_LAZY)

@@ -40,12 +40,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.jobs import JobError, JobManager
-from repro.service.metrics import (
-    REGISTRY,
-    counter,
-    histogram,
-    install_cache_collectors,
-)
+from repro.obs import REGISTRY, counter, histogram
+from repro.service.metrics import install_cache_collectors
 
 #: Content type Prometheus scrapers expect from /metrics.
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"

@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import threading
 import time
@@ -62,7 +63,8 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, TASK_RUNNERS
-from repro.service.metrics import counter, gauge, install_cache_collectors
+from repro.obs import counter, gauge
+from repro.service.metrics import install_cache_collectors
 
 #: Lifecycle states (terminal: done / failed / cancelled).
 QUEUED = "queued"
@@ -142,14 +144,25 @@ class JobSpec:
             raise JobError(
                 f"unknown engine {engine!r}; accepted: {list(PODEM_ENGINES)}"
             )
+        # ``bool`` is an ``int`` subclass, and ``json.loads`` accepts
+        # NaN and Infinity: neither is a worker count or a timeout.
         workers = payload.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or workers < 1
+        ):
             raise JobError("'workers' must be a positive integer")
         timeout = payload.get("timeout")
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not math.isfinite(timeout)
+            or timeout <= 0
         ):
-            raise JobError("'timeout' must be a positive number or null")
+            raise JobError(
+                "'timeout' must be a positive finite number or null"
+            )
         return cls(
             circuits=tuple(circuits),
             fault_classes=tuple(fault_classes),

@@ -1,0 +1,208 @@
+"""Import layering: the digital path does not load the analog stack.
+
+The logic half of the pipeline (circuits, logic, atpg, the logic fault
+universes, campaign and service) runs without the TIG-SiNWFET compact
+model, the SPICE solver or TCAD-lite, and so without scipy.  These
+checks keep it that way:
+
+* in a fresh interpreter, the digital entry points leave the analog
+  modules unimported, and the campaign runner leaves the service
+  layer unimported;
+* statically, no module under ``logic/``, ``atpg/``, ``circuits/`` or
+  ``campaign/`` imports the analog packages or the service layer at
+  module level (function-local imports, such as the CLI's ``serve``
+  verb, are allowed);
+* every public name of the lazily initialised packages still resolves.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules the digital path must not load.
+ANALOG = (
+    "scipy",
+    "repro.device",
+    "repro.spice",
+    "repro.tcad",
+    "repro.gates.builder",
+    "repro.core.detection",
+)
+
+#: Packages whose modules may not import :data:`FORBIDDEN_IMPORTS` at
+#: module level.
+DIGITAL_PACKAGES = ("logic", "atpg", "circuits", "campaign")
+FORBIDDEN_IMPORTS = (
+    "repro.device",
+    "repro.spice",
+    "repro.tcad",
+    "repro.service",
+)
+
+
+def _fresh_modules(*imports: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``imports``."""
+    code = (
+        "import sys\n"
+        + "".join(f"import {name}\n" for name in imports)
+        + "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return set(result.stdout.split())
+
+
+def _under(modules: set[str], prefix: str) -> list[str]:
+    return sorted(
+        m for m in modules if m == prefix or m.startswith(prefix + ".")
+    )
+
+
+class TestFreshInterpreter:
+    def test_digital_entry_points_leave_the_analog_stack_unloaded(self):
+        modules = _fresh_modules(
+            "repro.campaign.cli", "repro.atpg", "repro.faults",
+            "repro.service.api",
+        )
+        assert "repro.campaign.cli" in modules
+        loaded = {p: _under(modules, p) for p in ANALOG}
+        assert not any(loaded.values()), loaded
+
+    def test_campaign_runner_does_not_import_the_service_layer(self):
+        modules = _fresh_modules("repro.campaign.runner")
+        assert "repro.obs" in modules
+        assert not _under(modules, "repro.service")
+
+    def test_physical_universes_register_without_the_solver(self):
+        modules = _fresh_modules("repro.faults")
+        assert "repro.faults.physical" in modules
+        assert not any(_under(modules, p) for p in ANALOG)
+
+    def test_obs_imports_only_the_standard_library(self):
+        tree = ast.parse((SRC / "repro" / "obs.py").read_text())
+        roots = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+        assert roots <= set(sys.stdlib_module_names), roots
+
+
+def _module_level_imports(tree: ast.Module):
+    """``(lineno, module)`` for every import that runs at import time:
+    the module body and class bodies, through ``if``/``try``/``with``
+    blocks, but not function bodies or ``if TYPE_CHECKING:`` blocks."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                yield node.lineno, node.module
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING",
+        ):
+            pending.extend(node.orelse)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _digital_sources() -> list[Path]:
+    return sorted(
+        path
+        for package in DIGITAL_PACKAGES
+        for path in (SRC / "repro" / package).rglob("*.py")
+    )
+
+
+class TestStaticLayering:
+    def test_scan_covers_every_digital_package(self):
+        scanned = {p.relative_to(SRC / "repro").parts[0]
+                   for p in _digital_sources()}
+        assert scanned == set(DIGITAL_PACKAGES)
+
+    @pytest.mark.parametrize(
+        "path", _digital_sources(),
+        ids=lambda p: str(p.relative_to(SRC / "repro")),
+    )
+    def test_no_module_level_import_of_analog_or_service(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bad = [
+            f"line {lineno}: {module}"
+            for lineno, module in _module_level_imports(tree)
+            if any(
+                module == f or module.startswith(f + ".")
+                for f in FORBIDDEN_IMPORTS
+            )
+        ]
+        assert not bad, bad
+
+    def test_scanner_sees_what_it_must(self):
+        tree = ast.parse(
+            "import repro.spice\n"
+            "from repro.device import cache\n"
+            "if True:\n"
+            "    from repro.tcad import mesh\n"
+            "class A:\n"
+            "    from repro.service import api\n"
+            "if TYPE_CHECKING:\n"
+            "    from repro.device.defects import DeviceDefect\n"
+            "def f():\n"
+            "    from repro.service.api import serve_forever\n"
+        )
+        found = sorted(module for _, module in _module_level_imports(tree))
+        assert found == [
+            "repro.device", "repro.service", "repro.spice", "repro.tcad",
+        ]
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro.gates", "repro.core", "repro.device", "repro.analysis",
+     "repro.faults"],
+)
+def test_public_names_resolve(package):
+    if package != "repro.faults":
+        # Resolving the analog packages' names imports the compact
+        # model, and so scipy, which the digital-path CI job lacks.
+        pytest.importorskip("scipy", reason="the analog stack needs scipy")
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing
+    assert sorted(module.__all__) == sorted(set(module.__all__))
+
+
+def test_unknown_package_attribute_raises():
+    import repro.gates
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.gates.no_such_name
+
+
+def test_circuit_fault_universe_still_registered():
+    from repro.circuits import c17
+    from repro.faults import get_universe
+
+    universe = get_universe("circuit_fault")
+    network = c17()
+    sites = universe.enumerate(network)
+    assert sites
+    assert universe.stats(network).n_faults == len(sites)

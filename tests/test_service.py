@@ -25,6 +25,7 @@ import pytest
 from repro.campaign.backends import open_store
 from repro.campaign.runner import expand_grid, run_campaign
 from repro.campaign.store import stores_equal
+from repro.obs import Registry
 from repro.service.api import (
     METRICS_CONTENT_TYPE,
     ServiceClient,
@@ -33,11 +34,7 @@ from repro.service.api import (
 )
 from repro.service import jobs as jobs_module
 from repro.service.jobs import JobError, JobManager, JobSpec
-from repro.service.metrics import (
-    Registry,
-    cache_stats,
-    install_cache_collectors,
-)
+from repro.service.metrics import cache_stats, install_cache_collectors
 
 needs_posix = pytest.mark.skipif(
     os.name != "posix", reason="needs POSIX signal semantics"
@@ -175,6 +172,38 @@ class TestMetrics:
         assert 'repro_cache_events{cache="device", event="hits"}' in text
         assert 'repro_cache_events{cache="compile_memo"' in text
 
+    def test_device_counters_read_once_the_model_is_loaded(self):
+        from repro.device.cache import cached_device, clear_model_caches
+
+        clear_model_caches()
+        try:
+            cached_device()
+            cached_device()
+            assert cache_stats()["device"] == {"hits": 1, "misses": 1}
+        finally:
+            clear_model_caches()
+
+    def test_scrape_does_not_load_the_analog_stack(self):
+        # A digital-only process reports zero device/table counters
+        # instead of importing scipy and the compact model to read them.
+        code = (
+            "import sys\n"
+            "from repro.obs import Registry\n"
+            "from repro.service.metrics import install_cache_collectors\n"
+            "reg = Registry()\n"
+            "install_cache_collectors(reg)\n"
+            "text = reg.render()\n"
+            "assert 'cache=\"device\", event=\"misses\"} 0.0' in text, text\n"
+            "loaded = [m for m in ('scipy', 'repro.device')\n"
+            "          if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=_subprocess_env(),
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+
 
 # ---------------------------------------------------------------------------
 # Job spec validation
@@ -191,6 +220,15 @@ class TestJobSpec:
         ({"circuits": ["c17"], "bogus": 1}, "bogus"),
         ({"circuits": ["c17"], "engine": "bogus"}, "compiled.*legacy"),
         ({"circuits": ["c17"], "engine": 3}, "engine"),
+        ({"circuits": ["c17"], "workers": True}, "workers"),
+        ({"circuits": ["c17"], "workers": 2.0}, "workers"),
+        ({"circuits": ["c17"], "timeout": True}, "timeout"),
+        ({"circuits": ["c17"], "timeout": False}, "timeout"),
+        ({"circuits": ["c17"], "timeout": float("inf")}, "timeout"),
+        ({"circuits": ["c17"], "timeout": float("nan")}, "timeout"),
+        (json.loads('{"circuits": ["c17"], "timeout": Infinity}'),
+         "timeout"),
+        (json.loads('{"circuits": ["c17"], "timeout": NaN}'), "timeout"),
     ])
     def test_invalid_payloads(self, payload, fragment):
         with pytest.raises(JobError, match=fragment):
@@ -292,6 +330,19 @@ class TestServiceAPI:
         assert [j["id"] for j in client.jobs()] == [job["id"]]
         assert _store_task_ids(manager.store_path) == rows
         assert _claim_statuses(manager.store_path) == claims
+
+    def test_bool_and_non_finite_fields_rejected_with_400(self, service):
+        # The client's json.dumps writes NaN/Infinity, which the
+        # server's json.loads accepts; the spec check must refuse them.
+        manager, client = service
+        for bad in ({"workers": True}, {"timeout": True},
+                    {"timeout": float("nan")}, {"timeout": float("inf")}):
+            with pytest.raises(ServiceHTTPError) as err:
+                client.submit({"circuits": ["c17"], **bad})
+            assert err.value.code == 400
+            assert "must be a positive" in str(err.value)
+        assert client.jobs() == []
+        assert not list(manager.jobs_dir.glob("*.json"))
 
     def test_metrics_content_type(self, service):
         _, client = service
