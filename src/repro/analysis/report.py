@@ -1,4 +1,8 @@
-"""ASCII rendering helpers for benchmark reports."""
+"""ASCII rendering helpers for benchmark reports.
+
+:func:`ascii_table` lives with the campaign tables, the lowest layer
+that renders one, and is re-exported here.
+"""
 
 from __future__ import annotations
 
@@ -6,22 +10,9 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+from repro.campaign.tables import ascii_table
 
-def ascii_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]]
-) -> str:
-    """Render a fixed-width table."""
-    cells = [[str(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in cells:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    def line(row):
-        return " | ".join(c.ljust(w) for c, w in zip(row, widths))
-    sep = "-+-".join("-" * w for w in widths)
-    out = [line(headers), sep]
-    out.extend(line(row) for row in cells)
-    return "\n".join(out)
+__all__ = ["ascii_table", "format_quantity", "format_series", "save_report"]
 
 
 def format_quantity(value: float, unit: str = "") -> str:

@@ -23,7 +23,28 @@ The campaign entry points (:func:`parallel_stuck_at_simulation`,
 "multiword" | "compiled"`` and produce bit-identical results on every
 setting — ``auto`` (default) picks the multi-word engine once the
 (faults x vectors) problem and the netlist (ops x faults) are large
-enough to amortize numpy dispatch.
+enough to amortize numpy dispatch.  Within an engine the problem, not
+an option, picks the work done:
+
+* **Word-by-word dropping.**  Stuck-at campaigns sweep the vectors one
+  64-vector word at a time and stop simulating a fault once a word
+  detects it — whole fault chunks at once on the multi-word engine,
+  one fault at a time on the single-word path.
+* **Single rail.**  When every primary input is 0 or 1 on every vector,
+  no net is ever X, so the multi-word stuck-at sweep carries one
+  uint64 rail per net instead of the (ones, zeros) pair and detects
+  with ``good ^ bad``.  Vectors with X take the dual-rail sweep, which
+  stays for polarity, stuck-open and IDDQ words and is the oracle for
+  the single-rail one.
+* **Voltage-silent polarity faults.**  A polarity fault whose faulty
+  table holds only X or the good value is never detected at an output,
+  so voltage mode gives it word 0 without simulation.  This is exact:
+  dual-rail Kleene evaluation and the table override (any X pin gives
+  X) are monotone in the information order, so a faulty machine that
+  is at most as defined as the good one at the fault site stays so at
+  every net of every unrolled frame and never differs from it
+  definitely.  When every fault is silent the problem is not lowered
+  (unrolled or compiled) at all.
 
 **Sequential netlists** run through the same entry points via the
 ``unroll=`` knob: pass ``unroll=<n_frames>`` and each *vector* becomes a
@@ -98,6 +119,15 @@ _MULTIWORD_MIN_BITS = 2 * _CHUNK_BITS
 _MULTIWORD_MIN_WORK = 20_000
 
 
+def _check_engine(engine: str) -> None:
+    """Reject an unknown ``engine`` selector."""
+    if engine not in ("auto", "multiword", "compiled"):
+        raise ValueError(
+            f"unknown fault-sim engine {engine!r}; "
+            "expected 'auto', 'multiword' or 'compiled'"
+        )
+
+
 def _use_multiword(
     engine: str, n_faults: int, n_vectors: int, n_ops: int | None = None
 ) -> bool:
@@ -107,15 +137,9 @@ def _use_multiword(
     also requires ``n_ops * n_faults`` to reach
     :data:`_MULTIWORD_MIN_WORK`.
     """
-    if engine == "multiword":
-        return True
-    if engine == "compiled":
-        return False
+    _check_engine(engine)
     if engine != "auto":
-        raise ValueError(
-            f"unknown fault-sim engine {engine!r}; "
-            "expected 'auto', 'multiword' or 'compiled'"
-        )
+        return engine == "multiword"
     if n_ops is not None and n_ops * n_faults < _MULTIWORD_MIN_WORK:
         return False
     return (
@@ -412,12 +436,24 @@ class FaultSimResult:
 # Batched stuck-at campaigns
 # ---------------------------------------------------------------------------
 
-def _multiword_detection_words(
+def _multiword_stuck_at_words(
     cnet, injections: Sequence[FaultInjection],
     vectors: Sequence[TestVector],
+    first_only: bool = False,
 ) -> list[int]:
-    """One 2-D fault x vector sweep over the whole problem."""
+    """2-D fault x vector sweep over a stuck-at problem.
+
+    The injections carry line and pin forces only, so X-free vectors
+    take the single-rail sweep and vectors with X the dual-rail one.
+    With ``first_only`` a fault's word may hold only the bits of the
+    64-vector word that first detects it (the single-rail sweep drops
+    it there).
+    """
     mv = mw.pack_vectors_multiword(cnet, vectors)
+    if mv.binary:
+        return mw.batch_detect_x_free(
+            cnet, mv, injections, drop_detected=first_only
+        )
     good = mw.simulate_good(cnet, mv)
     return mw.batch_detect(cnet, mv, good, injections)
 
@@ -434,47 +470,6 @@ def _result_from_words(
         else:
             undetected.append(name)
     return FaultSimResult(detected=detected, undetected=sorted(undetected))
-
-
-def _injection_detection_words(
-    cnet, injections, vectors, engine
-) -> list[int]:
-    """Detection matrix over prebuilt injections (engine dispatch)."""
-    if _use_multiword(engine, len(injections), len(vectors), len(cnet.ops)):
-        return _multiword_detection_words(cnet, injections, vectors)
-    packed = pack_vectors(cnet, vectors)
-    good = cnet.simulate(packed)
-    return [
-        cnet.detect_word(packed, good, injection)
-        for injection in injections
-    ]
-
-
-def _injection_campaign(
-    cnet, names, injections, vectors, engine
-) -> FaultSimResult:
-    """First-detection campaign over prebuilt injections with dropping."""
-    if _use_multiword(engine, len(names), len(vectors), len(cnet.ops)):
-        return _result_from_words(
-            names, _multiword_detection_words(cnet, injections, vectors)
-        )
-    detected: dict[str, int] = {}
-    undetected = set(names)
-    for base in range(0, len(vectors), _CHUNK_BITS):
-        if not undetected:
-            break
-        packed = pack_vectors(cnet, vectors[base:base + _CHUNK_BITS])
-        good = cnet.simulate(packed)
-        for name, injection in zip(names, injections):
-            if name not in undetected:
-                continue
-            diff = cnet.detect_word(packed, good, injection)
-            if diff:
-                detected[name] = base + (diff & -diff).bit_length() - 1
-                undetected.discard(name)
-    return FaultSimResult(
-        detected=detected, undetected=sorted(undetected)
-    )
 
 
 def stuck_at_detection_words(
@@ -494,7 +489,14 @@ def stuck_at_detection_words(
     cnet, injections, vectors = _stuck_at_problem(
         network, faults, vectors, unroll, initial_state
     )
-    return _injection_detection_words(cnet, injections, vectors, engine)
+    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
+        return _multiword_stuck_at_words(cnet, injections, vectors)
+    packed = pack_vectors(cnet, vectors)
+    good = cnet.simulate(packed)
+    return [
+        cnet.detect_word(packed, good, injection)
+        for injection in injections
+    ]
 
 
 def parallel_stuck_at_simulation(
@@ -507,17 +509,41 @@ def parallel_stuck_at_simulation(
 ) -> FaultSimResult:
     """Bit-parallel stuck-at campaign with fault dropping.
 
-    On the multi-word engine the whole (faults x vectors) matrix runs
-    as one 2-D sweep (dropping is implicit — everything is computed at
-    once); the single-word path processes :data:`_CHUNK_BITS` vectors
-    per pass and never re-simulates a fault detected in an earlier
-    chunk.  Both report the same first-detection indices.
+    Vectors are swept :data:`_CHUNK_BITS` at a time, and a fault
+    detected in one word is not simulated on later ones: on the
+    multi-word engine as whole fault chunks on one rail (vectors with X
+    instead run the full dual-rail matrix in one sweep), on the
+    single-word path one fault at a time.  Both report the same
+    first-detection indices.
     """
     names = [f.name for f in faults]
     cnet, injections, vectors = _stuck_at_problem(
         network, faults, vectors, unroll, initial_state
     )
-    return _injection_campaign(cnet, names, injections, vectors, engine)
+    if _use_multiword(engine, len(names), len(vectors), len(cnet.ops)):
+        return _result_from_words(
+            names,
+            _multiword_stuck_at_words(
+                cnet, injections, vectors, first_only=True
+            ),
+        )
+    detected: dict[str, int] = {}
+    undetected = set(names)
+    for base in range(0, len(vectors), _CHUNK_BITS):
+        if not undetected:
+            break
+        packed = pack_vectors(cnet, vectors[base:base + _CHUNK_BITS])
+        good = cnet.simulate(packed)
+        for name, injection in zip(names, injections):
+            if name not in undetected:
+                continue
+            diff = cnet.detect_word(packed, good, injection)
+            if diff:
+                detected[name] = base + (diff & -diff).bit_length() - 1
+                undetected.discard(name)
+    return FaultSimResult(
+        detected=detected, undetected=sorted(undetected)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +592,26 @@ def _iddq_word(cnet, good, gates, minterms, mask) -> int:
     return word
 
 
+#: ``(gtype, transistor, kind)`` -> whether the polarity fault is
+#: voltage-silent (see :func:`_voltage_silent`).
+_VOLTAGE_SILENT: dict[tuple[str, str, str], bool] = {}
+
+
+def _voltage_silent(fault: PolarityFault) -> bool:
+    """Whether every entry of the faulty table is X or the good value
+    of the cell function; then no vector can detect ``fault`` at a
+    primary output (see the module doc for why)."""
+    key = (fault.gtype, fault.transistor, fault.kind)
+    silent = _VOLTAGE_SILENT.get(key)
+    if silent is None:
+        function = ALL_CELLS[fault.gtype].function
+        silent = _VOLTAGE_SILENT[key] = all(
+            value == X or value == function(minterm)
+            for minterm, value in fault.faulty_table().items()
+        )
+    return silent
+
+
 def polarity_detection_words(
     network: Network,
     faults: Sequence[PolarityFault],
@@ -578,10 +624,37 @@ def polarity_detection_words(
     """Per-fault detection words for polarity faults.
 
     Voltage mode injects the faulty local table and compares outputs;
-    IDDQ mode needs only the shared fault-free simulation — a vector
-    covers a fault when it drives the gate into a conflict-activating
-    local combination (in any frame, with ``unroll=``).
+    voltage-silent faults (:func:`_voltage_silent`) get word 0 without
+    simulation, and when every fault is silent the problem is not even
+    lowered.  IDDQ mode needs only the shared fault-free simulation — a
+    vector covers a fault when it drives the gate into a
+    conflict-activating local combination (in any frame, with
+    ``unroll=``).
     """
+    if iddq:
+        return _polarity_words(
+            network, faults, vectors, True, engine, unroll, initial_state
+        )
+    live = [k for k, fault in enumerate(faults) if not _voltage_silent(fault)]
+    words = [0] * len(faults)
+    if not live:  # still make the argument checks lowering makes
+        _check_engine(engine)
+        if unroll is None:
+            sequential.require_combinational(network, "polarity simulation")
+        return words
+    found = _polarity_words(
+        network, [faults[k] for k in live], vectors, False, engine,
+        unroll, initial_state,
+    )
+    for k, word in zip(live, found):
+        words[k] = word
+    return words
+
+
+def _polarity_words(
+    network, faults, vectors, iddq, engine, unroll, initial_state
+) -> list[int]:
+    """:func:`polarity_detection_words` without the silent-fault skip."""
     cnet, injections, gate_lists, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state
     )
@@ -613,14 +686,24 @@ def parallel_polarity_simulation(
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
-    """Batched polarity-fault campaign (voltage or IDDQ observables)."""
+    """Batched polarity-fault campaign (voltage or IDDQ observables).
+
+    Voltage mode folds :func:`polarity_detection_words` (which skips
+    voltage-silent faults) into first detections; IDDQ mode drops
+    detected faults per :data:`_CHUNK_BITS` vectors on the single-word
+    path.
+    """
+    if not iddq:
+        return _result_from_words(
+            [f.name for f in faults],
+            polarity_detection_words(
+                network, faults, vectors, False, engine, unroll,
+                initial_state,
+            ),
+        )
     cnet, injections, gate_lists, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if not iddq:
-        return _injection_campaign(
-            cnet, [f.name for f in faults], injections, vectors, engine
-        )
     if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
         return _result_from_words(
             [f.name for f in faults],

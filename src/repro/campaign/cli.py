@@ -61,6 +61,7 @@ from repro.campaign.store import strip_volatile
 from repro.campaign.tables import (
     SECTION5_READING,
     SECTION5_SUITE as PAPER_SUITE,
+    ascii_table,
     coverage_table,
     escape_table,
     render_report,
@@ -262,8 +263,6 @@ def registry_listing(tags=None) -> dict:
 
 
 def cmd_list(args) -> int:
-    from repro.analysis.report import ascii_table
-
     listing = registry_listing(tags=args.tag)
     if getattr(args, "json", False):
         print(json.dumps(listing, indent=1, sort_keys=True))
@@ -291,8 +290,6 @@ def cmd_cache_stats(args) -> int:
     if getattr(args, "json", False):
         print(json.dumps(stats, indent=1, sort_keys=True))
         return 0
-    from repro.analysis.report import ascii_table
-
     rows = [
         (cache, *(counters.get(k, 0) for k in ("hits", "misses")),
          counters.get("instance_hits", ""), counters.get("evictions", ""))

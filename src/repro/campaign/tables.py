@@ -24,7 +24,22 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.analysis.report import ascii_table
+
+def ascii_table(
+    headers: Sequence[str], rows: Sequence[Sequence[object]]
+) -> str:
+    """Render a fixed-width table."""
+    cells = [[str(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in cells:
+        for k, cell in enumerate(row):
+            widths[k] = max(widths[k], len(cell))
+    def line(row):
+        return " | ".join(c.ljust(w) for c, w in zip(row, widths))
+    sep = "-+-".join("-" * w for w in widths)
+    out = [line(headers), sep]
+    out.extend(line(row) for row in cells)
+    return "\n".join(out)
 
 
 #: The benchmark suite behind the paper's Section 5 tables (shared by

@@ -23,6 +23,17 @@ can never produce a detection, and every word handed back to callers
 is additionally ANDed with the tail mask so forced-line writes (which
 set full 64-bit words) cannot leak tail bits into detection results.
 
+**Single rail.**  When every primary input is definite on every
+vector (:attr:`MultiwordVectors.binary`), no net is ever X, so a
+stuck-at batch needs only the ones rail: one ufunc per pin for
+AND/OR/XOR, one more invert for NAND/NOR/XNOR/INV, and ``good ^ bad``
+at a primary output for detection.  :func:`batch_detect_x_free` runs
+that sweep with the same :class:`FaultBatch`, cones and site order,
+optionally one 64-vector word at a time, dropping the faults each word
+detects; faults that no vector of a word excites (every forced line
+and pin already carries its forced value) are not simulated on it.  The dual-rail sweep stays for vectors with X, for table and
+word overrides (polarity and stuck-open faults) and as the oracle.
+
 **Equivalence.**  For any fault list and vector set the detection
 words produced here are bit-identical to the single-word engine's
 (:func:`repro.logic.compiled.CompiledNetwork.detect_word`) and to the
@@ -76,6 +87,12 @@ _DTYPE = np.dtype("<u8")
 #: per-op numpy dispatch overhead amortized over a wide fault axis.
 DEFAULT_FAULT_CHUNK = 256
 
+#: Words per net array of a single-rail pass (fault rows x vector
+#: words).  One rail needs half the bytes, so 2048 rows of one word
+#: hold as many words as a dual-rail chunk of 256 rows x 4 words x 2
+#: rails, the size of a 256-vector sweep.
+SINGLE_RAIL_CHUNK_WORDS = 2048
+
 #: Dual-rail multi-word good-machine state: (ones, zeros) uint64
 #: arrays of shape (n_nets, W).
 MultiwordState = tuple[np.ndarray, np.ndarray]
@@ -105,6 +122,10 @@ class MultiwordVectors:
         mask: ``(n_words,)`` tail mask — all-ones words except the last,
             whose bits ``n % 64 ..`` are clear (the ragged tail).
         ones / zeros: Primary-input net index -> ``(n_words,)`` rail row.
+        binary: True when no vector carries an X (as
+            :attr:`repro.logic.compiled.PackedVectors.binary`) — every
+            net then has one definite value per vector, enabling the
+            single-rail sweep for line and pin forces.
     """
 
     n: int
@@ -112,6 +133,7 @@ class MultiwordVectors:
     mask: np.ndarray
     ones: dict[int, np.ndarray]
     zeros: dict[int, np.ndarray]
+    binary: bool = False
 
 
 def pack_vectors_multiword(
@@ -127,6 +149,8 @@ def pack_vectors_multiword(
     """
     n = len(vectors)
     n_words = max(1, (n + WORD_BITS - 1) // WORD_BITS)
+    full = (1 << n) - 1 if n else 0
+    binary = True
     ones: dict[int, np.ndarray] = {}
     zeros: dict[int, np.ndarray] = {}
     for net, idx in cnet.pi_items:
@@ -137,11 +161,12 @@ def pack_vectors_multiword(
                 o |= 1 << k
             elif value == 0:
                 z |= 1 << k
+        binary = binary and o | z == full
         ones[idx] = words_from_int(o, n_words)
         zeros[idx] = words_from_int(z, n_words)
-    mask = words_from_int((1 << n) - 1 if n else 0, n_words)
     return MultiwordVectors(
-        n=n, n_words=n_words, mask=mask, ones=ones, zeros=zeros
+        n=n, n_words=n_words, mask=words_from_int(full, n_words),
+        ones=ones, zeros=zeros, binary=binary,
     )
 
 
@@ -185,6 +210,42 @@ def _eval_gate_np(
     return (z, o) if code == OP_MIN else (o, z)
 
 
+#: Single-rail opcode -> the ufunc folding its pins (MAJ/MIN aside).
+_FOLD = {
+    OP_AND: np.bitwise_and, OP_NAND: np.bitwise_and,
+    OP_OR: np.bitwise_or, OP_NOR: np.bitwise_or,
+    OP_XOR: np.bitwise_xor, OP_XNOR: np.bitwise_xor,
+}
+
+#: Opcodes whose single-rail value is the inverted fold.
+_INVERTED = frozenset({OP_NAND, OP_NOR, OP_XNOR, OP_MIN})
+
+
+def _eval_gate_single_rail(
+    code: int, pins: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Two-valued evaluation of one opcode over single-rail arrays.
+
+    The X-free counterpart of :func:`_eval_gate_np`: one ufunc per pin
+    for AND/OR/XOR, plus one invert for the inverting opcodes.  Pins
+    broadcast like the dual-rail rows; BUF returns its input array.
+    """
+    a = pins[0]
+    if code == OP_BUF:
+        return a
+    if code == OP_INV:
+        return ~a
+    if code == OP_MAJ or code == OP_MIN:
+        b, c = pins[1], pins[2]
+        value = (a & b) | (c & (a | b))
+    else:
+        fold = _FOLD[code]
+        value = a
+        for b in pins[1:]:
+            value = fold(value, b)
+    return ~value if code in _INVERTED else value
+
+
 def simulate_good(
     cnet: CompiledNetwork, mv: MultiwordVectors
 ) -> MultiwordState:
@@ -199,6 +260,22 @@ def simulate_good(
         ones[out] = o
         zeros[out] = z
     return ones, zeros
+
+
+def simulate_good_single_rail(
+    cnet: CompiledNetwork, mv: MultiwordVectors
+) -> np.ndarray:
+    """Fault-free values of an X-free batch: ``(n_nets, W)`` uint64.
+
+    Equals the ones rail of :func:`simulate_good` on the vectors of
+    ``mv``; bits of the ragged tail are unspecified.
+    """
+    values = np.zeros((cnet.n_nets, mv.n_words), dtype=_DTYPE)
+    for idx in cnet.pi_index:
+        values[idx] = mv.ones[idx]
+    for code, out, ins in cnet.ops:
+        values[out] = _eval_gate_single_rail(code, [values[i] for i in ins])
+    return values
 
 
 def _eval_tables(
@@ -268,8 +345,8 @@ class FaultBatch:
     The grouping turns each override class into the cheapest possible
     vectorized write:
 
-    * ``line_rows``: net index -> (rows forced to 1, rows forced to 0)
-      — applied at every write of the net, as full-word row assignments.
+    * ``line_rows``: net index -> [(row, value)] — applied at every
+      write of the net, as full-word row assignments.
     * ``word_rows``: net index -> [(row, ones_row, zeros_row)] — the
       per-vector forced patterns of the stuck-open engine.
     * ``pin_rows``: op position -> [(pin, row, value)] — branch faults,
@@ -291,15 +368,14 @@ class FaultBatch:
         n_words: int,
     ) -> None:
         self.size = len(injections)
-        line1: dict[int, list[int]] = {}
-        line0: dict[int, list[int]] = {}
+        self.line_rows: dict[int, list[tuple[int, int]]] = {}
         self.word_rows: dict[int, list[tuple[int, np.ndarray, np.ndarray]]]
         self.word_rows = {}
         self.pin_rows: dict[int, list[tuple[int, int, int]]] = {}
         self.table_rows: dict[int, list[tuple[int, Mapping]]] = {}
         for row, injection in enumerate(injections):
             for idx, value in injection.lines.items():
-                (line1 if value else line0).setdefault(idx, []).append(row)
+                self.line_rows.setdefault(idx, []).append((row, value))
             for idx, (o, z) in injection.words.items():
                 self.word_rows.setdefault(idx, []).append(
                     (row, words_from_int(o, n_words),
@@ -309,13 +385,6 @@ class FaultBatch:
                 self.pin_rows.setdefault(pos, []).append((pin, row, value))
             for pos, table in injection.tables.items():
                 self.table_rows.setdefault(pos, []).append((row, table))
-        self.line_rows = {
-            idx: (
-                np.asarray(line1.get(idx, ()), dtype=np.intp),
-                np.asarray(line0.get(idx, ()), dtype=np.intp),
-            )
-            for idx in line1.keys() | line0.keys()
-        }
         forced = self.line_rows.keys() | self.word_rows.keys()
         driver = cnet.structures().driver_op
         self.sources = sorted(i for i in forced if driver[i] < 0)
@@ -323,34 +392,36 @@ class FaultBatch:
             driver[i] for i in forced if driver[i] >= 0
         }
 
+    def force_lines(self, idx: int, values: np.ndarray) -> None:
+        """Apply line forces for net ``idx`` onto single-rail rows."""
+        for row, value in self.line_rows.get(idx, ()):
+            values[row] = _FULL if value else 0
+
     def apply_forces(
         self, idx: int, ones_row: np.ndarray, zeros_row: np.ndarray
     ) -> None:
         """Apply line/word forces for net ``idx`` onto ``(F, W)`` rows."""
-        entry = self.line_rows.get(idx)
-        if entry is not None:
-            rows1, rows0 = entry
-            if rows1.size:
-                ones_row[rows1] = _FULL
-                zeros_row[rows1] = 0
-            if rows0.size:
-                ones_row[rows0] = 0
-                zeros_row[rows0] = _FULL
+        for row, value in self.line_rows.get(idx, ()):
+            ones_row[row] = _FULL if value else 0
+            zeros_row[row] = 0 if value else _FULL
         for row, o, z in self.word_rows.get(idx, ()):
             ones_row[row] = o
             zeros_row[row] = z
 
 
+def _own(rail: np.ndarray, f: int) -> np.ndarray:
+    """Fresh writable ``(F, W)`` copy of a rail that may be a ``(W,)``
+    good row or an array shared with another net."""
+    out = np.empty((f, rail.shape[-1]), dtype=_DTYPE)
+    out[...] = rail
+    return out
+
+
 def _own_rows(
     ones: np.ndarray, zeros: np.ndarray, f: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh writable ``(F, W)`` copies of rails that may be ``(W,)``
-    good rows or arrays shared with another net."""
-    o = np.empty((f, ones.shape[-1]), dtype=_DTYPE)
-    z = np.empty_like(o)
-    o[...] = ones
-    z[...] = zeros
-    return o, z
+    """:func:`_own` for both rails."""
+    return _own(ones, f), _own(zeros, f)
 
 
 def _batch_cone(
@@ -505,6 +576,16 @@ def _fault_site(cnet: CompiledNetwork, injection: FaultInjection) -> int:
     )
 
 
+def _site_order(
+    cnet: CompiledNetwork, injections: Sequence[FaultInjection]
+) -> list[int]:
+    """Injection indices in topological order of their fault sites."""
+    return sorted(
+        range(len(injections)),
+        key=lambda k: _fault_site(cnet, injections[k]),
+    )
+
+
 def batch_detect(
     cnet: CompiledNetwork,
     mv: MultiwordVectors,
@@ -523,10 +604,7 @@ def batch_detect(
     most of their fanout cones and deep sites simulate small cones; the
     final ragged chunk simply runs narrower.
     """
-    order = sorted(
-        range(len(injections)),
-        key=lambda k: _fault_site(cnet, injections[k]),
-    )
+    order = _site_order(cnet, injections)
     words = [0] * len(injections)
     for base in range(0, len(order), fault_chunk):
         chunk = order[base:base + fault_chunk]
@@ -537,8 +615,136 @@ def batch_detect(
     return words
 
 
-def first_detection_index(word: int) -> int | None:
-    """Index of the lowest set bit (= first detecting vector), or None."""
-    if not word:
-        return None
-    return (word & -word).bit_length() - 1
+# ---------------------------------------------------------------------------
+# Single-rail sweep: X-free vectors, line and pin forces only
+# ---------------------------------------------------------------------------
+
+def simulate_batch_single_rail(
+    cnet: CompiledNetwork,
+    good: np.ndarray,
+    batch: FaultBatch,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """:func:`simulate_batch` on one rail, for X-free stuck-at batches.
+
+    ``good`` is :func:`simulate_good_single_rail` output (or a slice of
+    its words) and ``batch`` holds line and pin forces only.  Yields
+    ``(net, values)`` with ``(F, W)`` rows for every net a fault of the
+    batch can change, in topological order, under the same cone,
+    liveness and override rules as the dual-rail sweep.
+    """
+    f = batch.size
+    cone, last_read = _batch_cone(cnet, batch)
+    rows: dict[int, np.ndarray] = {}
+    for idx in batch.sources:
+        values = _own(good[idx], f)
+        batch.force_lines(idx, values)
+        if idx in last_read:
+            rows[idx] = values
+        yield idx, values
+    ops = cnet.ops
+    seed_ops = batch.seed_ops
+    for pos in cone:
+        code, out, ins = ops[pos]
+        pins = [rows[i] if i in rows else good[i] for i in ins]
+        if pos in seed_ops:
+            patched: set[int] = set()
+            for pin, row, value in batch.pin_rows.get(pos, ()):
+                if pin not in patched:  # pins may share one net's rows
+                    patched.add(pin)
+                    pins[pin] = _own(pins[pin], f)
+                pins[pin][row] = _FULL if value else 0
+            values = _own(_eval_gate_single_rail(code, pins), f)
+            batch.force_lines(out, values)
+        else:
+            values = _eval_gate_single_rail(code, pins)
+        for i in ins:
+            if last_read[i] == pos:
+                rows.pop(i, None)
+        if out in last_read:
+            rows[out] = values
+        yield out, values
+
+
+def _single_rail_detection_matrix(
+    cnet: CompiledNetwork,
+    good: np.ndarray,
+    mask: np.ndarray,
+    batch: FaultBatch,
+) -> np.ndarray:
+    """:func:`batch_detection_matrix` on one rail: a primary output
+    detects where ``good ^ bad`` is set, and the tail is masked last."""
+    outputs = set(cnet.po_index)
+    diff = np.zeros((batch.size, mask.size), dtype=_DTYPE)
+    for idx, bad in simulate_batch_single_rail(cnet, good, batch):
+        if idx in outputs:
+            diff |= good[idx] ^ bad
+    diff &= mask
+    return diff
+
+
+def _excited(
+    cnet: CompiledNetwork,
+    injection: FaultInjection,
+    differs: tuple[list[bool], list[bool]],
+) -> bool:
+    """Whether some forced line or pin of ``injection`` differs from its
+    forced value on some vector; ``differs[v][net]`` says whether the
+    good machine drives ``net`` to ``1 - v`` on some vector."""
+    ops = cnet.ops
+    return any(
+        differs[value][net] for net, value in injection.lines.items()
+    ) or any(
+        differs[value][ops[pos][2][pin]]
+        for (pos, pin), value in injection.pins.items()
+    )
+
+
+def batch_detect_x_free(
+    cnet: CompiledNetwork,
+    mv: MultiwordVectors,
+    injections: Sequence[FaultInjection],
+    drop_detected: bool = False,
+    chunk_words: int = SINGLE_RAIL_CHUNK_WORDS,
+) -> list[int]:
+    """:func:`batch_detect` for X-free vectors and stuck-at injections.
+
+    Requires :attr:`MultiwordVectors.binary` vectors and injections
+    with line and pin forces only; then every net has one definite
+    value per vector and the sweep runs on one uint64 rail.  Faults are
+    chunked in the same site order as :func:`batch_detect`,
+    ``chunk_words`` words per net array.  A fault whose every forced
+    line and pin already carries its forced value on every vector of
+    the sweep is not excited, so it is not simulated.
+
+    Without ``drop_detected`` the result equals :func:`batch_detect`.
+    With it, the vectors are swept one 64-vector word at a time and a
+    fault detected in one word is not simulated on later words: its
+    entry keeps only the bits of that first detecting word, so its
+    lowest set bit is still its first detecting vector.
+    """
+    good = simulate_good_single_rail(cnet, mv)
+    step = 1 if drop_detected else mv.n_words
+    fault_chunk = max(1, chunk_words // step)
+    words = [0] * len(injections)
+    live = _site_order(cnet, injections)
+    for w in range(0, mv.n_words, step):
+        good_w = good[:, w:w + step]
+        mask_w = mv.mask[w:w + step]
+        differs = (
+            (good_w & mask_w).any(axis=1).tolist(),
+            (~good_w & mask_w).any(axis=1).tolist(),
+        )
+        excited = [
+            k for k in live if _excited(cnet, injections[k], differs)
+        ]
+        for base in range(0, len(excited), fault_chunk):
+            chunk = excited[base:base + fault_chunk]
+            batch = FaultBatch(cnet, [injections[k] for k in chunk], step)
+            diff = _single_rail_detection_matrix(cnet, good_w, mask_w, batch)
+            for k, row in zip(chunk, diff):
+                word = int_from_words(row)
+                if word:
+                    words[k] = word << (WORD_BITS * w)
+        if drop_detected:
+            live = [k for k in live if not words[k]]
+    return words

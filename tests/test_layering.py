@@ -9,9 +9,9 @@ checks keep it that way:
   modules unimported, and the campaign runner leaves the service
   layer unimported;
 * statically, no module under ``logic/``, ``atpg/``, ``circuits/`` or
-  ``campaign/`` imports the analog packages or the service layer at
-  module level (function-local imports, such as the CLI's ``serve``
-  verb, are allowed);
+  ``campaign/`` imports the analog packages, the service layer or the
+  analysis layer at module level (function-local imports, such as the
+  CLI's ``serve`` verb, are allowed);
 * every public name of the lazily initialised packages still resolves.
 """
 
@@ -39,13 +39,15 @@ ANALOG = (
 )
 
 #: Packages whose modules may not import :data:`FORBIDDEN_IMPORTS` at
-#: module level.
+#: module level.  ``repro.analysis`` sits above all of them (its
+#: experiment drivers run campaigns), so it is forbidden too.
 DIGITAL_PACKAGES = ("logic", "atpg", "circuits", "campaign")
 FORBIDDEN_IMPORTS = (
     "repro.device",
     "repro.spice",
     "repro.tcad",
     "repro.service",
+    "repro.analysis",
 )
 
 

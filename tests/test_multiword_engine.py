@@ -11,17 +11,24 @@ independent implementations:
 * the legacy dict simulator (``detects_*`` oracles), spot-checked
   per (fault, vector) bit since it is orders of magnitude slower.
 
+Two shortcuts of the multi-word engine have their own oracles here: the
+single-rail stuck-at sweep on X-free vectors (with word-by-word
+dropping) is checked against the dual-rail matrix, and the skipped
+voltage-silent polarity faults against the unpruned dual-rail sweep.
+
 Circuits come from three sources: hand-written benchmarks, the seeded
 random-network fuzzer (:mod:`repro.circuits.random_circuits`), and the
 checked-in ISCAS-class corpus, whose provenance (recipe regeneration
 reproduces the checked-in bytes) is asserted here too.
 """
 
+import itertools
 import pathlib
 
 import numpy as np
 import pytest
 
+from repro.atpg import fault_sim
 from repro.atpg.fault_sim import (
     _use_multiword,
     detects_polarity,
@@ -37,14 +44,25 @@ from repro.atpg.fault_sim import (
     stuck_open_detection_words,
 )
 from repro.atpg.podem_compiled import batch_drop_detected
-from repro.circuits import c17, parity_tree, ripple_carry_adder
+from repro.campaign.tables import SECTION5_SUITE
+from repro.circuits import (
+    build_benchmark,
+    c17,
+    parity_tree,
+    ripple_carry_adder,
+)
 from repro.circuits.random_circuits import (
     CORPUS_RECIPES,
+    SEQ_CORPUS_RECIPES,
     build_corpus_network,
     random_network,
+    random_sequence_vectors,
+    random_sequential_network,
     random_vectors,
 )
-from repro.faults import get_universe
+from repro.faults import PolarityFault, get_universe
+from repro.gates.library import ALL_CELLS
+from repro.logic import sequential
 from repro.logic import multiword as mw
 from repro.logic.compiled import FaultInjection, compile_network, pack_vectors
 from repro.logic.network import Network
@@ -573,3 +591,414 @@ class TestConeBoundedBatches:
         )
         assert words[0] == words[2] == 0
         assert excited == [False, True, True]
+
+
+# ---------------------------------------------------------------------------
+# Single-rail sweep: X-free stuck-at batches, word-by-word dropping
+# ---------------------------------------------------------------------------
+
+def first_detections(words):
+    return [(w & -w).bit_length() - 1 if w else None for w in words]
+
+
+def assert_single_rail_matches_dual_rail(
+    cnet, vectors, injections, chunk_words=(1, 3, 37, 2048)
+):
+    """On X-free vectors the single-rail words equal the dual-rail
+    matrix, and the dropping sweep keeps, per fault, exactly the bits
+    of its first detecting 64-vector word.  Returns the matrix."""
+    mv = mw.pack_vectors_multiword(cnet, vectors)
+    assert mv.binary
+    full = mw.batch_detect(cnet, mv, mw.simulate_good(cnet, mv), injections)
+    for chunk in chunk_words:
+        assert mw.batch_detect_x_free(
+            cnet, mv, injections, chunk_words=chunk
+        ) == full
+        dropped = mw.batch_detect_x_free(
+            cnet, mv, injections, drop_detected=True, chunk_words=chunk
+        )
+        for word, ref, first in zip(dropped, full, first_detections(full)):
+            if first is None:
+                assert word == 0
+            else:
+                shift = 64 * (first // 64)
+                assert word == ref & ((2**64 - 1) << shift)
+    return full
+
+
+def sequential_problem(seed=6, n=80):
+    network = random_sequential_network(seed, n_gates=60, n_flops=4)
+    sequences = random_sequence_vectors(network, n, 3, seed=seed)
+    return network, sequences, {q: 0 for q in network.flops}
+
+
+class TestSingleRailSweep:
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS[:3])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_random_circuits(self, seed, n):
+        network = fuzz_network(seed)
+        cnet = compile_network(network)
+        faults = faults_of(network, "stuck_at")
+        vectors = random_vectors(network, n, seed=seed * 7 + n)
+        full = assert_single_rail_matches_dual_rail(
+            cnet, vectors, [stuck_at_injection(cnet, f) for f in faults]
+        )
+        assert any(full)
+        multi = parallel_stuck_at_simulation(
+            network, faults, vectors, engine="multiword"
+        )
+        assert multi == parallel_stuck_at_simulation(
+            network, faults, vectors, engine="compiled"
+        )
+        assert stuck_at_detection_words(
+            network, faults, vectors, engine="multiword"
+        ) == full
+
+    @pytest.mark.parametrize("seed", FUZZ_SEEDS[3:])
+    def test_late_detections_survive_dropping(self, seed):
+        """A repeated vector fills the first words, so most faults are
+        first detected in a later word, after several drop rounds."""
+        network = fuzz_network(seed)
+        cnet = compile_network(network)
+        faults = faults_of(network, "stuck_at")
+        vectors = random_vectors(network, 170, seed=seed)
+        vectors = [vectors[0]] * 130 + vectors[1:]
+        full = assert_single_rail_matches_dual_rail(
+            cnet, vectors, [stuck_at_injection(cnet, f) for f in faults]
+        )
+        late = [k for k in first_detections(full) if k and k >= 128]
+        assert len(late) > len(faults) // 4
+        assert parallel_stuck_at_simulation(
+            network, faults, vectors, engine="multiword"
+        ) == parallel_stuck_at_simulation(
+            network, faults, vectors, engine="compiled"
+        )
+
+    @pytest.mark.parametrize("drop_detected", [False, True])
+    def test_unexcited_faults_are_not_simulated(
+        self, monkeypatch, drop_detected
+    ):
+        network = edge_network()
+        cnet = compile_network(network)
+        a = cnet.net_index["a"]
+        nand = cnet.gate_op["g_nand"]
+        vectors = [
+            dict(v, a=0) for v in random_vectors(network, 100, seed=3)
+        ]
+        injections = [
+            FaultInjection(lines={a: 0}),
+            FaultInjection(pins={(nand, 0): 0}),
+            FaultInjection(lines={a: 0}, pins={(nand, 1): 1}),
+            FaultInjection(lines={a: 1}),
+            FaultInjection(pins={(nand, 0): 1}),
+        ]
+        expected = assert_single_rail_matches_dual_rail(
+            cnet, vectors, injections
+        )
+        assert expected[:2] == [0, 0] and all(expected[3:])
+        simulated = []
+
+        class Spy(mw.FaultBatch):
+            def __init__(self, cnet, chunk, n_words):
+                simulated.extend(id(injection) for injection in chunk)
+                super().__init__(cnet, chunk, n_words)
+
+        monkeypatch.setattr(mw, "FaultBatch", Spy)
+        mv = mw.pack_vectors_multiword(cnet, vectors)
+        words = mw.batch_detect_x_free(
+            cnet, mv, injections, drop_detected=drop_detected
+        )
+        assert first_detections(words) == first_detections(expected)
+        assert id(injections[0]) not in simulated
+        assert id(injections[1]) not in simulated
+        assert {id(i) for i in injections[2:]} <= set(simulated)
+
+    def test_chunk_with_an_empty_cone(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        unused = cnet.net_index["unused"]
+        injections = [
+            FaultInjection(),
+            FaultInjection(lines={cnet.net_index["a"]: 1}),
+            FaultInjection(lines={unused: 1}),
+            FaultInjection(lines={cnet.net_index["dangle"]: 0}),
+        ]
+        words = assert_single_rail_matches_dual_rail(
+            cnet, random_vectors(network, 70, seed=4), injections
+        )
+        assert words[0] == words[2] == words[3] == 0
+        assert words[1]
+
+    def test_branch_faults_on_pins_sharing_one_net(self):
+        network = edge_network()
+        cnet = compile_network(network)
+        pos = cnet.gate_op["g_dup"]
+        injections = [
+            FaultInjection(pins={(pos, pin): value})
+            for pin in (0, 1) for value in (0, 1)
+        ]
+        injections.append(FaultInjection(pins={(pos, 0): 0, (pos, 1): 1}))
+        words = assert_single_rail_matches_dual_rail(
+            cnet, random_vectors(network, 130, seed=8), injections
+        )
+        assert words[0] and words[2] and words[4]
+
+    def test_three_frame_unrolled_sequential_circuit(self):
+        network, sequences, state = sequential_problem()
+        uv = sequential.unroll_network(network, 3)
+        cnet = compile_network(uv.network)
+        faults = faults_of(network, "stuck_at")
+        injections = [
+            sequential.stuck_at_unrolled_injection(uv, cnet, f)
+            for f in faults
+        ]
+        words = assert_single_rail_matches_dual_rail(
+            cnet, uv.flatten_vectors(sequences, state), injections
+        )
+        assert any(words)
+        opts = dict(unroll=3, initial_state=state)
+        assert parallel_stuck_at_simulation(
+            network, faults, sequences, engine="multiword", **opts
+        ) == parallel_stuck_at_simulation(
+            network, faults, sequences, engine="compiled", **opts
+        )
+
+    @pytest.mark.parametrize("with_x", [False, True])
+    def test_the_vectors_pick_the_sweep(self, monkeypatch, with_x):
+        """X-free vectors take the single rail and never the dual one;
+        vectors with X take the dual rail, with the same result."""
+        network = fuzz_network(5)
+        faults = faults_of(network, "stuck_at")
+        vectors = random_vectors(
+            network, 150, seed=3, x_fraction=0.1 if with_x else 0.0
+        )
+        cnet = compile_network(network)
+        mv = mw.pack_vectors_multiword(cnet, vectors)
+        assert mv.binary is not with_x
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong sweep")
+
+        expected_words = stuck_at_detection_words(
+            network, faults, vectors, engine="compiled"
+        )
+        expected = parallel_stuck_at_simulation(
+            network, faults, vectors, engine="compiled"
+        )
+        monkeypatch.setattr(
+            mw, "batch_detect" if not with_x else "batch_detect_x_free",
+            refuse,
+        )
+        assert stuck_at_detection_words(
+            network, faults, vectors, engine="multiword"
+        ) == expected_words
+        assert parallel_stuck_at_simulation(
+            network, faults, vectors, engine="multiword"
+        ) == expected
+
+    def test_unknown_initial_state_takes_the_dual_rail(self):
+        network, sequences, _ = sequential_problem(seed=7, n=70)
+        uv = sequential.unroll_network(network, 3)
+        cnet = compile_network(uv.network)
+        mv = mw.pack_vectors_multiword(cnet, uv.flatten_vectors(sequences))
+        assert not mv.binary  # frame-0 state is X
+        faults = faults_of(network, "stuck_at")
+        assert parallel_stuck_at_simulation(
+            network, faults, sequences, engine="multiword", unroll=3
+        ) == parallel_stuck_at_simulation(
+            network, faults, sequences, engine="compiled", unroll=3
+        )
+
+    def test_good_machine_equals_the_dual_rail_ones_rail(self):
+        network = ripple_carry_adder(4)
+        cnet = compile_network(network)
+        mv = mw.pack_vectors_multiword(
+            cnet, random_vectors(network, 100, seed=1)
+        )
+        ones, zeros = mw.simulate_good(cnet, mv)
+        values = mw.simulate_good_single_rail(cnet, mv)
+        assert np.array_equal(values & mv.mask, ones)
+        assert np.array_equal(~values & mv.mask, zeros)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "name", sorted(CORPUS_RECIPES) + sorted(SEQ_CORPUS_RECIPES)
+    )
+    def test_corpus_single_rail_matches_dual_rail(self, name):
+        """Every corpus circuit, as the ``fault_sim`` cell sweeps it."""
+        network = build_corpus_network(name)
+        faults = faults_of(network, "stuck_at")
+        opts: dict = {}
+        if network.is_sequential:
+            vectors = random_sequence_vectors(network, 192, 3, seed=7)
+            opts = dict(
+                unroll=3, initial_state={q: 0 for q in network.flops}
+            )
+        else:
+            vectors = random_vectors(network, 192, seed=7)
+        cnet, injections, flat = fault_sim._stuck_at_problem(
+            network, faults, vectors, opts.get("unroll"),
+            opts.get("initial_state"),
+        )
+        mv = mw.pack_vectors_multiword(cnet, flat)
+        assert mv.binary
+        dual = mw.batch_detect(
+            cnet, mv, mw.simulate_good(cnet, mv), injections
+        )
+        assert stuck_at_detection_words(
+            network, faults, vectors, engine="multiword", **opts
+        ) == dual
+        result = parallel_stuck_at_simulation(
+            network, faults, vectors, engine="multiword", **opts
+        )
+        assert result == fault_sim._result_from_words(
+            [f.name for f in faults], dual
+        )
+
+
+# ---------------------------------------------------------------------------
+# Voltage-silent polarity faults: skipped, with the unpruned sweep as oracle
+# ---------------------------------------------------------------------------
+
+def unpruned_words(network, faults, vectors, **opts):
+    """The dual-rail voltage sweep over every fault, silent or not."""
+    return fault_sim._polarity_words(
+        network, faults, vectors, False, "multiword",
+        opts.get("unroll"), opts.get("initial_state"),
+    )
+
+
+def single_gate_network(gtype):
+    network = Network(f"one_{gtype}")
+    pins = [f"i{k}" for k in range(ALL_CELLS[gtype].n_inputs)]
+    for pin in pins:
+        network.add_input(pin)
+    network.add_gate("g", gtype, pins, "y")
+    network.add_output("y")
+    return network, pins
+
+
+class TestVoltageSilentFaults:
+    def test_every_cell_fault_is_classified(self, monkeypatch):
+        """Silent exactly when exhaustive local vectors never detect the
+        fault at the gate's own output; silent faults give word 0."""
+        monkeypatch.setattr(fault_sim, "_VOLTAGE_SILENT", {})
+        keys = set()
+        for gtype, cell in ALL_CELLS.items():
+            network, pins = single_gate_network(gtype)
+            faults = [
+                PolarityFault("g", gtype, t.name, kind)
+                for t in cell.transistors for kind in ("n", "p")
+            ]
+            vectors = [
+                dict(zip(pins, bits))
+                for bits in itertools.product((0, 1), repeat=len(pins))
+            ]
+            oracle = unpruned_words(network, faults, vectors)
+            words = polarity_detection_words(network, faults, vectors)
+            assert words == oracle
+            for fault, word in zip(faults, oracle):
+                assert fault_sim._voltage_silent(fault) == (word == 0)
+                keys.add((gtype, fault.transistor, fault.kind))
+        assert set(fault_sim._VOLTAGE_SILENT) == keys
+
+    @pytest.mark.parametrize(
+        "name", [*SECTION5_SUITE, "rca8", "alu4", "cpx432"]
+    )
+    def test_pruned_words_equal_the_unpruned_sweep(self, name):
+        network = (
+            build_corpus_network(name) if name in CORPUS_RECIPES
+            else build_benchmark(name)
+        )
+        faults = faults_of(network, "polarity")
+        vectors = random_vectors(network, 130, seed=11, x_fraction=0.1)
+        oracle = unpruned_words(network, faults, vectors)
+        for engine in ("auto", "multiword", "compiled"):
+            assert polarity_detection_words(
+                network, faults, vectors, engine=engine
+            ) == oracle
+        assert parallel_polarity_simulation(
+            network, faults, vectors
+        ) == fault_sim._result_from_words(
+            [f.name for f in faults], oracle
+        )
+
+    def test_all_silent_skips_lowering_but_keeps_the_checks(
+        self, monkeypatch
+    ):
+        network = build_benchmark("rca4")
+        faults = faults_of(network, "polarity")
+        vectors = random_vectors(network, 20, seed=1)
+        assert all(fault_sim._voltage_silent(f) for f in faults)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lowered an all-silent problem")
+
+        monkeypatch.setattr(fault_sim, "_polarity_problem", refuse)
+        assert polarity_detection_words(network, faults, vectors) == (
+            [0] * len(faults)
+        )
+        with pytest.raises(ValueError, match="unknown fault-sim engine"):
+            polarity_detection_words(network, faults, vectors, engine="x")
+        seq, sequences, _ = sequential_problem()
+        seq_faults = faults_of(seq, "polarity")
+        with pytest.raises(sequential.SequentialNetworkError):
+            polarity_detection_words(seq, seq_faults, sequences)
+        result = parallel_polarity_simulation(
+            seq, seq_faults, sequences, unroll=3
+        )
+        assert result.coverage == 0.0
+        assert result.undetected == sorted(f.name for f in seq_faults)
+
+    @pytest.mark.parametrize("unroll", [None, 3])
+    def test_a_definite_wrong_value_is_still_simulated(
+        self, monkeypatch, unroll
+    ):
+        """Patch one fault type's table with a definite wrong value: its
+        faults are swept (the mixed silent/non-silent path) and detected,
+        the rest still get word 0 unsimulated."""
+        if unroll is None:
+            network = fuzz_network(2)
+            vectors = random_vectors(network, 150, seed=2, x_fraction=0.1)
+            opts: dict = {}
+        else:
+            network, vectors, state = sequential_problem(seed=4, n=90)
+            opts = dict(unroll=3, initial_state=state)
+        faults = faults_of(network, "polarity")
+        target = (faults[0].gtype, faults[0].transistor, faults[0].kind)
+        original = PolarityFault.faulty_table
+
+        def faulty_table(self):
+            table = original(self)
+            if (self.gtype, self.transistor, self.kind) == target:
+                table = dict(table)
+                minterm = next(
+                    m for m, v in table.items() if v in (0, 1)
+                )
+                table[minterm] = 1 - table[minterm]
+            return table
+
+        monkeypatch.setattr(PolarityFault, "faulty_table", faulty_table)
+        monkeypatch.setattr(fault_sim, "_VOLTAGE_SILENT", {})
+        audible = [
+            k for k, f in enumerate(faults)
+            if (f.gtype, f.transistor, f.kind) == target
+        ]
+        assert 0 < len(audible) < len(faults)
+        oracle = unpruned_words(network, faults, vectors, **opts)
+        assert any(oracle[k] for k in audible)
+        for engine in ("multiword", "compiled"):
+            assert polarity_detection_words(
+                network, faults, vectors, engine=engine, **opts
+            ) == oracle
+            assert parallel_polarity_simulation(
+                network, faults, vectors, engine=engine, **opts
+            ) == fault_sim._result_from_words(
+                [f.name for f in faults], oracle
+            )
+        assert not fault_sim._voltage_silent(faults[audible[0]])
+        k = next(k for k in audible if oracle[k])
+        first = first_detections([oracle[k]])[0]
+        assert detects_polarity(
+            network, faults[k], vectors[first], **opts
+        )
