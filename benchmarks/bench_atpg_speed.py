@@ -1,7 +1,9 @@
 """Legacy vs compiled PODEM: end-to-end ATPG wall-clock.
 
 Runs the full stuck-at ATPG campaign (PODEM generation + bit-parallel
-fault dropping) on rca8 / rca16 / alu4 through both engines, asserts
+fault dropping) on rca8 / rca16 / alu4 twice — on the compiled kernel,
+and with the dict-based oracle kernel of ``tests/oracles/podem_legacy.py``
+patched in its place — asserts
 
 * bit-identical results — same test vectors, same detection indices,
   same untestable/aborted classification — and
@@ -39,6 +41,11 @@ import json
 import sys
 import time
 from pathlib import Path
+
+# The legacy kernel is a test oracle: import it the way the tests do.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from oracles.podem_legacy import on_legacy_kernel  # noqa: E402
 
 from repro.analysis import save_report
 from repro.analysis.report import ascii_table
@@ -85,12 +92,11 @@ def run_campaigns(circuits=CIRCUITS, repeats=3):
         network = build_benchmark(name)
         faults = stuck_at_faults(network)
         t_legacy, legacy = _best_of(
-            lambda: run_stuck_at_atpg(network, faults, engine="legacy"),
+            lambda: on_legacy_kernel(run_stuck_at_atpg, network, faults),
             repeats,
         )
         t_compiled, compiled = _best_of(
-            lambda: run_stuck_at_atpg(network, faults, engine="compiled"),
-            repeats,
+            lambda: run_stuck_at_atpg(network, faults), repeats
         )
         assert legacy.tests == compiled.tests, name
         assert legacy.detected == compiled.detected, name
@@ -121,7 +127,7 @@ def run_scaling(circuits=SCALING_CIRCUITS, repeats=2):
     for name in circuits:
         network = registry.load(name)
         seconds, metrics = _best_of(
-            lambda: run_fault_sim_task(network, engine="auto"), repeats
+            lambda: run_fault_sim_task(network), repeats
         )
         records.append({
             "circuit": name,
@@ -265,9 +271,7 @@ def test_atpg_speed(once):
 
     def run_compiled_again():
         network = build_benchmark("rca16")
-        return run_stuck_at_atpg(
-            network, stuck_at_faults(network), engine="compiled"
-        )
+        return run_stuck_at_atpg(network, stuck_at_faults(network))
 
     once(run_compiled_again)
     failures = check_bars(records, SPEEDUP_BARS)
@@ -286,9 +290,7 @@ def test_scaling_tier(once):
         from repro.campaign.registry import get_registry
         from repro.campaign.tasks import run_fault_sim_task
 
-        return run_fault_sim_task(
-            get_registry().load("cpx1908"), engine="auto"
-        )
+        return run_fault_sim_task(get_registry().load("cpx1908"))
 
     once(run_cpx1908_again)
     failures = check_scaling_bars(scaling, SCALING_BARS_S)

@@ -3,8 +3,9 @@
 Times a full stuck-at campaign (every collapsed fault, every vector,
 fault dropping on first detection) on generated benchmarks through
 
-* the serial oracle loop (``detects_stuck_at`` per fault per vector —
-  exactly the dict-based path the compiled engine replaced), and
+* the serial oracle loop (``detects_stuck_at`` of
+  ``tests/oracles/serial_sim.py`` per fault per vector — exactly the
+  dict-based path the compiled engine replaced), and
 * :func:`repro.atpg.fault_sim.parallel_stuck_at_simulation` on the
   compiled dual-rail engine,
 
@@ -13,13 +14,19 @@ asserting identical detection results and a >= 10x speedup on the
 stuck-open batched campaigns.
 """
 
+import sys
 import time
+from pathlib import Path
+
+# The serial check is a test oracle: import it the way the tests do.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from oracles.serial_sim import detects_stuck_at  # noqa: E402
 
 from repro.analysis import save_report
 from repro.analysis.report import ascii_table
 from repro.atpg.fault_sim import (
     FaultSimResult,
-    detects_stuck_at,
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,

@@ -12,7 +12,7 @@ from __future__ import annotations
 # does not load its siblings.
 _LAZY = {
     "CircuitCoverage": "repro.analysis.atpg_experiments",
-    "classic_stuck_at_testset": "repro.analysis.atpg_experiments",
+    "classic_stuck_at_testset": "repro.campaign.tasks",
     "coverage_for": "repro.analysis.atpg_experiments",
     "coverage_from_records": "repro.analysis.atpg_experiments",
     "experiment_atpg_coverage": "repro.analysis.atpg_experiments",

@@ -47,17 +47,6 @@ class CircuitCoverage:
     iddq_coverage: float
 
 
-def classic_stuck_at_testset(
-    network: Network, max_backtracks: int = 500, engine: str = "compiled"
-) -> list[dict[str, int]]:
-    """PODEM with fault dropping + greedy compaction: the classic
-    production test set (canonical implementation in
-    :func:`repro.campaign.tasks.classic_stuck_at_testset`)."""
-    from repro.campaign.tasks import classic_stuck_at_testset as impl
-
-    return impl(network, max_backtracks, engine=engine)
-
-
 def _nan_if_none(value: float | None) -> float:
     return float("nan") if value is None else value
 
@@ -105,9 +94,7 @@ def coverage_from_records(records: list[dict]) -> list[CircuitCoverage]:
     return rows
 
 
-def coverage_for(
-    network: Network, engine: str = "compiled"
-) -> CircuitCoverage:
+def coverage_for(network: Network) -> CircuitCoverage:
     """Full coverage analysis of one circuit.
 
     Runs all four campaign fault classes
@@ -116,19 +103,19 @@ def coverage_for(
     shared across the campaigns through the
     :func:`repro.logic.compiled.compile_network` memo.
     """
-    from repro.campaign.store import SCHEMA_VERSION
+    from repro.campaign.store import ENGINE_LABEL, SCHEMA_VERSION
     from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, run_fault_class
 
     records = [
         {
             "schema": SCHEMA_VERSION,
-            "task_id": f"{network.name}/{fault_class}/{engine}",
+            "task_id": f"{network.name}/{fault_class}/{ENGINE_LABEL}",
             "circuit": network.name,
             "fault_class": fault_class,
-            "engine": engine,
+            "engine": ENGINE_LABEL,
             "status": "ok",
             "circuit_stats": network.stats(),
-            "metrics": run_fault_class(network, fault_class, engine),
+            "metrics": run_fault_class(network, fault_class),
         }
         for fault_class in DEFAULT_FAULT_CLASSES
     ]

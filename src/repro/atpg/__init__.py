@@ -2,8 +2,8 @@
 
 The package covers the full test flow of the paper's Section 5: fault
 list generation (the ``stuck_at`` / ``polarity`` / ``stuck_open``
-universes of :mod:`repro.faults`, re-exported here for convenience —
-``repro.atpg.faults`` is a deprecation shim), PODEM test generation over
+universes of :mod:`repro.faults`, re-exported here for convenience),
+PODEM test generation over
 the five-valued D-calculus (:mod:`~repro.atpg.podem`), polarity-fault
 and two-pattern stuck-open generators (:mod:`~repro.atpg.polarity_atpg`,
 :mod:`~repro.atpg.sof_atpg`), IDDQ vector selection
@@ -11,19 +11,16 @@ and two-pattern stuck-open generators (:mod:`~repro.atpg.polarity_atpg`,
 (:mod:`~repro.atpg.fault_sim`) and greedy test-set compaction
 (:mod:`~repro.atpg.compaction`).
 
-Fault simulation runs on the compiled engine of
-:mod:`repro.logic.compiled`; the serial per-vector checks
-(``detects_*``) remain as cross-check oracles.  The fault-injection
-override contract (line vs. pin vs. gate overrides) is documented in
-:mod:`repro.logic.compiled`.
-
-Test generation likewise has two engines behind one API: every
-generator (``generate_test``, ``justify_and_propagate``,
-``run_stuck_at_atpg``, ``run_polarity_atpg``, ``run_sof_atpg``,
-``select_iddq_vectors``) takes ``engine="compiled"`` (the fast
-D-calculus search of :mod:`repro.atpg.podem_compiled`, default) or
-``engine="legacy"`` (the dict-based oracle in
-:mod:`repro.atpg.podem`); both produce bit-identical results.
+Fault simulation runs on the compiled engines of
+:mod:`repro.logic.compiled` and :mod:`repro.logic.multiword`; the
+fault-injection override contract (line vs. pin vs. gate overrides) is
+documented in :mod:`repro.logic.compiled`.  Every generator
+(``generate_test``, ``justify_and_propagate``, ``run_stuck_at_atpg``,
+``run_polarity_atpg``, ``run_sof_atpg``, ``select_iddq_vectors``)
+searches with the D-calculus kernel of
+:mod:`repro.atpg.podem_compiled`.  The slow reference versions — the
+dict-based PODEM and the serial one-vector ``detects_*`` checks — live
+with the tests (``tests/oracles/``).
 
 Usage — generate, fault-simulate and compact a stuck-at test set::
 
@@ -53,9 +50,6 @@ The CP-specific campaigns follow the same shape: build the fault list
 from repro.atpg.compaction import CompactionResult, compact_tests
 from repro.atpg.fault_sim import (
     FaultSimResult,
-    detects_polarity,
-    detects_stuck_at,
-    detects_stuck_open,
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,
@@ -108,9 +102,6 @@ __all__ = [
     "StuckOpenFault",
     "StuckOpenTest",
     "compact_tests",
-    "detects_polarity",
-    "detects_stuck_at",
-    "detects_stuck_open",
     "generate_polarity_test",
     "generate_stuck_open_test",
     "generate_test",

@@ -1,13 +1,10 @@
 """Fault simulation campaigns on the compiled bit-parallel engines.
 
-Three layers live here:
+Two batched engines live here, validated vector for vector against
+the serial one-fault, one-vector checks of the test oracles
+(``tests/oracles/serial_sim.py``) in ``tests/test_compiled_engine.py``
+and ``tests/test_multiword_engine.py``:
 
-* **Serial oracles** (:func:`detects_stuck_at`, :func:`detects_polarity`,
-  :func:`detects_stuck_open`) — one fault, one vector, evaluated on the
-  dict-based ternary simulator.  Slow but transparently close to the
-  definitions; the batched engines are validated against them
-  vector-for-vector in ``tests/test_compiled_engine.py`` and
-  ``tests/test_multiword_engine.py``.
 * **Single-word batches** — up-to-64-vector passes on
   :class:`repro.logic.compiled.CompiledNetwork` Python-int words with
   per-fault delta resimulation; the fastest path for fault dropping
@@ -90,8 +87,6 @@ from repro.logic.compiled import (
     pack_vectors,
 )
 from repro.logic.network import Network
-from repro.logic.simulator import simulate, simulate_outputs, vectors_differ
-from repro.logic.switch_level import DeviceState, evaluate
 from repro.logic.values import X, Z
 
 
@@ -146,169 +141,6 @@ def _use_multiword(
         n_vectors > _MULTIWORD_MIN_BITS
         or n_faults >= _MULTIWORD_MIN_FAULTS
     )
-
-
-# ---------------------------------------------------------------------------
-# Serial oracles (one fault x one vector, ternary simulator)
-# ---------------------------------------------------------------------------
-
-def detects_stuck_at(
-    network: Network,
-    fault: StuckAtFault,
-    vector,
-    unroll: int | None = None,
-    initial_state: Mapping[str, int] | None = None,
-) -> bool:
-    """Serial check: does ``vector`` detect ``fault`` at the outputs?
-
-    With ``unroll=``, ``vector`` is a per-cycle input sequence and the
-    fault is present in every frame.
-    """
-    if unroll is None:
-        sequential.require_combinational(network, "detects_stuck_at")
-        good = simulate_outputs(network, vector)
-        bad = simulate_outputs(network, vector, **fault.overrides())
-        return vectors_differ(good, bad)
-    uv = sequential.unroll_network(network, unroll)
-    flat = uv.flatten_vector(vector, initial_state)
-    good = simulate_outputs(uv.network, flat)
-    bad = simulate_outputs(
-        uv.network, flat, **sequential.stuck_at_serial_overrides(uv, fault)
-    )
-    return vectors_differ(good, bad)
-
-
-def detects_polarity(
-    network: Network,
-    fault: PolarityFault,
-    vector,
-    iddq: bool = False,
-    unroll: int | None = None,
-    initial_state: Mapping[str, int] | None = None,
-) -> bool:
-    """Does ``vector`` detect a polarity fault?
-
-    Voltage mode compares primary outputs; IDDQ mode checks whether the
-    vector drives the faulty gate into one of its conflict (elevated
-    leakage) input combinations — with ``unroll=``, into a conflict in
-    *any* frame (the defect leaks whenever activated in any cycle).
-    """
-    if unroll is None:
-        sequential.require_combinational(network, "detects_polarity")
-        if iddq:
-            values = simulate(network, vector)
-            gate = network.gates[fault.gate]
-            local = tuple(values[n] for n in gate.inputs)
-            if any(v not in (0, 1) for v in local):
-                return False
-            return local in fault.iddq_vectors()
-        good = simulate_outputs(network, vector)
-        bad = simulate_outputs(network, vector, **fault.overrides())
-        return vectors_differ(good, bad)
-    uv = sequential.unroll_network(network, unroll)
-    flat = uv.flatten_vector(vector, initial_state)
-    if iddq:
-        values = simulate(uv.network, flat)
-        minterms = fault.iddq_vectors()
-        for gname in uv.replica_gates(fault.gate):
-            gate = uv.network.gates[gname]
-            local = tuple(values[n] for n in gate.inputs)
-            if all(v in (0, 1) for v in local) and local in minterms:
-                return True
-        return False
-    good = simulate_outputs(uv.network, flat)
-    bad = simulate_outputs(
-        uv.network, flat, **sequential.polarity_serial_overrides(uv, fault)
-    )
-    return vectors_differ(good, bad)
-
-
-def detects_stuck_open(
-    network: Network,
-    fault: StuckOpenFault,
-    init_vector,
-    test_vector,
-    unroll: int | None = None,
-    initial_state: Mapping[str, int] | None = None,
-) -> bool:
-    """Two-pattern stuck-open detection.
-
-    The faulty gate's output under the test pattern floats (retaining
-    the init-pattern value) whenever the broken transistor was the only
-    conducting path; the retained value then propagates like any logic
-    difference.
-
-    With ``unroll=``, both patterns are per-cycle sequences and every
-    frame replica of the gate carries the break; each replica's
-    retained/floating value is derived from the fault-free init/test
-    frames (the same first-order approximation as the batched engines,
-    so all three paths agree bit for bit).
-    """
-    if unroll is None:
-        sequential.require_combinational(network, "detects_stuck_open")
-        cell = ALL_CELLS[fault.gtype]
-
-        # First pattern: the broken gate still drives (possibly through
-        # the healthy partner network); compute its local output.
-        def faulty_gate_override(previous: dict):
-            def override(gate, pins) -> int:
-                key = tuple(pins)
-                if any(p not in (0, 1) for p in key):
-                    return X
-                result = evaluate(
-                    cell,
-                    key,
-                    {fault.transistor: DeviceState.STUCK_OPEN},
-                    previous_output=previous.get("value", X),
-                )
-                out = result.output
-                if out == Z:
-                    out = previous.get("value", X)
-                previous["value"] = out
-                return out
-
-            return override
-
-        state: dict = {}
-        override = faulty_gate_override(state)
-        simulate(
-            network, init_vector, gate_overrides={fault.gate: override}
-        )
-        bad = simulate_outputs(
-            network, test_vector, gate_overrides={fault.gate: override}
-        )
-        good = simulate_outputs(network, test_vector)
-        return vectors_differ(good, bad)
-
-    uv = sequential.unroll_network(network, unroll)
-    flat_init = uv.flatten_vector(init_vector, initial_state)
-    flat_test = uv.flatten_vector(test_vector, initial_state)
-    init_values = simulate(uv.network, flat_init)
-    test_values = simulate(uv.network, flat_test)
-    table = fault.broken_table()
-    line_overrides: dict[str, int] = {}
-    for gname in uv.replica_gates(fault.gate):
-        gate = uv.network.gates[gname]
-        init_pins = tuple(init_values[n] for n in gate.inputs)
-        test_pins = tuple(test_values[n] for n in gate.inputs)
-        if all(p in (0, 1) for p in init_pins):
-            retained = table[init_pins]
-            if retained == Z:
-                retained = X  # floats with no earlier pattern: unknown
-        else:
-            retained = X
-        if all(p in (0, 1) for p in test_pins):
-            forced = table[test_pins]
-            if forced == Z:
-                forced = retained
-        else:
-            forced = X
-        line_overrides[gate.output] = forced
-    good = simulate_outputs(uv.network, flat_test)
-    bad = simulate_outputs(
-        uv.network, flat_test, line_overrides=line_overrides
-    )
-    return vectors_differ(good, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -47,12 +47,11 @@ def select_iddq_vectors(
     network: Network,
     faults: list[PolarityFault] | None = None,
     max_backtracks: int = 300,
-    engine: str = "compiled",
 ) -> IddqSelection:
     """Generate candidate vectors per fault, then greedily compact.
 
-    Candidate generation goes through the justification-only ATPG
-    (``engine`` selects its PODEM implementation).  The candidate x
+    Candidate generation goes through the justification-only ATPG.
+    The candidate x
     fault cover matrix then comes from two batched sweeps of every
     candidate over the coverable faults, one IDDQ and one voltage
     :func:`~repro.atpg.fault_sim.polarity_detection_words` call; a
@@ -72,7 +71,7 @@ def select_iddq_vectors(
     for fault in faults:
         test = generate_polarity_test(
             network, fault, allow_iddq=True,
-            max_backtracks=max_backtracks, engine=engine,
+            max_backtracks=max_backtracks,
         )
         if test is None:
             uncovered_names.append(fault.name)

@@ -51,10 +51,11 @@ stops where a recomputed output equals the stored code.  A backtrack
 applies all its unassignments and the flip first and then re-implies
 once (:meth:`_DMachine.set_pis`), so no state snapshots are needed.
 
-**Search equivalence.**  The search mirrors the legacy decision rules
-*exactly* (objective order, D-frontier traversal in levelized order,
+**Search equivalence.**  The search mirrors the decision rules of the
+dict-based oracle (``tests/oracles/podem_legacy.py``) *exactly*
+(objective order, D-frontier traversal in levelized order,
 first-X-input backtrace, backtrack bookkeeping, safety bounds), so for
-any fault both engines make identical decisions, consume identical
+any fault both searches make identical decisions, consume identical
 backtrack budgets, and return identical vectors and identical
 testable / untestable / aborted classifications --
 ``tests/test_podem_compiled.py`` enforces this across every generated
@@ -88,7 +89,7 @@ from repro.logic.network import Network
 from repro.logic.values import X
 
 if False:  # pragma: no cover - typing only
-    from repro.atpg.faults import StuckAtFault
+    from repro.faults.logic import StuckAtFault
 
 #: Code bits: good machine 1, faulty machine 1, good 0, faulty 0.
 G1 = 0b0001
@@ -518,8 +519,8 @@ def compiled_justify_and_propagate(
     """Generic PODEM on the compiled engine.
 
     Same contract as :func:`repro.atpg.podem.justify_and_propagate`
-    (which dispatches here by default), with the legacy first-X-input
-    backtrace, so results match the legacy engine bit for bit.
+    (which calls it), with the oracle's first-X-input backtrace, so
+    results match the dict-based oracle bit for bit.
     """
     cnet = compile_network(network)
     structs = cnet.structures()

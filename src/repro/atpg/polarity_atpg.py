@@ -56,7 +56,6 @@ def generate_polarity_test(
     fault: PolarityFault,
     allow_iddq: bool = True,
     max_backtracks: int = 500,
-    engine: str = "compiled",
 ) -> PolarityTest | None:
     """Generate a test for one polarity fault (voltage first, then IDDQ)."""
     gate = network.gates[fault.gate]
@@ -71,7 +70,6 @@ def generate_polarity_test(
             gate_fault=fault,
             propagate=True,
             max_backtracks=max_backtracks,
-            engine=engine,
         )
         if result.success:
             return PolarityTest(
@@ -90,7 +88,6 @@ def generate_polarity_test(
             condition,
             propagate=False,
             max_backtracks=max_backtracks,
-            engine=engine,
         )
         if result.success:
             return PolarityTest(
@@ -107,7 +104,6 @@ def run_polarity_atpg(
     faults: list[PolarityFault] | None = None,
     allow_iddq: bool = True,
     max_backtracks: int = 500,
-    engine: str = "compiled",
 ) -> PolarityAtpgResult:
     """Generate tests for all (or the given) polarity faults."""
     from repro.faults import get_universe
@@ -119,7 +115,7 @@ def run_polarity_atpg(
     for fault in faults:
         test = generate_polarity_test(
             network, fault, allow_iddq=allow_iddq,
-            max_backtracks=max_backtracks, engine=engine,
+            max_backtracks=max_backtracks,
         )
         if test is not None:
             tests.append(test)

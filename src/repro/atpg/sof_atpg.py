@@ -65,7 +65,6 @@ def generate_stuck_open_test(
     network: Network,
     fault: StuckOpenFault,
     max_backtracks: int = 500,
-    engine: str = "compiled",
 ) -> StuckOpenTest | None:
     """Generate and *verify* a two-pattern test for one SOF."""
     cell = ALL_CELLS[fault.gtype]
@@ -93,7 +92,6 @@ def generate_stuck_open_test(
             gate_fault_table=table,
             propagate=True,
             max_backtracks=max_backtracks,
-            engine=engine,
         )
         if not result.success:
             continue
@@ -109,7 +107,6 @@ def generate_stuck_open_test(
                 init_condition,
                 propagate=False,
                 max_backtracks=max_backtracks,
-                engine=engine,
             )
             if not init_result.success:
                 continue
@@ -142,7 +139,6 @@ def run_sof_atpg(
     faults: list[StuckOpenFault] | None = None,
     max_backtracks: int = 500,
     drop_detected: bool = False,
-    engine: str = "compiled",
 ) -> SofAtpgResult:
     """Two-pattern ATPG over all (or the given) stuck-open faults.
 
@@ -153,9 +149,7 @@ def run_sof_atpg(
     fault-simulated against the still-untargeted faults (the fault
     simulator's ``auto`` engine selection); collaterally detected
     faults are dropped instead of getting a dedicated test — far fewer
-    PODEM searches on large circuits.  ``engine`` selects the PODEM
-    implementation (compiled default / legacy oracle) for both patterns
-    of every two-pattern search.
+    PODEM searches on large circuits.
     """
     from repro.faults import get_universe
 
@@ -172,7 +166,7 @@ def run_sof_atpg(
             masked.append(fault)
             continue
         test = generate_stuck_open_test(
-            network, fault, max_backtracks=max_backtracks, engine=engine
+            network, fault, max_backtracks=max_backtracks
         )
         if test is None:
             untestable.append(fault)

@@ -28,7 +28,6 @@ from repro.campaign.backends import (
 )
 from repro.campaign.registry import CircuitSpec, Registry, get_registry
 from repro.campaign.runner import (
-    FALLBACK_CHAINS,
     CampaignResult,
     RetryPolicy,
     TaskSpec,
@@ -55,7 +54,6 @@ __all__ = [
     "CampaignResult",
     "CircuitSpec",
     "DEFAULT_FAULT_CLASSES",
-    "FALLBACK_CHAINS",
     "Registry",
     "RetryPolicy",
     "SqliteBackend",

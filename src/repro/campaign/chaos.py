@@ -37,10 +37,6 @@ Fault kinds (attempts past the end of a script run clean):
     backoff.
 ``permanent``
     Raises :class:`ChaosPermanentError`: fails fast, no retry.
-``engine``
-    The first engine of the cell's fallback chain raises
-    :class:`ChaosEngineError`, forcing degradation to the next engine
-    (``engine_used`` then records the fallback).
 
 Storage-layer chaos lives alongside the worker-layer script:
 
@@ -67,9 +63,7 @@ from typing import Mapping, Sequence
 from repro.campaign.runner import TransientTaskError
 
 #: Legal per-attempt fault kinds in a :class:`ChaosPolicy` script.
-FAULT_KINDS = frozenset(
-    {"ok", "kill", "hang", "transient", "permanent", "engine"}
-)
+FAULT_KINDS = frozenset({"ok", "kill", "hang", "transient", "permanent"})
 
 
 class ChaosError(RuntimeError):
@@ -82,10 +76,6 @@ class ChaosTransientError(ChaosError, TransientTaskError):
 
 class ChaosPermanentError(ChaosError):
     """Injected permanent failure — fails fast, no retry."""
-
-
-class ChaosEngineError(ChaosError):
-    """Injected engine failure — triggers the fallback chain."""
 
 
 def hang_forever(poll_s: float = 0.05) -> None:  # pragma: no cover
@@ -155,26 +145,6 @@ class ChaosPolicy:
         elif kind == "permanent":
             raise ChaosPermanentError(
                 f"injected permanent failure ({task_id}, attempt {attempt})"
-            )
-
-    def engine_fault(
-        self,
-        task_id: str,
-        attempt: int,
-        engine: str,
-        chain: Sequence[str],
-    ) -> None:
-        """Worker-side hook, called before each engine of the fallback
-        chain runs: an ``"engine"`` fault breaks the chain's *first*
-        engine, so the cell must degrade to finish."""
-        if (
-            self.fault(task_id, attempt) == "engine"
-            and len(chain) > 1
-            and engine == chain[0]
-        ):
-            raise ChaosEngineError(
-                f"injected failure in engine {engine!r} "
-                f"({task_id}, attempt {attempt})"
             )
 
 

@@ -48,7 +48,6 @@ import json
 import sys
 from pathlib import Path
 
-from repro.atpg.podem import PODEM_ENGINES
 from repro.campaign.backends import (
     migrate_jsonl_to_sqlite,
     open_store,
@@ -102,10 +101,6 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         "--fault-classes", nargs="+", metavar="CLASS",
         choices=sorted(TASK_RUNNERS), default=None,
         help=f"subset of {sorted(TASK_RUNNERS)} (default: all)",
-    )
-    parser.add_argument(
-        "--engine", default="compiled", choices=PODEM_ENGINES,
-        help="PODEM engine backing every generation step",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -205,10 +200,7 @@ def _print_store_summary(result) -> None:
 
 
 def _run_grid(args, circuits, fault_classes, store_path) -> int:
-    result = _campaign(
-        args, expand_grid(circuits, fault_classes, engine=args.engine),
-        store_path,
-    )
+    result = _campaign(args, expand_grid(circuits, fault_classes), store_path)
     if result is None:
         return 2
     print(render_report(result.records))
@@ -365,7 +357,6 @@ def cmd_paper_tables(args) -> int:
     grid = expand_grid(
         _select_circuits(args) or list(PAPER_SUITE),
         args.fault_classes or DEFAULT_FAULT_CLASSES,
-        engine=args.engine,
     )
     result = _campaign(args, grid, args.store)
     if result is None:

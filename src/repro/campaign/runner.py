@@ -1,4 +1,4 @@
-"""Campaign runner: a (circuit x fault-class x engine) grid over workers.
+"""Campaign runner: a (circuit x fault-class) grid over workers.
 
 The runner turns the per-circuit engines of :mod:`repro.atpg` into
 orchestrated campaigns:
@@ -18,9 +18,8 @@ orchestrated campaigns:
   ``SIGALRM`` soft bound inside the worker plus the supervisor's hard
   watchdog that kills workers wedged in native code or on platforms
   without ``SIGALRM``), a transient-vs-permanent error classification
-  with exponential-backoff **retries**, an **engine fallback chain**
-  (:data:`FALLBACK_CHAINS`, e.g. ``auto → compiled → legacy``) for
-  cells one engine cannot finish, and **poison-task quarantine** for
+  with exponential-backoff **retries** of transient errors (a permanent
+  error fails the cell at once), and **poison-task quarantine** for
   cells that repeatedly kill their worker.  Failure modes become
   record statuses (``error`` / ``timeout`` / ``poisoned``) — never a
   crashed campaign.
@@ -59,7 +58,7 @@ from typing import Callable, Sequence
 from repro.campaign.backends import SqliteBackend, open_store
 from repro.campaign.registry import Registry, get_registry
 from repro.circuits.generators import BENCHMARK_BUILDERS
-from repro.campaign.store import SCHEMA_VERSION
+from repro.campaign.store import ENGINE_LABEL, SCHEMA_VERSION
 from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, run_fault_class
 from repro.logic.bench_format import parse_bench
 from repro.logic.network import Network
@@ -87,13 +86,13 @@ TASKS_RESUMED = counter(
 )
 TASK_FAILURES = counter(
     "repro_campaign_task_failures_total",
-    "Non-final cell failures by kind (transient/crash/hang/engine)",
+    "Non-final cell failures by kind (transient/crash/hang)",
     ("kind",),
 )
 TASK_RUNTIME = histogram(
     "repro_campaign_task_runtime_seconds",
-    "Cell wall-clock by fault class and the engine that produced it",
-    ("fault_class", "engine"),
+    "Cell wall-clock by fault class",
+    ("fault_class",),
 )
 
 
@@ -115,20 +114,6 @@ TRANSIENT_EXCEPTION_TYPES: tuple[type[BaseException], ...] = (
 def classify_transient(exc: BaseException) -> bool:
     """Transient (retry with backoff) vs permanent (fail fast)."""
     return isinstance(exc, TRANSIENT_EXCEPTION_TYPES)
-
-
-#: Engine degradation chains: when an engine raises a *permanent* error
-#: on a cell, the cell is retried in-attempt on the next engine in its
-#: chain (fast numpy/compiled paths degrade to the slow-but-simple
-#: legacy oracle).  The record's ``engine_used`` names the engine that
-#: actually produced the metrics; ``engine`` (and the task id) keep the
-#: requested one so resume keys are stable.
-FALLBACK_CHAINS: dict[str, tuple[str, ...]] = {
-    "auto": ("auto", "compiled", "legacy"),
-    "multiword": ("multiword", "compiled", "legacy"),
-    "compiled": ("compiled", "legacy"),
-    "legacy": ("legacy",),
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,12 +152,11 @@ class TaskSpec:
 
     circuit: str
     fault_class: str
-    engine: str = "compiled"
     bench_text: str | None = None
 
     @property
     def task_id(self) -> str:
-        return f"{self.circuit}/{self.fault_class}/{self.engine}"
+        return f"{self.circuit}/{self.fault_class}/{ENGINE_LABEL}"
 
     def build_network(self) -> Network:
         if self.bench_text is not None:
@@ -211,7 +195,6 @@ class CampaignResult:
 def expand_grid(
     circuits: Sequence[str],
     fault_classes: Sequence[str] = DEFAULT_FAULT_CLASSES,
-    engine: str = "compiled",
     registry: Registry | None = None,
 ) -> list[TaskSpec]:
     """Cross circuits with fault classes into grid cells (circuit-major
@@ -239,7 +222,6 @@ def expand_grid(
                 TaskSpec(
                     circuit=circuit,
                     fault_class=fault_class,
-                    engine=engine,
                     bench_text=bench_text,
                 )
             )
@@ -254,10 +236,6 @@ def _alarm(_signum, _frame):
     raise _TaskTimeout()
 
 
-def _format_error(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def execute_task(
     spec: TaskSpec,
     timeout: float | None = None,
@@ -268,12 +246,10 @@ def execute_task(
     """Run one grid cell to a finished record (never raises for task
     failures — errors and timeouts become record statuses).
 
-    One *attempt*: the engine fallback chain runs inside it (permanent
-    engine errors degrade to the next engine, recorded in the
-    ``failures`` provenance), while transient errors abort the attempt
-    immediately so the caller can retry the cell with backoff.  The
-    soft ``SIGALRM`` timeout spans the whole attempt, fallbacks
-    included.  ``chaos`` is the fault-injection hook of
+    One *attempt*: an error ends it as an ``error`` record whose
+    ``transient`` flag tells the caller whether to retry the cell with
+    backoff.  The soft ``SIGALRM`` timeout spans the whole attempt.
+    ``chaos`` is the fault-injection hook of
     :class:`repro.campaign.chaos.ChaosPolicy` (tests only).
     """
     record = {
@@ -281,11 +257,9 @@ def execute_task(
         "task_id": spec.task_id,
         "circuit": spec.circuit,
         "fault_class": spec.fault_class,
-        "engine": spec.engine,
+        "engine": ENGINE_LABEL,
         "attempt": attempt,
     }
-    chain = FALLBACK_CHAINS.get(spec.engine, (spec.engine,))
-    failures: list[dict] = []
     # SIGALRM handlers can only be installed from the main thread; the
     # job service runs inline campaigns on worker *threads*, where the
     # soft timeout silently degrades to the caller's cancel/watchdog.
@@ -304,42 +278,19 @@ def execute_task(
             chaos.before_attempt(spec.task_id, attempt)
         network = spec.build_network()
         record["circuit_stats"] = network.stats()
-        for index, engine in enumerate(chain):
-            try:
-                if chaos is not None:
-                    chaos.engine_fault(spec.task_id, attempt, engine, chain)
-                record["metrics"] = run_fault_class(
-                    network, spec.fault_class, engine
-                )
-                record["engine_used"] = engine
-                record["status"] = "ok"
-                break
-            except _TaskTimeout:
-                raise
-            except Exception as exc:  # noqa: BLE001 — degrade, don't die
-                if classify_transient(exc) or index == len(chain) - 1:
-                    raise
-                failures.append(
-                    {
-                        "attempt": attempt,
-                        "kind": "engine",
-                        "engine": engine,
-                        "error": _format_error(exc),
-                    }
-                )
+        record["metrics"] = run_fault_class(network, spec.fault_class)
+        record["status"] = "ok"
     except _TaskTimeout:
         record["status"] = "timeout"
         record["error"] = f"task exceeded {timeout:g}s"
     except Exception as exc:  # noqa: BLE001 — campaign must outlive cells
         record["status"] = "error"
-        record["error"] = _format_error(exc)
+        record["error"] = f"{type(exc).__name__}: {exc}"
         record["transient"] = classify_transient(exc)
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
-    if failures:
-        record["failures"] = failures
     record["runtime_s"] = round(time.perf_counter() - start, 6)
     return record
 
@@ -375,7 +326,7 @@ def run_task_with_retries(
             attempt += 1
             continue
         if failures:
-            record["failures"] = failures + record.get("failures", [])
+            record["failures"] = failures
         return record
 
 
@@ -461,7 +412,6 @@ def run_campaign(
         TASKS_TOTAL.labels(status=status).inc()
         TASK_RUNTIME.labels(
             fault_class=record.get("fault_class", ""),
-            engine=record.get("engine_used", record.get("engine", "")),
         ).observe(record.get("runtime_s", 0.0))
         for failure in record.get("failures", ()):
             TASK_FAILURES.labels(kind=failure.get("kind", "unknown")).inc()

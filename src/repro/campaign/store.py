@@ -7,7 +7,6 @@ Every finished task becomes one record (``schema: 2``) — see
       "schema": 2,
       "task_id": "rca4/polarity/compiled",
       "circuit": "rca4", "fault_class": "polarity", "engine": "compiled",
-      "engine_used": "compiled",       # engine that produced metrics
       "attempt": 1,                    # attempt that produced the record
       "status": "ok",                  # or "error"/"timeout"/"poisoned"
       "runtime_s": 0.31,
@@ -15,11 +14,15 @@ Every finished task becomes one record (``schema: 2``) — see
       "metrics": {...},                # fault-class specific, see tasks.py
       "error": "...",                  # only on status != "ok"
       "transient": false,              # error classification (errors only)
-      "failures": [...]                # retry/fallback provenance trail
+      "failures": [...]                # retry provenance trail
     }
 
-Schema-1 records (pre-supervisor) load and resume unchanged — the
-resume key (``task_id`` + ``status``) is common to both.  The records
+``engine`` and the last task-id segment are the constant
+:data:`ENGINE_LABEL`.  Schema-1 records (pre-supervisor) and records
+from before the PODEM engine switch was removed (which may carry
+``engine_used`` and ``failures`` entries of kind ``engine``) load and
+resume unchanged — the resume key (``task_id`` + ``status``) is common
+to all of them.  The records
 live in the sqlite store of :mod:`repro.campaign.backends`.
 
 ``runtime_s``, ``attempt`` and ``failures`` are the nondeterministic
@@ -35,6 +38,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 SCHEMA_VERSION = 2
+
+#: The ``engine`` field of every record and the last segment of every
+#: task id (``c17/iddq/compiled``).  One PODEM backs every cell, so the
+#: value never varies; it stays in the format because existing stores,
+#: job-service clients and pinned benchmark cells key on it.
+ENGINE_LABEL = "compiled"
 
 #: Fields that legitimately differ between runs that computed the same
 #: results: wall-clock, the retry/fault-injection history, and the

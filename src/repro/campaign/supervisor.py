@@ -18,7 +18,7 @@ that *owns* its workers and supervises them from outside:
   (classified by :func:`repro.campaign.runner.classify_transient`) and
   worker deaths/hangs are retried on the
   :class:`~repro.campaign.runner.RetryPolicy` schedule; permanent
-  errors fail fast (after the in-worker engine fallback chain).
+  errors fail fast.
 * **Poison-task quarantine** — a cell that keeps killing workers is
   finalised as ``status: "poisoned"`` after
   ``policy.max_crash_attempts`` deaths instead of crash-looping the
@@ -52,7 +52,7 @@ from repro.campaign.runner import (
     TaskSpec,
     execute_task,
 )
-from repro.campaign.store import SCHEMA_VERSION
+from repro.campaign.store import ENGINE_LABEL, SCHEMA_VERSION
 
 #: Parent event-loop tick: result-queue poll timeout, which also bounds
 #: watchdog/liveness detection latency.
@@ -144,7 +144,7 @@ def _synthetic_record(
         "task_id": state.spec.task_id,
         "circuit": state.spec.circuit,
         "fault_class": state.spec.fault_class,
-        "engine": state.spec.engine,
+        "engine": ENGINE_LABEL,
         "attempt": state.attempt,
         "status": status,
         "error": error,
@@ -226,7 +226,7 @@ def run_supervised(
             reschedule(state)
             return
         if state.failures:
-            record["failures"] = state.failures + record.get("failures", [])
+            record["failures"] = state.failures
         finalize(record)
 
     def handle_crash(state: _TaskState, exitcode: int | None) -> None:

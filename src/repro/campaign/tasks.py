@@ -1,10 +1,9 @@
 """Fault-class task implementations: one (circuit, fault class) cell.
 
-Each runner takes a built :class:`~repro.logic.network.Network` and the
-PODEM ``engine`` selector and returns a flat, JSON-serialisable metrics
-dict — the payload of one campaign record.  All runners are
-deterministic: the same circuit and engine produce bit-identical
-metrics in any process, which is what lets the campaign runner promise
+Each runner takes a built :class:`~repro.logic.network.Network` and
+returns a flat, JSON-serialisable metrics dict — the payload of one
+campaign record.  All runners are deterministic: the same circuit
+produces bit-identical metrics in any process, which is what lets the campaign runner promise
 identical stores for 1-worker and N-worker runs.
 
 The four registered fault classes mirror the paper's Section 5:
@@ -48,7 +47,7 @@ Example (runs in a few milliseconds)::
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.atpg.compaction import compact_tests
 from repro.atpg.fault_sim import (
@@ -62,25 +61,25 @@ from repro.atpg.sof_atpg import run_sof_atpg
 from repro.faults import get_universe
 from repro.logic.network import Network
 
-TaskRunner = Callable[[Network, str], dict]
+TaskRunner = Callable[[Network], dict]
 
 
 def classic_stuck_at_testset(
-    network: Network, max_backtracks: int = 500, engine: str = "compiled"
+    network: Network, max_backtracks: int = 500
 ) -> list[dict[str, int]]:
     """PODEM with fault dropping + greedy compaction: the classic
     production test set (the baseline every escape metric is against).
     """
     faults = get_universe("stuck_at").collapse(network)
-    atpg = run_stuck_at_atpg(network, faults, max_backtracks, engine=engine)
+    atpg = run_stuck_at_atpg(network, faults, max_backtracks)
     compacted = compact_tests(network, atpg.tests, faults)
     return compacted.vectors
 
 
-def run_stuck_at_task(network: Network, engine: str = "compiled") -> dict:
+def run_stuck_at_task(network: Network) -> dict:
     """Sec. V-A baseline: full stuck-at ATPG + compaction + fault sim."""
     faults = get_universe("stuck_at").collapse(network)
-    atpg = run_stuck_at_atpg(network, faults, engine=engine)
+    atpg = run_stuck_at_atpg(network, faults)
     compacted = compact_tests(network, atpg.tests, faults)
     sim = parallel_stuck_at_simulation(network, faults, compacted.vectors)
     return {
@@ -94,7 +93,7 @@ def run_stuck_at_task(network: Network, engine: str = "compiled") -> dict:
     }
 
 
-def run_polarity_task(network: Network, engine: str = "compiled") -> dict:
+def run_polarity_task(network: Network) -> dict:
     """Sec. V-B gap: polarity escapes of the classic set vs. the
     polarity-aware ATPG.  Circuits without DP gates report ``None``
     coverages (rendered as ``n/a``)."""
@@ -109,9 +108,9 @@ def run_polarity_task(network: Network, engine: str = "compiled") -> dict:
             "n_iddq_tests": 0,
             "n_untestable": 0,
         }
-    sa_set = classic_stuck_at_testset(network, engine=engine)
+    sa_set = classic_stuck_at_testset(network)
     by_sa = parallel_polarity_simulation(network, faults, sa_set)
-    atpg = run_polarity_atpg(network, faults, engine=engine)
+    atpg = run_polarity_atpg(network, faults)
     modes: dict[str, int] = {}
     for test in atpg.tests:
         modes[test.mode] = modes.get(test.mode, 0) + 1
@@ -126,7 +125,7 @@ def run_polarity_task(network: Network, engine: str = "compiled") -> dict:
     }
 
 
-def run_iddq_task(network: Network, engine: str = "compiled") -> dict:
+def run_iddq_task(network: Network) -> dict:
     """Sec. V-B screening: greedy compact IDDQ vector selection."""
     faults = get_universe("polarity").collapse(network)
     if not faults:
@@ -137,7 +136,7 @@ def run_iddq_task(network: Network, engine: str = "compiled") -> dict:
             "n_detected": 0,
             "n_uncovered": 0,
         }
-    selection = select_iddq_vectors(network, faults, engine=engine)
+    selection = select_iddq_vectors(network, faults)
     return {
         "n_faults": len(faults),
         "n_vectors": len(selection.vectors),
@@ -147,11 +146,11 @@ def run_iddq_task(network: Network, engine: str = "compiled") -> dict:
     }
 
 
-def run_stuck_open_task(network: Network, engine: str = "compiled") -> dict:
+def run_stuck_open_task(network: Network) -> dict:
     """Sec. V-C census: masked channel breaks + two-pattern SOF ATPG
     with fault dropping on the testable remainder."""
     faults = get_universe("stuck_open").collapse(network)
-    atpg = run_sof_atpg(network, faults, drop_detected=True, engine=engine)
+    atpg = run_sof_atpg(network, faults, drop_detected=True)
     return {
         "n_faults": len(faults),
         "n_masked": len(atpg.masked),
@@ -173,7 +172,7 @@ FAULT_SIM_VECTORS = 256
 FAULT_SIM_FRAMES = 3
 
 
-def run_fault_sim_task(network: Network, engine: str = "auto") -> dict:
+def run_fault_sim_task(network: Network) -> dict:
     """Scaling-tier cell: pure multi-word random fault simulation.
 
     No ATPG — a seeded random vector sweep (seed derived from the
@@ -190,11 +189,6 @@ def run_fault_sim_task(network: Network, engine: str = "auto") -> dict:
     detected when any frame's outputs differ.  The metrics dict then
     carries ``n_frames`` / ``n_flops`` alongside the shared keys, so
     combinational and sequential cells stay directly comparable.
-
-    ``engine`` names the PODEM engine of the other runners; this runner
-    runs no PODEM, so it is accepted and ignored — the sweeps always use
-    the fault simulator's own ``auto`` selection, whatever the grid's
-    ``engine`` column says.
     """
     import zlib
 
@@ -272,9 +266,7 @@ DEFAULT_FAULT_CLASSES: tuple[str, ...] = (
 )
 
 
-def run_fault_class(
-    network: Network, fault_class: str, engine: str = "compiled"
-) -> dict:
+def run_fault_class(network: Network, fault_class: str) -> dict:
     """Dispatch one (circuit, fault class) cell to its runner."""
     try:
         runner = TASK_RUNNERS[fault_class]
@@ -283,4 +275,4 @@ def run_fault_class(
             f"unknown fault class {fault_class!r}; "
             f"available: {sorted(TASK_RUNNERS)}"
         ) from None
-    return runner(network, engine)
+    return runner(network)

@@ -3,10 +3,6 @@ analysis, detectability measurement and the new test algorithms."""
 
 from __future__ import annotations
 
-#: The historical PolarityFaultRow name resolves silently here;
-#: the ``repro.core.test_algorithms`` path is the warning shim.
-_ALIASES = {"PolarityFaultRow": "PolarityFaultRecord"}
-
 # Public names resolve on first use (PEP 562), so importing one submodule
 # does not load its siblings.
 _LAZY = {
@@ -49,7 +45,6 @@ _LAZY = {
     "simulate_two_pattern": "repro.core.test_algorithms",
     "two_pattern_sof_tests": "repro.core.test_algorithms",
     "PolarityFaultRecord": "repro.faults.records",
-    "PolarityFaultRow": "repro.faults.records",
 }
 
 __all__ = sorted(_LAZY)
@@ -62,4 +57,4 @@ def __getattr__(name: str):
     import importlib
 
     module = importlib.import_module(module_name)
-    return getattr(module, _ALIASES.get(name, name))
+    return getattr(module, name)

@@ -36,29 +36,6 @@ from repro.logic.switch_level import (
 from repro.logic.values import ONE, Z, ZERO
 
 
-def __getattr__(name: str):
-    if name == "PolarityFaultRow":
-        # Historical duplicate of the canonical Table III record; kept
-        # importable as a thin shim (note: the canonical record is
-        # constructed with ``kind='n'|'p'`` instead of a ``fault_type``
-        # string, which it derives as a property).
-        import warnings
-
-        from repro.faults.universe import ReproDeprecationWarning
-
-        warnings.warn(
-            "repro.core.test_algorithms.PolarityFaultRow is deprecated; "
-            "use repro.faults.PolarityFaultRecord (note the changed "
-            "constructor: kind='n'|'p' replaces the fault_type string, "
-            "which is now a derived property, and transistor comes "
-            "first)",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        return PolarityFaultRecord
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class TwoPatternTest:
     """A stuck-open test pair.
@@ -180,8 +157,7 @@ def simulate_two_pattern(
 # Table III
 # ---------------------------------------------------------------------------
 # The row record itself is the canonical cross-layer
-# :class:`repro.faults.records.PolarityFaultRecord`; the historical
-# ``PolarityFaultRow`` name shims to it (see ``__getattr__`` above).
+# :class:`repro.faults.records.PolarityFaultRecord`.
 
 
 def polarity_fault_table(cell: Cell) -> list[PolarityFaultRecord]:

@@ -37,9 +37,8 @@ Cross-layer hops follow the paper's lowering chain
 A new fault class lands as a single :func:`register_universe` entry;
 see ``docs/FAULT_UNIVERSES.md`` for the protocol walkthrough.
 
-The legacy taxonomies stay importable: the gate-level classes moved
-here from ``repro.atpg.faults`` (now a deprecation shim), while the
-device/circuit descriptor modules (:mod:`repro.device.defects`,
+The legacy taxonomies stay importable: the gate-level classes live in
+:mod:`repro.faults.logic`, while the device/circuit descriptor modules (:mod:`repro.device.defects`,
 :mod:`repro.core.fault_models`, :mod:`repro.core.defects`) remain
 canonical and are wrapped by the registered universes.
 """

@@ -1,7 +1,6 @@
 """Logic-layer fault classes and universes (the ATPG-facing layer).
 
-Canonical home of the gate-level fault vocabulary (moved here from
-``repro.atpg.faults``, which remains as a deprecation shim):
+Canonical home of the gate-level fault vocabulary:
 
 * **Classic stuck-at** — s-a-0/s-a-1 on every net stem and every gate
   input pin (branch faults), with structural equivalence collapsing.

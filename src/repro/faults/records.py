@@ -5,9 +5,6 @@ the Table III analysis (:func:`repro.core.test_algorithms.polarity_fault_table`)
 and the logic universe: it speaks the same ``kind`` vocabulary
 (``'n'``/``'p'``) as :class:`repro.faults.logic.PolarityFault` and can
 materialise the corresponding network-level fault for a gate instance.
-
-``repro.core.test_algorithms.PolarityFaultRow`` — the historical
-duplicate of this record — is now a deprecation shim for this class.
 """
 
 from __future__ import annotations

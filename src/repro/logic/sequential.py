@@ -18,9 +18,8 @@ simulate unchanged:
 One *logical* fault on the sequential netlist maps to a replicated,
 permanently-present fault in every frame: the lowering helpers here
 (:func:`stuck_at_unrolled_injection` & friends) produce a single
-:class:`~repro.logic.compiled.FaultInjection` (or serial-simulator
-override set) covering all replicas, so the fault-count and fault names
-stay those of the sequential netlist.
+:class:`~repro.logic.compiled.FaultInjection` covering all replicas, so
+the fault-count and fault names stay those of the sequential netlist.
 
 A *sequential test* is a sequence of per-cycle input assignments
 (``cycles[k]`` drives frame ``k``); :meth:`UnrolledNetwork.flatten_vector`
@@ -247,28 +246,6 @@ def _require_frames(uv: UnrolledNetwork) -> range:
     return range(uv.n_frames)
 
 
-def stuck_at_serial_overrides(uv: UnrolledNetwork, fault) -> dict:
-    """Serial-simulator overrides for a sequential stuck-at fault.
-
-    The fault is permanent: the forced value applies in every frame
-    replica (for a stem on a flop output this includes the frame-0
-    pseudo input — a stuck state net powers up stuck).
-    """
-    if fault.is_branch:
-        return {
-            "pin_overrides": {
-                (uv.gate_name(f, fault.gate), fault.pin): fault.value
-                for f in _require_frames(uv)
-            }
-        }
-    return {
-        "line_overrides": {
-            uv.net_name(f, fault.net): fault.value
-            for f in _require_frames(uv)
-        }
-    }
-
-
 def stuck_at_unrolled_injection(uv: UnrolledNetwork, cnet, fault):
     """Index-level injection covering every frame replica of the fault."""
     from repro.logic.compiled import FaultInjection
@@ -283,17 +260,6 @@ def stuck_at_unrolled_injection(uv: UnrolledNetwork, cnet, fault):
         cnet.net_index[uv.net_name(f, fault.net)]: fault.value
         for f in _require_frames(uv)
     })
-
-
-def polarity_serial_overrides(uv: UnrolledNetwork, fault) -> dict:
-    """Serial-simulator overrides for a sequential polarity fault."""
-    override = fault.gate_override()
-    return {
-        "gate_overrides": {
-            uv.gate_name(f, fault.gate): override
-            for f in _require_frames(uv)
-        }
-    }
 
 
 def polarity_unrolled_injection(uv: UnrolledNetwork, cnet, fault):

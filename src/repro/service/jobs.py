@@ -3,10 +3,11 @@
 A :class:`JobManager` turns :func:`repro.campaign.runner.run_campaign`
 into a long-lived service primitive:
 
-* **Submit** — a :class:`JobSpec` (circuits × fault classes × engine /
-  unroll options) is validated against the registry, expanded to its
-  task grid, persisted as a JSON file under the manager's state
-  directory, and queued; the caller gets a job id immediately.
+* **Submit** — a :class:`JobSpec` (circuits × fault classes plus
+  worker / timeout options) is validated against the registry,
+  expanded to its task grid, persisted as a JSON file under the
+  manager's state directory, and queued; the caller gets a job id
+  immediately.
 * **Background supervision** — a small pool of daemon worker threads
   drains the queue; each job runs one campaign against the manager's
   **shared sqlite store**, so concurrent jobs over overlapping grids
@@ -54,7 +55,6 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
-from repro.atpg.podem import PODEM_ENGINES
 from repro.campaign.backends import scan_records
 from repro.campaign.runner import (
     RetryPolicy,
@@ -62,6 +62,7 @@ from repro.campaign.runner import (
     expand_grid,
     run_campaign,
 )
+from repro.campaign.store import ENGINE_LABEL
 from repro.campaign.tasks import DEFAULT_FAULT_CLASSES, TASK_RUNNERS
 from repro.obs import counter, gauge
 from repro.service.metrics import install_cache_collectors
@@ -103,11 +104,12 @@ class JobSpec:
 
     circuits: tuple[str, ...]
     fault_classes: tuple[str, ...] = DEFAULT_FAULT_CLASSES
-    engine: str = "compiled"
     workers: int = 1
     timeout: float | None = None
 
-    #: Payload keys accepted by :meth:`from_payload`.
+    #: Payload keys accepted by :meth:`from_payload`.  ``engine`` is a
+    #: constant (:data:`~repro.campaign.store.ENGINE_LABEL`): accepted
+    #: and echoed so existing clients keep working.
     FIELDS = ("circuits", "fault_classes", "engine", "workers", "timeout")
 
     @classmethod
@@ -139,10 +141,11 @@ class JobSpec:
                 f"unknown fault class(es) {bad}; "
                 f"available: {sorted(TASK_RUNNERS)}"
             )
-        engine = payload.get("engine", "compiled")
-        if engine not in PODEM_ENGINES:
+        engine = payload.get("engine", ENGINE_LABEL)
+        if engine != ENGINE_LABEL:
             raise JobError(
-                f"unknown engine {engine!r}; accepted: {list(PODEM_ENGINES)}"
+                f"unknown engine {engine!r}; 'engine' may only be "
+                f"{ENGINE_LABEL!r} (or left out)"
             )
         # ``bool`` is an ``int`` subclass, and ``json.loads`` accepts
         # NaN and Infinity: neither is a worker count or a timeout.
@@ -166,7 +169,6 @@ class JobSpec:
         return cls(
             circuits=tuple(circuits),
             fault_classes=tuple(fault_classes),
-            engine=engine,
             workers=workers,
             timeout=None if timeout is None else float(timeout),
         )
@@ -175,7 +177,7 @@ class JobSpec:
         return {
             "circuits": list(self.circuits),
             "fault_classes": list(self.fault_classes),
-            "engine": self.engine,
+            "engine": ENGINE_LABEL,
             "workers": self.workers,
             "timeout": self.timeout,
         }
@@ -184,9 +186,7 @@ class JobSpec:
         """The grid (raises :class:`JobError` on unknown circuits, so
         submission fails fast instead of queueing a doomed job)."""
         try:
-            return expand_grid(
-                list(self.circuits), list(self.fault_classes), self.engine
-            )
+            return expand_grid(list(self.circuits), list(self.fault_classes))
         except KeyError as exc:
             raise JobError(str(exc.args[0]) if exc.args else str(exc)) from exc
 

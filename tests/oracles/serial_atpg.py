@@ -1,8 +1,8 @@
 """Serial polarity campaigns: the oracles for the batched ATPG paths.
 
 Both functions walk (vector, fault) pairs one at a time through the
-dict-based ternary simulator (:func:`repro.atpg.detects_polarity`), the
-way the library did before the batched engines replaced them:
+dict-based ternary simulator (:func:`oracles.serial_sim.detects_polarity`),
+the way the library did before the batched engines replaced them:
 
 * :func:`serial_polarity_simulation` is the campaign oracle for
   :func:`repro.atpg.parallel_polarity_simulation`;
@@ -15,12 +15,9 @@ way the library did before the batched engines replaced them:
 
 from __future__ import annotations
 
-from repro.atpg import (
-    FaultSimResult,
-    IddqSelection,
-    detects_polarity,
-    generate_polarity_test,
-)
+from oracles.serial_sim import detects_polarity
+
+from repro.atpg import FaultSimResult, IddqSelection, generate_polarity_test
 from repro.faults import get_universe
 
 
@@ -46,7 +43,7 @@ def serial_polarity_simulation(
 
 
 def select_iddq_vectors(
-    network, faults=None, max_backtracks=300, engine="compiled"
+    network, faults=None, max_backtracks=300
 ) -> IddqSelection:
     """Reference IDDQ selection over a serially built cover matrix."""
     if faults is None:
@@ -57,7 +54,7 @@ def select_iddq_vectors(
     for fault in faults:
         test = generate_polarity_test(
             network, fault, allow_iddq=True,
-            max_backtracks=max_backtracks, engine=engine,
+            max_backtracks=max_backtracks,
         )
         if test is None:
             uncovered_names.append(fault.name)

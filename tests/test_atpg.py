@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.serial_atpg import serial_polarity_simulation
+from oracles.serial_sim import (
+    detects_polarity,
+    detects_stuck_at,
+    detects_stuck_open,
+)
 
 from repro.atpg import (
     PolarityFault,
     StuckAtFault,
     StuckOpenFault,
     compact_tests,
-    detects_polarity,
-    detects_stuck_at,
-    detects_stuck_open,
     generate_polarity_test,
     generate_test,
     parallel_stuck_at_simulation,
@@ -198,7 +200,7 @@ class TestPolarityAtpg:
     def test_classic_set_misses_polarity(self):
         """The paper's core claim at circuit level: a full stuck-at test
         set leaves polarity faults undetected at the outputs."""
-        from repro.analysis.atpg_experiments import classic_stuck_at_testset
+        from repro.analysis import classic_stuck_at_testset
 
         network = parity_tree(4)
         test_set = classic_stuck_at_testset(network)
@@ -249,7 +251,7 @@ class TestIddqSelection:
 
 class TestCompaction:
     def test_preserves_coverage(self):
-        from repro.analysis.atpg_experiments import classic_stuck_at_testset
+        from repro.analysis import classic_stuck_at_testset
 
         network = c17()
         faults = stuck_at_faults(network)

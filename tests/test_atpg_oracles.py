@@ -5,7 +5,7 @@
   (``tests/oracles/serial_atpg.py``) — vectors, covered and uncovered.
 * Stuck-open ATPG: every pattern pair (and every fault dropped on one)
   must be confirmed by the serial two-pattern oracle
-  :func:`repro.atpg.detects_stuck_open`.
+  ``detects_stuck_open`` (``tests/oracles/serial_sim.py``).
 * The per-cell broken-channel memo behind ``StuckOpenFault`` must equal
   a fresh switch-level evaluation for every transistor of every cell.
 """
@@ -14,10 +14,10 @@ import itertools
 
 import pytest
 from oracles import serial_atpg
+from oracles.serial_sim import detects_stuck_open
 
 from repro.atpg import (
     StuckOpenFault,
-    detects_stuck_open,
     run_sof_atpg,
     select_iddq_vectors,
 )

@@ -25,7 +25,6 @@ from repro.campaign.backends import (
 )
 from repro.campaign.registry import Registry, get_registry, size_class
 from repro.campaign.runner import (
-    FALLBACK_CHAINS,
     TaskSpec,
     execute_task,
     expand_grid,
@@ -241,7 +240,7 @@ class TestMultiwordResume:
 
     @pytest.fixture(scope="class")
     def mw_reference(self):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         result = run_campaign(grid)
         assert all(r["status"] == "ok" for r in result.records)
         # cpx432 is big enough that the auto selector picks the
@@ -251,7 +250,7 @@ class TestMultiwordResume:
         return result.records
 
     def test_kill_and_resume_bit_identical(self, tmp_path, mw_reference):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         store_path = tmp_path / "mw.sqlite"
         # Kill signature: first record committed, second claimed only.
         _killed_store(store_path, mw_reference[:1], mw_reference[1]["task_id"])
@@ -261,7 +260,7 @@ class TestMultiwordResume:
         assert stores_equal(_stored(store_path), mw_reference)
 
     def test_worker_count_invariant(self, tmp_path, mw_reference):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         parallel = run_campaign(
             grid, store=tmp_path / "mw2.sqlite", workers=2
         )
@@ -271,7 +270,7 @@ class TestMultiwordResume:
 
     def test_fault_sim_metrics_shape(self):
         metrics = run_fault_class(
-            get_registry().load("cpx432"), "fault_sim", engine="auto"
+            get_registry().load("cpx432"), "fault_sim"
         )
         assert metrics["n_vectors"] == 256
         assert 0.0 < metrics["stuck_at_coverage"] <= 1.0
@@ -285,21 +284,6 @@ class TestMultiwordResume:
         assert DEFAULT_FAULT_CLASSES == (
             "stuck_at", "polarity", "iddq", "stuck_open",
         )
-
-    def test_fault_sim_cell_ignores_the_podem_engine(self):
-        # The grid's engine column selects the PODEM engine; fault_sim
-        # cells run no PODEM and must succeed, with identical metrics,
-        # under every engine a grid may name.
-        metrics = {}
-        for engine in FALLBACK_CHAINS:
-            record = execute_task(
-                expand_grid(["c17"], ["fault_sim"], engine=engine)[0]
-            )
-            assert record["status"] == "ok", record.get("error")
-            assert record["engine_used"] == engine
-            metrics[engine] = record["metrics"]
-        distinct = {json.dumps(m, sort_keys=True) for m in metrics.values()}
-        assert len(distinct) == 1
 
     def test_corpus_cells_are_self_contained(self):
         # Corpus entries carry their bench text, so spawn-started
@@ -322,7 +306,7 @@ class TestSequentialResume:
 
     @pytest.fixture(scope="class")
     def seq_reference(self):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         result = run_campaign(grid)
         assert all(r["status"] == "ok" for r in result.records)
         by_circuit = {r["circuit"]: r["metrics"] for r in result.records}
@@ -334,7 +318,7 @@ class TestSequentialResume:
         return result.records
 
     def test_kill_and_resume_bit_identical(self, tmp_path, seq_reference):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         store_path = tmp_path / "seq.sqlite"
         # Kill signature: first record committed, second claimed only.
         _killed_store(
@@ -346,7 +330,7 @@ class TestSequentialResume:
         assert stores_equal(_stored(store_path), seq_reference)
 
     def test_worker_count_invariant(self, tmp_path, seq_reference):
-        grid = expand_grid(*self.GRID, engine="auto")
+        grid = expand_grid(*self.GRID)
         parallel = run_campaign(
             grid, store=tmp_path / "seq2.sqlite", workers=2
         )
@@ -358,7 +342,7 @@ class TestSequentialResume:
         # 256 random 3-cycle sequences from reset detect every
         # collapsed stuck-at fault of the real s27.
         metrics = run_fault_class(
-            get_registry().load("s27"), "fault_sim", engine="auto"
+            get_registry().load("s27"), "fault_sim"
         )
         assert metrics["stuck_at_coverage"] == 1.0
         assert metrics["n_frames"] == 3
@@ -370,7 +354,7 @@ class TestSequentialResume:
 
 class TestRunnerFailureModes:
     def test_task_error_becomes_record_not_crash(self):
-        def boom(_network, _engine):
+        def boom(_network):
             raise RuntimeError("deliberate")
 
         TASK_RUNNERS["boom"] = boom
@@ -387,11 +371,41 @@ class TestRunnerFailureModes:
         finally:
             del TASK_RUNNERS["boom"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_permanent_error_is_one_plain_error_record(
+        self, tmp_path, workers
+    ):
+        """A runner bug is reported, not retried on another engine: one
+        call, one ``error`` record, no fallback provenance."""
+        calls = tmp_path / "calls"
+
+        def broken(_network):
+            with calls.open("a") as handle:  # counts across workers
+                handle.write("x")
+            raise ValueError("kernel bug")
+
+        TASK_RUNNERS["broken"] = broken
+        try:
+            result = run_campaign(
+                [TaskSpec("c17", "broken")], workers=workers
+            )
+        finally:
+            del TASK_RUNNERS["broken"]
+        assert calls.read_text() == "x"
+        [record] = result.records
+        assert record["status"] == "error"
+        assert record["transient"] is False
+        assert record["error"] == "ValueError: kernel bug"
+        assert record["task_id"] == "c17/broken/compiled"
+        assert record["engine"] == "compiled"
+        assert "failures" not in record
+        assert "engine_used" not in record
+
     @pytest.mark.skipif(
         not hasattr(signal, "SIGALRM"), reason="needs SIGALRM"
     )
     def test_per_task_timeout(self):
-        def sleepy(_network, _engine):
+        def sleepy(_network):
             time.sleep(5.0)
             return {}
 
@@ -628,6 +642,73 @@ class TestStoreCli:
         assert old.read_bytes() == data
         assert sorted(p.name for p in tmp_path.iterdir()) == ["old.jsonl"]
 
+    def test_store_written_before_engine_removal_still_reads(
+        self, tmp_path, capsys
+    ):
+        """Records of the old shape — ``engine_used``, a ``failures``
+        entry of kind ``engine``, a ``/legacy`` task id — still report,
+        export and verify, and a new run recomputes only the
+        ``/compiled`` cell the store lacks."""
+        from repro.campaign.cli import main
+
+        network = c17()
+        path = tmp_path / "old.sqlite"
+        old_records = [
+            {
+                "schema": 2, "task_id": "c17/stuck_at/compiled",
+                "circuit": "c17", "fault_class": "stuck_at",
+                "engine": "compiled", "engine_used": "legacy",
+                "attempt": 1, "status": "ok", "runtime_s": 0.1,
+                "circuit_stats": network.stats(),
+                "metrics": run_fault_class(network, "stuck_at"),
+                "failures": [{
+                    "attempt": 1, "kind": "engine", "engine": "compiled",
+                    "error": "RuntimeError: injected",
+                }],
+            },
+            {
+                "schema": 2, "task_id": "c17/polarity/legacy",
+                "circuit": "c17", "fault_class": "polarity",
+                "engine": "legacy", "engine_used": "legacy",
+                "attempt": 1, "status": "ok", "runtime_s": 0.1,
+                "circuit_stats": network.stats(),
+                "metrics": run_fault_class(network, "polarity"),
+            },
+        ]
+        with SqliteBackend(path).open() as store:
+            store.register([r["task_id"] for r in old_records])
+            for record in old_records:
+                assert store.claim(record["task_id"])
+                store.append(dict(record))
+
+        assert main(["report", "--store", str(path)]) == 0
+        assert main(["campaign", "export", "--store", str(path)]) == 0
+        exported = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("{")
+        ]
+        assert [r["task_id"] for r in exported] == [
+            "c17/polarity/legacy", "c17/stuck_at/compiled",
+        ]
+        assert exported[1]["engine_used"] == "legacy"
+        code = main(["campaign", "verify-store", "--store", str(path)])
+        assert code == 0, capsys.readouterr().out
+        capsys.readouterr()
+
+        assert main([
+            "run", "--circuits", "c17",
+            "--fault-classes", "stuck_at", "polarity", "--store", str(path),
+        ]) == 0
+        assert "(1 run, 1 resumed, 0 failed)" in capsys.readouterr().out
+        latest = {r["task_id"]: r for r in _stored(path)}
+        assert sorted(latest) == [
+            "c17/polarity/compiled", "c17/polarity/legacy",
+            "c17/stuck_at/compiled",
+        ]
+        assert "engine_used" not in latest["c17/polarity/compiled"]
+        assert latest["c17/stuck_at/compiled"]["engine_used"] == "legacy"
+
     def test_export_of_missing_store_fails(self, tmp_path, capsys):
         from repro.campaign.cli import main
 
@@ -802,7 +883,7 @@ class TestCliExitCodes:
     def test_run_exits_nonzero_when_a_cell_errors(self, tmp_path, capsys):
         from repro.campaign.cli import main
 
-        def boom(_network, _engine):
+        def boom(_network):
             raise RuntimeError("deliberate")
 
         TASK_RUNNERS["boom"] = boom
@@ -822,7 +903,7 @@ class TestCliExitCodes:
     def test_run_exits_nonzero_when_a_cell_times_out(self, tmp_path, capsys):
         from repro.campaign.cli import main
 
-        def sleepy(_network, _engine):
+        def sleepy(_network):
             time.sleep(5.0)
             return {}
 
@@ -844,9 +925,9 @@ class TestCliExitCodes:
 
         calls = {"n": 0}
 
-        def flaky(_network, _engine):
+        def flaky(_network):
             calls["n"] += 1
-            if calls["n"] <= 2:   # fail on both engines of the chain
+            if calls["n"] == 1:
                 raise RuntimeError("first run fails")
             return {"ok": True}
 

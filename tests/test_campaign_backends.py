@@ -431,7 +431,7 @@ class TestMultiRunner:
 # ---------------------------------------------------------------------------
 
 SEQ_GRID = (("s27", "sqx344"), ("fault_sim",))
-SEQ_KILL_TASK = "sqx344/fault_sim/auto"
+SEQ_KILL_TASK = "sqx344/fault_sim/compiled"
 
 
 def _seq_killed_runner(store_path):
@@ -441,7 +441,7 @@ def _seq_killed_runner(store_path):
         {}, storage=StorageChaos({"append": {SEQ_KILL_TASK: ("kill",)}})
     )
     run_campaign(
-        expand_grid(*SEQ_GRID, engine="auto"),
+        expand_grid(*SEQ_GRID),
         store=Path(store_path), policy=FAST, chaos=chaos,
     )
 
@@ -454,7 +454,7 @@ class TestSequentialBackendDeterminism:
 
     @pytest.fixture(scope="class")
     def seq_oracle(self):
-        result = run_campaign(expand_grid(*SEQ_GRID, engine="auto"))
+        result = run_campaign(expand_grid(*SEQ_GRID))
         assert all(r["status"] == "ok" for r in result.records)
         return result.records
 
@@ -481,7 +481,7 @@ class TestSequentialBackendDeterminism:
         # Resume with 2 workers: recomputes exactly the killed cell and
         # converges to the 1-worker in-memory oracle.
         result = run_campaign(
-            expand_grid(*SEQ_GRID, engine="auto"),
+            expand_grid(*SEQ_GRID),
             store=store_path, workers=2, policy=FAST,
         )
         assert result.n_run == 1

@@ -3,7 +3,7 @@
 The differential discipline of ``tests/test_multiword_engine.py``
 applied to the execution layer itself: a campaign subjected to scripted
 worker SIGKILLs, native-style hangs (soft timeout disarmed), transient
-and permanent exceptions, engine failures and storage faults must
+and permanent exceptions and storage faults must
 
 * always complete with one final record per cell (never wedge, never
   crash the parent),
@@ -29,7 +29,7 @@ from repro.campaign import chaos as chaos_module
 from repro.campaign import runner as runner_module
 from repro.campaign.backends import open_store
 from repro.campaign.chaos import (
-    ChaosEngineError,
+    ChaosPermanentError,
     ChaosPolicy,
     ChaosTransientError,
     StorageChaos,
@@ -37,7 +37,6 @@ from repro.campaign.chaos import (
 )
 from repro.campaign.tables import coverage_table
 from repro.campaign.runner import (
-    FALLBACK_CHAINS,
     RetryPolicy,
     TaskSpec,
     execute_task,
@@ -108,8 +107,9 @@ class TestChaosPolicy:
         assert policy.fault("other/task/id", 1) == "ok"
 
     def test_unknown_fault_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown chaos fault"):
-            ChaosPolicy({KILL: ("segfault",)})
+        for kind in ("segfault", "engine"):
+            with pytest.raises(ValueError, match=f"unknown chaos fault.*{kind}"):
+                ChaosPolicy({KILL: (kind,)})
 
     def test_policy_is_picklable(self):
         import pickle
@@ -161,49 +161,10 @@ class TestInjectedExceptions:
 
     def test_chaos_exception_classification(self):
         assert runner_module.classify_transient(ChaosTransientError("x"))
-        assert not runner_module.classify_transient(ChaosEngineError("x"))
+        assert not runner_module.classify_transient(ChaosPermanentError("x"))
         assert runner_module.classify_transient(MemoryError())
         assert runner_module.classify_transient(OSError())
         assert not runner_module.classify_transient(ValueError())
-
-
-class TestEngineDegradation:
-    def test_fallback_chains_end_in_legacy(self):
-        assert FALLBACK_CHAINS["auto"] == ("auto", "compiled", "legacy")
-        assert FALLBACK_CHAINS["multiword"] == (
-            "multiword", "compiled", "legacy"
-        )
-        assert FALLBACK_CHAINS["compiled"] == ("compiled", "legacy")
-        assert FALLBACK_CHAINS["legacy"] == ("legacy",)
-
-    def test_engine_failure_degrades_to_legacy(self, undisturbed):
-        record = execute_task(
-            TaskSpec("c17", "stuck_at"),
-            chaos=ChaosPolicy({KILL: ("engine",)}),
-        )
-        assert record["status"] == "ok"
-        assert record["engine"] == "compiled"        # requested (task id key)
-        assert record["engine_used"] == "legacy"     # what actually ran
-        assert record["failures"][0]["kind"] == "engine"
-        assert record["failures"][0]["engine"] == "compiled"
-        # The engines are bit-identical, so degradation is invisible in
-        # the metrics — the whole point of keeping the legacy oracle.
-        assert record["metrics"] == _record(undisturbed, KILL)["metrics"]
-
-    def test_every_engine_failing_is_a_permanent_error(self):
-        def broken(_network, _engine):
-            raise ValueError("all engines broken")
-
-        TASK_RUNNERS["broken"] = broken
-        try:
-            record = execute_task(TaskSpec("c17", "broken"))
-            assert record["status"] == "error"
-            assert record["transient"] is False
-            # Both fallback engines were tried before giving up.
-            assert [f["engine"] for f in record["failures"]] == ["compiled"]
-            assert "all engines broken" in record["error"]
-        finally:
-            del TASK_RUNNERS["broken"]
 
 
 @needs_posix
@@ -315,7 +276,7 @@ class TestWatchdogWithoutSigalrm:
     ):
         monkeypatch.setattr(runner_module, "_HAS_SIGALRM", False)
 
-        def sleepy(_network, _engine):
+        def sleepy(_network):
             time.sleep(30.0)
             return {}
 

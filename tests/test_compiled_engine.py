@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.serial_atpg import serial_polarity_simulation
-
-from repro.atpg import (
+from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
     detects_stuck_open,
+)
+
+from repro.atpg import (
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,

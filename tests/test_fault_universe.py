@@ -23,7 +23,6 @@ from repro.faults import (
     PolarityFault,
     PolarityFaultRecord,
     ReproDeprecationWarning,
-    StuckAtFault,
     StuckOpenFault,
     get_universe,
     register_universe,
@@ -40,7 +39,7 @@ def load(name):
 
 #: Seed enumeration counts: circuit -> (stuck-at full, stuck-at
 #: collapsed, polarity, stuck-open), captured from the pre-refactor
-#: ``repro.atpg.faults`` enumerators.
+#: enumerators.
 SEED_COUNTS = {
     "c17": (46, 34, 0, 24),
     "rca8": (162, 162, 256, 128),
@@ -100,14 +99,14 @@ class TestSeedEquivalence:
         assert len(get_universe("stuck_open").enumerate(network)) == sop
 
     @pytest.mark.parametrize("circuit", sorted(SEED_COUNTS))
-    def test_lists_match_legacy_import_path(self, circuit):
+    def test_lists_match_atpg_reexports(self, circuit):
+        from repro.atpg import (
+            polarity_faults,
+            stuck_at_faults,
+            stuck_open_faults,
+        )
+
         network = load(circuit)
-        with pytest.warns(ReproDeprecationWarning):
-            from repro.atpg.faults import (
-                polarity_faults,
-                stuck_at_faults,
-                stuck_open_faults,
-            )
         assert stuck_at_faults(network) == get_universe(
             "stuck_at"
         ).collapse(network)
@@ -305,36 +304,29 @@ class TestPolarityRecordDedup:
             "g3", "XOR2", "t1", "p"
         )
 
-    def test_old_row_name_is_a_warning_shim(self):
-        module = importlib.import_module("repro.core.test_algorithms")
-        with pytest.warns(ReproDeprecationWarning, match="PolarityFaultRow"):
-            shimmed = module.PolarityFaultRow
-        assert shimmed is PolarityFaultRecord
-
 
 class TestDeprecationShims:
-    def test_atpg_faults_names_warn_and_alias(self):
-        module = importlib.import_module("repro.atpg.faults")
-        for name, canonical in (
-            ("StuckAtFault", StuckAtFault),
-            ("PolarityFault", PolarityFault),
-            ("StuckOpenFault", StuckOpenFault),
-        ):
-            with pytest.warns(ReproDeprecationWarning, match=name):
-                assert getattr(module, name) is canonical
-
-    def test_unknown_shim_attribute_raises(self):
-        module = importlib.import_module("repro.atpg.faults")
-        with pytest.raises(AttributeError):
-            module.no_such_fault_kind
+    def test_removed_shims_are_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.atpg.faults")
+        for module in ("repro.core", "repro.core.test_algorithms"):
+            with pytest.raises(AttributeError):
+                importlib.import_module(module).PolarityFaultRow
 
     def test_package_reexports_stay_silent(self, recwarn):
         from repro.atpg import stuck_at_faults  # noqa: F401 (canonical)
-        from repro.core import PolarityFaultRow  # noqa: F401 (canonical)
+        from repro.core import PolarityFaultRecord  # noqa: F401 (canonical)
 
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
+
+    def test_first_party_deprecations_are_errors(self):
+        """The ``pytest.ini`` filter a future shim relies on."""
+        import warnings
+
+        with pytest.raises(ReproDeprecationWarning):
+            warnings.warn("shim", ReproDeprecationWarning)
 
 
 class TestCensusCli:

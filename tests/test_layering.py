@@ -12,7 +12,11 @@ checks keep it that way:
   ``campaign/`` imports the analog packages, the service layer or the
   analysis layer at module level (function-local imports, such as the
   CLI's ``serve`` verb, are allowed);
-* every public name of the lazily initialised packages still resolves.
+* every public name of the lazily initialised packages still resolves;
+* the slow reference implementations stay test oracles: no module under
+  ``src/repro`` imports ``oracles`` or ``tests``, and the removed PODEM
+  engine switch stays removed from the library, the CLI and the job
+  service.
 """
 
 from __future__ import annotations
@@ -197,6 +201,80 @@ def test_unknown_package_attribute_raises():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         repro.gates.no_such_name
+
+
+class TestOraclesStayInTests:
+    def test_no_library_module_imports_the_test_oracles(self):
+        bad = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                bad.extend(
+                    f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+                    for name in names
+                    if name.split(".")[0] in ("oracles", "tests")
+                )
+        assert not bad, bad
+
+    @pytest.mark.parametrize("module", ["repro.atpg", "repro.atpg.podem"])
+    def test_serial_checks_and_engine_list_are_gone(self, module):
+        names = dir(importlib.import_module(module))
+        leftover = [
+            n for n in names
+            if n.startswith("detects_") or n == "PODEM_ENGINES"
+        ]
+        assert not leftover, leftover
+
+    def test_cli_has_no_engine_flag(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--engine", "legacy"],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "--engine" in result.stderr
+
+    def test_service_engine_field_is_a_constant(self, tmp_path):
+        import threading
+
+        from repro.service.api import (
+            ServiceClient,
+            ServiceHTTPError,
+            create_server,
+        )
+        from repro.service.jobs import JobManager
+
+        manager = JobManager(tmp_path / "state", job_workers=1).start()
+        server = create_server(manager, port=0)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        try:
+            with pytest.raises(ServiceHTTPError) as err:
+                client.submit({"circuits": ["c17"], "engine": "legacy"})
+            assert err.value.code == 400
+            job = client.submit({
+                "circuits": ["c17"], "fault_classes": ["stuck_at"],
+                "engine": "compiled",
+            })
+            assert client.wait(job["id"])["state"] == "done"
+            assert client.status(job["id"])["spec"]["engine"] == "compiled"
+        finally:
+            server.shutdown()
+            thread.join(5.0)
+            server.server_close()
+            manager.stop(drain=False)
 
 
 def test_circuit_fault_universe_still_registered():

@@ -8,8 +8,9 @@ independent implementations:
 
 * the multi-word engine (``engine="multiword"``),
 * the single-word compiled path (``engine="compiled"``), and
-* the legacy dict simulator (``detects_*`` oracles), spot-checked
-  per (fault, vector) bit since it is orders of magnitude slower.
+* the legacy dict simulator (the ``detects_*`` oracles of
+  ``tests/oracles/serial_sim.py``), spot-checked per (fault, vector)
+  bit since it is orders of magnitude slower.
 
 Two shortcuts of the multi-word engine have their own oracles here: the
 single-rail stuck-at sweep on X-free vectors (with word-by-word
@@ -27,13 +28,15 @@ import pathlib
 
 import numpy as np
 import pytest
+from oracles.serial_sim import (
+    detects_polarity,
+    detects_stuck_at,
+    detects_stuck_open,
+)
 
 from repro.atpg import fault_sim
 from repro.atpg.fault_sim import (
     _use_multiword,
-    detects_polarity,
-    detects_stuck_at,
-    detects_stuck_open,
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,

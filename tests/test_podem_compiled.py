@@ -1,8 +1,9 @@
 """Compiled-vs-legacy PODEM equivalence and the compilation memo.
 
-The compiled engine (:mod:`repro.atpg.podem_compiled`) mirrors the
-legacy dict-based search decision-for-decision, so the two must agree
-on *everything*: success flags, generated vectors, backtrack counts,
+The compiled kernel (:mod:`repro.atpg.podem_compiled`) mirrors the
+legacy dict-based search of the test oracle
+(``tests/oracles/podem_legacy.py``) decision-for-decision, so the two
+must agree on *everything*: success flags, generated vectors, backtrack counts,
 and the detected / untestable / aborted partition of every campaign —
 swept here over every generated benchmark and every fault class, over
 aborted, untestable and detected faults of the corpus circuit cpx432,
@@ -11,11 +12,13 @@ faults on primary outputs/inputs, justification-only searches).
 """
 
 import pytest
-
-from repro.atpg import (
+from oracles.podem_legacy import legacy_kernel, on_legacy_kernel
+from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
     detects_stuck_open,
+)
+from repro.atpg import (
     generate_polarity_test,
     generate_test,
     justify_and_propagate,
@@ -62,8 +65,8 @@ def _same_result(a, b):
 def test_stuck_at_generation_matches_legacy(name):
     network = build_benchmark(name)
     for fault in _sample(stuck_at_faults(network)):
-        legacy = generate_test(network, fault, engine="legacy")
-        compiled = generate_test(network, fault, engine="compiled")
+        legacy = on_legacy_kernel(generate_test, network, fault)
+        compiled = generate_test(network, fault)
         assert _same_result(legacy, compiled), (name, fault.name)
         if compiled.success:
             # Oracle verification, independent of both engines.
@@ -79,8 +82,8 @@ def test_polarity_generation_matches_legacy(name):
     if not faults:
         pytest.skip(f"{name} has no DP gates")
     for fault in faults:
-        legacy = generate_polarity_test(network, fault, engine="legacy")
-        compiled = generate_polarity_test(network, fault, engine="compiled")
+        legacy = on_legacy_kernel(generate_polarity_test, network, fault)
+        compiled = generate_polarity_test(network, fault)
         if legacy is None:
             assert compiled is None, (name, fault.name)
             continue
@@ -99,8 +102,9 @@ def test_polarity_generation_matches_legacy(name):
 @pytest.mark.parametrize("name", ["c17", "alu_slice"])
 def test_sof_atpg_matches_legacy(name):
     network = build_benchmark(name)
-    legacy = run_sof_atpg(network, engine="legacy")
-    compiled = run_sof_atpg(network, engine="compiled")
+    with legacy_kernel():
+        legacy = run_sof_atpg(network)
+    compiled = run_sof_atpg(network)
     assert [t.fault.name for t in legacy.tests] == [
         t.fault.name for t in compiled.tests
     ]
@@ -125,8 +129,9 @@ def test_campaign_partition_identical(name):
     and the untestable/aborted classification, bit for bit."""
     network = build_benchmark(name)
     faults = stuck_at_faults(network)
-    legacy = run_stuck_at_atpg(network, faults, engine="legacy")
-    compiled = run_stuck_at_atpg(network, faults, engine="compiled")
+    with legacy_kernel():
+        legacy = run_stuck_at_atpg(network, faults)
+    compiled = run_stuck_at_atpg(network, faults)
     assert legacy.tests == compiled.tests
     assert legacy.detected == compiled.detected
     assert legacy.untestable == compiled.untestable
@@ -164,7 +169,7 @@ def _corpus_subset(network, quotas):
                 break
             if fault.is_branch != branch:
                 continue
-            compiled = generate_test(network, fault, engine="compiled")
+            compiled = generate_test(network, fault)
             key = (branch, _outcome(compiled))
             if need.get(key):
                 need[key] -= 1
@@ -176,7 +181,7 @@ def _corpus_subset(network, quotas):
 def _mirror_corpus(quotas):
     network = get_registry().load("cpx432")
     for fault, compiled in _corpus_subset(network, quotas):
-        legacy = generate_test(network, fault, engine="legacy")
+        legacy = on_legacy_kernel(generate_test, network, fault)
         assert _same_result(legacy, compiled), fault.name
         if compiled.success:
             assert detects_stuck_at(network, fault, compiled.vector)
@@ -222,14 +227,12 @@ def _redundant_network() -> Network:
 def test_untestable_redundant_fault_both_engines():
     network = _redundant_network()
     fault = StuckAtFault("y", 1)  # y is constant 1: sa1 undetectable
-    for engine in ("legacy", "compiled"):
-        result = generate_test(network, fault, engine=engine)
+    legacy = on_legacy_kernel(generate_test, network, fault)
+    compiled = generate_test(network, fault)
+    for engine, result in (("legacy", legacy), ("compiled", compiled)):
         assert not result.success, engine
         assert not result.aborted, engine  # proven, not given up
-    assert _same_result(
-        generate_test(network, fault, engine="legacy"),
-        generate_test(network, fault, engine="compiled"),
-    )
+    assert _same_result(legacy, compiled)
 
 
 def test_backtrack_budget_abort_both_engines():
@@ -237,10 +240,10 @@ def test_backtrack_budget_abort_both_engines():
     both engines give up identically and flag the abort."""
     network = _redundant_network()
     fault = StuckAtFault("y", 1)
-    legacy = generate_test(network, fault, max_backtracks=0, engine="legacy")
-    compiled = generate_test(
-        network, fault, max_backtracks=0, engine="compiled"
+    legacy = on_legacy_kernel(
+        generate_test, network, fault, max_backtracks=0
     )
+    compiled = generate_test(network, fault, max_backtracks=0)
     assert legacy.aborted and compiled.aborted
     assert _same_result(legacy, compiled)
 
@@ -250,8 +253,8 @@ def test_fault_on_primary_output_and_input():
     po_faults = [StuckAtFault("g22", 0), StuckAtFault("g22", 1)]
     pi_faults = [StuckAtFault("g1", 0), StuckAtFault("g1", 1)]
     for fault in po_faults + pi_faults:
-        legacy = generate_test(network, fault, engine="legacy")
-        compiled = generate_test(network, fault, engine="compiled")
+        legacy = on_legacy_kernel(generate_test, network, fault)
+        compiled = generate_test(network, fault)
         assert _same_result(legacy, compiled), fault.name
         assert compiled.success, fault.name
         assert detects_stuck_at(network, fault, compiled.vector)
@@ -263,20 +266,11 @@ def test_justification_only_matches_legacy():
     gate = network.gates["fa2_sum"]
     for local in ((0, 1, 1), (1, 0, 0), (1, 1, 1)):
         condition = list(zip(gate.inputs, local))
-        legacy = justify_and_propagate(
-            network, condition, propagate=False, engine="legacy"
+        legacy = on_legacy_kernel(
+            justify_and_propagate, network, condition, propagate=False
         )
-        compiled = justify_and_propagate(
-            network, condition, propagate=False, engine="compiled"
-        )
+        compiled = justify_and_propagate(network, condition, propagate=False)
         assert _same_result(legacy, compiled), local
-
-
-def test_unknown_engine_rejected():
-    network = build_benchmark("c17")
-    fault = StuckAtFault("g10", 0)
-    with pytest.raises(ValueError):
-        generate_test(network, fault, engine="nope")
 
 
 # ---------------------------------------------------------------------------

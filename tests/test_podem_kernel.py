@@ -6,7 +6,7 @@ backtrack changes, level by level.  Seeded random decision/backtrack
 sequences on random circuits and on cpx432, with stem, branch and
 gate-table faults, check after every step that the resident codes equal
 a from-scratch evaluation of the current assignment by the legacy dict
-machine, and that fault effects only ever appear inside the fault's
+machine of the test oracle (``tests/oracles/podem_legacy.py``), and that fault effects only ever appear inside the fault's
 static fanout cone (the only place the search scans for them).
 """
 
@@ -14,8 +14,8 @@ import itertools
 import random
 
 import pytest
+from oracles.podem_legacy import _FaultMachine
 
-from repro.atpg.podem import _FaultMachine
 from repro.atpg.podem_compiled import (
     F0,
     F1,

@@ -10,7 +10,8 @@ independent references:
   initial state.
 * **Fault lowering is engine-invariant** — one logical fault on the
   sequential netlist lowers to every-frame replica injections, and the
-  multi-word, single-word compiled, and legacy dict engines must
+  multi-word, single-word compiled, and legacy dict engines (the
+  serial checks of ``tests/oracles/serial_sim.py``) must
   produce *bit-identical* detection matrices over per-cycle input
   sequences.  Nothing is allowed to be "close".
 
@@ -24,11 +25,13 @@ import pathlib
 
 import numpy as np
 import pytest
-
-from repro.atpg.fault_sim import (
+from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
     detects_stuck_open,
+)
+
+from repro.atpg.fault_sim import (
     parallel_polarity_simulation,
     parallel_stuck_at_simulation,
     parallel_stuck_open_simulation,

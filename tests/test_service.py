@@ -218,7 +218,7 @@ class TestJobSpec:
         ({"circuits": ["c17"], "workers": 0}, "workers"),
         ({"circuits": ["c17"], "timeout": -1}, "timeout"),
         ({"circuits": ["c17"], "bogus": 1}, "bogus"),
-        ({"circuits": ["c17"], "engine": "bogus"}, "compiled.*legacy"),
+        ({"circuits": ["c17"], "engine": "legacy"}, "may only be 'compiled'"),
         ({"circuits": ["c17"], "engine": 3}, "engine"),
         ({"circuits": ["c17"], "workers": True}, "workers"),
         ({"circuits": ["c17"], "workers": 2.0}, "workers"),
@@ -241,9 +241,12 @@ class TestJobSpec:
 
     def test_defaults_round_trip(self):
         spec = JobSpec.from_payload({"circuits": ["c17"]})
-        assert spec.engine == "compiled"
+        assert spec.to_payload()["engine"] == "compiled"
         assert spec.workers == 1
         assert JobSpec.from_payload(spec.to_payload()) == spec
+        assert JobSpec.from_payload(
+            {"circuits": ["c17"], "engine": "compiled"}
+        ) == spec
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +327,10 @@ class TestServiceAPI:
         rows = _store_task_ids(manager.store_path)
         claims = _claim_statuses(manager.store_path)
         with pytest.raises(ServiceHTTPError) as err:
-            client.submit({"circuits": ["c17"], "engine": "bogus"})
+            client.submit({"circuits": ["c17"], "engine": "legacy"})
         assert err.value.code == 400
-        assert "compiled" in str(err.value) and "legacy" in str(err.value)
+        assert "'legacy'" in str(err.value)
+        assert "may only be 'compiled'" in str(err.value)
         assert [j["id"] for j in client.jobs()] == [job["id"]]
         assert _store_task_ids(manager.store_path) == rows
         assert _claim_statuses(manager.store_path) == claims
@@ -533,9 +537,7 @@ class TestProcessFailureModes:
 
         with open_store(store_path, "sqlite") as store:
             disturbed = store.latest()
-        tasks = expand_grid(
-            SLOW_SPEC["circuits"], SLOW_SPEC["fault_classes"], "compiled"
-        )
+        tasks = expand_grid(SLOW_SPEC["circuits"], SLOW_SPEC["fault_classes"])
         fresh_path = tmp_path / "undisturbed.sqlite"
         run_campaign(tasks, store=fresh_path)
         with open_store(fresh_path, "sqlite") as store:
