@@ -238,6 +238,15 @@ def _edge_overrides(
     return overrides
 
 
+def _delay_probes(
+    bench: Testbench, transitions: list[tuple[str, dict[str, int], bool]]
+) -> list[tuple[str, str, float]]:
+    """``stop_at_delays`` of a transition sweep: each point's delay is
+    fixed once ``out`` has crossed vdd/2 after its input edge, so the
+    sweep may end there — the delays are those of the full window."""
+    return [(name, "out", bench.vdd / 2.0) for name, _o, _r in transitions]
+
+
 def edge_pair_delays(
     bench: Testbench, input_name: str, other_bits: dict[str, int]
 ) -> tuple[float, float]:
@@ -245,8 +254,9 @@ def edge_pair_delays(
 
     Both edges integrate as one 2-point lockstep transient sweep; each
     equals :func:`transition_delay` at its default window for that edge
-    (``inf`` when the output never responds).  The bench's own drives
-    are left as they are.
+    (``inf`` when the output never responds).  The sweep stops once
+    both delays are fixed (see :func:`_delay_probes`).  The bench's own
+    drives are left as they are.
     """
     transitions = [
         (input_name, other_bits, True), (input_name, other_bits, False)
@@ -254,6 +264,7 @@ def edge_pair_delays(
     rise, fall = run_transient_sweep(
         bench.circuit, _edge_overrides(bench, transitions, _T_EDGE),
         _T_STOP, _DT,
+        stop_at_delays=_delay_probes(bench, transitions),
     )
     return (
         propagation_delay(rise, input_name, "out", bench.vdd),
@@ -298,7 +309,8 @@ def worst_case_delay(
 
     The batched engine integrates every transition as one lockstep
     transient sweep (per-point source-drive overrides on a shared
-    circuit); the sequential engine runs one transient per transition.
+    circuit) that stops once every delay is fixed; the sequential
+    engine runs one full-window transient per transition.
     """
     cell = bench.cell
     transitions = _flipping_transitions(cell)
@@ -317,7 +329,8 @@ def worst_case_delay(
         raise ValueError(f"unknown engine {engine!r}")
     overrides = _edge_overrides(bench, transitions, t_edge)
     results = run_transient_sweep(
-        bench.circuit, overrides, t_stop, dt, system=system
+        bench.circuit, overrides, t_stop, dt, system=system,
+        stop_at_delays=_delay_probes(bench, transitions),
     )
     worst = 0.0
     for (input_name, _others, _rising), result in zip(transitions, results):

@@ -6,9 +6,10 @@ embarrassingly parallel across bias points: the same :class:`MNASystem`
 is solved at B independent source configurations.  This module stacks
 those B points into one vectorized Newton loop:
 
-* device evaluation runs over a ``(B, n_devices, 6, 5)`` perturbation
-  tensor (one compact-model call per device group per iteration, not
-  one per point),
+* device evaluation runs the system's one stamp
+  (:meth:`MNASystem.device_contributions`) over the whole ``(B, size)``
+  stack: one compact-model call per device group per iteration, not
+  one per point,
 * the ``(B, size, size)`` Jacobian stack is solved with one batched
   ``numpy.linalg.solve`` call,
 * converged points freeze (they drop out of the active set) while
@@ -31,12 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.spice.dc import OperatingPoint
-from repro.spice.mna import (
-    ConvergenceError,
-    MNASystem,
-    NewtonOptions,
-    _FD_STEP,
-)
+from repro.spice.mna import ConvergenceError, MNASystem, NewtonOptions
 from repro.spice.netlist import Circuit
 from repro.spice.transient import TransientResult, capacitor_companions
 from repro.spice.waveforms import Waveform
@@ -47,46 +43,8 @@ BiasPoint = Mapping[str, float]
 
 
 # ---------------------------------------------------------------------------
-# Batched device evaluation
+# Batched linear solve
 # ---------------------------------------------------------------------------
-
-def device_contributions_batch(
-    system: MNASystem, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlinear currents/Jacobians for a ``(B, size)`` solution stack.
-
-    Batched analogue of :meth:`MNASystem.device_contributions`: returns
-    ``(i_dev, j_dev)`` of shapes ``(B, size)`` and ``(B, size, size)``.
-    The scatter-add order per point matches the sequential path exactly
-    (same precomputed index arrays), so contributions are bit-identical.
-    """
-    n_batch, size = x.shape
-    i_dev = np.zeros((n_batch, size))
-    j_dev = np.zeros((n_batch, size, size))
-    i_flat = i_dev.reshape(n_batch * size)
-    j_flat = j_dev.reshape(n_batch * size * size)
-    i_offsets = np.arange(n_batch)[:, None] * size
-    j_offsets = np.arange(n_batch)[:, None] * (size * size)
-    for (model, _names, index_matrix, i_valid, i_targets,
-         j_valid, j_targets, index_clipped) in system.device_groups:
-        n = index_matrix.shape[0]
-        base = np.where(i_valid, x[:, index_clipped], 0.0)  # (B, n, 5)
-        pert = np.broadcast_to(
-            base[:, :, None, :], (n_batch, n, 6, 5)
-        ).copy()
-        for j in range(5):
-            pert[:, :, j + 1, j] += _FD_STEP
-        currents = model.terminal_current_matrix(pert)  # (B, n, 6, 5)
-        i_base = currents[:, :, 0, :]
-        didv = (
-            currents[:, :, 1:, :] - currents[:, :, None, 0, :]
-        ) / _FD_STEP
-        np.add.at(i_flat, i_offsets + i_targets[None, :],
-                  i_base[:, i_valid])
-        np.add.at(j_flat, j_offsets + j_targets[None, :],
-                  didv[:, j_valid])
-    return i_dev, j_dev
-
 
 def _solve_stack(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve; singular members yield NaN rows.
@@ -130,9 +88,10 @@ def newton_batch(
     exactly like the scalar path's exception handling).
 
     The per-point arithmetic replicates :meth:`MNASystem.solve_newton`:
-    identical damping schedule, identical convergence test, and device
-    stamps accumulated in the same order, so a point that converges here
-    follows the same trajectory it would have followed alone.
+    identical damping schedule, identical convergence test, and the same
+    device stamp (the scalar path is its ``B = 1`` case), so a point
+    that converges here follows the same trajectory it would have
+    followed alone.
     """
     opts = options or NewtonOptions()
     g = (
@@ -150,7 +109,7 @@ def newton_batch(
         # (the common case: most steps/rungs converge together).
         full = active.size == n_batch
         xa = x if full else x[active]
-        i_dev, j_dev = device_contributions_batch(system, xa)
+        i_dev, j_dev = system.device_contributions(xa)
         residual = xa @ g.T + i_dev - (b if full else b[active])
         if i_extra is not None:
             residual = residual + (i_extra if full else i_extra[active])
@@ -420,6 +379,51 @@ def solve_dc_sweep(
 SourceOverride = Mapping[str, "float | Waveform"]
 
 
+class _DelayWatch:
+    """Per-point record of whether a sweep point's delay is fixed.
+
+    A point is settled once its output has crossed its threshold after
+    the latest crossing of its input: that is the first output crossing
+    :func:`~repro.spice.measure.propagation_delay` pairs with the input
+    edge.  Crossing times use the interpolation of
+    :func:`~repro.spice.measure.threshold_crossings`, so the two agree
+    on which crossing comes later.
+    """
+
+    def __init__(
+        self, mna: MNASystem, probes: Sequence[tuple[str, str, float]]
+    ) -> None:
+        self.points = np.arange(len(probes))
+        self.in_cols = np.array([mna.node_index[i] for i, _o, _t in probes])
+        self.out_cols = np.array([mna.node_index[o] for _i, o, _t in probes])
+        self.threshold = np.array([float(t) for _i, _o, t in probes])
+        self.t_in = np.full(len(probes), np.nan)
+        self.settled = np.zeros(len(probes), dtype=bool)
+
+    def _crossings(
+        self, prev: np.ndarray, cur: np.ndarray, cols: np.ndarray,
+        t0: float, t1: float,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Points whose ``cols`` node crossed in ``(t0, t1]``, and when."""
+        v0 = prev[self.points, cols]
+        v1 = cur[self.points, cols]
+        k = np.flatnonzero((v0 < self.threshold) != (v1 < self.threshold))
+        frac = (self.threshold[k] - v0[k]) / (v1[k] - v0[k])
+        return k, t0 + frac * (t1 - t0)
+
+    def settled_after(
+        self, prev: np.ndarray, cur: np.ndarray, t0: float, t1: float
+    ) -> bool:
+        """Take the step from ``prev`` at ``t0`` to ``cur`` at ``t1``;
+        True once every point is settled."""
+        k, t = self._crossings(prev, cur, self.in_cols, t0, t1)
+        self.t_in[k] = t
+        self.settled[k] = False  # a new input edge awaits its response
+        k, t = self._crossings(prev, cur, self.out_cols, t0, t1)
+        self.settled[k] |= t > self.t_in[k]
+        return bool(self.settled.all())
+
+
 def run_transient_sweep(
     circuit: Circuit,
     overrides: Sequence[SourceOverride],
@@ -427,6 +431,8 @@ def run_transient_sweep(
     dt: float,
     options: NewtonOptions | None = None,
     system: MNASystem | None = None,
+    *,
+    stop_at_delays: Sequence[tuple[str, str, float]] | None = None,
 ) -> list[TransientResult]:
     """Integrate B source-drive variants of one circuit in lockstep.
 
@@ -437,6 +443,21 @@ def run_transient_sweep(
     batched Newton solve per time step; per-point trajectories match
     :func:`repro.spice.transient.run_transient` run separately on each
     variant.
+
+    ``stop_at_delays`` gives one ``(input node, output node,
+    threshold)`` per point, for drives with a single input edge (a
+    :class:`~repro.spice.waveforms.Step`).  The sweep then ends at the
+    first step by which every point's output has crossed the threshold
+    after its input did.  Backward-Euler is causal, so later steps
+    cannot change the :func:`~repro.spice.measure.propagation_delay`
+    of any point: the delays equal those of the full window, ``inf``
+    included (a point whose output never responds keeps the sweep
+    running to ``t_stop``).  Early-stopped traces end early, so
+    end-of-run observables such as
+    :meth:`TransientResult.final_supply_current` must not be read from
+    them.  A step that would fail to converge after every delay is
+    fixed is never taken, so such a sweep returns instead of raising
+    :class:`ConvergenceError`.
 
     Returns one :class:`TransientResult` per override, in order.
     """
@@ -478,8 +499,15 @@ def run_transient_sweep(
             hist_targets.append(int(b_idx[k]))
     hist_cols_arr = np.asarray(hist_cols, dtype=int)
     hist_signs_arr = np.asarray(hist_signs)
-    hist_targets_arr = np.asarray(hist_targets, dtype=int)
-    batch_offsets = np.arange(n_batch)[:, None] * mna.size
+    hist_targets_arr = (
+        np.arange(n_batch)[:, None] * mna.size
+        + np.asarray(hist_targets, dtype=int)
+    ).ravel()
+    watch = None
+    if stop_at_delays is not None:
+        if len(stop_at_delays) != n_batch:
+            raise ValueError("need one stop_at_delays entry per sweep point")
+        watch = _DelayWatch(mna, stop_at_delays)
 
     def batch_rhs(t: float) -> np.ndarray:
         b = np.tile(mna.source_rhs(t), (n_batch, 1))
@@ -516,16 +544,17 @@ def run_transient_sweep(
     for step in range(1, n_steps + 1):
         b = batch_rhs(times[step])
         # History currents, scattered in sequential per-capacitor order.
-        i_extra = np.zeros((n_batch, mna.size))
         if len(geq):
             va = np.where(a_idx >= 0, x[:, np.clip(a_idx, 0, None)], 0.0)
             vb = np.where(b_idx >= 0, x[:, np.clip(b_idx, 0, None)], 0.0)
             hist = geq[None, :] * (va - vb)
-            np.add.at(
-                i_extra.reshape(n_batch * mna.size),
-                batch_offsets + hist_targets_arr[None, :],
-                hist[:, hist_cols_arr] * hist_signs_arr[None, :],
-            )
+            i_extra = np.bincount(
+                hist_targets_arr,
+                weights=(hist[:, hist_cols_arr] * hist_signs_arr).ravel(),
+                minlength=n_batch * mna.size,
+            ).reshape(n_batch, mna.size)
+        else:
+            i_extra = np.zeros((n_batch, mna.size))
         x_new, ok = newton_batch(
             mna, x, b, options=opts, i_extra=i_extra, g_base=g_base
         )
@@ -550,6 +579,12 @@ def run_transient_sweep(
             x_new[retry] = x_retry
         x = x_new
         trace[:, step] = x
+        if watch is not None and watch.settled_after(
+            trace[:, step - 1], x, times[step - 1], times[step]
+        ):
+            times = times[: step + 1]
+            trace = trace[:, : step + 1]
+            break
 
     results = []
     for k in range(n_batch):

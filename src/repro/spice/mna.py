@@ -3,14 +3,18 @@
 Unknown vector layout: node voltages (all non-ground nodes in sorted
 order) followed by one branch current per voltage source.  Nonlinear
 device currents and their Jacobians are evaluated with vectorised
-finite differences: devices sharing a compact-model instance are grouped
-and evaluated in a single numpy call over a ``(n_devices, 6, 5)``
-perturbation tensor (base point + one perturbation per terminal).
+finite differences: devices sharing a compact-model instance are grouped,
+and each group is evaluated in a single numpy call over a stack of
+``n_devices`` base rows plus one perturbed row per *non-ground* terminal
+(a grounded terminal's Jacobian column is never stamped, so it is never
+perturbed).  The currents and the Jacobian of every group are then
+scattered with one ``np.bincount`` each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +44,34 @@ class NewtonOptions:
 
 _FD_STEP = 1e-5
 """Finite-difference voltage perturbation for device Jacobians [V]."""
+
+
+class DeviceGroup(NamedTuple):
+    """Devices sharing one compact-model instance, and their stamp plan.
+
+    ``index_matrix[dev, term]`` is the unknown index of each terminal
+    (-1 for ground), terminals in :data:`DEVICE_TERMINALS` order.  The
+    model evaluates ``gather`` — indices into the solution padded with a
+    zero ground column: ``n`` base rows, then one row per non-ground
+    ``(dev, term)`` pair — with ``_FD_STEP`` added at ``(pert_rows,
+    pert_cols)``.  In the flattened ``(rows * 5)`` model output,
+    ``i_src`` picks the base current of each non-ground terminal, and
+    ``j_pert`` / ``j_base`` the perturbed and base current of each
+    Jacobian entry; ``i_slice`` / ``j_slice`` place them among the
+    system's joined scatter targets.
+    """
+
+    model: object
+    names: list[str]
+    index_matrix: np.ndarray
+    gather: np.ndarray
+    pert_rows: np.ndarray
+    pert_cols: np.ndarray
+    i_src: np.ndarray
+    j_pert: np.ndarray
+    j_base: np.ndarray
+    i_slice: slice
+    j_slice: slice
 
 
 class MNASystem:
@@ -172,18 +204,26 @@ class MNASystem:
         return self._linear_factor[1](b.T).T
 
     def _build_device_groups(self) -> None:
-        """Group devices by compact-model identity for vectorised eval.
+        """Group devices by compact-model identity and plan their stamp.
 
-        Alongside the terminal-index matrix, each group precomputes the
-        scatter-add index arrays :meth:`device_contributions` needs:
-        ground terminals (index -1) are masked out once here, and the
-        Jacobian targets are flattened ``row * size + col`` positions
-        so the whole stamp is two ``np.add.at`` calls per group.
+        Each group's :class:`DeviceGroup` stamp plan is built once here:
+        the model runs on ``n`` base rows (one per device) plus one
+        perturbed row per non-ground ``(device, terminal)`` pair, so a
+        grounded terminal — whose Jacobian column is never stamped — is
+        never perturbed.  The current and Jacobian targets of all groups
+        are joined, in group order, into one flat array each
+        (``row * size + col`` for the Jacobian), so
+        :meth:`device_contributions` scatters with one ``np.bincount``
+        apiece.  Each entry sums its contributions group by group and
+        device by device, in one fixed order for every batch size.
         """
         groups: dict[int, list[str]] = {}
         for name, dev in self.circuit.devices.items():
             groups.setdefault(id(dev.model), []).append(name)
-        self.device_groups: list[tuple] = []
+        self.device_groups: list[DeviceGroup] = []
+        i_targets: list[np.ndarray] = []
+        j_targets: list[np.ndarray] = []
+        i_lo = j_lo = 0
         for names in groups.values():
             names.sort()
             model = self.circuit.devices[names[0]].model
@@ -193,22 +233,55 @@ class MNASystem:
                 dev = self.circuit.devices[dev_name]
                 for j, term in enumerate(DEVICE_TERMINALS):
                     index_matrix[i, j] = self._index(getattr(dev, term))
-            i_valid = index_matrix >= 0  # aligned with i_base[dev, t]
-            i_targets = index_matrix[i_valid]
-            # didv[dev, j_term, t_term] stamps into
-            # (row, col) = (rows[t_term], rows[j_term]).
-            row_t = np.broadcast_to(index_matrix[:, None, :], (n, 5, 5))
-            row_j = np.broadcast_to(index_matrix[:, :, None], (n, 5, 5))
-            j_valid = (row_t >= 0) & (row_j >= 0)
-            j_targets = (row_t * self.size + row_j)[j_valid]
-            # Ground-safe gather indices, precomputed once so per-call
-            # voltage gathers skip the clip (the batched engine runs
-            # thousands of gathers per sweep).
-            index_clipped = np.clip(index_matrix, 0, None)
-            self.device_groups.append(
-                (model, names, index_matrix, i_valid, i_targets,
-                 j_valid, j_targets, index_clipped)
+            valid = index_matrix >= 0
+            # Perturbed rows: every non-ground (device, terminal), in
+            # device-major order.  Ground gathers the zero pad column.
+            pert_dev, pert_term = np.nonzero(valid)
+            padded = np.where(valid, index_matrix, self.size)
+            gather = np.concatenate([padded, padded[pert_dev]])
+            # Jacobian entries: d(I into terminal t)/d(V of the perturbed
+            # terminal) for every non-ground t of the perturbed device,
+            # in (device, perturbed terminal, t) order.
+            k, t = np.nonzero(valid[pert_dev])
+            dev_k = pert_dev[k]
+            i_targets.append(index_matrix[valid])
+            j_targets.append(
+                index_matrix[dev_k, t] * self.size
+                + index_matrix[dev_k, pert_term[k]]
             )
+            i_hi = i_lo + i_targets[-1].size
+            j_hi = j_lo + j_targets[-1].size
+            self.device_groups.append(DeviceGroup(
+                model=model,
+                names=names,
+                index_matrix=index_matrix,
+                gather=gather,
+                pert_rows=n + np.arange(pert_dev.size),
+                pert_cols=pert_term,
+                i_src=np.flatnonzero(valid),
+                j_pert=(n + k) * 5 + t,
+                j_base=dev_k * 5 + t,
+                i_slice=slice(i_lo, i_hi),
+                j_slice=slice(j_lo, j_hi),
+            ))
+            i_lo, j_lo = i_hi, j_hi
+        self._i_targets = np.concatenate(i_targets or [np.empty(0, int)])
+        self._j_targets = np.concatenate(j_targets or [np.empty(0, int)])
+        self._batch_targets: tuple[int, np.ndarray, np.ndarray] | None = None
+
+    def _scatter_targets(self, n_batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat current/Jacobian targets of a ``(n_batch, size)`` stack
+        (kept for the last batch size: Newton loops repeat it)."""
+        cached = self._batch_targets
+        if cached is None or cached[0] != n_batch:
+            batch = np.arange(n_batch)[:, None]
+            cached = (
+                n_batch,
+                (batch * self.size + self._i_targets).ravel(),
+                (batch * self.size**2 + self._j_targets).ravel(),
+            )
+            self._batch_targets = cached
+        return cached[1], cached[2]
 
     # ------------------------------------------------------------------
     def source_rhs(self, t: float) -> np.ndarray:
@@ -232,30 +305,46 @@ class MNASystem:
 
         Returns ``(i_dev, j_dev)`` where ``i_dev`` has the device currents
         summed into node rows, and ``j_dev`` the corresponding
-        conductance Jacobian.
+        conductance Jacobian.  ``x`` is one solution of shape ``(size,)``
+        or a stack ``(B, size)`` of independent points (the batched
+        Newton loops of :mod:`repro.spice.batched`); the results then
+        gain the same leading axis.  A point's stamp does not depend on
+        the rest of the stack: one point alone is the ``B = 1`` case.
         """
-        i_dev = np.zeros(self.size)
-        j_dev = np.zeros((self.size, self.size))
-        j_flat = j_dev.ravel()
-        for (model, _names, _index_matrix, i_valid, i_targets,
-             j_valid, j_targets, index_clipped) in self.device_groups:
-            base = np.where(i_valid, x[index_clipped], 0.0)  # (n, 5)
-            n = base.shape[0]
-            # Perturbation tensor: slot 0 is the base point, slots 1..5
-            # perturb one terminal each (only where the terminal is a real
-            # unknown; ground terminals keep zero volts and need no column).
-            pert = np.broadcast_to(base[:, None, :], (n, 6, 5)).copy()
-            for j in range(5):
-                pert[:, j + 1, j] += _FD_STEP
-            currents = model.terminal_current_matrix(pert)  # (n, 6, 5)
-            i_base = currents[:, 0, :]
-            didv = (currents[:, 1:, :] - currents[:, None, 0, :]) / _FD_STEP
-            # didv[k, j, t]: d(I into terminal t)/d(V of terminal j).
-            # Scatter-add over the precomputed index arrays (duplicate
-            # node targets accumulate, exactly like the stamping loop).
-            np.add.at(i_dev, i_targets, i_base[i_valid])
-            np.add.at(j_flat, j_targets, didv[j_valid])
-        return i_dev, j_dev
+        if not self.device_groups:
+            return np.zeros(x.shape), np.zeros(x.shape + (self.size,))
+        stack = x.reshape(-1, self.size)
+        n_batch = stack.shape[0]
+        padded = np.zeros((n_batch, self.size + 1))  # last column: ground
+        padded[:, : self.size] = stack
+        w_i = np.empty((n_batch, self._i_targets.size))
+        w_j = np.empty((n_batch, self._j_targets.size))
+        for group in self.device_groups:
+            volts = padded[:, group.gather]
+            volts[:, group.pert_rows, group.pert_cols] += _FD_STEP
+            currents = group.model.terminal_current_matrix(volts).reshape(
+                n_batch, -1
+            )
+            w_i[:, group.i_slice] = currents[:, group.i_src]
+            didv = w_j[:, group.j_slice]
+            np.subtract(
+                currents[:, group.j_pert], currents[:, group.j_base],
+                out=didv,
+            )
+            didv /= _FD_STEP
+        i_targets, j_targets = self._scatter_targets(n_batch)
+        i_dev = np.bincount(
+            i_targets, weights=w_i.ravel(), minlength=n_batch * self.size
+        )
+        j_dev = np.bincount(
+            j_targets, weights=w_j.ravel(),
+            minlength=n_batch * self.size**2,
+        )
+        shape = x.shape[:-1]
+        return (
+            i_dev.reshape(shape + (self.size,)),
+            j_dev.reshape(shape + (self.size, self.size)),
+        )
 
     # ------------------------------------------------------------------
     def solve_newton(

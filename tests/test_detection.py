@@ -28,8 +28,17 @@ from repro.gates import (
     edge_pair_delays,
     get_cell,
     transition_delay,
+    worst_case_delay,
 )
-from repro.gates.characterize import _flipping_transitions
+from repro.gates.characterize import (
+    _DT,
+    _T_EDGE,
+    _T_STOP,
+    _delay_probes,
+    _edge_overrides,
+    _flipping_transitions,
+)
+from repro.spice import propagation_delay, run_transient_sweep
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +243,96 @@ class TestBatchedDelayEdges:
                 ratio = edge_ratio
         assert report.delay_ratio == ratio
         assert ratio > 1.0
+
+
+
+def _edge_sweep(bench, transitions, stop):
+    """One lockstep sweep of ``transitions``, early-stopped or not."""
+    return run_transient_sweep(
+        bench.circuit, _edge_overrides(bench, transitions, _T_EDGE),
+        _T_STOP, _DT,
+        stop_at_delays=_delay_probes(bench, transitions) if stop else None,
+    )
+
+
+def _full_window_delays(bench, transitions):
+    """Delays of ``transitions`` measured on a full-window sweep."""
+    results = _edge_sweep(bench, transitions, stop=False)
+    assert all(r.times[-1] == pytest.approx(_T_STOP) for r in results)
+    return tuple(
+        propagation_delay(r, name, "out", bench.vdd)
+        for (name, _others, _rising), r in zip(transitions, results)
+    )
+
+
+_INV_FAULTS = circuit_faults_for_cell(INV)
+_INV_EDGES = [("a", {}, True), ("a", {}, False)]
+
+
+class TestEarlyStoppedDelaySweeps:
+    """Delay sweeps stop once every delay is fixed; the delays equal
+    those of the full window, ``inf`` included."""
+
+    @pytest.mark.parametrize("index", range(len(_INV_FAULTS)))
+    def test_inv_fault_delays_equal_full_window(self, index):
+        bench = build_cell_circuit(INV, fanout=4)
+        _INV_FAULTS[index].apply(bench)
+        early = edge_pair_delays(bench, "a", {})
+        assert early == _full_window_delays(bench, _INV_EDGES)
+        if index in (0, 1, 11):  # the output never responds
+            assert early == (math.inf, math.inf)
+
+    @pytest.mark.parametrize(
+        "cell_name, fault",
+        [
+            ("XOR2", StuckAtNType("t1")),
+            ("XOR2", StuckAtNType("t2")),
+            ("XOR2", ChannelBreakFault("t1")),
+            ("NAND2", circuit_faults_for_cell(get_cell("NAND2"))[10]),
+            ("NAND2", circuit_faults_for_cell(get_cell("NAND2"))[13]),
+        ],
+        ids=["xor2_san_t1", "xor2_san_t2", "xor2_break_t1",
+             "nand2_gos_cg_t3", "nand2_gos_cg_t4"],
+    )
+    def test_cell_fault_delays_equal_full_window(self, cell_name, fault):
+        cell = get_cell(cell_name)
+        input_name, others, _rising = _flipping_transitions(cell)[0]
+        bench = build_cell_circuit(cell, fanout=4)
+        fault.apply(bench)
+        edges = [(input_name, others, True), (input_name, others, False)]
+        early = edge_pair_delays(bench, input_name, others)
+        assert early == _full_window_delays(bench, edges)
+
+    def test_worst_case_delay_equals_full_window(self):
+        """Every flipping edge of NAND2, on two input nodes, in one
+        early-stopped sweep."""
+        bench = build_cell_circuit(get_cell("NAND2"), fanout=4)
+        transitions = _flipping_transitions(bench.cell)
+        assert {name for name, _o, _r in transitions} == {"a", "b"}
+        full = _full_window_delays(bench, transitions)
+        assert worst_case_delay(bench) == max(full)
+
+    def test_sweep_stops_once_delays_are_fixed(self):
+        bench = build_cell_circuit(INV, fanout=4)
+        for result in _edge_sweep(bench, _INV_EDGES, stop=True):
+            assert result.times[-1] < _T_STOP / 2
+            for wave in result.voltages.values():
+                assert len(wave) == len(result.times)
+
+    def test_sweep_without_a_crossing_ends_at_t_stop(self):
+        """A full channel break of the INV pull-up: the output never
+        crosses after the edge, so the sweep integrates to t_stop."""
+        bench = build_cell_circuit(INV, fanout=4)
+        _INV_FAULTS[0].apply(bench)
+        n_steps = int(round(_T_STOP / _DT))
+        for result in _edge_sweep(bench, _INV_EDGES, stop=True):
+            assert len(result.times) == n_steps + 1
+            assert result.times[-1] == pytest.approx(_T_STOP)
+
+    def test_one_probe_per_point(self):
+        bench = build_cell_circuit(INV, fanout=4)
+        with pytest.raises(ValueError, match="per sweep point"):
+            run_transient_sweep(
+                bench.circuit, [{"vin_a": 0.0}], 1e-10, 1e-11,
+                stop_at_delays=[],
+            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.device import TIGSiNWFET
+from repro.gates import ALL_CELLS
 from repro.spice import (
     Circuit,
     DC,
@@ -244,14 +245,27 @@ class TestConvergenceMachinery:
         assert op.supply_current("vdd") > 0
 
 
+#: Faults the stamp oracle installs on every library cell: two device
+#: defects (each adds a second device group; a gate-oxide short also
+#: drives gate currents) and two bridges (extra resistors that tie
+#: terminals of one device to the same node).
+_STAMP_FAULT_KINDS = (
+    None, "GOSFault", "ChannelBreakFault", "TerminalBridgeFault",
+    "InterconnectBridgeFault",
+)
+
+
 class TestDeviceContributionScatter:
-    """The vectorised ``np.add.at`` device stamping must reproduce the
-    original per-device/per-terminal scatter loop exactly (Table III
-    testbench circuits, fault-free and faulted)."""
+    """The device stamp must reproduce the original per-device /
+    per-terminal scatter loop bit for bit, for the one-point call and
+    for every point of a batched call (Table III testbench circuits of
+    every library cell, fault-free and faulted)."""
 
     @staticmethod
     def _reference_loop(system, x):
-        """The pre-vectorisation triple scatter loop, verbatim."""
+        """The pre-vectorisation triple scatter loop, verbatim.
+
+        Reads only ``(model, names, index_matrix)`` of each group."""
         from repro.spice.mna import _FD_STEP
 
         i_dev = np.zeros(system.size)
@@ -290,16 +304,51 @@ class TestDeviceContributionScatter:
         bench.set_vector(vector)
         return bench
 
-    def test_scatter_matches_reference_loop(self):
-        bench = self._xor2_bench()
-        system = MNASystem(bench.circuit)
+    @staticmethod
+    def _faulted_system(cell_name, fault_kind):
+        from repro.faults import circuit_faults_for_cell
+        from repro.gates import build_cell_circuit, get_cell
+
+        cell = get_cell(cell_name)
+        bench = build_cell_circuit(cell, fanout=4)
+        if fault_kind is not None:
+            fault = next(
+                f for f in circuit_faults_for_cell(cell)
+                if type(f).__name__ == fault_kind
+            )
+            fault.apply(bench)
+        return MNASystem(bench.circuit)
+
+    @pytest.mark.parametrize("fault_kind", _STAMP_FAULT_KINDS)
+    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
+    def test_scatter_matches_reference_loop(self, cell_name, fault_kind):
+        system = self._faulted_system(cell_name, fault_kind)
+        if fault_kind in ("GOSFault", "ChannelBreakFault"):
+            assert len(system.device_groups) == 2
         rng = np.random.default_rng(7)
-        for _ in range(5):
+        for _ in range(3):
             x = rng.uniform(-0.2, VDD + 0.2, size=system.size)
             i_vec, j_vec = system.device_contributions(x)
             i_ref, j_ref = self._reference_loop(system, x)
-            np.testing.assert_allclose(i_vec, i_ref, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(j_vec, j_ref, rtol=1e-12, atol=0)
+            assert np.array_equal(i_vec, i_ref)
+            assert np.array_equal(j_vec, j_ref)
+
+    @pytest.mark.parametrize("n_batch", [1, 3, 8])
+    @pytest.mark.parametrize("fault_kind", _STAMP_FAULT_KINDS)
+    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
+    def test_batched_stamp_matches_reference_loop(
+        self, cell_name, fault_kind, n_batch
+    ):
+        system = self._faulted_system(cell_name, fault_kind)
+        rng = np.random.default_rng(n_batch)
+        x = rng.uniform(-0.2, VDD + 0.2, size=(n_batch, system.size))
+        i_vec, j_vec = system.device_contributions(x)
+        assert i_vec.shape == (n_batch, system.size)
+        assert j_vec.shape == (n_batch, system.size, system.size)
+        for k in range(n_batch):
+            i_ref, j_ref = self._reference_loop(system, x[k])
+            assert np.array_equal(i_vec[k], i_ref)
+            assert np.array_equal(j_vec[k], j_ref)
 
     def test_newton_convergence_on_table3_bench(self):
         """The Table III XOR2 testbench converges to the same operating
