@@ -313,7 +313,8 @@ def demo_batched_sweeps() -> None:
 
     1. a full XOR2 DC truth table as *one* ``solve_dc_sweep`` call —
        every input vector is a row of a ``(B, n, n)`` Jacobian stack —
-       checked against the scalar point-at-a-time reference,
+       checked against one ``solve_dc`` call per vector (the same
+       engine on a stack of one),
     2. a miniature Fig. 5 ``Vcut`` sweep whose delay transients
        integrate in lockstep (``run_transient_sweep``),
     3. the process-level compact-model memo: injecting the same defect
@@ -326,7 +327,7 @@ def demo_batched_sweeps() -> None:
     from repro.gates import XOR2, build_cell_circuit, get_cell
     from repro.spice import solve_dc, solve_dc_sweep
 
-    # 1. Truth table: scalar loop vs one batched call.
+    # 1. Truth table: one call per vector vs one batched call.
     bench = build_cell_circuit(XOR2, fanout=4)
     vdd = bench.vdd
     vectors = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -341,14 +342,14 @@ def demo_batched_sweeps() -> None:
         bench.circuit, [bench.vector_bias(v) for v in vectors]
     )
     t_batched = time.perf_counter() - t0
-    print("XOR2 truth table, scalar vs batched (one Newton loop):")
+    print("XOR2 truth table, one call per vector vs one batched call:")
     worst = 0.0
     for k, vector in enumerate(vectors):
         v_seq = scalar[k].voltage("out")
         v_bat = float(sweep.voltages("out")[k])
         worst = max(worst, abs(v_seq - v_bat))
         print(f"  A,B={vector}: out = {v_bat:6.3f} V   "
-              f"(scalar {v_seq:6.3f} V)")
+              f"(one point per call {v_seq:6.3f} V)")
     print(f"  worst |dV| = {worst:.1e} V, "
           f"{t_scalar * 1e3:.0f} ms -> {t_batched * 1e3:.0f} ms "
           f"(x{t_scalar / max(t_batched, 1e-9):.1f})")
@@ -357,7 +358,7 @@ def demo_batched_sweeps() -> None:
     cell = get_cell("INV")
     axis = pull_up_vcut_axis(vdd, points=4)
     t0 = time.perf_counter()
-    result = vcut_sweep(cell, "t1", "pgs", axis, engine="batched")
+    result = vcut_sweep(cell, "t1", "pgs", axis)
     t_sweep = time.perf_counter() - t0
     print(f"\nINV t1/pgs Vcut sweep ({len(axis)} points, batched, "
           f"{t_sweep * 1e3:.0f} ms):")

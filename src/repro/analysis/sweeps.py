@@ -8,15 +8,12 @@ float one (or both) of its polarity-gate terminals at a swept voltage
 * the propagation delay of a representative output transition,
 * whether the DC truth table still holds (functionality).
 
-The default engine batches the whole sweep: one testbench and one
+The whole sweep is batched: one testbench and one
 :class:`~repro.spice.mna.MNASystem` are shared across every ``Vcut``
 point (the floating-node source level is just a per-point bias), the
 ``len(vcuts) * 2**n_inputs`` DC operating points solve as a single
 vectorized multi-point Newton call, and the per-point delay transients
 integrate in lockstep through one batched backward-Euler loop.
-``engine="sequential"`` preserves the original point-at-a-time path
-(fresh testbench and scalar solves per ``Vcut``) as the equivalence
-reference.
 """
 
 from __future__ import annotations
@@ -36,10 +33,8 @@ from repro.core.fault_models import FloatingPolarityGate
 from repro.gates.builder import build_cell_circuit
 from repro.gates.cell import Cell
 from repro.spice.batched import run_transient_sweep, solve_dc_sweep
-from repro.spice.dc import solve_dc
 from repro.spice.measure import logic_level, propagation_delay
 from repro.spice.mna import MNASystem
-from repro.spice.transient import run_transient
 from repro.spice.waveforms import Step
 
 
@@ -133,7 +128,6 @@ def vcut_sweep(
     fanout: int = 4,
     dt: float = 2.5e-12,
     t_stop: float = 1.4e-9,
-    engine: str = "batched",
 ) -> VcutSweep:
     """Run the Fig. 5 measurement for one transistor/terminal case.
 
@@ -145,17 +139,10 @@ def vcut_sweep(
         vcuts: Floating-node voltages to sweep.  By convention the first
             entry should be the fault-free bias (0 for pull-up SP
             devices, VDD for pull-down) so ratios are referenced to it.
-        engine: ``"batched"`` (default) solves every (Vcut, vector) DC
-            point in one vectorized call and every delay transient in
-            one lockstep sweep; ``"sequential"`` runs the original
-            point-at-a-time measurement.
+
+    Every (Vcut, vector) DC point solves in one vectorized call and
+    every delay transient in one lockstep sweep.
     """
-    if engine == "sequential":
-        return _vcut_sweep_sequential(
-            cell, transistor, terminal, vcuts, fanout, dt, t_stop
-        )
-    if engine != "batched":
-        raise ValueError(f"unknown engine {engine!r}")
     input_name, others, rising = _default_transition(cell, transistor)
     bench = build_cell_circuit(cell, fanout=fanout)
     FloatingPolarityGate(transistor, terminal, float(vcuts[0])).apply(bench)
@@ -208,55 +195,6 @@ def vcut_sweep(
         )
         for i, vcut in enumerate(vcuts)
     ]
-    return VcutSweep(
-        cell_name=cell.name,
-        transistor=transistor,
-        terminal=terminal,
-        points=tuple(points),
-    )
-
-
-def _vcut_sweep_sequential(
-    cell: Cell,
-    transistor: str,
-    terminal: str,
-    vcuts: np.ndarray | list[float],
-    fanout: int,
-    dt: float,
-    t_stop: float,
-) -> VcutSweep:
-    """Point-at-a-time Fig. 5 measurement (the equivalence reference)."""
-    input_name, others, rising = _default_transition(cell, transistor)
-    points: list[VcutPoint] = []
-    for vcut in vcuts:
-        bench = build_cell_circuit(cell, fanout=fanout)
-        FloatingPolarityGate(transistor, terminal, float(vcut)).apply(bench)
-        vdd = bench.vdd
-        # Leakage: worst static IDDQ over all vectors (+functionality).
-        leakage = 0.0
-        functional = True
-        reference = cell.truth_table()
-        for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-            bench.set_vector(vector)
-            op = solve_dc(bench.circuit)
-            leakage = max(leakage, op.supply_current("vdd"))
-            if logic_level(op.voltage("out"), vdd) != reference[vector]:
-                functional = False
-        # Delay of the representative transition.
-        for name, bit in others.items():
-            bench.set_input(name, bit * vdd)
-        v0, v1 = (0.0, vdd) if rising else (vdd, 0.0)
-        bench.set_input(input_name, Step(v0, v1, 0.2e-9, 2e-11))
-        result = run_transient(bench.circuit, t_stop, dt)
-        delay = propagation_delay(result, input_name, "out", vdd)
-        points.append(
-            VcutPoint(
-                vcut=float(vcut),
-                delay=delay,
-                leakage=leakage,
-                functional=functional,
-            )
-        )
     return VcutSweep(
         cell_name=cell.name,
         transistor=transistor,

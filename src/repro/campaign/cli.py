@@ -274,7 +274,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_cache_stats(args) -> int:
-    """In-process cache counters (device/table models + compile memo),
+    """In-process cache counters (device models + compile memo),
     from the same source the ``/metrics`` gauges render."""
     from repro.service.metrics import cache_stats
 
@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="in-process cache tools (device/table models, compile memo)",
+        help="in-process cache tools (device models, compile memo)",
     )
     cache_sub = p_cache.add_subparsers(dest="cache_command", required=True)
     pc_stats = cache_sub.add_parser(

@@ -106,9 +106,9 @@ class DetectionReport:
 
 def _static_observations(bench: Testbench) -> tuple[VectorObservation, ...]:
     """Truth table + IDDQ over the full input cube, as one batched
-    multi-point DC solve (``mode="exact"``: per-point identical to the
-    historical vector-at-a-time :func:`repro.spice.dc.solve_dc` loop).
-    Points that fail to converge come back with ``converged=False``."""
+    multi-point DC solve (each point identical to its own
+    :func:`repro.spice.dc.solve_dc`).  Points that fail to converge
+    come back with ``converged=False``."""
     vectors = list(itertools.product((0, 1), repeat=bench.cell.n_inputs))
     sweep = solve_dc_sweep(
         bench.circuit,

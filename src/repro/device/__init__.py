@@ -1,10 +1,9 @@
 """TIG-SiNWFET device-model substrate.
 
 Replaces the paper's Sentaurus TCAD + HSPICE Verilog-A table model with a
-calibrated analytic compact model, device-level defect models (gate-oxide
-short, channel break, parameter drift) and a look-up-table model for
-circuit simulation.  See DESIGN.md section 2 for the substitution
-rationale.
+calibrated analytic compact model, which circuit simulation evaluates
+directly, and device-level defect models (gate-oxide short, channel
+break, parameter drift).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 # does not load its siblings.
 _LAZY = {
     "cached_device": "repro.device.cache",
-    "cached_table_model": "repro.device.cache",
     "clear_model_caches": "repro.device.cache",
     "model_cache_stats": "repro.device.cache",
     "ChannelBreak": "repro.device.defects",
@@ -32,7 +30,6 @@ _LAZY = {
     "DeviceParameters": "repro.device.params",
     "table_ii_rows": "repro.device.params",
     "thermal_voltage": "repro.device.params",
-    "TableModel": "repro.device.table_model",
     "TIGSiNWFET": "repro.device.tig_model",
     "OperatingPoint": "repro.device.tig_model",
 }

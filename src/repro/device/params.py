@@ -113,7 +113,7 @@ class DeviceParameters:
     v_dsat: float = 0.35
     temperature: float = T_ROOM
 
-    # Parasitics for the circuit-level table model (Section III-D: the
+    # Parasitics for circuit simulation (Section III-D: the paper's
     # Verilog-A look-up table also carries terminal capacitances and access
     # resistances).
     c_gate: float = 0.12e-15

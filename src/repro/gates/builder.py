@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.device.cache import cached_device, cached_table_model
+from repro.device.cache import cached_device
 from repro.device.params import DEFAULT_PARAMS, DeviceParameters
 from repro.gates.cell import Cell
 from repro.gates.library import INV
@@ -145,7 +145,6 @@ def build_cell_circuit(
     model: object | None = None,
     params: DeviceParameters = DEFAULT_PARAMS,
     extra_load_capacitance: float = 0.0,
-    use_table_model: bool = False,
 ) -> Testbench:
     """Build the standard characterisation testbench for ``cell``.
 
@@ -158,18 +157,9 @@ def build_cell_circuit(
             :class:`~repro.device.tig_model.TIGSiNWFET` for ``params``.
         params: Device parameters (used for parasitics and VDD).
         extra_load_capacitance: Additional lumped load on ``out``.
-        use_table_model: Simulate with the sampled look-up-table model
-            (the paper's Verilog-A stand-in) instead of the analytic
-            device.  The 4-D grid is sampled once per process and
-            memoised via
-            :func:`~repro.device.cache.cached_table_model`.
     """
     if model is None:
-        model = (
-            cached_table_model(params)
-            if use_table_model
-            else cached_device(params)
-        )
+        model = cached_device(params)
     vdd = params.vdd
     circuit = Circuit(f"{cell.name}_tb")
     circuit.add_vsource("vdd", "vdd", "0", vdd)

@@ -4,14 +4,10 @@ These are the measurement routines behind the paper's Fig. 5 experiments
 and behind the library's own validation tests (every cell's DC truth
 table must match its reference Boolean function).
 
-All DC measurements run through the batched analog engine by default:
-one shared :class:`~repro.spice.mna.MNASystem` and one vectorized
-multi-point Newton solve over every input vector, instead of a fresh
-system assembly and scalar solve per vector.  ``engine="sequential"``
-keeps a scalar path that still shares one system and warm-starts each
-Gray-code-adjacent vector from the previous solution (adjacent vectors
-differ in one input, so the previous operating point is an excellent
-initial guess).
+All DC measurements of a bench are one vectorized multi-point Newton
+solve over every input vector on one shared
+:class:`~repro.spice.mna.MNASystem`, and all delay edges one lockstep
+transient sweep.
 """
 
 from __future__ import annotations
@@ -55,26 +51,8 @@ def all_vectors(cell: Cell) -> list[tuple[int, ...]]:
     return list(itertools.product((0, 1), repeat=cell.n_inputs))
 
 
-def gray_vectors(cell: Cell) -> list[tuple[int, ...]]:
-    """Every input vector in reflected-Gray-code order.
-
-    Adjacent vectors differ in exactly one bit, which makes the previous
-    operating point the natural warm start for the next solve.
-    """
-    n = cell.n_inputs
-    vectors = []
-    for k in range(1 << n):
-        gray = k ^ (k >> 1)
-        vectors.append(
-            tuple((gray >> (n - 1 - bit)) & 1 for bit in range(n))
-        )
-    return vectors
-
-
 def vector_sweep(
-    bench: Testbench,
-    system: MNASystem | None = None,
-    mode: str = "exact",
+    bench: Testbench, system: MNASystem | None = None
 ) -> tuple[list[tuple[int, ...]], DCSweepResult]:
     """One batched DC solve over every input vector of the bench.
 
@@ -89,57 +67,27 @@ def vector_sweep(
         bench.circuit,
         [bench.vector_bias(v) for v in vectors],
         system=system,
-        mode=mode,
     )
     return vectors, sweep
 
 
 def dc_truth_table(
-    bench: Testbench,
-    engine: str = "batched",
-    system: MNASystem | None = None,
-    mode: str = "exact",
+    bench: Testbench, system: MNASystem | None = None
 ) -> dict[tuple[int, ...], tuple[float, int | None]]:
-    """Measured (voltage, logic value) of ``out`` for every input vector.
-
-    ``engine="batched"`` (default) solves all vectors in one vectorized
-    multi-point Newton call; ``engine="sequential"`` solves one vector
-    at a time on a shared system, Gray-code ordered with warm-started
-    initial guesses.  ``mode`` is forwarded to
-    :func:`~repro.spice.batched.solve_dc_sweep`; the default stays on
-    the exact sequential-identical schedule so defect screening never
-    silently lands on a different DC branch — pass ``mode="fast"`` for
-    fault-free library sweeps where speed matters.
-    """
-    cell = bench.cell
-    vdd = bench.vdd
-    table: dict[tuple[int, ...], tuple[float, int | None]] = {}
-    if engine == "batched":
-        vectors, sweep = vector_sweep(bench, system=system, mode=mode)
-        v_out = sweep.voltages("out")
-        for k, vector in enumerate(vectors):
-            table[vector] = (
-                float(v_out[k]), logic_level(float(v_out[k]), vdd)
-            )
-        return table
-    if engine != "sequential":
-        raise ValueError(f"unknown engine {engine!r}")
-    mna = system if system is not None else MNASystem(bench.circuit)
-    x = None
-    for vector in gray_vectors(cell):
-        bench.set_vector(vector)
-        x = mna.solve_dc_continuation(t=0.0, x0=x)
-        v_out = float(x[mna.node_index["out"]])
-        table[vector] = (v_out, logic_level(v_out, vdd))
-    return {v: table[v] for v in all_vectors(cell)}
+    """Measured (voltage, logic value) of ``out`` for every input vector,
+    all vectors solved in one multi-point Newton call."""
+    vectors, sweep = vector_sweep(bench, system=system)
+    v_out = sweep.voltages("out")
+    return {
+        vector: (float(v_out[k]), logic_level(float(v_out[k]), bench.vdd))
+        for k, vector in enumerate(vectors)
+    }
 
 
-def verify_truth_table(
-    bench: Testbench, engine: str = "batched", mode: str = "exact"
-) -> bool:
+def verify_truth_table(bench: Testbench) -> bool:
     """True when the measured DC truth table matches the reference."""
     reference = bench.cell.truth_table()
-    measured = dc_truth_table(bench, engine=engine, mode=mode)
+    measured = dc_truth_table(bench)
     return all(
         measured[vector][1] == expected
         for vector, expected in reference.items()
@@ -158,31 +106,15 @@ def static_leakage(
 
 
 def worst_static_leakage(
-    bench: Testbench,
-    engine: str = "batched",
-    system: MNASystem | None = None,
-    mode: str = "exact",
+    bench: Testbench, system: MNASystem | None = None
 ) -> tuple[float, tuple[int, ...]]:
-    """Maximum IDDQ over all input vectors, with its vector.
-
-    ``mode="exact"`` (default) keeps the IDDQ screen on the
-    sequential-identical schedule (see :func:`dc_truth_table`).
-    """
-    if engine == "batched":
-        vectors, sweep = vector_sweep(bench, system=system, mode=mode)
-        iddq = sweep.supply_currents("vdd")
-        worst = int(iddq.argmax())
-        if iddq[worst] <= 0.0:
-            return (0.0, (0,) * bench.cell.n_inputs)
-        return (float(iddq[worst]), vectors[worst])
-    if engine != "sequential":
-        raise ValueError(f"unknown engine {engine!r}")
-    worst = (0.0, (0,) * bench.cell.n_inputs)
-    for vector in itertools.product((0, 1), repeat=bench.cell.n_inputs):
-        leak = static_leakage(bench, vector, system=system)
-        if leak > worst[0]:
-            worst = (leak, vector)
-    return worst
+    """Maximum IDDQ over all input vectors, with its vector."""
+    vectors, sweep = vector_sweep(bench, system=system)
+    iddq = sweep.supply_currents("vdd")
+    worst = int(iddq.argmax())
+    if iddq[worst] <= 0.0:
+        return (0.0, (0,) * bench.cell.n_inputs)
+    return (float(iddq[worst]), vectors[worst])
 
 
 def transition_delay(
@@ -302,31 +234,17 @@ def worst_case_delay(
     t_edge: float = _T_EDGE,
     t_stop: float = _T_STOP,
     dt: float = _DT,
-    engine: str = "batched",
     system: MNASystem | None = None,
 ) -> float:
     """Worst delay over all single-input transitions that flip the output.
 
-    The batched engine integrates every transition as one lockstep
-    transient sweep (per-point source-drive overrides on a shared
-    circuit) that stops once every delay is fixed; the sequential
-    engine runs one full-window transient per transition.
+    Every transition integrates as one lockstep transient sweep
+    (per-point source-drive overrides on a shared circuit) that stops
+    once every delay is fixed.
     """
-    cell = bench.cell
-    transitions = _flipping_transitions(cell)
+    transitions = _flipping_transitions(bench.cell)
     if not transitions:
         return 0.0
-    if engine == "sequential":
-        worst = 0.0
-        for input_name, others, rising in transitions:
-            delay = transition_delay(
-                bench, input_name, others, rising=rising,
-                t_edge=t_edge, t_stop=t_stop, dt=dt,
-            )
-            worst = max(worst, delay)
-        return worst
-    if engine != "batched":
-        raise ValueError(f"unknown engine {engine!r}")
     overrides = _edge_overrides(bench, transitions, t_edge)
     results = run_transient_sweep(
         bench.circuit, overrides, t_stop, dt, system=system,
@@ -344,30 +262,24 @@ def characterise(
     cell: Cell,
     params: DeviceParameters = DEFAULT_PARAMS,
     fanout: int = 4,
-    engine: str = "batched",
 ) -> GateCharacterisation:
     """Full characterisation of a library cell.
 
-    With the batched engine the DC part (truth table + worst IDDQ) is
-    one multi-point solve and the delay part one lockstep transient
-    sweep, all on a single shared :class:`MNASystem`.
+    The DC part (truth table + worst IDDQ) is one multi-point solve and
+    the delay part one lockstep transient sweep, both on a single
+    shared :class:`MNASystem`.
     """
     bench = build_cell_circuit(cell, fanout=fanout, params=params)
     reference = cell.truth_table()
-    if engine == "batched":
-        system = MNASystem(bench.circuit)
-        vectors, sweep = vector_sweep(bench, system=system)
-        v_out = sweep.voltages("out")
-        measured = {
-            vector: (float(v_out[k]), logic_level(float(v_out[k]), bench.vdd))
-            for k, vector in enumerate(vectors)
-        }
-        leak = float(sweep.supply_currents("vdd").max())
-        delay = worst_case_delay(bench, engine="batched", system=system)
-    else:
-        measured = dc_truth_table(bench, engine=engine)
-        leak, _vector = worst_static_leakage(bench, engine=engine)
-        delay = worst_case_delay(bench, engine=engine)
+    system = MNASystem(bench.circuit)
+    vectors, sweep = vector_sweep(bench, system=system)
+    v_out = sweep.voltages("out")
+    measured = {
+        vector: (float(v_out[k]), logic_level(float(v_out[k]), bench.vdd))
+        for k, vector in enumerate(vectors)
+    }
+    leak = float(sweep.supply_currents("vdd").max())
+    delay = worst_case_delay(bench, system=system)
     ok = all(
         measured[v][1] == expected for v, expected in reference.items()
     )

@@ -18,7 +18,7 @@ from repro.obs import REGISTRY, Registry
 def cache_stats() -> dict[str, dict[str, int]]:
     """Every in-process cache's counters, one dict per cache.
 
-    ``device``/``table`` come from :mod:`repro.device.cache`,
+    ``device`` comes from :mod:`repro.device.cache`,
     ``compile_memo`` from the :func:`repro.logic.compiled.compile_network`
     memo.  This is the single source behind both ``repro cache stats``
     and the ``repro_cache_*`` gauges on ``/metrics``.
@@ -33,21 +33,19 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
     device_cache = sys.modules.get("repro.device.cache")
     model = device_cache.model_cache_stats() if device_cache else {}
-    stats = {
-        cache: {
-            "hits": model.get(f"{cache}_hits", 0),
-            "misses": model.get(f"{cache}_misses", 0),
-        }
-        for cache in ("device", "table")
+    return {
+        "device": {
+            "hits": model.get("device_hits", 0),
+            "misses": model.get("device_misses", 0),
+        },
+        "compile_memo": compile_memo_stats(),
     }
-    stats["compile_memo"] = compile_memo_stats()
-    return stats
 
 
 def _cache_collector(registry: Registry) -> None:
     g = registry.gauge(
         "repro_cache_events",
-        "In-process cache counters (device/table models, compile memo)",
+        "In-process cache counters (device models, compile memo)",
         ("cache", "event"),
     )
     for cache, stats in cache_stats().items():
@@ -56,7 +54,7 @@ def _cache_collector(registry: Registry) -> None:
 
 
 def install_cache_collectors(registry: Registry | None = None) -> None:
-    """Expose the device/table/compile-memo cache counters as
+    """Expose the device-model and compile-memo cache counters as
     ``repro_cache_events{cache,event}`` gauges on ``registry``
     (default: the process-wide one).  Idempotent."""
     (registry or REGISTRY).collect(_cache_collector)

@@ -1,8 +1,11 @@
 """Circuit-simulation substrate (the paper's HSPICE stand-in).
 
 Modified nodal analysis with Newton-Raphson DC (gmin continuation) and
-backward-Euler transient integration; vectorised TIG-SiNWFET evaluation;
-delay/leakage (IDDQ) measurement helpers.
+backward-Euler transient integration, one batched engine for B bias
+points at once (:mod:`repro.spice.batched`; the one-point
+:func:`solve_dc` and :func:`run_transient` are its ``B = 1`` case);
+vectorised TIG-SiNWFET evaluation; delay/leakage (IDDQ) measurement
+helpers.
 """
 
 from repro.spice.batched import (
@@ -10,7 +13,7 @@ from repro.spice.batched import (
     run_transient_sweep,
     solve_dc_sweep,
 )
-from repro.spice.dc import OperatingPoint, solve_dc, sweep_dc
+from repro.spice.dc import solve_dc
 from repro.spice.measure import (
     final_supply_currents,
     logic_level,
@@ -29,11 +32,8 @@ from repro.spice.netlist import (
     Resistor,
     VoltageSource,
 )
-from repro.spice.transient import (
-    TransientResult,
-    operating_point_from_result,
-    run_transient,
-)
+from repro.spice.results import OperatingPoint, TransientResult
+from repro.spice.transient import run_transient
 from repro.spice.waveforms import DC, PWL, Pulse, Step, Waveform, bit_sequence
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "bit_sequence",
     "final_supply_currents",
     "logic_level",
-    "operating_point_from_result",
     "output_swing",
     "propagation_delay",
     "propagation_delays",
@@ -66,6 +65,5 @@ __all__ = [
     "settles_to",
     "solve_dc",
     "solve_dc_sweep",
-    "sweep_dc",
     "threshold_crossings",
 ]

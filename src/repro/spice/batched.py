@@ -1,4 +1,4 @@
-"""Batched multi-point analog engine: vectorized Newton DC sweeps.
+"""The analog engine: vectorized Newton DC sweeps and lockstep transients.
 
 The measurement workloads behind the paper's Section III-D/V-B
 observables (DC truth tables, IDDQ screens, Fig. 5 ``Vcut`` sweeps) are
@@ -16,12 +16,16 @@ those B points into one vectorized Newton loop:
   stragglers keep iterating, and a non-convergent or singular point is
   isolated instead of poisoning the batch,
 * the per-point control flow — damping, gmin ladder, convergence tests
-  — mirrors :meth:`MNASystem.solve_newton` decision for decision, so
-  batched and sequential solutions agree to well below 1e-9 V.
+  — does not depend on the rest of the stack, so a point follows the
+  trajectory it would follow alone.
 
 :func:`run_transient_sweep` extends the same machinery to transient
 analysis: B variants of one circuit (differing only in source drive)
 integrate in lockstep, one batched Newton solve per time step.
+
+This is the only Newton solver of the package: the one-point analyses
+:func:`repro.spice.dc.solve_dc` and
+:func:`repro.spice.transient.run_transient` are its ``B = 1`` case.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.spice.dc import OperatingPoint
 from repro.spice.mna import ConvergenceError, MNASystem, NewtonOptions
 from repro.spice.netlist import Circuit
-from repro.spice.transient import TransientResult, capacitor_companions
+from repro.spice.results import OperatingPoint, TransientResult
 from repro.spice.waveforms import Waveform
 
 #: A bias point: voltage-source name -> DC level [V] overriding the
@@ -84,14 +87,14 @@ def newton_batch(
     Returns ``(x, converged)`` where ``x`` is ``(B, size)`` and
     ``converged`` a boolean ``(B,)`` mask.  Unconverged entries of ``x``
     hold whatever the last iteration produced — callers are expected to
-    discard them (the continuation keeps the previous gmin solution,
-    exactly like the scalar path's exception handling).
+    discard them (the continuation keeps the previous gmin solution).
 
-    The per-point arithmetic replicates :meth:`MNASystem.solve_newton`:
-    identical damping schedule, identical convergence test, and the same
-    device stamp (the scalar path is its ``B = 1`` case), so a point
-    that converges here follows the same trajectory it would have
-    followed alone.
+    Each point is damped and tested on its own: its voltage step is
+    limited to ``v_limit_step / (1 + iteration // 60)`` on the node
+    unknowns, and it converges once that step is below ``v_tolerance``
+    and its residual below ``residual_tolerance``.  The device stamp
+    does not depend on the rest of the stack either, so a point follows
+    the same trajectory for every batch it is solved in.
     """
     opts = options or NewtonOptions()
     g = (
@@ -115,8 +118,9 @@ def newton_batch(
             residual = residual + (i_extra if full else i_extra[active])
         jacobian = g[None, :, :] + j_dev
         delta = _solve_stack(jacobian, -residual)
-        # Per-point voltage limiting on node unknowns, shrinking with
-        # the iteration count (same schedule as the scalar solver).
+        # Per-point voltage limiting on node unknowns.  The limit
+        # shrinks as iterations accumulate, which breaks the two-point
+        # limit cycles steep exponential devices can otherwise sustain.
         limit = opts.v_limit_step / (1 + iteration // 60)
         if n_nodes:
             worst = np.max(np.abs(delta[:, :n_nodes]), axis=1)
@@ -156,10 +160,12 @@ def continuation_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched gmin-stepping continuation (all points per ladder rung).
 
-    Mirrors :meth:`MNASystem.solve_dc_continuation` per point: a point
-    that fails at one gmin keeps its previous solution as the starting
-    guess for the next rung, and counts as converged iff its final rung
-    succeeded.
+    Starts from a heavily damped system (a large gmin to ground pulls
+    every node toward a solvable state) and relaxes gmin toward the
+    floor, reusing each rung's solution as the next initial guess.  A
+    point that fails at one gmin keeps its previous solution as the
+    starting guess for the next rung, and counts as converged iff its
+    final rung succeeded.
     """
     opts = options or NewtonOptions()
     x = x0.copy()
@@ -177,41 +183,6 @@ def continuation_batch(
 # ---------------------------------------------------------------------------
 # DC sweep entry point
 # ---------------------------------------------------------------------------
-
-#: Newton-schedule overrides for ``mode="fast"``: a looser damping limit
-#: and a two-rung gmin ladder.  From the heuristic warm start the full
-#: five-rung cold-start ladder is homotopy overkill; any point that
-#: still fails is re-run on the exact sequential schedule.
-_FAST_V_LIMIT = 0.45
-_FAST_GMIN_STEPS = (1e-5, 1e-12)
-
-
-def heuristic_initial_guess(
-    system: MNASystem,
-    bias_points: Sequence[BiasPoint],
-    t: float = 0.0,
-) -> np.ndarray:
-    """Cheap warm start: rail-pinned sources, mid-rail floating nodes.
-
-    Nodes driven directly by a grounded voltage source start at that
-    source's level (per bias point); every other node starts at half the
-    largest source magnitude.  This skips most of the voltage-limited
-    cold march from zero without any extra device evaluations.
-    """
-    levels = np.zeros((len(bias_points), len(system.vsource_names)))
-    for j, name in enumerate(system.vsource_names):
-        waveform = system.circuit.vsources[name].waveform
-        for k, point in enumerate(bias_points):
-            levels[k, j] = point.get(name, waveform(t))
-    mid = 0.5 * np.max(np.abs(levels), initial=0.0)
-    x = np.full((len(bias_points), system.size), mid)
-    x[:, system.n_nodes:] = 0.0
-    for j, name in enumerate(system.vsource_names):
-        src = system.circuit.vsources[name]
-        pos = system._index(src.pos)
-        if pos >= 0 and system._index(src.neg) < 0:
-            x[:, pos] = levels[:, j]
-    return x
 
 @dataclasses.dataclass
 class DCSweepResult:
@@ -252,7 +223,7 @@ class DCSweepResult:
         return np.abs(self.source_currents(source_name))
 
     def point(self, k: int) -> OperatingPoint:
-        """Materialise one bias point as a scalar operating point."""
+        """Materialise one bias point as an :class:`OperatingPoint`."""
         return OperatingPoint(
             voltages={
                 name: float(self.x[k, col])
@@ -275,7 +246,6 @@ def solve_dc_sweep(
     x0: np.ndarray | None = None,
     options: NewtonOptions | None = None,
     system: MNASystem | None = None,
-    mode: str = "exact",
     raise_on_failure: bool = True,
 ) -> DCSweepResult:
     """Solve the DC operating point at B independent bias points at once.
@@ -287,29 +257,17 @@ def solve_dc_sweep(
             time ``t``.
         t: Waveform evaluation time for non-overridden sources.
         x0: Optional initial guess — ``(size,)`` broadcast to every
-            point, or ``(B, size)`` per point; defaults to zeros (the
-            same cold start as :func:`repro.spice.dc.solve_dc`).
-        options: Newton options.
+            point, or ``(B, size)`` per point; defaults to zeros (a
+            cold start).
+        options: Newton options.  Every point runs the full gmin ladder
+            of ``options.gmin_steps``.
         system: Pre-built :class:`MNASystem` to amortise assembly.
-        mode: ``"exact"`` (default) runs every point through the full
-            cold-start gmin ladder with the scalar solver's damping —
-            per-point identical (bit-level, in practice) to calling
-            :func:`repro.spice.dc.solve_dc` at each point.  ``"fast"``
-            combines the heuristic warm start with a shortened ladder
-            and looser damping; points that fail are transparently
-            re-run on the exact schedule.  Fast mode converges to the
-            same operating points to well below 1e-9 V on library-cell
-            workloads, but on defect-bistable circuits (e.g. a CG
-            gate-oxide short in a series stack) it may select a
-            different — equally valid — DC branch than the sequential
-            path; use ``"exact"`` when legacy-path determinism matters.
         raise_on_failure: Raise :class:`ConvergenceError` naming the
             failed points (default); when False, failed points are
             flagged in :attr:`DCSweepResult.converged` and keep their
-            last pre-failure iterate.
+            last pre-failure iterate.  A device-free circuit is solved
+            directly; if its stamp is singular, every point fails.
     """
-    if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown mode {mode!r}")
     mna = system if system is not None else MNASystem(circuit)
     opts = options or NewtonOptions()
     n_batch = len(bias_points)
@@ -334,24 +292,15 @@ def solve_dc_sweep(
         )
 
     if mna.is_linear:
+        # Device-free circuit: one prefactorised direct solve at the
+        # gmin floor replaces the whole Newton/gmin ladder.
         gmin_floor = opts.gmin_steps[-1] if opts.gmin_steps else 0.0
-        x = mna.linear_solve(b, gmin_floor)
-        converged = np.ones(n_batch, dtype=bool)
-    elif mode == "fast":
-        fast_opts = dataclasses.replace(
-            opts, v_limit_step=_FAST_V_LIMIT, gmin_steps=_FAST_GMIN_STEPS
-        )
-        if x0 is None:
-            x = heuristic_initial_guess(mna, bias_points, t)
-        x, converged = continuation_batch(mna, b, x, fast_opts)
-        if not np.all(converged):
-            # Exact-schedule fallback, batched over the failed subset.
-            retry = np.flatnonzero(~converged)
-            x_retry, ok_retry = continuation_batch(
-                mna, b[retry], np.zeros((retry.size, mna.size)), opts
-            )
-            x[retry] = np.where(ok_retry[:, None], x_retry, x[retry])
-            converged[retry] = ok_retry
+        try:
+            x = mna.linear_solve(b, gmin_floor)
+        except ConvergenceError:  # singular stamp: every point fails
+            converged = np.zeros(n_batch, dtype=bool)
+        else:
+            converged = np.ones(n_batch, dtype=bool)
     else:
         x, converged = continuation_batch(mna, b, x, opts)
 
@@ -374,6 +323,36 @@ def solve_dc_sweep(
 # ---------------------------------------------------------------------------
 # Batched transient sweep
 # ---------------------------------------------------------------------------
+
+def capacitor_companions(
+    mna: MNASystem, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backward-Euler capacitor companion stamp for a fixed ``dt``.
+
+    Returns ``(g_cap, a_idx, b_idx, geq)``: the conductance stamp to add
+    to the linear base, plus per-capacitor unknown indices (−1 for
+    ground) and companion conductances ``C/dt``, in netlist order.
+    """
+    circuit = mna.circuit
+    g_cap = np.zeros((mna.size, mna.size))
+    n_caps = len(circuit.capacitors)
+    a_idx = np.empty(n_caps, dtype=int)
+    b_idx = np.empty(n_caps, dtype=int)
+    geq = np.empty(n_caps)
+    for k, cap in enumerate(circuit.capacitors.values()):
+        a = mna._index(cap.a)
+        b = mna._index(cap.b)
+        a_idx[k], b_idx[k] = a, b
+        geq[k] = cap.capacitance / dt
+        if a >= 0:
+            g_cap[a, a] += geq[k]
+        if b >= 0:
+            g_cap[b, b] += geq[k]
+        if a >= 0 and b >= 0:
+            g_cap[a, b] -= geq[k]
+            g_cap[b, a] -= geq[k]
+    return g_cap, a_idx, b_idx, geq
+
 
 #: Per-point source override: name -> DC level or full waveform.
 SourceOverride = Mapping[str, "float | Waveform"]
@@ -440,9 +419,9 @@ def run_transient_sweep(
     of voltage-source name to either a DC level or a :class:`Waveform`
     substituted for that source's own drive; the circuit topology (and
     every non-overridden source) is shared.  Backward-Euler with one
-    batched Newton solve per time step; per-point trajectories match
-    :func:`repro.spice.transient.run_transient` run separately on each
-    variant.
+    batched Newton solve per time step; a point's trajectory does not
+    depend on the other points, so it equals
+    :func:`repro.spice.transient.run_transient` on that variant alone.
 
     ``stop_at_delays`` gives one ``(input node, output node,
     threshold)`` per point, for drives with a single input edge (a
@@ -480,10 +459,9 @@ def run_transient_sweep(
             entries.append((source_row[name], drive))
         resolved.append(entries)
 
-    # Capacitor companion stamp (shared recipe with the scalar
-    # integrator), plus a scatter recipe for the history currents that
-    # replays the sequential per-capacitor loop order exactly: for each
-    # capacitor, subtract at node a then add at node b.
+    # Capacitor companion stamp, plus a scatter recipe for the history
+    # currents in per-capacitor order: for each capacitor, subtract at
+    # node a then add at node b.
     g_cap, a_idx, b_idx, geq = capacitor_companions(mna, dt)
     hist_cols: list[int] = []
     hist_signs: list[float] = []
@@ -519,7 +497,7 @@ def run_transient_sweep(
         return b
 
     # Initial condition: batched DC continuation at t = 0 (cold start,
-    # no capacitor companions — same as the scalar transient).
+    # no capacitor companions).
     b0 = batch_rhs(0.0)
     x = np.zeros((n_batch, mna.size))
     if mna.is_linear:
@@ -543,7 +521,7 @@ def run_transient_sweep(
 
     for step in range(1, n_steps + 1):
         b = batch_rhs(times[step])
-        # History currents, scattered in sequential per-capacitor order.
+        # History currents, scattered in per-capacitor order.
         if len(geq):
             va = np.where(a_idx >= 0, x[:, np.clip(a_idx, 0, None)], 0.0)
             vb = np.where(b_idx >= 0, x[:, np.clip(b_idx, 0, None)], 0.0)
@@ -559,8 +537,8 @@ def run_transient_sweep(
             mna, x, b, options=opts, i_extra=i_extra, g_base=g_base
         )
         if not np.all(ok):
-            # Per-point retry with gmin support from the pre-step state,
-            # mirroring the scalar transient's ConvergenceError path.
+            # Per-point retry with gmin support from the pre-step state:
+            # transient steps occasionally straddle a steep device region.
             if g_base_retry is None:
                 g_base_retry = g_base.copy()
                 idx = np.arange(mna.n_nodes)

@@ -1,42 +1,20 @@
-"""DC operating-point analysis."""
+"""DC operating-point analysis of one bias point.
+
+:func:`solve_dc` is the one-point case of
+:func:`repro.spice.batched.solve_dc_sweep`: the same Newton loop and
+gmin ladder, on a stack of one.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
+from repro.spice.batched import solve_dc_sweep
 from repro.spice.mna import MNASystem, NewtonOptions
 from repro.spice.netlist import Circuit
+from repro.spice.results import OperatingPoint
 
-
-@dataclasses.dataclass
-class OperatingPoint:
-    """Result of a DC analysis.
-
-    Attributes:
-        voltages: Node name -> voltage [V] (ground nodes are implied 0).
-        source_currents: Voltage-source name -> branch current [A]
-            flowing from the positive terminal through the source to the
-            negative terminal (so a supply sourcing current into the
-            circuit reports a *negative* value, as in SPICE).
-    """
-
-    voltages: dict[str, float]
-    source_currents: dict[str, float]
-
-    def voltage(self, node: str) -> float:
-        if Circuit.is_ground(node):
-            return 0.0
-        return self.voltages[node]
-
-    def supply_current(self, source_name: str = "vdd") -> float:
-        """Magnitude of the current delivered by a supply source.
-
-        This is the paper's IDDQ observable: the static current drawn
-        from VDD.
-        """
-        return abs(self.source_currents[source_name])
+__all__ = ["OperatingPoint", "solve_dc"]
 
 
 def solve_dc(
@@ -50,54 +28,10 @@ def solve_dc(
 
     Waveform sources are evaluated at time ``t``.  A pre-built
     :class:`MNASystem` can be supplied to amortise assembly across many
-    solves (e.g. input-vector sweeps on a fixed topology).
+    solves (e.g. input-vector sweeps on a fixed topology).  Raises
+    :class:`~repro.spice.mna.ConvergenceError` when the point does not
+    converge.
     """
-    mna = system if system is not None else MNASystem(circuit)
-    x = mna.solve_dc_continuation(t=t, x0=x0, options=options)
-    voltages = {
-        name: float(x[k]) for name, k in mna.node_index.items()
-    }
-    source_currents = {
-        name: float(x[mna.n_nodes + k])
-        for k, name in enumerate(mna.vsource_names)
-    }
-    return OperatingPoint(voltages=voltages, source_currents=source_currents)
-
-
-def sweep_dc(
-    circuit: Circuit,
-    source_name: str,
-    values: np.ndarray,
-    options: NewtonOptions | None = None,
-    system: MNASystem | None = None,
-) -> list[OperatingPoint]:
-    """Sweep the DC level of one voltage source, warm-starting each point.
-
-    The points of an ordered source sweep are chained (each solution is
-    the next point's initial guess), so they solve sequentially on one
-    shared system; for *independent* bias points use
-    :func:`repro.spice.batched.solve_dc_sweep`, which vectorises the
-    whole batch through one multi-point Newton loop.
-    """
-    from repro.spice.waveforms import DC
-
-    if source_name not in circuit.vsources:
-        raise KeyError(f"no voltage source named {source_name!r}")
-    mna = system if system is not None else MNASystem(circuit)
-    results: list[OperatingPoint] = []
-    x_prev: np.ndarray | None = None
-    for value in values:
-        circuit.vsources[source_name].waveform = DC(float(value))
-        x = mna.solve_dc_continuation(t=0.0, x0=x_prev, options=options)
-        x_prev = x
-        voltages = {
-            name: float(x[k]) for name, k in mna.node_index.items()
-        }
-        source_currents = {
-            name: float(x[mna.n_nodes + k])
-            for k, name in enumerate(mna.vsource_names)
-        }
-        results.append(
-            OperatingPoint(voltages=voltages, source_currents=source_currents)
-        )
-    return results
+    return solve_dc_sweep(
+        circuit, [{}], t=t, x0=x0, options=options, system=system
+    ).point(0)

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.spice.transient import TransientResult
+from repro.spice.results import TransientResult
 
 
 def threshold_crossings(

@@ -1,4 +1,4 @@
-"""Modified nodal analysis (MNA) assembly and Newton iteration.
+"""Modified nodal analysis (MNA) assembly and the device stamp.
 
 Unknown vector layout: node voltages (all non-ground nodes in sorted
 order) followed by one branch current per voltage source.  Nonlinear
@@ -8,7 +8,8 @@ and each group is evaluated in a single numpy call over a stack of
 ``n_devices`` base rows plus one perturbed row per *non-ground* terminal
 (a grounded terminal's Jacobian column is never stamped, so it is never
 perturbed).  The currents and the Jacobian of every group are then
-scattered with one ``np.bincount`` each.
+scattered with one ``np.bincount`` each.  The Newton loops that use
+this stamp live in :mod:`repro.spice.batched`.
 """
 
 from __future__ import annotations
@@ -180,23 +181,24 @@ class MNASystem:
         Only valid when :attr:`is_linear`; the LU factorisation of the
         (sparse) stamp at the given ``gmin`` floor is computed once per
         system and reused for every right-hand side — DC sweeps on
-        linear circuits skip Newton iteration entirely.
+        linear circuits skip Newton iteration entirely.  A singular
+        stamp (e.g. two voltage sources in parallel) raises
+        :class:`ConvergenceError`.
         """
         if not self.is_linear:
             raise ValueError("linear_solve requires a device-free circuit")
         if self._linear_factor is None or self._linear_factor[0] != gmin:
-            matrix = self.base_matrix(gmin)
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import splu
+
             try:
-                from scipy.sparse import csc_matrix
-                from scipy.sparse.linalg import splu
-
-                lu = splu(csc_matrix(matrix))
-                solve = lu.solve
-            except ImportError:  # pragma: no cover - scipy is baked in
-                import functools
-
-                solve = functools.partial(np.linalg.solve, matrix)
-            self._linear_factor = (gmin, solve)
+                lu = splu(csc_matrix(self.base_matrix(gmin)))
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise ConvergenceError(
+                    f"singular linear system in circuit "
+                    f"{self.circuit.title!r}"
+                ) from exc
+            self._linear_factor = (gmin, lu.solve)
         b = np.asarray(b, dtype=float)
         if b.ndim == 1:
             return self._linear_factor[1](b)
@@ -345,104 +347,3 @@ class MNASystem:
             i_dev.reshape(shape + (self.size,)),
             j_dev.reshape(shape + (self.size, self.size)),
         )
-
-    # ------------------------------------------------------------------
-    def solve_newton(
-        self,
-        x0: np.ndarray,
-        b: np.ndarray,
-        g_extra: np.ndarray | None = None,
-        i_extra: np.ndarray | None = None,
-        options: NewtonOptions | None = None,
-        gmin: float = 0.0,
-        g_base: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Solve ``G x + I_dev(x) - b = 0`` by damped Newton iteration.
-
-        Args:
-            x0: Initial guess.
-            b: Source right-hand side.
-            g_extra: Additional linear conductances (capacitor companions).
-            i_extra: Additional constant currents (companion histories).
-            options: Newton options.
-            gmin: Conductance from every node to ground (homotopy aid).
-            g_base: Precomputed full linear base (``g_linear + g_extra``
-                with ``gmin`` already applied); overrides the assembly
-                from ``g_extra``/``gmin`` so transient loops can stamp
-                the companion sum once instead of once per step.
-        """
-        opts = options or NewtonOptions()
-        g = (
-            g_base
-            if g_base is not None
-            else self.base_matrix(gmin=gmin, g_extra=g_extra)
-        )
-        x = x0.copy()
-        for iteration in range(opts.max_iterations):
-            i_dev, j_dev = self.device_contributions(x)
-            residual = g @ x + i_dev - b
-            if i_extra is not None:
-                residual = residual + i_extra
-            jacobian = g + j_dev
-            try:
-                delta = np.linalg.solve(jacobian, -residual)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(
-                    f"singular Jacobian in circuit {self.circuit.title!r}"
-                ) from exc
-            # Voltage limiting on node unknowns only.  The limit shrinks
-            # as iterations accumulate, which breaks the two-point limit
-            # cycles steep exponential devices can otherwise sustain.
-            limit = opts.v_limit_step / (1 + iteration // 60)
-            v_part = delta[: self.n_nodes]
-            worst = np.max(np.abs(v_part)) if v_part.size else 0.0
-            if worst > limit:
-                delta = delta * (limit / worst)
-            x = x + delta
-            if (
-                np.max(np.abs(delta[: self.n_nodes]), initial=0.0)
-                < opts.v_tolerance
-                and np.max(np.abs(residual)) < opts.residual_tolerance
-            ):
-                return x
-        raise ConvergenceError(
-            f"Newton failed to converge in {opts.max_iterations} iterations "
-            f"(circuit {self.circuit.title!r}, gmin={gmin:g})"
-        )
-
-    def solve_dc_continuation(
-        self,
-        t: float = 0.0,
-        x0: np.ndarray | None = None,
-        options: NewtonOptions | None = None,
-    ) -> np.ndarray:
-        """DC operating point with gmin stepping.
-
-        Starts from a heavily damped system (large gmin to ground pulls
-        every node toward a solvable state) and relaxes gmin toward zero,
-        reusing each solution as the next initial guess.
-        """
-        opts = options or NewtonOptions()
-        b = self.source_rhs(t)
-        if self.is_linear:
-            # Device-free circuit: one prefactorised direct solve at the
-            # gmin floor replaces the whole Newton/gmin ladder.
-            gmin_floor = opts.gmin_steps[-1] if opts.gmin_steps else 0.0
-            try:
-                return self.linear_solve(b, gmin_floor)
-            except RuntimeError as exc:
-                raise ConvergenceError(
-                    f"singular linear system in circuit "
-                    f"{self.circuit.title!r}"
-                ) from exc
-        x = x0.copy() if x0 is not None else np.zeros(self.size)
-        last_error: Exception | None = None
-        for gmin in opts.gmin_steps:
-            try:
-                x = self.solve_newton(x, b, options=opts, gmin=gmin)
-                last_error = None
-            except ConvergenceError as exc:
-                last_error = exc
-        if last_error is not None:
-            raise last_error
-        return x

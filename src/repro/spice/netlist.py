@@ -76,7 +76,7 @@ class DeviceInstance:
     """A TIG-SiNWFET instance: model + terminal-to-node mapping."""
 
     name: str
-    model: object  # TIGSiNWFET or TableModel (duck-typed)
+    model: object  # TIGSiNWFET, or any model with its terminal_current_matrix
     d: str
     cg: str
     pgs: str

@@ -1,80 +1,24 @@
-"""Transient analysis (backward-Euler with Newton at each step).
+"""Transient analysis of one circuit (backward-Euler with Newton at each
+step).
 
 Backward Euler is unconditionally stable and mildly dissipative — the
 right trade-off for delay/leakage characterisation where ringing artifacts
 would corrupt 50 %-crossing measurements.  Capacitors become conductance
 companions ``C/dt`` with a history current; the step size is fixed and
 chosen by the caller relative to the input edge rate.
+
+:func:`run_transient` is the one-point case of
+:func:`repro.spice.batched.run_transient_sweep`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-import numpy as np
-
-from repro.spice.dc import OperatingPoint
-from repro.spice.mna import ConvergenceError, MNASystem, NewtonOptions
+from repro.spice.batched import run_transient_sweep
+from repro.spice.mna import MNASystem, NewtonOptions
 from repro.spice.netlist import Circuit
+from repro.spice.results import TransientResult
 
-
-@dataclasses.dataclass
-class TransientResult:
-    """Waveforms from a transient run.
-
-    Attributes:
-        times: Sample times [s], shape (n,).
-        voltages: Node name -> voltage samples, each shape (n,).
-        source_currents: Voltage-source name -> branch current samples.
-    """
-
-    times: np.ndarray
-    voltages: dict[str, np.ndarray]
-    source_currents: dict[str, np.ndarray]
-
-    def voltage(self, node: str) -> np.ndarray:
-        if Circuit.is_ground(node):
-            return np.zeros_like(self.times)
-        return self.voltages[node]
-
-    def final_supply_current(self, source_name: str = "vdd") -> float:
-        """|supply current| averaged over the last 5 % of the run."""
-        samples = np.abs(self.source_currents[source_name])
-        tail = max(1, len(samples) // 20)
-        return float(np.mean(samples[-tail:]))
-
-
-def capacitor_companions(
-    mna: MNASystem, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward-Euler capacitor companion stamp for a fixed ``dt``.
-
-    Returns ``(g_cap, a_idx, b_idx, geq)``: the conductance stamp to add
-    to the linear base, plus per-capacitor unknown indices (−1 for
-    ground) and companion conductances ``C/dt``, in netlist order.  The
-    single recipe is shared by the scalar integrator below and the
-    batched lockstep integrator in :mod:`repro.spice.batched`, so the
-    two cannot drift.
-    """
-    circuit = mna.circuit
-    g_cap = np.zeros((mna.size, mna.size))
-    n_caps = len(circuit.capacitors)
-    a_idx = np.empty(n_caps, dtype=int)
-    b_idx = np.empty(n_caps, dtype=int)
-    geq = np.empty(n_caps)
-    for k, cap in enumerate(circuit.capacitors.values()):
-        a = mna._index(cap.a)
-        b = mna._index(cap.b)
-        a_idx[k], b_idx[k] = a, b
-        geq[k] = cap.capacitance / dt
-        if a >= 0:
-            g_cap[a, a] += geq[k]
-        if b >= 0:
-            g_cap[b, b] += geq[k]
-        if a >= 0 and b >= 0:
-            g_cap[a, b] -= geq[k]
-            g_cap[b, a] -= geq[k]
-    return g_cap, a_idx, b_idx, geq
+__all__ = ["TransientResult", "run_transient"]
 
 
 def run_transient(
@@ -82,7 +26,6 @@ def run_transient(
     t_stop: float,
     dt: float,
     options: NewtonOptions | None = None,
-    x0: np.ndarray | None = None,
     system: MNASystem | None = None,
 ) -> TransientResult:
     """Integrate the circuit from its DC operating point to ``t_stop``.
@@ -92,82 +35,9 @@ def run_transient(
         t_stop: End time [s].
         dt: Fixed time step [s].
         options: Newton options.
-        x0: Optional initial solution (defaults to the DC point at t=0).
         system: Pre-built :class:`MNASystem` to amortise assembly across
             repeated transients on a fixed topology.
     """
-    if t_stop <= 0 or dt <= 0:
-        raise ValueError("t_stop and dt must be positive")
-    mna = system if system is not None else MNASystem(circuit)
-    opts = options or NewtonOptions()
-
-    # Capacitor companion pattern (constant for fixed dt).
-    g_cap, a_idx, b_idx, geq_arr = capacitor_companions(mna, dt)
-    cap_pairs = list(zip(a_idx, b_idx, geq_arr))
-
-    x = (
-        x0.copy()
-        if x0 is not None
-        else mna.solve_dc_continuation(t=0.0, options=opts)
-    )
-    # The time-invariant linear base (stamp + capacitor companions) is
-    # summed once here and reused by every step's Newton solve; the
-    # retry variant adds its gmin support lazily.
-    g_base = mna.g_linear + g_cap
-    g_base_retry: np.ndarray | None = None
-    n_steps = int(round(t_stop / dt))
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    trace = np.empty((n_steps + 1, mna.size))
-    trace[0] = x
-
-    for step in range(1, n_steps + 1):
-        t = times[step]
-        b = mna.source_rhs(t)
-        # History currents: i_extra = -C/dt * v_prev (per capacitor).
-        i_extra = np.zeros(mna.size)
-        for a, bb, geq in cap_pairs:
-            va = x[a] if a >= 0 else 0.0
-            vb = x[bb] if bb >= 0 else 0.0
-            hist = geq * (va - vb)
-            if a >= 0:
-                i_extra[a] -= hist
-            if bb >= 0:
-                i_extra[bb] += hist
-        try:
-            x = mna.solve_newton(
-                x, b, i_extra=i_extra, options=opts, g_base=g_base
-            )
-        except ConvergenceError:
-            # Retry once from a relaxed starting point with gmin support;
-            # transient steps occasionally straddle a steep device region.
-            if g_base_retry is None:
-                g_base_retry = g_base.copy()
-                idx = np.arange(mna.n_nodes)
-                g_base_retry[idx, idx] += 1e-9
-            x = mna.solve_newton(
-                x, b, i_extra=i_extra, options=opts, g_base=g_base_retry,
-            )
-        trace[step] = x
-
-    voltages = {
-        name: trace[:, k].copy() for name, k in mna.node_index.items()
-    }
-    source_currents = {
-        name: trace[:, mna.n_nodes + k].copy()
-        for k, name in enumerate(mna.vsource_names)
-    }
-    return TransientResult(
-        times=times, voltages=voltages, source_currents=source_currents
-    )
-
-
-def operating_point_from_result(
-    result: TransientResult, index: int = -1
-) -> OperatingPoint:
-    """Snapshot a transient sample as an operating point."""
-    return OperatingPoint(
-        voltages={n: float(v[index]) for n, v in result.voltages.items()},
-        source_currents={
-            n: float(i[index]) for n, i in result.source_currents.items()
-        },
-    )
+    return run_transient_sweep(
+        circuit, [{}], t_stop, dt, options=options, system=system
+    )[0]

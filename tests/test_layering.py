@@ -16,14 +16,20 @@ checks keep it that way:
 * the slow reference implementations stay test oracles: no module under
   ``src/repro`` imports ``oracles`` or ``tests``, and the removed PODEM
   engine switch stays removed from the library, the CLI and the job
-  service.
+  service;
+* the analog stack has one engine: no public callable of
+  ``repro.spice``, ``repro.gates`` or ``repro.analysis.sweeps`` takes an
+  ``engine`` or ``mode`` argument, the scalar Newton methods are gone
+  from ``MNASystem`` and the table model from ``repro.device``.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -286,3 +292,87 @@ def test_circuit_fault_universe_still_registered():
     sites = universe.enumerate(network)
     assert sites
     assert universe.stats(network).n_faults == len(sites)
+
+
+#: Modules whose public callables may not take an engine or mode knob.
+ANALOG_API = ("repro.spice", "repro.gates", "repro.analysis.sweeps")
+KNOBS = ("engine", "mode")
+
+
+def _analog_api_callables():
+    """``(qualified name, callable)`` for every public function and class
+    defined in :data:`ANALOG_API` (packages with all their submodules),
+    and every public method of those classes."""
+    modules = []
+    for name in ANALOG_API:
+        module = importlib.import_module(name)
+        modules.append(module)
+        if hasattr(module, "__path__"):
+            modules.extend(
+                importlib.import_module(info.name)
+                for info in pkgutil.iter_modules(module.__path__, name + ".")
+            )
+    for module in modules:
+        for attr, obj in vars(module).items():
+            if attr.startswith("_") or (
+                getattr(obj, "__module__", None) != module.__name__
+            ):
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{attr}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{attr}", obj
+                for method, fn in inspect.getmembers(obj, inspect.isroutine):
+                    if not method.startswith("_"):
+                        yield f"{module.__name__}.{attr}.{method}", fn
+
+
+def _knobs(fn) -> list[str]:
+    try:
+        parameters = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # builtins without a signature
+        return []
+    return [name for name in parameters if name in KNOBS]
+
+
+class TestOneAnalogEngine:
+    @pytest.fixture(autouse=True)
+    def _needs_scipy(self):
+        pytest.importorskip("scipy", reason="the analog stack needs scipy")
+
+    def test_no_public_callable_takes_an_engine_or_mode(self):
+        api = dict(_analog_api_callables())
+        # The scan reaches the solvers, the characterisation helpers,
+        # the sweep and the methods of the result classes.
+        for name in (
+            "repro.spice.batched.solve_dc_sweep",
+            "repro.spice.dc.solve_dc",
+            "repro.spice.transient.run_transient",
+            "repro.gates.characterize.dc_truth_table",
+            "repro.analysis.sweeps.vcut_sweep",
+            "repro.spice.mna.MNASystem.linear_solve",
+        ):
+            assert name in api, name
+        bad = {name: _knobs(fn) for name, fn in api.items() if _knobs(fn)}
+        assert not bad, bad
+
+    def test_knob_scan_flags_a_knob(self):
+        def sweep(circuit, mode="exact", *, engine="batched"):
+            return circuit
+
+        assert _knobs(sweep) == ["mode", "engine"]
+
+    def test_scalar_newton_is_gone(self):
+        from repro.spice.mna import MNASystem
+
+        for name in ("solve_newton", "solve_dc_continuation"):
+            assert not hasattr(MNASystem, name), name
+
+    def test_table_model_is_gone(self):
+        import repro.device
+
+        for name in ("TableModel", "cached_table_model"):
+            assert name not in repro.device.__all__, name
+            assert not hasattr(repro.device, name), name
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.device.table_model")

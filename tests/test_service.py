@@ -161,7 +161,7 @@ class TestMetrics:
 
     def test_cache_stats_shape(self):
         stats = cache_stats()
-        assert set(stats) == {"device", "table", "compile_memo"}
+        assert set(stats) == {"device", "compile_memo"}
         for counters in stats.values():
             assert {"hits", "misses"} <= set(counters)
 
@@ -633,7 +633,7 @@ class TestCliJson:
 
     def test_cache_stats_json(self):
         payload = json.loads(_run_cli("cache", "stats", "--json"))
-        assert set(payload) == {"device", "table", "compile_memo"}
+        assert set(payload) == {"device", "compile_memo"}
         assert all(
             isinstance(v, int)
             for stats in payload.values()

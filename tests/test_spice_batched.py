@@ -1,9 +1,11 @@
 """Tests for the batched multi-point analog engine.
 
-The contract under test: batched and sequential solvers agree to
-<= 1e-9 V node voltages and 1e-6 relative supply currents on every
-library cell, fault-free and defective; a non-convergent point cannot
-poison its batch; and the device/table-model memo actually caches.
+The contract under test: the batched sweeps agree with the scalar SPICE
+oracle (``tests/oracles/spice_scalar.py``) to <= 1e-9 V node voltages
+and 1e-6 relative supply currents on every library cell, fault-free and
+defective, and on the Fig. 5 ``Vcut`` sweep; a non-convergent point
+cannot poison its batch; a singular device-free circuit fails as a
+:class:`ConvergenceError`; and the device memo actually caches.
 """
 
 import itertools
@@ -12,22 +14,29 @@ import math
 import numpy as np
 import pytest
 
+from oracles import spice_scalar as oracle
+from repro.analysis.sweeps import pull_up_vcut_axis, vcut_sweep
 from repro.core.detection import fault_free_reference
 from repro.core.fault_models import (
     ChannelBreakFault,
     DriveDriftFault,
     GOSFault,
     StuckAtNType,
+    StuckAtPType,
 )
 from repro.device import (
     GateOxideShort,
     cached_device,
-    cached_table_model,
     clear_model_caches,
     model_cache_stats,
 )
-from repro.gates import ALL_CELLS, build_cell_circuit, dc_truth_table
-from repro.gates.characterize import gray_vectors, worst_case_delay
+from repro.gates import (
+    ALL_CELLS,
+    build_cell_circuit,
+    dc_truth_table,
+    worst_static_leakage,
+)
+from repro.gates.characterize import worst_case_delay
 from repro.spice import (
     Circuit,
     ConvergenceError,
@@ -39,7 +48,6 @@ from repro.spice import (
     solve_dc,
     solve_dc_sweep,
 )
-from repro.spice.batched import heuristic_initial_guess
 
 VDD = 1.2
 V_TOL = 1e-9
@@ -47,11 +55,11 @@ I_REL_TOL = 1e-6
 
 
 def _sequential_reference(bench, vectors):
-    """Seed-style scalar loop: fresh system + cold solve per vector."""
+    """The scalar oracle: fresh system + cold solve per vector."""
     points = []
     for vector in vectors:
         bench.set_vector(vector)
-        points.append(solve_dc(bench.circuit))
+        points.append(oracle.solve_dc(bench.circuit))
     return points
 
 
@@ -68,7 +76,8 @@ def _assert_sweep_matches(bench, vectors, sweep, reference):
 class TestBatchedDCEquivalence:
     @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
     def test_fault_free_all_vectors(self, cell_name):
-        """Exact mode == scalar solves on every vector of every cell."""
+        """Batched sweep == scalar oracle on every vector of every cell
+        (the full-library truth-table workload)."""
         bench = build_cell_circuit(ALL_CELLS[cell_name], fanout=4)
         vectors = list(
             itertools.product((0, 1), repeat=bench.cell.n_inputs)
@@ -78,21 +87,6 @@ class TestBatchedDCEquivalence:
             bench.circuit, [bench.vector_bias(v) for v in vectors]
         )
         assert np.all(sweep.converged)
-        _assert_sweep_matches(bench, vectors, sweep, reference)
-
-    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
-    def test_fault_free_fast_mode(self, cell_name):
-        """Fast mode stays within the same tolerances on library cells."""
-        bench = build_cell_circuit(ALL_CELLS[cell_name], fanout=4)
-        vectors = list(
-            itertools.product((0, 1), repeat=bench.cell.n_inputs)
-        )
-        reference = _sequential_reference(bench, vectors)
-        sweep = solve_dc_sweep(
-            bench.circuit,
-            [bench.vector_bias(v) for v in vectors],
-            mode="fast",
-        )
         _assert_sweep_matches(bench, vectors, sweep, reference)
 
     @pytest.mark.parametrize(
@@ -108,7 +102,7 @@ class TestBatchedDCEquivalence:
     )
     @pytest.mark.parametrize("cell_name", ["INV", "NAND2", "XOR2"])
     def test_defective_cells(self, cell_name, fault):
-        """Exact mode == scalar solves with injected device defects."""
+        """Batched sweep == scalar oracle with injected device defects."""
         bench = build_cell_circuit(ALL_CELLS[cell_name], fanout=4)
         fault.apply(bench)
         vectors = list(
@@ -140,10 +134,6 @@ class TestBatchedDCEquivalence:
             solve_dc_sweep(bench.circuit, [])
         with pytest.raises(KeyError):
             solve_dc_sweep(bench.circuit, [{"no_such_source": 0.0}])
-        with pytest.raises(ValueError):
-            solve_dc_sweep(
-                bench.circuit, [bench.vector_bias((0,))], mode="sideways"
-            )
 
     def test_linear_circuit_direct_solve(self):
         c = Circuit("div")
@@ -161,7 +151,7 @@ class TestNonConvergentIsolation:
 
     def test_bad_point_does_not_poison_batch(self):
         """A NaN-driven bias point fails alone; its neighbours match the
-        scalar path exactly."""
+        scalar oracle."""
         bench = self._inv_bench()
         good = [bench.vector_bias((0,)), bench.vector_bias((1,))]
         reference = _sequential_reference(bench, [(0,), (1,)])
@@ -185,32 +175,19 @@ class TestNonConvergentIsolation:
             )
         assert "1/2" in str(err.value)
 
-    def test_fast_mode_falls_back_per_point(self):
-        """Fast mode re-runs failures on the exact schedule — a poisoned
-        point still fails, the rest still converge."""
-        bench = self._inv_bench()
-        sweep = solve_dc_sweep(
-            bench.circuit,
-            [bench.vector_bias((0,)), {"vin_a": float("nan")}],
-            mode="fast",
-            raise_on_failure=False,
-        )
-        assert list(sweep.converged) == [True, False]
-
-
-class TestGrayCodeSequentialEngine:
+class TestGrayCodeOracle:
     def test_gray_vectors_adjacency(self):
-        vectors = gray_vectors(ALL_CELLS["XOR3"])
+        vectors = oracle.gray_vectors(ALL_CELLS["XOR3"])
         assert len(vectors) == 8
         assert len(set(vectors)) == 8
         for a, b in zip(vectors, vectors[1:]):
             assert sum(x != y for x, y in zip(a, b)) == 1
 
     @pytest.mark.parametrize("cell_name", ["NAND2", "XOR2"])
-    def test_truth_table_engines_agree(self, cell_name):
+    def test_truth_table_matches_warm_started_oracle(self, cell_name):
         bench = build_cell_circuit(ALL_CELLS[cell_name], fanout=4)
-        batched = dc_truth_table(bench, engine="batched")
-        warm = dc_truth_table(bench, engine="sequential")
+        batched = dc_truth_table(bench)
+        warm = oracle.dc_truth_table(bench)
         assert batched.keys() == warm.keys()
         for vector in batched:
             assert batched[vector][1] == warm[vector][1]
@@ -220,36 +197,23 @@ class TestGrayCodeSequentialEngine:
                 warm[vector][0], abs=5e-6
             )
 
-    def test_unknown_engine_rejected(self):
-        bench = build_cell_circuit(ALL_CELLS["INV"], fanout=4)
-        with pytest.raises(ValueError):
-            dc_truth_table(bench, engine="psychic")
-
-    def test_fast_mode_opt_in_matches_exact_on_library_cell(self):
-        bench = build_cell_circuit(ALL_CELLS["NAND2"], fanout=4)
-        exact = dc_truth_table(bench)
-        fast = dc_truth_table(bench, mode="fast")
-        for vector in exact:
-            assert fast[vector][1] == exact[vector][1]
-            assert abs(fast[vector][0] - exact[vector][0]) <= V_TOL
-
-    def test_defective_screening_defaults_to_exact_schedule(self):
-        """The default screening path must agree with the scalar oracle
-        on a defective bench (regression: fast mode used to be the
-        silent default here)."""
+    def test_defective_truth_table_matches_oracle(self):
+        """The screening truth table agrees with the scalar oracle on a
+        defect-bistable bench (a CG gate-oxide short in a series
+        stack)."""
         bench = build_cell_circuit(ALL_CELLS["NAND2"], fanout=4)
         GOSFault("t1", "cg").apply(bench)
         table = dc_truth_table(bench)
         for vector, (v_out, _level) in table.items():
             bench.set_vector(vector)
-            op = solve_dc(bench.circuit)
+            op = oracle.solve_dc(bench.circuit)
             assert abs(op.voltage("out") - v_out) <= V_TOL
 
 
 class TestTransientSweep:
     def test_lockstep_matches_scalar_transients(self):
-        """Per-point waveforms match run_transient bit-for-bit (within
-        1e-9 V) across a Vcut-style source sweep."""
+        """Per-point waveforms match the scalar oracle's transients
+        (within 1e-9 V) across a Vcut-style source sweep."""
         from repro.core.fault_models import FloatingPolarityGate
 
         vcuts = (0.0, 0.56, 1.2)
@@ -259,7 +223,7 @@ class TestTransientSweep:
             FloatingPolarityGate("t1", "pgs", vcut).apply(bench)
             bench.set_input("a", Step(0.0, VDD, 0.1e-9, 2e-11))
             sequential.append(
-                run_transient(bench.circuit, 0.5e-9, 5e-12)
+                oracle.run_transient(bench.circuit, 0.5e-9, 5e-12)
             )
         bench = build_cell_circuit(ALL_CELLS["INV"], fanout=4)
         FloatingPolarityGate("t1", "pgs", vcuts[0]).apply(bench)
@@ -294,15 +258,12 @@ class TestTransientSweep:
             )
 
     def test_batched_worst_case_delay(self):
-        """The lockstep delay sweep reproduces the per-transition loop."""
+        """The lockstep delay sweep reproduces the oracle's per-transition
+        loop of full-window scalar transients."""
         bench = build_cell_circuit(ALL_CELLS["NAND2"], fanout=4)
-        sequential = worst_case_delay(
-            bench, t_stop=0.8e-9, dt=4e-12, engine="sequential"
-        )
+        sequential = oracle.worst_case_delay(bench, t_stop=0.8e-9, dt=4e-12)
         bench = build_cell_circuit(ALL_CELLS["NAND2"], fanout=4)
-        batched = worst_case_delay(
-            bench, t_stop=0.8e-9, dt=4e-12, engine="batched"
-        )
+        batched = worst_case_delay(bench, t_stop=0.8e-9, dt=4e-12)
         assert math.isfinite(sequential)
         assert batched == pytest.approx(sequential, rel=1e-9)
 
@@ -335,41 +296,6 @@ class TestModelMemo:
         assert gos is gos2
         assert gos is not other
 
-    def test_table_model_memo_and_invalidate(self):
-        table = cached_table_model(grid_points=5, vds_points=4)
-        again = cached_table_model(grid_points=5, vds_points=4)
-        assert table is again
-        other = cached_table_model(grid_points=6, vds_points=4)
-        assert other is not table
-        stats = model_cache_stats()
-        assert stats["table_misses"] == 2
-        assert stats["table_hits"] == 1
-        clear_model_caches()
-        rebuilt = cached_table_model(grid_points=5, vds_points=4)
-        assert rebuilt is not table
-        assert model_cache_stats()["table_misses"] == 1
-
-    def test_cached_table_model_matches_direct_build(self):
-        from repro.device.table_model import TableModel
-
-        cached = cached_table_model(grid_points=7, vds_points=5)
-        direct = TableModel(cached_device(), grid_points=7, vds_points=5)
-        np.testing.assert_allclose(cached._table, direct._table)
-
-    def test_table_model_testbench(self):
-        """A table-model testbench verifies its truth table, and repeat
-        builds share the one memoised grid sample."""
-        from repro.gates import verify_truth_table
-
-        bench = build_cell_circuit(ALL_CELLS["INV"], use_table_model=True)
-        assert verify_truth_table(bench)
-        again = build_cell_circuit(ALL_CELLS["INV"], use_table_model=True)
-        assert (
-            bench.circuit.devices["inv.t1"].model
-            is again.circuit.devices["inv.t1"].model
-        )
-        assert model_cache_stats()["table_misses"] == 1
-
     def test_fault_injection_reuses_models(self):
         bench_a = build_cell_circuit(ALL_CELLS["INV"], fanout=4)
         bench_b = build_cell_circuit(ALL_CELLS["INV"], fanout=4)
@@ -380,15 +306,76 @@ class TestModelMemo:
         assert model_a is model_b
 
 
-class TestHeuristicGuess:
-    def test_pins_driven_nodes(self):
-        bench = build_cell_circuit(ALL_CELLS["INV"], fanout=4)
-        mna = MNASystem(bench.circuit)
-        points = [bench.vector_bias((1,))]
-        x0 = heuristic_initial_guess(mna, points)
-        assert x0.shape == (1, mna.size)
-        assert x0[0, mna.node_index["a"]] == pytest.approx(VDD)
-        assert x0[0, mna.node_index["vdd"]] == pytest.approx(VDD)
-        assert x0[0, mna.node_index["out"]] == pytest.approx(VDD / 2)
-        # Branch-current unknowns start at zero.
-        assert np.all(x0[0, mna.n_nodes:] == 0.0)
+def _parallel_sources():
+    """A device-free circuit whose stamp is singular: two voltage
+    sources in parallel."""
+    c = Circuit("parallel")
+    c.add_vsource("v1", "a", "0", 1.0)
+    c.add_vsource("v2", "a", "0", 1.0)
+    c.add_resistor("r1", "a", "0", 1e3)
+    return c
+
+
+class TestSingularLinearCircuit:
+    @pytest.mark.parametrize("entry", [
+        lambda c: MNASystem(c).linear_solve(np.zeros(3), 1e-12),
+        lambda c: solve_dc(c),
+        lambda c: solve_dc_sweep(c, [{}, {"v1": 2.0}]),
+        lambda c: run_transient(c, 1e-10, 1e-11),
+        lambda c: run_transient_sweep(c, [{}, {"v1": 2.0}], 1e-10, 1e-11),
+    ], ids=["linear_solve", "solve_dc", "solve_dc_sweep", "run_transient",
+            "run_transient_sweep"])
+    def test_raises_convergence_error(self, entry):
+        with pytest.raises(ConvergenceError):
+            entry(_parallel_sources())
+
+    def test_sweep_flags_points_without_raising(self):
+        sweep = solve_dc_sweep(
+            _parallel_sources(), [{}, {"v1": 2.0}], raise_on_failure=False
+        )
+        assert not sweep.converged.any()
+
+
+class TestVcutSweepMatchesOracle:
+    def test_inv_t1_pgs_eight_points(self):
+        """The Fig. 5 sweep (INV t1/pgs, 8 Vcut points: DC grid plus one
+        delay transient per point) against the point-at-a-time oracle:
+        same functionality and stuck verdicts, delays and leakages to
+        1e-6 relative."""
+        cell = ALL_CELLS["INV"]
+        axis = pull_up_vcut_axis(points=8)
+        want = oracle.vcut_sweep(cell, "t1", "pgs", axis)
+        got = vcut_sweep(cell, "t1", "pgs", axis)
+        assert len(got.points) == len(want.points) == 8
+        for p, q in zip(want.points, got.points):
+            assert q.vcut == p.vcut
+            assert q.functional == p.functional, p.vcut
+            assert math.isfinite(q.delay) == math.isfinite(p.delay), p.vcut
+            if math.isfinite(p.delay):
+                assert abs(q.delay - p.delay) <= I_REL_TOL * p.delay
+            assert abs(q.leakage - p.leakage) <= I_REL_TOL * max(
+                p.leakage, 1e-15
+            )
+
+
+#: Faults of the defect-screening IDDQ pass, each on every library cell.
+IDDQ_FAULTS = (
+    StuckAtNType("t1"),
+    StuckAtPType("t3"),
+    ChannelBreakFault("t1"),
+)
+
+
+class TestIddqScreenMatchesOracle:
+    @pytest.mark.parametrize(
+        "fault", IDDQ_FAULTS, ids=lambda f: f.describe()
+    )
+    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
+    def test_worst_iddq(self, cell_name, fault):
+        """Worst IDDQ over all vectors from one batched sweep equals the
+        oracle's one-cold-solve-per-vector maximum to 1e-6 relative."""
+        bench = build_cell_circuit(ALL_CELLS[cell_name], fanout=4)
+        fault.apply(bench)
+        got, _vector = worst_static_leakage(bench)
+        want = oracle.worst_static_leakage(bench)
+        assert abs(got - want) <= I_REL_TOL * max(abs(want), 1e-15)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import spice_scalar as oracle
 from repro.device import TIGSiNWFET
 from repro.gates import ALL_CELLS
 from repro.spice import (
@@ -13,7 +14,7 @@ from repro.spice import (
     propagation_delay,
     run_transient,
     solve_dc,
-    sweep_dc,
+    solve_dc_sweep,
     threshold_crossings,
 )
 
@@ -102,15 +103,17 @@ class TestNonlinearDC:
         op = solve_dc(c)
         assert op.supply_current("vdd") < 5e-9
 
-    def test_sweep_dc_warm_start(self):
+    def test_transfer_curve_sweep(self):
         model = TIGSiNWFET()
         c = Circuit("inv")
         c.add_vsource("vdd", "vdd", "0", VDD)
         c.add_vsource("vin", "a", "0", 0.0)
         c.add_device("tp", model, "out", "a", "0", "0", "vdd")
         c.add_device("tn", model, "out", "a", "vdd", "vdd", "0")
-        points = sweep_dc(c, "vin", np.linspace(0, VDD, 13))
-        outs = [p.voltage("out") for p in points]
+        sweep = solve_dc_sweep(
+            c, [{"vin": v} for v in np.linspace(0, VDD, 13)]
+        )
+        outs = list(sweep.voltages("out"))
         # Monotonic falling VTC.
         assert all(b <= a + 1e-6 for a, b in zip(outs, outs[1:]))
         assert outs[0] > VDD - 0.1
@@ -227,9 +230,7 @@ class TestConvergenceMachinery:
         c.add_vsource("v", "a", "0", 1.0)
         c.add_capacitor("c1", "b", "0", 1e-12)
         c.add_resistor("r1", "a", "0", 1e3)
-        x = MNASystem(c).solve_dc_continuation()
-        op_index = MNASystem(c).node_index["b"]
-        assert abs(x[op_index]) < 1e-6
+        assert abs(solve_dc(c).voltage("b")) < 1e-6
 
     def test_contended_fault_circuit_converges(self):
         """Strong polarity-fault contention (the hardest DC case in the
@@ -351,17 +352,17 @@ class TestDeviceContributionScatter:
             assert np.array_equal(j_vec[k], j_ref)
 
     def test_newton_convergence_on_table3_bench(self):
-        """The Table III XOR2 testbench converges to the same operating
-        point as the reference-loop stamping, fault-free and with a
-        polarity fault installed."""
+        """The Table III XOR2 testbench converges to the scalar oracle's
+        operating point, fault-free and with a polarity fault installed."""
         from repro.core.fault_models import StuckAtNType
-        from repro.spice import solve_dc
 
         bench = self._xor2_bench((0, 1))
         op = solve_dc(bench.circuit)
+        assert op == oracle.solve_dc(bench.circuit)
         assert op.voltage("out") == pytest.approx(VDD, abs=0.1)
 
         faulted = self._xor2_bench((0, 0))
         StuckAtNType("t1").apply(faulted)
         op = solve_dc(faulted.circuit)
+        assert op == oracle.solve_dc(faulted.circuit)
         assert op.supply_current("vdd") > 0
