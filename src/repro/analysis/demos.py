@@ -204,7 +204,7 @@ def demo_channel_break() -> None:
         two_pattern_sof_tests,
     )
     from repro.gates import NAND2, XOR2
-    from repro.logic.switch_level import DeviceState, evaluate
+    from repro.logic.switch_level import DeviceState, fault_image
 
     # 1. SP gates are fine with classic two-pattern tests.
     print("SP NAND2 stuck-open tests (classic two-pattern):")
@@ -214,9 +214,9 @@ def demo_channel_break() -> None:
     # 2. DP gates: no transistor is ever essential -> no SOF test exists.
     print(f"\nDP XOR2 usable two-pattern tests: "
           f"{len(two_pattern_sof_tests(XOR2))} (all breaks masked)")
-    for vector in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        broken = evaluate(XOR2, vector, {"t1": DeviceState.STUCK_OPEN})
-        print(f"  A,B={vector}: output with broken t1 = {broken.output} "
+    broken = fault_image(XOR2, "t1", DeviceState.STUCK_OPEN)
+    for vector, output in zip(broken.vectors, broken.faulty):
+        print(f"  A,B={vector}: output with broken t1 = {output} "
               f"(function {XOR2.function(vector)}) -> masked")
 
     # 3. The paper's procedure, derived automatically per transistor.

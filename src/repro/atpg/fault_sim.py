@@ -16,12 +16,11 @@ and ``tests/test_multiword_engine.py``:
 The campaign entry points (:func:`parallel_stuck_at_simulation`,
 :func:`parallel_polarity_simulation`,
 :func:`parallel_stuck_open_simulation`) and detection-matrix builders
-(:func:`stuck_at_detection_words` & friends) take ``engine="auto" |
-"multiword" | "compiled"`` and produce bit-identical results on every
-setting — ``auto`` (default) picks the multi-word engine once the
-(faults x vectors) problem and the netlist (ops x faults) are large
-enough to amortize numpy dispatch.  Within an engine the problem, not
-an option, picks the work done:
+(:func:`stuck_at_detection_words` & friends) pick the multi-word
+engine once the (faults x vectors) problem and the netlist (ops x
+faults) are large enough to amortize numpy dispatch, and the
+single-word path below that; both give bit-identical results.  The
+size of the problem, not an option, also picks the work done:
 
 * **Word-by-word dropping.**  Stuck-at campaigns sweep the vectors one
   64-vector word at a time and stop simulating a fault once a word
@@ -33,15 +32,17 @@ an option, picks the work done:
   with ``good ^ bad``.  Vectors with X take the dual-rail sweep, which
   stays for polarity, stuck-open and IDDQ words and is the oracle for
   the single-rail one.
-* **Voltage-silent polarity faults.**  A polarity fault whose faulty
-  table holds only X or the good value is never detected at an output,
-  so voltage mode gives it word 0 without simulation.  This is exact:
-  dual-rail Kleene evaluation and the table override (any X pin gives
-  X) are monotone in the information order, so a faulty machine that
-  is at most as defined as the good one at the fault site stays so at
-  every net of every unrolled frame and never differs from it
-  definitely.  When every fault is silent the problem is not lowered
-  (unrolled or compiled) at all.
+* **Voltage-silent polarity faults.**  A polarity fault whose
+  switch-level image has no definite wrong value
+  (:meth:`~repro.faults.logic.PolarityFault.output_detecting_vectors`
+  is empty: every faulty-table entry is X or the good value) is never
+  detected at an output, so voltage mode gives it word 0 without
+  simulation.  This is exact: dual-rail Kleene evaluation and the
+  table override (any X pin gives X) are monotone in the information
+  order, so a faulty machine that is at most as defined as the good
+  one at the fault site stays so at every net of every unrolled frame
+  and never differs from it definitely.  When every fault is silent
+  the problem is not lowered (unrolled or compiled) at all.
 
 **Sequential netlists** run through the same entry points via the
 ``unroll=`` knob: pass ``unroll=<n_frames>`` and each *vector* becomes a
@@ -75,7 +76,6 @@ from repro.faults.logic import (
     StuckAtFault,
     StuckOpenFault,
 )
-from repro.gates.library import ALL_CELLS
 from repro.logic import multiword as mw
 from repro.logic import sequential
 from repro.logic.compiled import (
@@ -87,7 +87,6 @@ from repro.logic.compiled import (
     pack_vectors,
 )
 from repro.logic.network import Network
-from repro.logic.values import X, Z
 
 
 TestVector = Mapping[str, int]
@@ -98,10 +97,10 @@ TestVector = Mapping[str, int]
 #: detection-matrix builders pack everything into one pass.
 _CHUNK_BITS = 64
 
-#: ``engine="auto"`` switches the campaign entry points to the
-#: multi-word fault-parallel engine once the (faults x vectors) problem
-#: is big enough that numpy dispatch overhead amortizes; below the
-#: thresholds the single-word per-fault delta path wins.
+#: The campaign entry points switch to the multi-word fault-parallel
+#: engine once the (faults x vectors) problem is big enough that numpy
+#: dispatch overhead amortizes; below the thresholds the single-word
+#: per-fault delta path wins.
 _MULTIWORD_MIN_FAULTS = 64
 _MULTIWORD_MIN_BITS = 2 * _CHUNK_BITS
 
@@ -114,27 +113,14 @@ _MULTIWORD_MIN_BITS = 2 * _CHUNK_BITS
 _MULTIWORD_MIN_WORK = 20_000
 
 
-def _check_engine(engine: str) -> None:
-    """Reject an unknown ``engine`` selector."""
-    if engine not in ("auto", "multiword", "compiled"):
-        raise ValueError(
-            f"unknown fault-sim engine {engine!r}; "
-            "expected 'auto', 'multiword' or 'compiled'"
-        )
-
-
 def _use_multiword(
-    engine: str, n_faults: int, n_vectors: int, n_ops: int | None = None
+    n_faults: int, n_vectors: int, n_ops: int | None = None
 ) -> bool:
-    """Resolve the campaign ``engine`` selector (see module doc).
+    """Whether a problem takes the multi-word engine (see module doc).
 
-    ``n_ops`` is the compiled netlist's op count; when given, ``auto``
-    also requires ``n_ops * n_faults`` to reach
-    :data:`_MULTIWORD_MIN_WORK`.
+    ``n_ops`` is the compiled netlist's op count; when given,
+    ``n_ops * n_faults`` must also reach :data:`_MULTIWORD_MIN_WORK`.
     """
-    _check_engine(engine)
-    if engine != "auto":
-        return engine == "multiword"
     if n_ops is not None and n_ops * n_faults < _MULTIWORD_MIN_WORK:
         return False
     return (
@@ -308,7 +294,6 @@ def stuck_at_detection_words(
     network: Network,
     faults: Sequence[StuckAtFault],
     vectors,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> list[int]:
@@ -321,7 +306,7 @@ def stuck_at_detection_words(
     cnet, injections, vectors = _stuck_at_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
+    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
         return _multiword_stuck_at_words(cnet, injections, vectors)
     packed = pack_vectors(cnet, vectors)
     good = cnet.simulate(packed)
@@ -335,7 +320,6 @@ def parallel_stuck_at_simulation(
     network: Network,
     faults: Sequence[StuckAtFault],
     vectors,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
@@ -352,7 +336,7 @@ def parallel_stuck_at_simulation(
     cnet, injections, vectors = _stuck_at_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if _use_multiword(engine, len(names), len(vectors), len(cnet.ops)):
+    if _use_multiword(len(names), len(vectors), len(cnet.ops)):
         return _result_from_words(
             names,
             _multiword_stuck_at_words(
@@ -424,73 +408,50 @@ def _iddq_word(cnet, good, gates, minterms, mask) -> int:
     return word
 
 
-#: ``(gtype, transistor, kind)`` -> whether the polarity fault is
-#: voltage-silent (see :func:`_voltage_silent`).
-_VOLTAGE_SILENT: dict[tuple[str, str, str], bool] = {}
-
-
-def _voltage_silent(fault: PolarityFault) -> bool:
-    """Whether every entry of the faulty table is X or the good value
-    of the cell function; then no vector can detect ``fault`` at a
-    primary output (see the module doc for why)."""
-    key = (fault.gtype, fault.transistor, fault.kind)
-    silent = _VOLTAGE_SILENT.get(key)
-    if silent is None:
-        function = ALL_CELLS[fault.gtype].function
-        silent = _VOLTAGE_SILENT[key] = all(
-            value == X or value == function(minterm)
-            for minterm, value in fault.faulty_table().items()
-        )
-    return silent
-
-
 def polarity_detection_words(
     network: Network,
     faults: Sequence[PolarityFault],
     vectors,
     iddq: bool = False,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> list[int]:
     """Per-fault detection words for polarity faults.
 
     Voltage mode injects the faulty local table and compares outputs;
-    voltage-silent faults (:func:`_voltage_silent`) get word 0 without
-    simulation, and when every fault is silent the problem is not even
-    lowered.  IDDQ mode needs only the shared fault-free simulation — a
-    vector covers a fault when it drives the gate into a
-    conflict-activating local combination (in any frame, with
-    ``unroll=``).
+    voltage-silent faults (no output-detecting vector, see the module
+    doc) get word 0 without simulation, and when every fault is silent
+    the problem is not even lowered.  IDDQ mode needs only the shared
+    fault-free simulation — a vector covers a fault when it drives the
+    gate into a conflict-activating local combination (in any frame,
+    with ``unroll=``).
     """
     if iddq:
         return _polarity_words(
-            network, faults, vectors, True, engine, unroll, initial_state
+            network, faults, vectors, True, unroll, initial_state
         )
-    live = [k for k, fault in enumerate(faults) if not _voltage_silent(fault)]
-    words = [0] * len(faults)
-    if not live:  # still make the argument checks lowering makes
-        _check_engine(engine)
+    live = [fault for fault in faults if fault.output_detecting_vectors()]
+    if not live:
         if unroll is None:
             sequential.require_combinational(network, "polarity simulation")
-        return words
-    found = _polarity_words(
-        network, [faults[k] for k in live], vectors, False, engine,
-        unroll, initial_state,
-    )
-    for k, word in zip(live, found):
-        words[k] = word
-    return words
+        return [0] * len(faults)
+    found = iter(_polarity_words(
+        network, live, vectors, False, unroll, initial_state
+    ))
+    return [
+        next(found) if fault.output_detecting_vectors() else 0
+        for fault in faults
+    ]
 
 
 def _polarity_words(
-    network, faults, vectors, iddq, engine, unroll, initial_state
+    network, faults, vectors, iddq, unroll, initial_state
 ) -> list[int]:
     """:func:`polarity_detection_words` without the silent-fault skip."""
     cnet, injections, gate_lists, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
+    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
         return _multiword_polarity_words(
             cnet, faults, injections, gate_lists, vectors, iddq
         )
@@ -514,7 +475,6 @@ def parallel_polarity_simulation(
     faults: Sequence[PolarityFault],
     vectors,
     iddq: bool = False,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
@@ -529,14 +489,13 @@ def parallel_polarity_simulation(
         return _result_from_words(
             [f.name for f in faults],
             polarity_detection_words(
-                network, faults, vectors, False, engine, unroll,
-                initial_state,
+                network, faults, vectors, False, unroll, initial_state
             ),
         )
     cnet, injections, gate_lists, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(vectors), len(cnet.ops)):
+    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
         return _result_from_words(
             [f.name for f in faults],
             _multiword_polarity_words(
@@ -581,27 +540,18 @@ def _stuck_open_bad_words(
     The broken gate's local inputs equal the fault-free values (the
     fault is at the gate itself), so the retained init value and the
     floating/test behaviour come straight from the precomputed broken
-    table: definite entries drive their rails, Z entries copy the
-    init-pattern output word bitwise.
+    table: definite entries drive their rails, and on the floating
+    vectors the output copies the init-pattern output word bitwise.
     """
     table = fault.broken_table()
     init_pins = cnet.gate_input_words(good_init, gate_name)
     test_pins = cnet.gate_input_words(good_test, gate_name)
     init_ones, init_zeros = eval_table_packed(table, init_pins, mask)
-    ones = 0
-    zeros = 0
-    for minterm, value in table.items():
-        word = minterm_word(test_pins, minterm, mask)
-        if not word:
-            continue
-        if value == 1:
-            ones |= word
-        elif value == 0:
-            zeros |= word
-        elif value == Z:
-            ones |= word & init_ones
-            zeros |= word & init_zeros
-    return ones, zeros
+    ones, zeros = eval_table_packed(table, test_pins, mask)
+    floating = 0
+    for minterm in fault.floating_vectors():
+        floating |= minterm_word(test_pins, minterm, mask)
+    return ones | (floating & init_ones), zeros | (floating & init_zeros)
 
 
 def _stuck_open_injection(
@@ -626,7 +576,7 @@ def _multiword_stuck_open_words(
 
     Mirrors :func:`_stuck_open_bad_words` on multi-word rows: per
     fault, the retained/floating output under the test patterns is
-    assembled from the broken-gate table (Z entries copy the
+    assembled from the broken-gate table (floating vectors copy the
     init-pattern output bitwise), then the whole fault list runs as one
     word-forced 2-D sweep against the shared good test simulation.
     """
@@ -641,28 +591,20 @@ def _multiword_stuck_open_words(
         for gname in gates:
             init_pins = mw.gate_input_rows(cnet, good_init, gname)
             test_pins = mw.gate_input_rows(cnet, good_test, gname)
-            init_ones, init_zeros = (
-                rail[0]
-                for rail in mw._eval_tables([table], init_pins, init_mv.mask)
+            (init_ones,), (init_zeros,) = mw._eval_tables(
+                [table], init_pins, init_mv.mask
             )
-            ones = test_mv.mask & 0
-            zeros = test_mv.mask & 0
-            for minterm, value in table.items():
-                word = mw.minterm_word_multiword(
+            (ones,), (zeros,) = mw._eval_tables(
+                [table], test_pins, test_mv.mask
+            )
+            floating = test_mv.mask & 0
+            for minterm in fault.floating_vectors():
+                floating |= mw.minterm_word_multiword(
                     test_pins, minterm, test_mv.mask
                 )
-                if not word.any():
-                    continue
-                if value == 1:
-                    ones |= word
-                elif value == 0:
-                    zeros |= word
-                elif value == Z:
-                    ones |= word & init_ones
-                    zeros |= word & init_zeros
             words[cnet.gate_output_index(gname)] = (
-                mw.int_from_words(ones),
-                mw.int_from_words(zeros),
+                mw.int_from_words(ones | (floating & init_ones)),
+                mw.int_from_words(zeros | (floating & init_zeros)),
             )
         injections.append(FaultInjection(words=words))
     return mw.batch_detect(cnet, test_mv, good_test, injections)
@@ -672,7 +614,6 @@ def stuck_open_detection_words(
     network: Network,
     faults: Sequence[StuckOpenFault],
     pairs,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> list[int]:
@@ -684,7 +625,7 @@ def stuck_open_detection_words(
     cnet, gate_lists, pairs = _stuck_open_problem(
         network, faults, pairs, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(pairs), len(cnet.ops)):
+    if _use_multiword(len(faults), len(pairs), len(cnet.ops)):
         return _multiword_stuck_open_words(cnet, faults, gate_lists, pairs)
     init_packed = pack_vectors(cnet, [p[0] for p in pairs])
     test_packed = pack_vectors(cnet, [p[1] for p in pairs])
@@ -707,7 +648,6 @@ def parallel_stuck_open_simulation(
     network: Network,
     faults: Sequence[StuckOpenFault],
     pairs,
-    engine: str = "auto",
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
@@ -715,7 +655,7 @@ def parallel_stuck_open_simulation(
     cnet, gate_lists, pairs = _stuck_open_problem(
         network, faults, pairs, unroll, initial_state
     )
-    if _use_multiword(engine, len(faults), len(pairs), len(cnet.ops)):
+    if _use_multiword(len(faults), len(pairs), len(cnet.ops)):
         words = _multiword_stuck_open_words(
             cnet, faults, gate_lists, pairs
         )

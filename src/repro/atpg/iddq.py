@@ -69,7 +69,7 @@ def select_iddq_vectors(
     candidates: list[dict[str, int]] = []
     uncovered_names: list[str] = []
     for fault in faults:
-        test = generate_polarity_test(
+        test, _ = generate_polarity_test(
             network, fault, allow_iddq=True,
             max_backtracks=max_backtracks,
         )

@@ -4,9 +4,11 @@ For each polarity fault the generator derives the local activation
 vectors from the switch-level cell analysis and then uses the generic
 PODEM machinery to lift them to primary inputs:
 
-* **Voltage tests** require the faulty gate's local inputs to equal an
-  output-corrupting vector *and* the resulting D/D' to propagate to a
-  primary output.
+* **Voltage tests** require the faulty gate's local inputs to equal a
+  vector with a definite wrong output *and* the resulting D/D' to
+  propagate to a primary output.  Contention ties (X) are not tried:
+  a faulty gate at most as defined as the good one can never make an
+  output differ definitely.
 * **IDDQ tests** only require justification of a conflict-activating
   local vector — the elevated supply current is globally observable
   (Section V-B: ">10^6 x" leakage through the shorted networks).
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.atpg.podem import PodemResult, justify_and_propagate
+from repro.atpg.podem import justify_and_propagate
 from repro.faults.logic import PolarityFault
 from repro.logic.network import Network
 
@@ -41,6 +43,15 @@ class PolarityTest:
 
 @dataclasses.dataclass
 class PolarityAtpgResult:
+    """Outcome of a polarity ATPG run.
+
+    Attributes:
+        tests: One test per testable fault.
+        untestable: Faults every search proved untestable.
+        aborted: Faults without a test where some search ran out of its
+            backtrack budget.
+    """
+
     tests: list[PolarityTest]
     untestable: list[PolarityFault]
     aborted: list[PolarityFault]
@@ -56,47 +67,33 @@ def generate_polarity_test(
     fault: PolarityFault,
     allow_iddq: bool = True,
     max_backtracks: int = 500,
-) -> PolarityTest | None:
-    """Generate a test for one polarity fault (voltage first, then IDDQ)."""
-    gate = network.gates[fault.gate]
+) -> tuple[PolarityTest | None, bool]:
+    """Generate a test for one polarity fault (voltage first, then IDDQ).
 
-    # Voltage-mode attempts: justify a corrupting local vector and
-    # propagate the difference.
-    for local in fault.output_detecting_vectors():
-        condition = list(zip(gate.inputs, local))
-        result: PodemResult = justify_and_propagate(
-            network,
-            condition,
-            gate_fault=fault,
-            propagate=True,
-            max_backtracks=max_backtracks,
-        )
-        if result.success:
-            return PolarityTest(
-                fault=fault,
-                vector=result.vector,
-                mode="voltage",
-                local_vector=local,
-            )
-    if not allow_iddq:
-        return None
-    # IDDQ attempts: justification only.
-    for local in fault.iddq_vectors():
-        condition = list(zip(gate.inputs, local))
+    Returns ``(test, aborted)``.  Without a test, ``aborted`` tells a
+    fault some search gave up on at the backtrack budget (possibly
+    testable) from one every search proved untestable.
+    """
+    inputs = network.gates[fault.gate].inputs
+    # Voltage tests justify a corrupting local vector and propagate the
+    # difference; IDDQ tests only justify a conflict-activating one.
+    attempts = [("voltage", v) for v in fault.output_detecting_vectors()]
+    if allow_iddq:
+        attempts += [("iddq", v) for v in fault.iddq_vectors()]
+    aborted = False
+    for mode, local in attempts:
+        voltage = mode == "voltage"
         result = justify_and_propagate(
             network,
-            condition,
-            propagate=False,
+            list(zip(inputs, local)),
+            gate_fault=fault if voltage else None,
+            propagate=voltage,
             max_backtracks=max_backtracks,
         )
         if result.success:
-            return PolarityTest(
-                fault=fault,
-                vector=result.vector,
-                mode="iddq",
-                local_vector=local,
-            )
-    return None
+            return PolarityTest(fault, result.vector, mode, local), False
+        aborted |= result.aborted
+    return None, aborted
 
 
 def run_polarity_atpg(
@@ -112,13 +109,14 @@ def run_polarity_atpg(
         faults = get_universe("polarity").collapse(network)
     tests: list[PolarityTest] = []
     untestable: list[PolarityFault] = []
+    aborted: list[PolarityFault] = []
     for fault in faults:
-        test = generate_polarity_test(
+        test, gave_up = generate_polarity_test(
             network, fault, allow_iddq=allow_iddq,
             max_backtracks=max_backtracks,
         )
         if test is not None:
             tests.append(test)
         else:
-            untestable.append(fault)
-    return PolarityAtpgResult(tests=tests, untestable=untestable, aborted=[])
+            (aborted if gave_up else untestable).append(fault)
+    return PolarityAtpgResult(tests, untestable, aborted)

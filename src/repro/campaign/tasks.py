@@ -107,6 +107,7 @@ def run_polarity_task(network: Network) -> dict:
             "n_voltage_tests": 0,
             "n_iddq_tests": 0,
             "n_untestable": 0,
+            "n_aborted": 0,
         }
     sa_set = classic_stuck_at_testset(network)
     by_sa = parallel_polarity_simulation(network, faults, sa_set)
@@ -122,6 +123,7 @@ def run_polarity_task(network: Network) -> dict:
         "n_voltage_tests": modes.get("voltage", 0),
         "n_iddq_tests": modes.get("iddq", 0),
         "n_untestable": len(atpg.untestable),
+        "n_aborted": len(atpg.aborted),
     }
 
 

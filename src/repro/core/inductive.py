@@ -17,7 +17,6 @@ while this module keeps the per-cell behavioural classification.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from repro.core.defects import (
     DefectMechanism,
@@ -25,11 +24,7 @@ from repro.core.defects import (
     enumerate_defect_sites,
 )
 from repro.gates.cell import Cell
-from repro.logic.switch_level import (
-    DeviceState,
-    evaluate,
-)
-from repro.logic.values import ONE, Z, ZERO
+from repro.logic.switch_level import DeviceState, fault_image
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,55 +76,33 @@ def _classify_site(cell: Cell, site: DefectSite) -> IFAResult:
         return IFAResult(site=site, behaviour="analog-only",
                          fault_models=models)
 
-    wrong_output = False
-    iddq = False
-    floats = False
-    masked = True
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        good = evaluate(cell, vector)
-        bad = evaluate(cell, vector, {site.transistor: state})
-        if bad.output == Z:
-            floats = True
-            masked = False
-            continue
-        if good.output in (ZERO, ONE) and bad.output != good.output:
-            wrong_output = True
-            masked = False
-        if bad.conflict and not good.conflict:
-            iddq = True
-            masked = False
+    image = fault_image(cell, site.transistor, state)
+    floats = bool(image.floating)
+    wrong_output = bool(image.wrong or image.tied)
+    iddq = bool(image.iddq)
+    polarity = state in (DeviceState.STUCK_AT_N, DeviceState.STUCK_AT_P)
 
     models: list[str] = []
     if floats:
         models.append("stuck-open fault (two-pattern)")
-    if wrong_output:
-        if state in (DeviceState.STUCK_AT_N, DeviceState.STUCK_AT_P):
-            models.append(
-                "stuck-at n-type/p-type"
-            )
-        else:
-            models.append("stuck-at fault")
-    if iddq and "stuck-at n-type/p-type" not in models:
-        if state in (DeviceState.STUCK_AT_N, DeviceState.STUCK_AT_P):
-            models.append("stuck-at n-type/p-type")
-        else:
-            models.append("stuck-on (IDDQ)")
-    elif iddq:
-        pass  # already covered by the polarity model
-    if masked:
+    if polarity and (wrong_output or iddq):
+        models.append("stuck-at n-type/p-type")
+    if not polarity and wrong_output:
+        models.append("stuck-at fault")
+    if not polarity and iddq:
+        models.append("stuck-on (IDDQ)")
+    if not (floats or wrong_output or iddq):
         if state is DeviceState.STUCK_OPEN:
             # The DP masking case: needs the paper's new procedure.
             models.append("channel-break procedure (stuck-at n/p based)")
             behaviour = "functional-masked"
-        elif state in (DeviceState.STUCK_AT_N, DeviceState.STUCK_AT_P):
+        elif polarity:
             # Bridging a polarity terminal to the rail it is already tied
             # to changes nothing: benign.
             behaviour = "benign"
         else:
             models.append("delay fault")
             behaviour = "functional-masked"
-    elif floats and not wrong_output and not iddq:
-        behaviour = "sequential"
     elif wrong_output and iddq:
         behaviour = "wrong-output+iddq"
     elif wrong_output:

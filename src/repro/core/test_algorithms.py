@@ -28,11 +28,7 @@ import itertools
 
 from repro.faults.records import PolarityFaultRecord
 from repro.gates.cell import Cell, DYNAMIC_POLARITY
-from repro.logic.switch_level import (
-    DeviceState,
-    detection_behaviour,
-    evaluate,
-)
+from repro.logic.switch_level import DeviceState, evaluate, fault_image
 from repro.logic.values import ONE, Z, ZERO
 
 
@@ -58,29 +54,18 @@ class TwoPatternTest:
         return f"({v1} -> {v2}) covers {', '.join(self.covered)}"
 
 
-def _essential_vectors(cell: Cell, transistor: str) -> list[tuple[int, ...]]:
-    """Vectors where ``transistor`` is essential: breaking it floats the
-    output (no remaining conducting path)."""
-    vectors = []
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        broken = evaluate(
-            cell, vector, {transistor: DeviceState.STUCK_OPEN}
-        )
-        if broken.output == Z:
-            vectors.append(vector)
-    return vectors
-
-
 def two_pattern_sof_tests(cell: Cell) -> list[TwoPatternTest]:
     """Derive a compact two-pattern stuck-open test set for a cell.
 
     Returns an empty list when no transistor has an essential vector
     (every break is masked) — the DP-gate situation of Section V-C.
     """
-    # Gather (test_vector -> transistors it exposes).
+    # Gather (test_vector -> transistors it exposes): a vector exposes a
+    # break when it floats the output (no remaining conducting path).
     exposure: dict[tuple[int, ...], list[str]] = {}
     for t in cell.transistors:
-        for vector in _essential_vectors(cell, t.name):
+        image = fault_image(cell, t.name, DeviceState.STUCK_OPEN)
+        for vector in image.floating:
             exposure.setdefault(vector, []).append(t.name)
 
     tests: list[TwoPatternTest] = []
@@ -141,16 +126,17 @@ def simulate_two_pattern(
     present, the final output retains the initialised value instead of
     the fault-free response.
     """
-    states = (
-        {broken_transistor: DeviceState.STUCK_OPEN}
-        if broken_transistor
-        else None
-    )
-    first = evaluate(cell, test.init_vector, states)
-    second = evaluate(
-        cell, test.test_vector, states, previous_output=first.output
-    )
-    return first.output, second.output
+    if broken_transistor is None:
+        return (
+            evaluate(cell, test.init_vector).output,
+            evaluate(cell, test.test_vector).output,
+        )
+    image = fault_image(cell, broken_transistor, DeviceState.STUCK_OPEN)
+    first = image.at(test.init_vector)[1]
+    second = image.at(test.test_vector)[1]
+    if second == Z and first in (ZERO, ONE):
+        second = first  # the floating output retains the init value
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -162,40 +148,28 @@ def simulate_two_pattern(
 
 def polarity_fault_table(cell: Cell) -> list[PolarityFaultRecord]:
     """Exhaustive stuck-at n-/p-type analysis of a cell (Table III)."""
-    rows: list[PolarityFaultRecord] = []
-    for kind, state in (
-        ("n", DeviceState.STUCK_AT_N),
-        ("p", DeviceState.STUCK_AT_P),
-    ):
-        for t in cell.transistors:
-            behaviour = detection_behaviour(cell, t.name, state)
-            detecting = [
-                (v, r)
-                for v, r in behaviour.items()
-                if r["output_detect"] or r["iddq_detect"]
-            ]
-            if detecting:
-                vector, report = detecting[0]
-                rows.append(
-                    PolarityFaultRecord(
-                        transistor=t.name,
-                        kind=kind,
-                        detecting_vector=vector,
-                        leakage_detect=report["iddq_detect"],
-                        output_detect=report["output_detect"],
-                    )
-                )
-            else:
-                rows.append(
-                    PolarityFaultRecord(
-                        transistor=t.name,
-                        kind=kind,
-                        detecting_vector=None,
-                        leakage_detect=False,
-                        output_detect=False,
-                    )
-                )
-    return rows
+    return [
+        PolarityFaultRecord(
+            t.name, kind, *_first_disturbance(fault_image(cell, t.name, state))
+        )
+        for kind, state in (
+            ("n", DeviceState.STUCK_AT_N),
+            ("p", DeviceState.STUCK_AT_P),
+        )
+        for t in cell.transistors
+    ]
+
+
+def _first_disturbance(image) -> tuple[tuple[int, ...] | None, bool, bool]:
+    """``(vector, leakage, output)``: the first vector where a fault
+    image shows in IDDQ or at the output (a wrong value or a contention
+    tie, both seen by a voltage tester), and which of the two it shows
+    in; ``(None, False, False)`` when none does."""
+    output = set(image.wrong) | set(image.tied)
+    for vector in image.vectors:
+        if vector in output or vector in image.iddq:
+            return vector, vector in image.iddq, vector in output
+    return None, False, False
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +211,24 @@ def channel_break_procedure(
         )
     steps: list[ChannelBreakStep] = []
     for state in (DeviceState.STUCK_AT_N, DeviceState.STUCK_AT_P):
-        behaviour = detection_behaviour(cell, transistor, state)
-        for vector, report in behaviour.items():
-            if report["output_detect"] or report["iddq_detect"]:
-                effect = []
-                if report["output_detect"]:
-                    effect.append("wrong output")
-                if report["iddq_detect"]:
-                    effect.append("leakage > 10^6 x nominal")
-                steps.append(
-                    ChannelBreakStep(
-                        injected_state=state,
-                        vector=vector,
-                        expected_if_intact=" and ".join(effect),
-                        expected_if_broken="fault-free response",
-                    )
-                )
-                break
+        vector, leakage, output = _first_disturbance(
+            fault_image(cell, transistor, state)
+        )
+        if vector is None:
+            continue
+        effect = []
+        if output:
+            effect.append("wrong output")
+        if leakage:
+            effect.append("leakage > 10^6 x nominal")
+        steps.append(
+            ChannelBreakStep(
+                injected_state=state,
+                vector=vector,
+                expected_if_intact=" and ".join(effect),
+                expected_if_broken="fault-free response",
+            )
+        )
     return ChannelBreakProcedure(
         cell_name=cell.name,
         transistor=transistor,
@@ -280,15 +255,11 @@ def run_channel_break_procedure(
     for step in procedure.steps:
         # The deliberate polarity inversion is applied through the test
         # infrastructure; a broken channel additionally never conducts.
-        states = {transistor: step.injected_state}
-        if broken:
-            states = {transistor: DeviceState.STUCK_OPEN}
-        result = evaluate(cell, step.vector, states)
-        good = evaluate(cell, step.vector)
-        disturbed = result.conflict or (
-            good.output in (ZERO, ONE) and result.output != good.output
+        state = DeviceState.STUCK_OPEN if broken else step.injected_state
+        good, faulty, iddq = fault_image(cell, transistor, state).at(
+            step.vector
         )
-        if disturbed:
+        if iddq or (good in (ZERO, ONE) and faulty != good):
             # The device responded to the inversion: channel intact.
             return False
     # No step disturbed the circuit: the device is not conducting when

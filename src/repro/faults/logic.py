@@ -6,9 +6,10 @@ Canonical home of the gate-level fault vocabulary:
   input pin (branch faults), with structural equivalence collapsing.
 * **Polarity faults** (the paper's new models) — stuck-at n-type /
   p-type on every transistor of every DP gate instance.  Their local
-  behaviour (faulty truth table + IDDQ activation vectors) is derived
-  from the switch-level engine, so the gate-level fault is exactly the
-  transistor-level defect's image.
+  behaviour (faulty truth table + IDDQ activation vectors) is read from
+  the switch-level fault image
+  (:func:`repro.logic.switch_level.fault_image`), so the gate-level
+  fault is exactly the transistor-level defect's image.
 * **Stuck-open faults** — full channel break per transistor of every
   gate instance; detectable by two-pattern tests on SP gates, and
   masked (requiring the paper's procedure) on DP gates.
@@ -21,14 +22,12 @@ the CLI address them by name through :func:`repro.faults.get_universe`.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 from typing import Sequence
 
 from repro.faults.universe import FaultUniverse, register_universe
 from repro.gates.library import ALL_CELLS
 from repro.logic.network import Gate, Network
-from repro.logic.switch_level import DeviceState, evaluate
+from repro.logic.switch_level import DeviceState, FaultImage, fault_image
 from repro.logic.values import X, Z
 
 
@@ -138,32 +137,8 @@ def _collapsible_buffer_input(network: Network, fault: StuckAtFault) -> bool:
 # Polarity faults (stuck-at n-type / p-type)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _local_behaviour(
-    gtype: str, transistor: str, kind: str
-) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-    """Faulty local truth table + IDDQ activation vectors for a polarity
-    fault on one transistor of a cell type.
-
-    Returns ``(faulty_table, iddq_vectors)`` where the faulty table maps
-    binary input tuples to 0/1/X (X = contention tie).
-    """
-    cell = ALL_CELLS[gtype]
-    state = (
-        DeviceState.STUCK_AT_N if kind == "n" else DeviceState.STUCK_AT_P
-    )
-    table: dict[tuple[int, ...], int] = {}
-    iddq: list[tuple[int, ...]] = []
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        good = evaluate(cell, vector)
-        bad = evaluate(cell, vector, {transistor: state})
-        value = bad.output
-        if value == Z:
-            value = good.output  # retains the good value dynamically
-        table[vector] = value
-        if bad.conflict and not good.conflict:
-            iddq.append(vector)
-    return table, tuple(iddq)
+#: Switch-level state of each polarity fault kind.
+_POLARITY_STATES = {"n": DeviceState.STUCK_AT_N, "p": DeviceState.STUCK_AT_P}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,23 +162,32 @@ class PolarityFault:
     def name(self) -> str:
         return f"{self.gate}.{self.transistor}/sa-{self.kind}-type"
 
+    def image(self) -> FaultImage:
+        """The switch-level image of this fault in its cell type."""
+        return fault_image(
+            ALL_CELLS[self.gtype], self.transistor,
+            _POLARITY_STATES[self.kind],
+        )
+
     def faulty_table(self) -> dict[tuple[int, ...], int]:
-        return _local_behaviour(self.gtype, self.transistor, self.kind)[0]
+        """Local table: 0/1/X per binary input vector (X = contention
+        tie); a floating output keeps the good value."""
+        image = self.image()
+        return {
+            vector: good if faulty == Z else faulty
+            for vector, good, faulty in zip(
+                image.vectors, image.good, image.faulty
+            )
+        }
 
     def iddq_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return _local_behaviour(self.gtype, self.transistor, self.kind)[1]
+        return self.image().iddq
 
     def output_detecting_vectors(self) -> list[tuple[int, ...]]:
-        """Local vectors where the faulty output is a known wrong value
-        or an indeterminate level (X) replacing a known good one."""
-        cell = ALL_CELLS[self.gtype]
-        table = self.faulty_table()
-        detecting = []
-        for vector, faulty in table.items():
-            good = cell.function(vector)
-            if faulty != good:
-                detecting.append(vector)
-        return detecting
+        """Local vectors where the faulty output is a definite wrong
+        value, the only entries logic simulation and PODEM can see
+        (contention ties are :attr:`FaultImage.tied`)."""
+        return list(self.image().wrong)
 
     def gate_override(self):
         """Override callable for the ternary simulator."""
@@ -240,28 +224,6 @@ def polarity_faults(network: Network) -> list[PolarityFault]:
 # Stuck-open (channel break) faults
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _broken_behaviour(
-    gtype: str, transistor: str
-) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-    """Broken-channel local table + floating vectors for a stuck-open
-    fault on one transistor of a cell type.
-
-    Returns ``(broken_table, floating_vectors)``: the table maps binary
-    input tuples to 0/1/X/Z, and the floating vectors are its Z entries
-    in input order.
-    """
-    cell = ALL_CELLS[gtype]
-    table = {
-        vector: evaluate(
-            cell, vector, {transistor: DeviceState.STUCK_OPEN}
-        ).output
-        for vector in itertools.product((0, 1), repeat=cell.n_inputs)
-    }
-    floating = tuple(v for v, out in table.items() if out == Z)
-    return table, floating
-
-
 @dataclasses.dataclass(frozen=True)
 class StuckOpenFault:
     """Full channel break on one transistor of a gate instance.
@@ -285,19 +247,26 @@ class StuckOpenFault:
     def name(self) -> str:
         return f"{self.gate}.{self.transistor}/sop"
 
+    def image(self) -> FaultImage:
+        """The switch-level image of the broken channel."""
+        return fault_image(
+            ALL_CELLS[self.gtype], self.transistor, DeviceState.STUCK_OPEN
+        )
+
     def broken_table(self) -> dict[tuple[int, ...], int]:
         """Local table with the channel broken: 0/1/X/Z per binary input
         vector (Z = the output floats and retains its previous value)."""
-        return _broken_behaviour(self.gtype, self.transistor)[0]
+        image = self.image()
+        return dict(zip(image.vectors, image.faulty))
 
     def is_masked(self) -> bool:
         """True when no local vector makes this transistor essential
         (DP redundancy): the break never floats the output."""
-        return not _broken_behaviour(self.gtype, self.transistor)[1]
+        return not self.image().floating
 
     def floating_vectors(self) -> list[tuple[int, ...]]:
         """Local vectors under which the broken gate's output floats."""
-        return list(_broken_behaviour(self.gtype, self.transistor)[1])
+        return list(self.image().floating)
 
 
 def stuck_open_faults(network: Network) -> list[StuckOpenFault]:

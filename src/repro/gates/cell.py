@@ -101,6 +101,15 @@ class Cell:
                         f"{self.name}: SP cell has signal-driven polarity "
                         f"gate on {t.name}"
                     )
+        # A cell is immutable and keys the switch-level fault-image
+        # memo, so its (netlist-wide) hash is computed once.
+        object.__setattr__(self, "_hash", hash((
+            self.name, self.inputs, self.transistors, self.category,
+            self.function,
+        )))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------
     @property

@@ -63,9 +63,10 @@ from repro.logic.simulator import (
 )
 from repro.logic.switch_level import (
     DeviceState,
+    FaultImage,
     SwitchLevelResult,
-    detection_behaviour,
     evaluate,
+    fault_image,
     fault_free_is_consistent,
     truth_table_switch_level,
 )
@@ -96,6 +97,7 @@ __all__ = [
     "DP_GATE_TYPES",
     "DValue",
     "DeviceState",
+    "FaultImage",
     "FaultInjection",
     "GATE_ARITY",
     "Gate",
@@ -118,10 +120,10 @@ __all__ = [
     "d_not",
     "d_or",
     "d_xor",
-    "detection_behaviour",
     "evaluate",
     "exhaustive_truth_table",
     "fault_free_is_consistent",
+    "fault_image",
     "from_ternary",
     "output_vector",
     "UnsupportedBenchFeature",

@@ -33,12 +33,18 @@ IDDQ, while a polarity-stuck *pull-down* overpowers the output node.
 
 Internal nets that drive gates of other transistors (e.g. the x1/x2
 stage nets of XOR3) are handled by fixed-point iteration.
+
+:func:`fault_image` memoises one cell fault's image, a faulty against
+a fault-free evaluation under every input vector.  Every logic fault
+view (polarity and stuck-open tables, Table III, IFA, the SOF and
+channel-break procedures) reads it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 from collections import deque
 
@@ -270,34 +276,61 @@ def fault_free_is_consistent(cell: Cell) -> bool:
     return True
 
 
-def detection_behaviour(
-    cell: Cell,
-    device_name: str,
-    state: DeviceState,
-) -> dict[tuple[int, ...], dict[str, bool]]:
-    """Exhaustive single-fault detectability analysis (Table III engine).
+@dataclasses.dataclass(frozen=True)
+class FaultImage:
+    """Switch-level image of one transistor fault state in one cell.
 
-    For every input vector, compare the faulty cell against the fault-free
-    one and report:
+    ``good``, ``faulty`` (0/1/X/Z) and ``iddq_flags`` (the fault creates
+    a drive conflict the fault-free cell lacks) follow ``vectors``, every
+    binary input vector in :func:`itertools.product` order.  The views
+    list vectors in that order too:
 
-    * ``output_detect`` — the output settles to a *known wrong* value (or
-      to a strength-tied X while the good machine is clean): a voltage
-      tester catches it;
-    * ``iddq_detect`` — the fault creates a supply-to-ground conducting
-      path that the fault-free cell does not have.
+    * ``wrong`` — a definite wrong output, which logic simulation and
+      PODEM see;
+    * ``tied`` — an X contention tie where the good output is definite.
+      A voltage tester sees it in SPICE, so Table III counts it as an
+      output detect; logic simulation never can;
+    * ``iddq`` — the IDDQ flag is set;
+    * ``floating`` — the faulty output floats (Z) and retains its
+      previous value.
     """
-    report: dict[tuple[int, ...], dict[str, bool]] = {}
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
+
+    vectors: tuple[tuple[int, ...], ...]
+    good: tuple[int, ...]
+    faulty: tuple[int, ...]
+    iddq_flags: tuple[bool, ...]
+    wrong: tuple[tuple[int, ...], ...]
+    tied: tuple[tuple[int, ...], ...]
+    iddq: tuple[tuple[int, ...], ...]
+    floating: tuple[tuple[int, ...], ...]
+
+    def at(self, vector: tuple[int, ...]) -> tuple[int, int, bool]:
+        """``(good, faulty, iddq_flag)`` under one input vector."""
+        index = int("".join(map(str, vector)), 2)
+        return self.good[index], self.faulty[index], self.iddq_flags[index]
+
+
+@functools.lru_cache(maxsize=None)
+def fault_image(cell: Cell, transistor: str, state: DeviceState) -> FaultImage:
+    """The memoised :class:`FaultImage` of ``transistor`` in ``state``:
+    a faulty against a fault-free evaluation under every input vector."""
+    vectors = tuple(itertools.product((0, 1), repeat=cell.n_inputs))
+    rows = []
+    for vector in vectors:
         good = evaluate(cell, vector)
-        bad = evaluate(cell, vector, {device_name: state})
-        output_detect = (
-            good.output in (ZERO, ONE)
-            and bad.output != Z
-            and bad.output != good.output
-        )
-        iddq_detect = bad.conflict and not good.conflict
-        report[vector] = {
-            "output_detect": output_detect,
-            "iddq_detect": iddq_detect,
-        }
-    return report
+        bad = evaluate(cell, vector, {transistor: state})
+        flag = bad.conflict and not good.conflict
+        rows.append((vector, good.output, bad.output, flag))
+    known = (ZERO, ONE)
+    return FaultImage(
+        vectors=vectors,
+        good=tuple(g for _, g, _, _ in rows),
+        faulty=tuple(f for _, _, f, _ in rows),
+        iddq_flags=tuple(flag for _, _, _, flag in rows),
+        wrong=tuple(
+            v for v, g, f, _ in rows if g in known and f in known and f != g
+        ),
+        tied=tuple(v for v, g, f, _ in rows if g in known and f == X),
+        iddq=tuple(v for v, _, _, flag in rows if flag),
+        floating=tuple(v for v, _, f, _ in rows if f == Z),
+    )

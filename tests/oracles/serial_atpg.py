@@ -1,10 +1,12 @@
-"""Serial polarity campaigns: the oracles for the batched ATPG paths.
+"""Serial campaigns: the oracles for the batched ATPG paths.
 
-Both functions walk (vector, fault) pairs one at a time through the
-dict-based ternary simulator (:func:`oracles.serial_sim.detects_polarity`),
-the way the library did before the batched engines replaced them:
+Each function walks (vector, fault) pairs one at a time through the
+dict-based ternary simulator (:mod:`oracles.serial_sim`), the way the
+library did before the batched engines replaced them:
 
-* :func:`serial_polarity_simulation` is the campaign oracle for
+* :func:`serial_stuck_at_simulation` and
+  :func:`serial_polarity_simulation` are the campaign oracles for
+  :func:`repro.atpg.parallel_stuck_at_simulation` and
   :func:`repro.atpg.parallel_polarity_simulation`;
 * :func:`select_iddq_vectors` builds the IDDQ cover matrix with two
   ``detects_polarity`` calls per (candidate, fault) pair and runs the
@@ -15,7 +17,7 @@ the way the library did before the batched engines replaced them:
 
 from __future__ import annotations
 
-from oracles.serial_sim import detects_polarity
+from oracles.serial_sim import detects_polarity, detects_stuck_at
 
 from repro.atpg import FaultSimResult, IddqSelection, generate_polarity_test
 from repro.faults import get_universe
@@ -52,7 +54,7 @@ def select_iddq_vectors(
     candidates: list[dict[str, int]] = []
     uncovered_names: list[str] = []
     for fault in faults:
-        test = generate_polarity_test(
+        test, _ = generate_polarity_test(
             network, fault, allow_iddq=True,
             max_backtracks=max_backtracks,
         )
@@ -97,3 +99,20 @@ def select_iddq_vectors(
         covered=covered,
         uncovered=sorted(set(uncovered_names)),
     )
+
+
+def serial_stuck_at_simulation(network, faults, vectors) -> FaultSimResult:
+    """Reference stuck-at campaign: one serial check per (fault, vector),
+    each fault dropped at its first detecting vector."""
+    detected: dict[str, int] = {}
+    undetected = {f.name for f in faults}
+    for k, vector in enumerate(vectors):
+        if not undetected:
+            break
+        for fault in faults:
+            if fault.name in undetected and detects_stuck_at(
+                network, fault, vector
+            ):
+                detected[fault.name] = k
+                undetected.discard(fault.name)
+    return FaultSimResult(detected=detected, undetected=sorted(undetected))

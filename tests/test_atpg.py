@@ -28,7 +28,12 @@ from repro.atpg import (
     stuck_at_faults,
     stuck_open_faults,
 )
-from repro.circuits import c17, parity_tree, ripple_carry_adder
+from repro.circuits import (
+    build_benchmark,
+    c17,
+    parity_tree,
+    ripple_carry_adder,
+)
 from repro.logic import simulate_outputs
 
 
@@ -165,8 +170,8 @@ class TestFaultSimulation:
     def test_polarity_iddq_detection(self):
         network = parity_tree(4)
         fault = polarity_faults(network)[0]
-        test = generate_polarity_test(network, fault)
-        assert test is not None
+        test, aborted = generate_polarity_test(network, fault)
+        assert test is not None and not aborted
         full = _fill(network, test.vector)
         assert detects_polarity(
             network, fault, full, iddq=(test.mode == "iddq")
@@ -183,6 +188,26 @@ class TestFaultSimulation:
 
 
 class TestPolarityAtpg:
+    def test_budget_exhaustion_is_aborted_not_untestable(self):
+        """With no backtrack budget some IDDQ justifications give up;
+        those faults are aborted, not proven untestable (every one has
+        a test at the default budget)."""
+        network = build_benchmark("parity8")
+        starved = run_polarity_atpg(network, max_backtracks=0)
+        assert not starved.untestable
+        assert len(starved.aborted) == 4
+        full = run_polarity_atpg(network)
+        assert len(full.tests) == 80
+        assert not full.untestable and not full.aborted
+        assert {f.name for f in starved.aborted} <= {
+            t.fault.name for t in full.tests
+        }
+        for fault in starved.aborted:
+            test, aborted = generate_polarity_test(
+                network, fault, max_backtracks=0
+            )
+            assert test is None and aborted
+
     def test_full_coverage_on_adder(self):
         network = ripple_carry_adder(2)
         result = run_polarity_atpg(network)

@@ -6,10 +6,14 @@ top of it."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.serial_atpg import serial_polarity_simulation
+from oracles.serial_atpg import (
+    serial_polarity_simulation,
+    serial_stuck_at_simulation,
+)
 from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
@@ -175,6 +179,47 @@ def test_campaign_first_detection_matches_serial():
             None,
         )
         assert result.detected.get(fault.name) == serial_first
+
+
+def _seeded_vectors(network, n, seed):
+    """``n`` binary vectors from a seeded numpy generator."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n, len(network.primary_inputs)))
+    return [
+        dict(zip(network.primary_inputs, map(int, row))) for row in bits
+    ]
+
+
+@pytest.mark.parametrize("name", ["c17", "rca8", "rca16", "alu4"])
+def test_full_stuck_at_campaign_matches_serial(name):
+    """The whole collapsed fault list over 192 seeded vectors, with
+    dropping: the batched campaign equals the serial one."""
+    network = build_benchmark(name)
+    faults = stuck_at_faults(network)
+    vectors = _seeded_vectors(network, 192, seed=17)
+    batched = parallel_stuck_at_simulation(network, faults, vectors)
+    serial = serial_stuck_at_simulation(network, faults, vectors)
+    assert batched.detected == serial.detected
+    assert batched.undetected == serial.undetected
+
+
+def test_random_vector_coverage_floors():
+    """IDDQ observables catch most polarity faults with random vectors,
+    and random two-pattern pairs expose a solid share of SP opens (DP
+    opens are masked, hence the mixed ALU)."""
+    network = build_benchmark("rca16")
+    iddq = parallel_polarity_simulation(
+        network, polarity_faults(network),
+        _seeded_vectors(network, 256, seed=23), iddq=True,
+    )
+    assert iddq.coverage > 0.9
+    alu = build_benchmark("alu4")
+    vectors = _seeded_vectors(alu, 256, seed=29)
+    pairs = list(zip(vectors[::2], vectors[1::2]))
+    opens = parallel_stuck_open_simulation(
+        alu, stuck_open_faults(alu), pairs
+    )
+    assert opens.coverage > 0.3
 
 
 @pytest.mark.parametrize("iddq", [False, True])

@@ -20,7 +20,6 @@ Regenerate, after checking that the diff is intended, with::
 """
 
 import difflib
-import itertools
 import pathlib
 
 from repro.core.inductive import run_ifa
@@ -34,7 +33,7 @@ from repro.core.test_algorithms import (
 from repro.faults.logic import PolarityFault, StuckOpenFault
 from repro.gates.cell import DYNAMIC_POLARITY
 from repro.gates.library import ALL_CELLS
-from repro.logic.switch_level import DeviceState, evaluate
+from repro.logic.switch_level import DeviceState, fault_image
 
 GOLDEN = (
     pathlib.Path(__file__).resolve().parent
@@ -59,19 +58,6 @@ def _table(table) -> str:
     return " ".join(f"{_bits(v)}:{_NAMES[out]}" for v, out in table.items())
 
 
-def _image_rows(cell, transistor, state):
-    """``(vector, good, faulty, iddq)`` per binary input vector."""
-    rows = []
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        good = evaluate(cell, vector)
-        bad = evaluate(cell, vector, {transistor: state})
-        rows.append((
-            vector, good.output, bad.output,
-            bad.conflict and not good.conflict,
-        ))
-    return rows
-
-
 def render() -> str:
     """The golden text, rebuilt from the current code."""
     lines = []
@@ -80,10 +66,12 @@ def render() -> str:
         lines.append(f"cell {name} {cell.category}")
         for t in cell.transistors:
             for state in FAULT_STATES:
+                image = fault_image(cell, t.name, state)
                 rows = " ".join(
                     f"{_bits(v)}:{_NAMES[good]}{_NAMES[bad]}{int(iddq)}"
-                    for v, good, bad, iddq in _image_rows(
-                        cell, t.name, state
+                    for v, good, bad, iddq in zip(
+                        image.vectors, image.good, image.faulty,
+                        image.iddq_flags,
                     )
                 )
                 lines.append(f"  image {t.name} {state.value}: {rows}")

@@ -154,7 +154,7 @@ SEED_METRICS = {
     ("c17", "polarity"): {
         "n_faults": 0, "coverage_by_stuck_at_set": None, "n_escapes": 0,
         "atpg_coverage": None, "n_voltage_tests": 0, "n_iddq_tests": 0,
-        "n_untestable": 0,
+        "n_untestable": 0, "n_aborted": 0,
     },
     ("c17", "iddq"): {
         "n_faults": 0, "n_vectors": 0, "coverage": None, "n_detected": 0,

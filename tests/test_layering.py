@@ -17,6 +17,9 @@ checks keep it that way:
   ``src/repro`` imports ``oracles`` or ``tests``, and the removed PODEM
   engine switch stays removed from the library, the CLI and the job
   service;
+* no public callable of ``repro.atpg`` takes an ``engine`` or ``mode``
+  argument: the batched fault simulator picks its path from the size
+  of the problem;
 * the analog stack has one engine: no public callable of
   ``repro.spice``, ``repro.gates`` or ``repro.analysis.sweeps`` takes an
   ``engine`` or ``mode`` argument, the scalar Newton methods are gone
@@ -26,6 +29,7 @@ checks keep it that way:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -294,17 +298,20 @@ def test_circuit_fault_universe_still_registered():
     assert universe.stats(network).n_faults == len(sites)
 
 
-#: Modules whose public callables may not take an engine or mode knob.
+#: Modules whose public callables may not take an engine or mode knob:
+#: the ATPG layer (one batched fault simulator, one PODEM) and the
+#: analog stack.
+DIGITAL_API = ("repro.atpg",)
 ANALOG_API = ("repro.spice", "repro.gates", "repro.analysis.sweeps")
 KNOBS = ("engine", "mode")
 
 
-def _analog_api_callables():
+def _api_callables(packages):
     """``(qualified name, callable)`` for every public function and class
-    defined in :data:`ANALOG_API` (packages with all their submodules),
-    and every public method of those classes."""
+    defined in ``packages`` (packages with all their submodules), and
+    every public method of those classes."""
     modules = []
-    for name in ANALOG_API:
+    for name in packages:
         module = importlib.import_module(name)
         modules.append(module)
         if hasattr(module, "__path__"):
@@ -335,13 +342,36 @@ def _knobs(fn) -> list[str]:
     return [name for name in parameters if name in KNOBS]
 
 
+def test_no_atpg_callable_takes_an_engine_or_mode():
+    api = dict(_api_callables(DIGITAL_API))
+    # The scan reaches the fault-sim drivers and the ATPG entry points.
+    for name in (
+        "repro.atpg.fault_sim.stuck_at_detection_words",
+        "repro.atpg.fault_sim.parallel_stuck_at_simulation",
+        "repro.atpg.fault_sim.polarity_detection_words",
+        "repro.atpg.fault_sim.parallel_polarity_simulation",
+        "repro.atpg.fault_sim.stuck_open_detection_words",
+        "repro.atpg.fault_sim.parallel_stuck_open_simulation",
+        "repro.atpg.podem.run_stuck_at_atpg",
+        "repro.atpg.polarity_atpg.run_polarity_atpg",
+    ):
+        assert name in api, name
+    # A result record's fields are data, not knobs (``PolarityTest.mode``
+    # says whether a test is a voltage or an IDDQ test).
+    bad = {
+        name: _knobs(fn) for name, fn in api.items()
+        if _knobs(fn) and not dataclasses.is_dataclass(fn)
+    }
+    assert not bad, bad
+
+
 class TestOneAnalogEngine:
     @pytest.fixture(autouse=True)
     def _needs_scipy(self):
         pytest.importorskip("scipy", reason="the analog stack needs scipy")
 
     def test_no_public_callable_takes_an_engine_or_mode(self):
-        api = dict(_analog_api_callables())
+        api = dict(_api_callables(ANALOG_API))
         # The scan reaches the solvers, the characterisation helpers,
         # the sweep and the methods of the result classes.
         for name in (

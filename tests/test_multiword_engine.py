@@ -6,8 +6,9 @@ numpy ``uint64`` sweeps; nothing here is allowed to be "close" — every
 test asserts *bit-identical* detection matrices across three
 independent implementations:
 
-* the multi-word engine (``engine="multiword"``),
-* the single-word compiled path (``engine="compiled"``), and
+* the multi-word engine,
+* the single-word compiled path (each forced in turn with
+  ``oracles.fault_sim_paths.on_path``), and
 * the legacy dict simulator (the ``detects_*`` oracles of
   ``tests/oracles/serial_sim.py``), spot-checked per (fault, vector)
   bit since it is orders of magnitude slower.
@@ -23,11 +24,13 @@ checked-in ISCAS-class corpus, whose provenance (recipe regeneration
 reproduces the checked-in bytes) is asserted here too.
 """
 
+import dataclasses
 import itertools
 import pathlib
 
 import numpy as np
 import pytest
+from oracles.fault_sim_paths import PATHS, on_path
 from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
@@ -149,27 +152,20 @@ class TestPacking:
 
 
 # ---------------------------------------------------------------------------
-# Engine selection
+# Path selection
 # ---------------------------------------------------------------------------
 
-class TestEngineSelection:
-    def test_auto_thresholds(self):
-        assert not _use_multiword("auto", n_faults=4, n_vectors=64)
-        assert _use_multiword("auto", n_faults=4, n_vectors=129)
-        assert _use_multiword("auto", n_faults=64, n_vectors=8)
-        assert _use_multiword("multiword", n_faults=1, n_vectors=1)
-        assert not _use_multiword("compiled", n_faults=9999, n_vectors=9999)
+class TestPathSelection:
+    def test_size_thresholds(self):
+        assert not _use_multiword(n_faults=4, n_vectors=64)
+        assert _use_multiword(n_faults=4, n_vectors=129)
+        assert _use_multiword(n_faults=64, n_vectors=8)
 
-    def test_auto_needs_a_big_enough_netlist(self):
+    def test_needs_a_big_enough_netlist(self):
         # Same fault and vector counts: a tiny netlist stays on the
         # single-word path, a large one takes the multi-word engine.
-        assert not _use_multiword("auto", 100, 256, n_ops=10)
-        assert _use_multiword("auto", 100, 256, n_ops=1000)
-        assert _use_multiword("multiword", 1, 1, n_ops=1)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault-sim engine"):
-            _use_multiword("turbo", 1, 1)
+        assert not _use_multiword(100, 256, n_ops=10)
+        assert _use_multiword(100, 256, n_ops=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +192,11 @@ class TestDifferentialFuzz:
         vectors = random_vectors(
             network, 100 + seed, seed=seed * 17, x_fraction=0.1
         )
-        multi = stuck_at_detection_words(
-            network, faults, vectors, engine="multiword"
+        multi = on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
         )
-        single = stuck_at_detection_words(
-            network, faults, vectors, engine="compiled"
+        single = on_path(
+            "single_word", stuck_at_detection_words, network, faults, vectors,
         )
         assert multi == single
         # Legacy dict oracle, spot-checked per (fault, vector) bit.
@@ -221,11 +217,13 @@ class TestDifferentialFuzz:
         vectors = random_vectors(
             network, 90 + seed, seed=seed * 31, x_fraction=0.1
         )
-        multi = polarity_detection_words(
-            network, faults, vectors, iddq=iddq, engine="multiword"
+        multi = on_path(
+            "multiword", polarity_detection_words, network, faults, vectors,
+            iddq=iddq,
         )
-        single = polarity_detection_words(
-            network, faults, vectors, iddq=iddq, engine="compiled"
+        single = on_path(
+            "single_word", polarity_detection_words, network, faults, vectors,
+            iddq=iddq,
         )
         assert multi == single
         rng = np.random.default_rng(seed + 100)
@@ -241,11 +239,11 @@ class TestDifferentialFuzz:
         network = fuzz_network(seed)
         faults = faults_of(network, "stuck_open")
         pairs = pair_list(random_vectors(network, 80, seed=seed * 7))
-        multi = stuck_open_detection_words(
-            network, faults, pairs, engine="multiword"
+        multi = on_path(
+            "multiword", stuck_open_detection_words, network, faults, pairs,
         )
-        single = stuck_open_detection_words(
-            network, faults, pairs, engine="compiled"
+        single = on_path(
+            "single_word", stuck_open_detection_words, network, faults, pairs,
         )
         assert multi == single
         rng = np.random.default_rng(seed + 200)
@@ -265,21 +263,23 @@ class TestDifferentialFuzz:
         so = faults_of(network, "stuck_open")
         vectors = random_vectors(network, 150, seed=seed, x_fraction=0.05)
         pairs = pair_list(vectors[:90])
-        assert parallel_stuck_at_simulation(
-            network, sa, vectors, engine="multiword"
-        ) == parallel_stuck_at_simulation(
-            network, sa, vectors, engine="compiled"
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, sa, vectors,
+        ) == on_path(
+            "single_word", parallel_stuck_at_simulation, network, sa, vectors,
         )
         for iddq in (False, True):
-            assert parallel_polarity_simulation(
-                network, po, vectors, iddq=iddq, engine="multiword"
-            ) == parallel_polarity_simulation(
-                network, po, vectors, iddq=iddq, engine="compiled"
+            assert on_path(
+                "multiword", parallel_polarity_simulation, network, po,
+                vectors, iddq=iddq,
+            ) == on_path(
+                "single_word", parallel_polarity_simulation, network, po,
+                vectors, iddq=iddq,
             )
-        assert parallel_stuck_open_simulation(
-            network, so, pairs, engine="multiword"
-        ) == parallel_stuck_open_simulation(
-            network, so, pairs, engine="compiled"
+        assert on_path(
+            "multiword", parallel_stuck_open_simulation, network, so, pairs,
+        ) == on_path(
+            "single_word", parallel_stuck_open_simulation, network, so, pairs,
         )
 
     def test_odd_fault_chunks_identical(self):
@@ -312,10 +312,10 @@ class TestBenchmarkCircuits:
         network = builder()
         faults = faults_of(network, "stuck_at")
         vectors = random_vectors(network, 200, seed=42, x_fraction=0.15)
-        assert stuck_at_detection_words(
-            network, faults, vectors, engine="multiword"
-        ) == stuck_at_detection_words(
-            network, faults, vectors, engine="compiled"
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
+        ) == on_path(
+            "single_word", stuck_at_detection_words, network, faults, vectors,
         )
 
 
@@ -371,10 +371,10 @@ class TestCorpus:
         network = build_corpus_network("cpx432")
         faults = faults_of(network, "stuck_at")
         vectors = random_vectors(network, 96, seed=1)
-        assert stuck_at_detection_words(
-            network, faults, vectors, engine="multiword"
-        ) == stuck_at_detection_words(
-            network, faults, vectors, engine="compiled"
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
+        ) == on_path(
+            "single_word", stuck_at_detection_words, network, faults, vectors,
         )
 
     @pytest.mark.slow
@@ -384,17 +384,19 @@ class TestCorpus:
         network = build_corpus_network(name)
         vectors = random_vectors(network, 192, seed=7, x_fraction=0.05)
         sa = faults_of(network, "stuck_at")
-        assert stuck_at_detection_words(
-            network, sa, vectors, engine="multiword"
-        ) == stuck_at_detection_words(
-            network, sa, vectors, engine="compiled"
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, sa, vectors,
+        ) == on_path(
+            "single_word", stuck_at_detection_words, network, sa, vectors,
         )
         po = faults_of(network, "polarity")
         for iddq in (False, True):
-            assert polarity_detection_words(
-                network, po, vectors, iddq=iddq, engine="multiword"
-            ) == polarity_detection_words(
-                network, po, vectors, iddq=iddq, engine="compiled"
+            assert on_path(
+                "multiword", polarity_detection_words, network, po, vectors,
+                iddq=iddq,
+            ) == on_path(
+                "single_word", polarity_detection_words, network, po, vectors,
+                iddq=iddq,
             )
 
     @pytest.mark.slow
@@ -647,14 +649,16 @@ class TestSingleRailSweep:
             cnet, vectors, [stuck_at_injection(cnet, f) for f in faults]
         )
         assert any(full)
-        multi = parallel_stuck_at_simulation(
-            network, faults, vectors, engine="multiword"
+        multi = on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            vectors,
         )
-        assert multi == parallel_stuck_at_simulation(
-            network, faults, vectors, engine="compiled"
+        assert multi == on_path(
+            "single_word", parallel_stuck_at_simulation, network, faults,
+            vectors,
         )
-        assert stuck_at_detection_words(
-            network, faults, vectors, engine="multiword"
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
         ) == full
 
     @pytest.mark.parametrize("seed", FUZZ_SEEDS[3:])
@@ -671,10 +675,12 @@ class TestSingleRailSweep:
         )
         late = [k for k in first_detections(full) if k and k >= 128]
         assert len(late) > len(faults) // 4
-        assert parallel_stuck_at_simulation(
-            network, faults, vectors, engine="multiword"
-        ) == parallel_stuck_at_simulation(
-            network, faults, vectors, engine="compiled"
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            vectors,
+        ) == on_path(
+            "single_word", parallel_stuck_at_simulation, network, faults,
+            vectors,
         )
 
     @pytest.mark.parametrize("drop_detected", [False, True])
@@ -760,10 +766,12 @@ class TestSingleRailSweep:
         )
         assert any(words)
         opts = dict(unroll=3, initial_state=state)
-        assert parallel_stuck_at_simulation(
-            network, faults, sequences, engine="multiword", **opts
-        ) == parallel_stuck_at_simulation(
-            network, faults, sequences, engine="compiled", **opts
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            sequences, **opts,
+        ) == on_path(
+            "single_word", parallel_stuck_at_simulation, network, faults,
+            sequences, **opts,
         )
 
     @pytest.mark.parametrize("with_x", [False, True])
@@ -782,21 +790,23 @@ class TestSingleRailSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("wrong sweep")
 
-        expected_words = stuck_at_detection_words(
-            network, faults, vectors, engine="compiled"
+        expected_words = on_path(
+            "single_word", stuck_at_detection_words, network, faults, vectors,
         )
-        expected = parallel_stuck_at_simulation(
-            network, faults, vectors, engine="compiled"
+        expected = on_path(
+            "single_word", parallel_stuck_at_simulation, network, faults,
+            vectors,
         )
         monkeypatch.setattr(
             mw, "batch_detect" if not with_x else "batch_detect_x_free",
             refuse,
         )
-        assert stuck_at_detection_words(
-            network, faults, vectors, engine="multiword"
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
         ) == expected_words
-        assert parallel_stuck_at_simulation(
-            network, faults, vectors, engine="multiword"
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            vectors,
         ) == expected
 
     def test_unknown_initial_state_takes_the_dual_rail(self):
@@ -806,10 +816,12 @@ class TestSingleRailSweep:
         mv = mw.pack_vectors_multiword(cnet, uv.flatten_vectors(sequences))
         assert not mv.binary  # frame-0 state is X
         faults = faults_of(network, "stuck_at")
-        assert parallel_stuck_at_simulation(
-            network, faults, sequences, engine="multiword", unroll=3
-        ) == parallel_stuck_at_simulation(
-            network, faults, sequences, engine="compiled", unroll=3
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            sequences, unroll=3,
+        ) == on_path(
+            "single_word", parallel_stuck_at_simulation, network, faults,
+            sequences, unroll=3,
         )
 
     def test_good_machine_equals_the_dual_rail_ones_rail(self):
@@ -848,11 +860,13 @@ class TestSingleRailSweep:
         dual = mw.batch_detect(
             cnet, mv, mw.simulate_good(cnet, mv), injections
         )
-        assert stuck_at_detection_words(
-            network, faults, vectors, engine="multiword", **opts
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, vectors,
+            **opts,
         ) == dual
-        result = parallel_stuck_at_simulation(
-            network, faults, vectors, engine="multiword", **opts
+        result = on_path(
+            "multiword", parallel_stuck_at_simulation, network, faults,
+            vectors, **opts,
         )
         assert result == fault_sim._result_from_words(
             [f.name for f in faults], dual
@@ -865,8 +879,9 @@ class TestSingleRailSweep:
 
 def unpruned_words(network, faults, vectors, **opts):
     """The dual-rail voltage sweep over every fault, silent or not."""
-    return fault_sim._polarity_words(
-        network, faults, vectors, False, "multiword",
+    return on_path(
+        "multiword", fault_sim._polarity_words,
+        network, faults, vectors, False,
         opts.get("unroll"), opts.get("initial_state"),
     )
 
@@ -882,11 +897,10 @@ def single_gate_network(gtype):
 
 
 class TestVoltageSilentFaults:
-    def test_every_cell_fault_is_classified(self, monkeypatch):
-        """Silent exactly when exhaustive local vectors never detect the
-        fault at the gate's own output; silent faults give word 0."""
-        monkeypatch.setattr(fault_sim, "_VOLTAGE_SILENT", {})
-        keys = set()
+    def test_every_cell_fault_is_classified(self):
+        """Exhaustive local vectors detect a fault at the gate's own
+        output exactly on its output-detecting vectors; silent faults
+        (none) give word 0."""
         for gtype, cell in ALL_CELLS.items():
             network, pins = single_gate_network(gtype)
             faults = [
@@ -901,9 +915,11 @@ class TestVoltageSilentFaults:
             words = polarity_detection_words(network, faults, vectors)
             assert words == oracle
             for fault, word in zip(faults, oracle):
-                assert fault_sim._voltage_silent(fault) == (word == 0)
-                keys.add((gtype, fault.transistor, fault.kind))
-        assert set(fault_sim._VOLTAGE_SILENT) == keys
+                detecting = [
+                    tuple(v[pin] for pin in pins)
+                    for k, v in enumerate(vectors) if word >> k & 1
+                ]
+                assert fault.output_detecting_vectors() == detecting
 
     @pytest.mark.parametrize(
         "name", [*SECTION5_SUITE, "rca8", "alu4", "cpx432"]
@@ -916,9 +932,10 @@ class TestVoltageSilentFaults:
         faults = faults_of(network, "polarity")
         vectors = random_vectors(network, 130, seed=11, x_fraction=0.1)
         oracle = unpruned_words(network, faults, vectors)
-        for engine in ("auto", "multiword", "compiled"):
-            assert polarity_detection_words(
-                network, faults, vectors, engine=engine
+        assert polarity_detection_words(network, faults, vectors) == oracle
+        for path in PATHS:
+            assert on_path(
+                path, polarity_detection_words, network, faults, vectors,
             ) == oracle
         assert parallel_polarity_simulation(
             network, faults, vectors
@@ -932,7 +949,7 @@ class TestVoltageSilentFaults:
         network = build_benchmark("rca4")
         faults = faults_of(network, "polarity")
         vectors = random_vectors(network, 20, seed=1)
-        assert all(fault_sim._voltage_silent(f) for f in faults)
+        assert not any(f.output_detecting_vectors() for f in faults)
 
         def refuse(*args, **kwargs):
             raise AssertionError("lowered an all-silent problem")
@@ -941,8 +958,6 @@ class TestVoltageSilentFaults:
         assert polarity_detection_words(network, faults, vectors) == (
             [0] * len(faults)
         )
-        with pytest.raises(ValueError, match="unknown fault-sim engine"):
-            polarity_detection_words(network, faults, vectors, engine="x")
         seq, sequences, _ = sequential_problem()
         seq_faults = faults_of(seq, "polarity")
         with pytest.raises(sequential.SequentialNetworkError):
@@ -957,7 +972,7 @@ class TestVoltageSilentFaults:
     def test_a_definite_wrong_value_is_still_simulated(
         self, monkeypatch, unroll
     ):
-        """Patch one fault type's table with a definite wrong value: its
+        """Patch one fault type's image with a definite wrong value: its
         faults are swept (the mixed silent/non-silent path) and detected,
         the rest still get word 0 unsimulated."""
         if unroll is None:
@@ -969,20 +984,21 @@ class TestVoltageSilentFaults:
             opts = dict(unroll=3, initial_state=state)
         faults = faults_of(network, "polarity")
         target = (faults[0].gtype, faults[0].transistor, faults[0].kind)
-        original = PolarityFault.faulty_table
+        original = PolarityFault.image
 
-        def faulty_table(self):
-            table = original(self)
-            if (self.gtype, self.transistor, self.kind) == target:
-                table = dict(table)
-                minterm = next(
-                    m for m, v in table.items() if v in (0, 1)
-                )
-                table[minterm] = 1 - table[minterm]
-            return table
+        def image(self):
+            image = original(self)
+            if (self.gtype, self.transistor, self.kind) != target:
+                return image
+            k = next(k for k, v in enumerate(image.faulty) if v in (0, 1))
+            faulty = list(image.faulty)
+            faulty[k] = 1 - faulty[k]
+            return dataclasses.replace(
+                image, faulty=tuple(faulty),
+                wrong=tuple(sorted({*image.wrong, image.vectors[k]})),
+            )
 
-        monkeypatch.setattr(PolarityFault, "faulty_table", faulty_table)
-        monkeypatch.setattr(fault_sim, "_VOLTAGE_SILENT", {})
+        monkeypatch.setattr(PolarityFault, "image", image)
         audible = [
             k for k, f in enumerate(faults)
             if (f.gtype, f.transistor, f.kind) == target
@@ -990,16 +1006,18 @@ class TestVoltageSilentFaults:
         assert 0 < len(audible) < len(faults)
         oracle = unpruned_words(network, faults, vectors, **opts)
         assert any(oracle[k] for k in audible)
-        for engine in ("multiword", "compiled"):
-            assert polarity_detection_words(
-                network, faults, vectors, engine=engine, **opts
+        for path in PATHS:
+            assert on_path(
+                path, polarity_detection_words, network, faults, vectors,
+                **opts,
             ) == oracle
-            assert parallel_polarity_simulation(
-                network, faults, vectors, engine=engine, **opts
+            assert on_path(
+                path, parallel_polarity_simulation, network, faults, vectors,
+                **opts,
             ) == fault_sim._result_from_words(
                 [f.name for f in faults], oracle
             )
-        assert not fault_sim._voltage_silent(faults[audible[0]])
+        assert faults[audible[0]].output_detecting_vectors()
         k = next(k for k in audible if oracle[k])
         first = first_detections([oracle[k]])[0]
         assert detects_polarity(

@@ -82,8 +82,11 @@ def test_polarity_generation_matches_legacy(name):
     if not faults:
         pytest.skip(f"{name} has no DP gates")
     for fault in faults:
-        legacy = on_legacy_kernel(generate_polarity_test, network, fault)
-        compiled = generate_polarity_test(network, fault)
+        legacy, legacy_aborted = on_legacy_kernel(
+            generate_polarity_test, network, fault
+        )
+        compiled, aborted = generate_polarity_test(network, fault)
+        assert legacy_aborted == aborted, (name, fault.name)
         if legacy is None:
             assert compiled is None, (name, fault.name)
             continue

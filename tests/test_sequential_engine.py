@@ -25,6 +25,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from oracles.fault_sim_paths import PATHS, on_path
 from oracles.serial_sim import (
     detects_polarity,
     detects_stuck_at,
@@ -182,13 +183,13 @@ class TestDifferentialFuzz:
         sequences = random_sequence_vectors(
             network, 60 + seed, frames, seed=seed * 17, x_fraction=0.1
         )
-        multi = stuck_at_detection_words(
-            network, faults, sequences, engine="multiword",
+        multi = on_path(
+            "multiword", stuck_at_detection_words, network, faults, sequences,
             unroll=frames, initial_state=state,
         )
-        single = stuck_at_detection_words(
-            network, faults, sequences, engine="compiled",
-            unroll=frames, initial_state=state,
+        single = on_path(
+            "single_word", stuck_at_detection_words, network, faults,
+            sequences, unroll=frames, initial_state=state,
         )
         assert multi == single
         # Legacy dict oracle, spot-checked per (fault, sequence) bit.
@@ -212,13 +213,13 @@ class TestDifferentialFuzz:
         sequences = random_sequence_vectors(
             network, 50 + seed, frames, seed=seed * 31, x_fraction=0.1
         )
-        multi = polarity_detection_words(
-            network, faults, sequences, iddq=iddq, engine="multiword",
-            unroll=frames, initial_state=state,
+        multi = on_path(
+            "multiword", polarity_detection_words, network, faults, sequences,
+            iddq=iddq, unroll=frames, initial_state=state,
         )
-        single = polarity_detection_words(
-            network, faults, sequences, iddq=iddq, engine="compiled",
-            unroll=frames, initial_state=state,
+        single = on_path(
+            "single_word", polarity_detection_words, network, faults,
+            sequences, iddq=iddq, unroll=frames, initial_state=state,
         )
         assert multi == single
         rng = np.random.default_rng(seed * 100 + frames)
@@ -240,12 +241,12 @@ class TestDifferentialFuzz:
             network, 50, frames, seed=seed * 7
         )
         pairs = list(zip(sequences[:-1], sequences[1:]))
-        multi = stuck_open_detection_words(
-            network, faults, pairs, engine="multiword",
+        multi = on_path(
+            "multiword", stuck_open_detection_words, network, faults, pairs,
             unroll=frames, initial_state=state,
         )
-        single = stuck_open_detection_words(
-            network, faults, pairs, engine="compiled",
+        single = on_path(
+            "single_word", stuck_open_detection_words, network, faults, pairs,
             unroll=frames, initial_state=state,
         )
         assert multi == single
@@ -268,26 +269,26 @@ class TestDifferentialFuzz:
         state = fuzz_state(network, seed)
         sequences = random_sequence_vectors(network, 140, 3, seed=seed)
         pairs = list(zip(sequences[:80:2], sequences[1:80:2]))
-        assert parallel_stuck_at_simulation(
-            network, sa, sequences, engine="multiword",
+        assert on_path(
+            "multiword", parallel_stuck_at_simulation, network, sa, sequences,
             unroll=3, initial_state=state,
-        ) == parallel_stuck_at_simulation(
-            network, sa, sequences, engine="compiled",
-            unroll=3, initial_state=state,
+        ) == on_path(
+            "single_word", parallel_stuck_at_simulation, network, sa,
+            sequences, unroll=3, initial_state=state,
         )
         for iddq in (False, True):
-            assert parallel_polarity_simulation(
-                network, po, sequences, iddq=iddq, engine="multiword",
-                unroll=3, initial_state=state,
-            ) == parallel_polarity_simulation(
-                network, po, sequences, iddq=iddq, engine="compiled",
-                unroll=3, initial_state=state,
+            assert on_path(
+                "multiword", parallel_polarity_simulation, network, po,
+                sequences, iddq=iddq, unroll=3, initial_state=state,
+            ) == on_path(
+                "single_word", parallel_polarity_simulation, network, po,
+                sequences, iddq=iddq, unroll=3, initial_state=state,
             )
-        assert parallel_stuck_open_simulation(
-            network, so, pairs, engine="multiword",
+        assert on_path(
+            "multiword", parallel_stuck_open_simulation, network, so, pairs,
             unroll=3, initial_state=state,
-        ) == parallel_stuck_open_simulation(
-            network, so, pairs, engine="compiled",
+        ) == on_path(
+            "single_word", parallel_stuck_open_simulation, network, so, pairs,
             unroll=3, initial_state=state,
         )
 
@@ -362,14 +363,14 @@ class TestS27:
         )
         assert result.coverage == 1.0
 
-    @pytest.mark.parametrize("engine", ["multiword", "compiled"])
-    def test_engines_agree_with_serial_oracle(self, engine):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_engines_agree_with_serial_oracle(self, path):
         network = s27()
         faults = faults_of(network, "stuck_at")
         state = {q: 0 for q in network.flops}
         sequences = random_sequence_vectors(network, 20, 3, seed=5)
-        words = stuck_at_detection_words(
-            network, faults, sequences, engine=engine,
+        words = on_path(
+            path, stuck_at_detection_words, network, faults, sequences,
             unroll=3, initial_state=state,
         )
         for fi, fault in enumerate(faults):
@@ -410,12 +411,12 @@ class TestSequentialCorpus:
         faults = faults_of(network, "stuck_at")
         state = {q: 0 for q in network.flops}
         sequences = random_sequence_vectors(network, 96, 2, seed=1)
-        assert stuck_at_detection_words(
-            network, faults, sequences, engine="multiword",
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, faults, sequences,
             unroll=2, initial_state=state,
-        ) == stuck_at_detection_words(
-            network, faults, sequences, engine="compiled",
-            unroll=2, initial_state=state,
+        ) == on_path(
+            "single_word", stuck_at_detection_words, network, faults,
+            sequences, unroll=2, initial_state=state,
         )
 
     @pytest.mark.slow
@@ -429,21 +430,21 @@ class TestSequentialCorpus:
             network, 128, 3, seed=7, x_fraction=0.05
         )
         sa = faults_of(network, "stuck_at")
-        assert stuck_at_detection_words(
-            network, sa, sequences, engine="multiword",
+        assert on_path(
+            "multiword", stuck_at_detection_words, network, sa, sequences,
             unroll=3, initial_state=state,
-        ) == stuck_at_detection_words(
-            network, sa, sequences, engine="compiled",
+        ) == on_path(
+            "single_word", stuck_at_detection_words, network, sa, sequences,
             unroll=3, initial_state=state,
         )
         po = faults_of(network, "polarity")
         for iddq in (False, True):
-            assert polarity_detection_words(
-                network, po, sequences, iddq=iddq, engine="multiword",
-                unroll=3, initial_state=state,
-            ) == polarity_detection_words(
-                network, po, sequences, iddq=iddq, engine="compiled",
-                unroll=3, initial_state=state,
+            assert on_path(
+                "multiword", polarity_detection_words, network, po, sequences,
+                iddq=iddq, unroll=3, initial_state=state,
+            ) == on_path(
+                "single_word", polarity_detection_words, network, po,
+                sequences, iddq=iddq, unroll=3, initial_state=state,
             )
 
     @pytest.mark.slow

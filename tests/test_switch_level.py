@@ -15,9 +15,9 @@ from repro.gates.library import (
 )
 from repro.logic.switch_level import (
     DeviceState,
-    detection_behaviour,
     evaluate,
     fault_free_is_consistent,
+    fault_image,
     truth_table_switch_level,
 )
 from repro.logic.values import ONE, X, Z, ZERO
@@ -94,9 +94,10 @@ class TestTruthTables:
             assert value == MAJ3.function(vector)
 
 
-class TestDetectionBehaviour:
+class TestFaultImage:
     def test_table_iii_stuck_at_n(self):
-        """The paper's Table III stuck-at-n rows, exactly."""
+        """The paper's Table III stuck-at-n rows, exactly: the output
+        detects of t3/t4 are contention ties, not wrong values."""
         expected = {
             "t1": ((0, 0), False),
             "t2": ((1, 1), False),
@@ -104,26 +105,49 @@ class TestDetectionBehaviour:
             "t4": ((1, 0), True),
         }
         for transistor, (vector, out_detect) in expected.items():
-            report = detection_behaviour(
-                XOR2, transistor, DeviceState.STUCK_AT_N
-            )
-            detecting = {
-                v for v, r in report.items()
-                if r["output_detect"] or r["iddq_detect"]
-            }
-            assert detecting == {vector}
-            assert report[vector]["iddq_detect"]
-            assert report[vector]["output_detect"] == out_detect
+            image = fault_image(XOR2, transistor, DeviceState.STUCK_AT_N)
+            assert image.iddq == (vector,)
+            assert image.wrong == ()
+            assert image.tied == ((vector,) if out_detect else ())
+            assert image.floating == ()
 
     def test_channel_break_invisible(self):
         for transistor in ("t1", "t2", "t3", "t4"):
-            report = detection_behaviour(
-                XOR2, transistor, DeviceState.STUCK_OPEN
-            )
-            assert not any(
-                r["output_detect"] or r["iddq_detect"]
-                for r in report.values()
-            )
+            image = fault_image(XOR2, transistor, DeviceState.STUCK_OPEN)
+            assert image.faulty == image.good
+            assert not any(image.iddq_flags)
+            assert not (image.wrong or image.tied or image.floating)
+
+    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
+    def test_rows_and_views_follow_evaluate(self, cell_name):
+        """Every row is a faulty against a fault-free evaluation, and
+        each view lists exactly the vectors its rule selects."""
+        cell = ALL_CELLS[cell_name]
+        vectors = tuple(itertools.product((0, 1), repeat=cell.n_inputs))
+        for t in cell.transistors:
+            for state in DeviceState:
+                image = fault_image(cell, t.name, state)
+                assert image is fault_image(cell, t.name, state)
+                assert image.vectors == vectors
+                views = {"wrong": [], "tied": [], "iddq": [], "floating": []}
+                for vector in vectors:
+                    good = evaluate(cell, vector)
+                    bad = evaluate(cell, vector, {t.name: state})
+                    flag = bad.conflict and not good.conflict
+                    assert image.at(vector) == (good.output, bad.output, flag)
+                    definite = good.output in (ZERO, ONE)
+                    if definite and bad.output in (ZERO, ONE) and (
+                        bad.output != good.output
+                    ):
+                        views["wrong"].append(vector)
+                    if definite and bad.output == X:
+                        views["tied"].append(vector)
+                    if flag:
+                        views["iddq"].append(vector)
+                    if bad.output == Z:
+                        views["floating"].append(vector)
+                for view, expected in views.items():
+                    assert getattr(image, view) == tuple(expected), view
 
     def test_nand_break_not_masked(self):
         """SP gates: a break floats the output (sequential behaviour) but

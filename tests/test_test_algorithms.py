@@ -21,6 +21,7 @@ from repro.gates import (
     SP_CELLS,
     XOR2,
 )
+from repro.logic.switch_level import DeviceState, fault_image
 from repro.logic.values import Z
 
 
@@ -139,21 +140,21 @@ class TestChannelBreakProcedure:
 
 
 class TestEssentialVectors:
-    def test_inv_pull_up_essential_at_zero(self):
-        from repro.core.test_algorithms import _essential_vectors
+    """A transistor is essential where breaking it floats the output."""
 
-        assert _essential_vectors(INV, "t1") == [(0,)]
-        assert _essential_vectors(INV, "t3") == [(1,)]
+    @staticmethod
+    def essential(cell, transistor):
+        return fault_image(cell, transistor, DeviceState.STUCK_OPEN).floating
+
+    def test_inv_pull_up_essential_at_zero(self):
+        assert self.essential(INV, "t1") == ((0,),)
+        assert self.essential(INV, "t3") == ((1,),)
 
     def test_nor2_series_pull_up(self):
-        from repro.core.test_algorithms import _essential_vectors
-
         # Both series pull-up transistors are essential only at 00.
-        assert _essential_vectors(NOR2, "t1") == [(0, 0)]
-        assert _essential_vectors(NOR2, "t2") == [(0, 0)]
+        assert self.essential(NOR2, "t1") == ((0, 0),)
+        assert self.essential(NOR2, "t2") == ((0, 0),)
 
     def test_xor_has_none(self):
-        from repro.core.test_algorithms import _essential_vectors
-
         for t in XOR2.transistors:
-            assert _essential_vectors(XOR2, t.name) == []
+            assert self.essential(XOR2, t.name) == ()
