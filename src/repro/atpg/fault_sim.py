@@ -69,6 +69,7 @@ is documented once, in :mod:`repro.logic.compiled`.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Mapping, Sequence
 
 from repro.faults.logic import (
@@ -430,18 +431,16 @@ def polarity_detection_words(
         return _polarity_words(
             network, faults, vectors, True, unroll, initial_state
         )
-    live = [fault for fault in faults if fault.output_detecting_vectors()]
-    if not live:
+    live = [bool(fault.output_detecting_vectors()) for fault in faults]
+    if not any(live):
         if unroll is None:
             sequential.require_combinational(network, "polarity simulation")
         return [0] * len(faults)
     found = iter(_polarity_words(
-        network, live, vectors, False, unroll, initial_state
+        network, list(itertools.compress(faults, live)), vectors, False,
+        unroll, initial_state,
     ))
-    return [
-        next(found) if fault.output_detecting_vectors() else 0
-        for fault in faults
-    ]
+    return [next(found) if is_live else 0 for is_live in live]
 
 
 def _polarity_words(

@@ -28,7 +28,7 @@ from repro.faults.universe import FaultUniverse, register_universe
 from repro.gates.library import ALL_CELLS
 from repro.logic.network import Gate, Network
 from repro.logic.switch_level import DeviceState, FaultImage, fault_image
-from repro.logic.values import X, Z
+from repro.logic.values import X
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +172,7 @@ class PolarityFault:
     def faulty_table(self) -> dict[tuple[int, ...], int]:
         """Local table: 0/1/X per binary input vector (X = contention
         tie); a floating output keeps the good value."""
-        image = self.image()
-        return {
-            vector: good if faulty == Z else faulty
-            for vector, good, faulty in zip(
-                image.vectors, image.good, image.faulty
-            )
-        }
+        return self.image().held_table
 
     def iddq_vectors(self) -> tuple[tuple[int, ...], ...]:
         return self.image().iddq
@@ -256,8 +250,7 @@ class StuckOpenFault:
     def broken_table(self) -> dict[tuple[int, ...], int]:
         """Local table with the channel broken: 0/1/X/Z per binary input
         vector (Z = the output floats and retains its previous value)."""
-        image = self.image()
-        return dict(zip(image.vectors, image.faulty))
+        return self.image().table
 
     def is_masked(self) -> bool:
         """True when no local vector makes this transistor essential

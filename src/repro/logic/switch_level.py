@@ -293,6 +293,11 @@ class FaultImage:
     * ``iddq`` — the IDDQ flag is set;
     * ``floating`` — the faulty output floats (Z) and retains its
       previous value.
+
+    ``table`` maps each vector to its faulty output and ``held_table``
+    to the same with a floating output holding the good value.  Both
+    are built once with the image and shared by every reader; do not
+    mutate them.
     """
 
     vectors: tuple[tuple[int, ...], ...]
@@ -303,6 +308,8 @@ class FaultImage:
     tied: tuple[tuple[int, ...], ...]
     iddq: tuple[tuple[int, ...], ...]
     floating: tuple[tuple[int, ...], ...]
+    table: dict = dataclasses.field(compare=False, repr=False)
+    held_table: dict = dataclasses.field(compare=False, repr=False)
 
     def at(self, vector: tuple[int, ...]) -> tuple[int, int, bool]:
         """``(good, faulty, iddq_flag)`` under one input vector."""
@@ -333,4 +340,6 @@ def fault_image(cell: Cell, transistor: str, state: DeviceState) -> FaultImage:
         tied=tuple(v for v, g, f, _ in rows if g in known and f == X),
         iddq=tuple(v for v, _, _, flag in rows if flag),
         floating=tuple(v for v, _, f, _ in rows if f == Z),
+        table={v: f for v, _, f, _ in rows},
+        held_table={v: g if f == Z else f for v, g, f, _ in rows},
     )

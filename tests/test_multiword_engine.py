@@ -991,11 +991,14 @@ class TestVoltageSilentFaults:
             if (self.gtype, self.transistor, self.kind) != target:
                 return image
             k = next(k for k, v in enumerate(image.faulty) if v in (0, 1))
+            vector, flipped = image.vectors[k], 1 - image.faulty[k]
             faulty = list(image.faulty)
-            faulty[k] = 1 - faulty[k]
+            faulty[k] = flipped
             return dataclasses.replace(
                 image, faulty=tuple(faulty),
-                wrong=tuple(sorted({*image.wrong, image.vectors[k]})),
+                wrong=tuple(sorted({*image.wrong, vector})),
+                table={**image.table, vector: flipped},
+                held_table={**image.held_table, vector: flipped},
             )
 
         monkeypatch.setattr(PolarityFault, "image", image)

@@ -120,8 +120,9 @@ class TestFaultImage:
 
     @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
     def test_rows_and_views_follow_evaluate(self, cell_name):
-        """Every row is a faulty against a fault-free evaluation, and
-        each view lists exactly the vectors its rule selects."""
+        """Every row is a faulty against a fault-free evaluation, each
+        view lists exactly the vectors its rule selects, and the two
+        tables read the same rows."""
         cell = ALL_CELLS[cell_name]
         vectors = tuple(itertools.product((0, 1), repeat=cell.n_inputs))
         for t in cell.transistors:
@@ -135,6 +136,10 @@ class TestFaultImage:
                     bad = evaluate(cell, vector, {t.name: state})
                     flag = bad.conflict and not good.conflict
                     assert image.at(vector) == (good.output, bad.output, flag)
+                    assert image.table[vector] == bad.output
+                    assert image.held_table[vector] == (
+                        good.output if bad.output == Z else bad.output
+                    )
                     definite = good.output in (ZERO, ONE)
                     if definite and bad.output in (ZERO, ONE) and (
                         bad.output != good.output
