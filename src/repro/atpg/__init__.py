@@ -4,7 +4,9 @@ The package covers the full test flow of the paper's Section 5: fault
 list generation (the ``stuck_at`` / ``polarity`` / ``stuck_open``
 universes of :mod:`repro.faults`, re-exported here for convenience),
 PODEM test generation over
-the five-valued D-calculus (:mod:`~repro.atpg.podem`), polarity-fault
+the five-valued D-calculus (:mod:`~repro.atpg.podem`, which first
+settles provably redundant faults by implication,
+:mod:`~repro.atpg.redundancy`), polarity-fault
 and two-pattern stuck-open generators (:mod:`~repro.atpg.polarity_atpg`,
 :mod:`~repro.atpg.sof_atpg`), IDDQ vector selection
 (:mod:`~repro.atpg.iddq`), bit-parallel fault simulation

@@ -175,32 +175,33 @@ def _stuck_at_problem(network, faults, vectors, unroll, initial_state):
     return cnet, injections, uv.flatten_vectors(vectors, initial_state)
 
 
-def _polarity_problem(network, faults, vectors, unroll, initial_state):
+def _polarity_problem(network, faults, vectors, unroll, initial_state, iddq):
     """Compile + lower a polarity problem.
 
-    Returns ``(cnet, injections, gate_lists, vectors)`` — ``gate_lists``
-    holds, per fault, the gate replicas whose local inputs activate the
-    IDDQ conflict (one gate combinationally, one per frame unrolled).
+    Returns ``(cnet, lowered, vectors)``.  ``lowered`` holds one entry
+    per fault: in voltage mode its table-override injection, in IDDQ
+    mode the gate replicas whose local inputs activate the conflict
+    (one gate combinationally, one per frame unrolled) -- IDDQ mode
+    reads only the fault-free simulation, so it builds no injection.
     """
     if unroll is None:
         sequential.require_combinational(
             network, "polarity simulation"
         )
         cnet = compile_network(network)
-        injections = [polarity_injection(cnet, f) for f in faults]
-        gate_lists = [[f.gate] for f in faults]
-        return cnet, injections, gate_lists, vectors
+        if iddq:
+            return cnet, [[f.gate] for f in faults], vectors
+        return cnet, [polarity_injection(cnet, f) for f in faults], vectors
     uv = sequential.unroll_network(network, unroll)
     cnet = compile_network(uv.network)
-    injections = [
-        sequential.polarity_unrolled_injection(uv, cnet, f)
-        for f in faults
-    ]
-    gate_lists = [uv.replica_gates(f.gate) for f in faults]
-    return (
-        cnet, injections, gate_lists,
-        uv.flatten_vectors(vectors, initial_state),
-    )
+    if iddq:
+        lowered = [uv.replica_gates(f.gate) for f in faults]
+    else:
+        lowered = [
+            sequential.polarity_unrolled_injection(uv, cnet, f)
+            for f in faults
+        ]
+    return cnet, lowered, uv.flatten_vectors(vectors, initial_state)
 
 
 def _stuck_open_problem(network, faults, pairs, unroll, initial_state):
@@ -370,24 +371,23 @@ def parallel_stuck_at_simulation(
 def _multiword_polarity_words(
     cnet,
     faults: Sequence[PolarityFault],
-    injections,
-    gate_lists,
+    lowered,
     vectors: Sequence[TestVector],
     iddq: bool,
 ) -> list[int]:
     """Multi-word polarity detection matrix (voltage or IDDQ mode).
 
-    Voltage mode is a fault-parallel table-override sweep; IDDQ mode
-    needs only the shared good simulation — per fault, the word of
-    vectors driving any of its gate replicas into a conflict-activating
-    combination.
+    Voltage mode is a fault-parallel table-override sweep over the
+    injections in ``lowered``; IDDQ mode needs only the shared good
+    simulation — per fault, the word of vectors driving any of its gate
+    replicas (``lowered``) into a conflict-activating combination.
     """
     mv = mw.pack_vectors_multiword(cnet, vectors)
     good = mw.simulate_good(cnet, mv)
     if not iddq:
-        return mw.batch_detect(cnet, mv, good, injections)
+        return mw.batch_detect(cnet, mv, good, lowered)
     words = []
-    for fault, gates in zip(faults, gate_lists):
+    for fault, gates in zip(faults, lowered):
         word = 0
         for gname in gates:
             pin_rows = mw.gate_input_rows(cnet, good, gname)
@@ -447,26 +447,23 @@ def _polarity_words(
     network, faults, vectors, iddq, unroll, initial_state
 ) -> list[int]:
     """:func:`polarity_detection_words` without the silent-fault skip."""
-    cnet, injections, gate_lists, vectors = _polarity_problem(
-        network, faults, vectors, unroll, initial_state
+    cnet, lowered, vectors = _polarity_problem(
+        network, faults, vectors, unroll, initial_state, iddq
     )
     if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
         return _multiword_polarity_words(
-            cnet, faults, injections, gate_lists, vectors, iddq
+            cnet, faults, lowered, vectors, iddq
         )
     packed = pack_vectors(cnet, vectors)
     good = cnet.simulate(packed)
-    words = []
-    for fault, injection, gates in zip(faults, injections, gate_lists):
-        if iddq:
-            words.append(
-                _iddq_word(
-                    cnet, good, gates, fault.iddq_vectors(), packed.mask
-                )
-            )
-        else:
-            words.append(cnet.detect_word(packed, good, injection))
-    return words
+    if iddq:
+        return [
+            _iddq_word(cnet, good, gates, fault.iddq_vectors(), packed.mask)
+            for fault, gates in zip(faults, lowered)
+        ]
+    return [
+        cnet.detect_word(packed, good, injection) for injection in lowered
+    ]
 
 
 def parallel_polarity_simulation(
@@ -491,14 +488,14 @@ def parallel_polarity_simulation(
                 network, faults, vectors, False, unroll, initial_state
             ),
         )
-    cnet, injections, gate_lists, vectors = _polarity_problem(
-        network, faults, vectors, unroll, initial_state
+    cnet, gate_lists, vectors = _polarity_problem(
+        network, faults, vectors, unroll, initial_state, iddq=True
     )
     if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
         return _result_from_words(
             [f.name for f in faults],
             _multiword_polarity_words(
-                cnet, faults, injections, gate_lists, vectors, iddq=True
+                cnet, faults, gate_lists, vectors, iddq=True
             ),
         )
     detected: dict[str, int] = {}

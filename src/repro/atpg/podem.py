@@ -17,6 +17,12 @@ replaced is the test oracle ``tests/oracles/podem_legacy.py``; the two
 agree decision for decision — vectors, backtrack counts and the
 testable/untestable/aborted classification
 (``tests/test_podem_compiled.py``).
+
+:func:`run_stuck_at_atpg` first asks the implication check of
+:mod:`repro.atpg.redundancy` about each fault: a fault it proves
+redundant is listed as untestable without a search, so redundant faults
+of large reconvergent circuits stop spending a full backtrack budget
+each and ending up aborted.  The search itself is untouched.
 """
 
 from __future__ import annotations
@@ -105,7 +111,9 @@ class StuckAtAtpgResult:
         tests: Generated vectors (fully specified), in generation order.
         detected: Fault name -> index into ``tests`` of the detecting
             vector (for dropped faults, the test that dropped them).
-        untestable: Faults proven untestable within the search bound.
+        untestable: Faults proven untestable: by the implication check
+            of :mod:`repro.atpg.redundancy` before any search, or by
+            PODEM exhausting its decision tree within the budget.
         aborted: Faults the backtrack budget gave up on.
         total_backtracks: Backtracks summed over every PODEM search of
             the campaign (the effort metric the campaign layer stores).
@@ -132,13 +140,16 @@ def run_stuck_at_atpg(
 ) -> StuckAtAtpgResult:
     """PODEM over a fault list with bit-parallel fault dropping.
 
-    After each successful generation the new vector is fault-simulated
-    (on the compiled engine) against every still-undetected fault, and
-    all detected faults are dropped — the classic ATPG loop that avoids
-    generating a dedicated test per fault.
+    A fault :func:`repro.atpg.redundancy.proven_redundant` proves
+    untestable is listed as such with no search.  After each successful
+    generation the new vector is fault-simulated (on the compiled
+    engine) against every still-undetected fault, and all detected
+    faults are dropped — the classic ATPG loop that avoids generating a
+    dedicated test per fault.
     """
     from repro.atpg.fault_sim import stuck_at_injection
     from repro.atpg.podem_compiled import batch_drop_detected
+    from repro.atpg.redundancy import proven_redundant
     from repro.faults import get_universe
     from repro.logic.compiled import compile_network
 
@@ -156,6 +167,10 @@ def run_stuck_at_atpg(
     total_backtracks = 0
     for fault, fault_name in zip(faults, names):
         if fault_name in detected:
+            continue
+        if proven_redundant(cnet, fault):
+            untestable.append(fault_name)
+            dead.add(fault_name)
             continue
         result = generate_test(network, fault, max_backtracks)
         total_backtracks += result.backtracks

@@ -14,7 +14,9 @@ The four registered fault classes mirror the paper's Section 5:
 ``polarity``
     The paper's headline gap: how many polarity bridges the classic
     stuck-at set detects at the outputs (escapes), vs. the polarity-
-    aware ATPG's voltage/IDDQ coverage (Sec. V-B).
+    aware ATPG's voltage/IDDQ coverage (Sec. V-B).  The classic set is
+    the one the circuit's ``stuck_at`` cell built
+    (:func:`classic_stuck_at`, memoised per compiled network).
 ``iddq``
     Greedy compact IDDQ screening-vector selection (Sec. V-B).
 ``stuck_open``
@@ -55,37 +57,60 @@ from repro.atpg.fault_sim import (
     parallel_stuck_at_simulation,
 )
 from repro.atpg.iddq import select_iddq_vectors
-from repro.atpg.podem import run_stuck_at_atpg
+from repro.atpg.podem import StuckAtAtpgResult, run_stuck_at_atpg
 from repro.atpg.polarity_atpg import run_polarity_atpg
 from repro.atpg.sof_atpg import run_sof_atpg
 from repro.faults import get_universe
+from repro.faults.logic import StuckAtFault
+from repro.logic.compiled import compile_network
 from repro.logic.network import Network
 
 TaskRunner = Callable[[Network], dict]
 
 
+def classic_stuck_at(
+    network: Network, max_backtracks: int = 500
+) -> tuple[list[StuckAtFault], StuckAtAtpgResult, list[dict[str, int]]]:
+    """The classic production test set and how it was built.
+
+    Returns ``(faults, atpg, vectors)``: the collapsed stuck-at list,
+    the PODEM run with fault dropping over it, and that run's tests
+    after greedy compaction (the baseline every escape metric is
+    against).  Memoised on the compiled network per ``max_backtracks``,
+    so a circuit's ``stuck_at`` and ``polarity`` cells build it once per
+    process; :func:`repro.logic.compiled.invalidate_network` drops it
+    with the compiled form.  The returned objects are shared: read
+    them, do not modify them.
+    """
+    cnet = compile_network(network)
+    memo = getattr(cnet, "_classic_stuck_at", None)
+    if memo is None:
+        memo = cnet._classic_stuck_at = {}
+    built = memo.get(max_backtracks)
+    if built is None:
+        faults = get_universe("stuck_at").collapse(network)
+        atpg = run_stuck_at_atpg(network, faults, max_backtracks)
+        vectors = compact_tests(network, atpg.tests, faults).vectors
+        built = memo[max_backtracks] = (faults, atpg, vectors)
+    return built
+
+
 def classic_stuck_at_testset(
     network: Network, max_backtracks: int = 500
 ) -> list[dict[str, int]]:
-    """PODEM with fault dropping + greedy compaction: the classic
-    production test set (the baseline every escape metric is against).
-    """
-    faults = get_universe("stuck_at").collapse(network)
-    atpg = run_stuck_at_atpg(network, faults, max_backtracks)
-    compacted = compact_tests(network, atpg.tests, faults)
-    return compacted.vectors
+    """The compacted classic stuck-at test set of
+    :func:`classic_stuck_at`."""
+    return classic_stuck_at(network, max_backtracks)[2]
 
 
 def run_stuck_at_task(network: Network) -> dict:
     """Sec. V-A baseline: full stuck-at ATPG + compaction + fault sim."""
-    faults = get_universe("stuck_at").collapse(network)
-    atpg = run_stuck_at_atpg(network, faults)
-    compacted = compact_tests(network, atpg.tests, faults)
-    sim = parallel_stuck_at_simulation(network, faults, compacted.vectors)
+    faults, atpg, vectors = classic_stuck_at(network)
+    sim = parallel_stuck_at_simulation(network, faults, vectors)
     return {
         "n_faults": len(faults),
         "n_tests_generated": len(atpg.tests),
-        "n_vectors": len(compacted.vectors),
+        "n_vectors": len(vectors),
         "coverage": sim.coverage,
         "n_untestable": len(atpg.untestable),
         "n_aborted": len(atpg.aborted),

@@ -156,6 +156,101 @@ class TestTasks:
             run_fault_class(c17(), "frobnicate")
 
 
+class TestClassicStuckAtSet:
+    """The ``stuck_at`` and ``polarity`` cells of a circuit share one
+    classic stuck-at test set, memoised on the compiled network."""
+
+    CIRCUITS = ("rca4", "alu_slice")
+    #: Records of the two cells as computed before they shared the set.
+    #: Only ``alu_slice`` stuck_at ``backtracks`` differs from those
+    #: (17 then): the redundancy check settles its one untestable fault
+    #: before PODEM searches it.
+    RECORDS = {
+        ("rca4", "stuck_at"): {
+            "n_faults": 82, "n_tests_generated": 18, "n_vectors": 10,
+            "coverage": 1.0, "n_untestable": 0, "n_aborted": 0,
+            "backtracks": 4,
+        },
+        ("rca4", "polarity"): {
+            "n_faults": 128, "coverage_by_stuck_at_set": 0.0,
+            "n_escapes": 128, "atpg_coverage": 1.0, "n_voltage_tests": 0,
+            "n_iddq_tests": 128, "n_untestable": 0, "n_aborted": 0,
+        },
+        ("alu_slice", "stuck_at"): {
+            "n_faults": 82, "n_tests_generated": 16, "n_vectors": 11,
+            "coverage": 0.9878048780487805, "n_untestable": 1,
+            "n_aborted": 0, "backtracks": 13,
+        },
+        ("alu_slice", "polarity"): {
+            "n_faults": 40, "coverage_by_stuck_at_set": 0.0,
+            "n_escapes": 40, "atpg_coverage": 1.0, "n_voltage_tests": 0,
+            "n_iddq_tests": 40, "n_untestable": 0, "n_aborted": 0,
+        },
+    }
+
+    @pytest.fixture
+    def atpg_calls(self, monkeypatch):
+        from repro.campaign import tasks
+        from repro.logic.compiled import clear_compile_memo
+
+        clear_compile_memo()
+        calls = []
+        original = tasks.run_stuck_at_atpg
+
+        def counting(network, *args, **kwargs):
+            calls.append(network.name)
+            return original(network, *args, **kwargs)
+
+        monkeypatch.setattr(tasks, "run_stuck_at_atpg", counting)
+        yield calls
+        clear_compile_memo()
+
+    def test_grid_runs_stuck_at_atpg_once_per_circuit(self, atpg_calls):
+        result = run_campaign(
+            expand_grid(list(self.CIRCUITS), ["stuck_at", "polarity"])
+        )
+        assert sorted(atpg_calls) == sorted(self.CIRCUITS)
+        got = {
+            (r["circuit"], r["fault_class"]): r["metrics"]
+            for r in result.records
+        }
+        assert got == self.RECORDS
+
+    def test_each_cell_alone_gives_the_same_record(self, atpg_calls):
+        from repro.logic.compiled import clear_compile_memo
+
+        for (circuit, fault_class), record in self.RECORDS.items():
+            clear_compile_memo()
+            network = get_registry().load(circuit)
+            assert run_fault_class(network, fault_class) == record
+        assert len(atpg_calls) == len(self.RECORDS)
+
+    def test_the_set_is_the_compacted_atpg_run(self, atpg_calls):
+        from repro.atpg import compact_tests, run_stuck_at_atpg
+        from repro.campaign.tasks import (
+            classic_stuck_at,
+            classic_stuck_at_testset,
+        )
+        from repro.faults import get_universe
+        from repro.logic.compiled import invalidate_network
+
+        network = get_registry().load("alu_slice")
+        faults, atpg, vectors = classic_stuck_at(network)
+        assert classic_stuck_at(network)[1] is atpg
+        assert classic_stuck_at_testset(network) is vectors
+        assert len(atpg_calls) == 1
+        expected = run_stuck_at_atpg(network, faults)
+        assert atpg == expected
+        assert faults == get_universe("stuck_at").collapse(network)
+        assert vectors == compact_tests(network, expected.tests, faults).vectors
+        # Another budget is another set; invalidation drops both.
+        classic_stuck_at(network, max_backtracks=10)
+        assert len(atpg_calls) == 2
+        invalidate_network(network)
+        classic_stuck_at(network)
+        assert len(atpg_calls) == 3
+
+
 class TestRunnerResume:
     def test_interrupted_store_resumes_to_identical_final_store(
         self, tmp_path, reference_records

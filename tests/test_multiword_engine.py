@@ -1026,3 +1026,54 @@ class TestVoltageSilentFaults:
         assert detects_polarity(
             network, faults[k], vectors[first], **opts
         )
+
+
+class TestIddqLowering:
+    """IDDQ mode reads only the fault-free simulation, so lowering an
+    IDDQ problem builds no fault injection."""
+
+    @pytest.fixture
+    def no_injections(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an injection in IDDQ mode")
+
+        monkeypatch.setattr(fault_sim, "polarity_injection", refuse)
+        monkeypatch.setattr(
+            sequential, "polarity_unrolled_injection", refuse
+        )
+
+    def _expected(self, network, faults, vectors, **opts):
+        return [
+            sum(
+                1 << k for k, v in enumerate(vectors)
+                if detects_polarity(network, f, v, iddq=True, **opts)
+            )
+            for f in faults
+        ]
+
+    @pytest.mark.parametrize("sequential_circuit", [False, True])
+    def test_iddq_words_without_injections(
+        self, no_injections, sequential_circuit
+    ):
+        if sequential_circuit:
+            network, vectors, state = sequential_problem(n=24)
+            opts = {"unroll": 3, "initial_state": state}
+        else:
+            network = fuzz_network(FUZZ_SEEDS[0])
+            vectors = random_vectors(network, 40, seed=5, x_fraction=0.1)
+            opts = {}
+        faults = faults_of(network, "polarity")
+        assert faults
+        expected = self._expected(network, faults, vectors, **opts)
+        assert any(expected)
+        for path in PATHS:
+            assert on_path(
+                path, polarity_detection_words, network, faults, vectors,
+                iddq=True, **opts,
+            ) == expected
+            assert on_path(
+                path, parallel_polarity_simulation, network, faults,
+                vectors, iddq=True, **opts,
+            ) == fault_sim._result_from_words(
+                [f.name for f in faults], expected
+            )

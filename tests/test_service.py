@@ -49,11 +49,12 @@ SMALL_SPEC = {
 }
 SMALL_TASKS = 8
 
-#: Slow-enough grid (the alu8 cells run for seconds): interruption
-#: tests need the campaign still in flight when the signal lands.
+#: Slow-enough grid (the alu8 stuck_open cell runs for seconds, after
+#: the first record): interruption tests need the campaign still in
+#: flight when the signal lands.
 SLOW_SPEC = {
     "circuits": ["alu8", "c17"],
-    "fault_classes": ["stuck_at", "polarity"],
+    "fault_classes": ["stuck_at", "stuck_open"],
 }
 SLOW_TASKS = 4
 
