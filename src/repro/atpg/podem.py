@@ -145,7 +145,9 @@ def run_stuck_at_atpg(
     generation the new vector is fault-simulated (on the compiled
     engine) against every still-undetected fault, and all detected
     faults are dropped — the classic ATPG loop that avoids generating a
-    dedicated test per fault.
+    dedicated test per fault.  A fault whose search aborts stays live
+    for those later vectors, and is reported as aborted only if no test
+    of the run detects it.
     """
     from repro.atpg.fault_sim import stuck_at_injection
     from repro.atpg.podem_compiled import batch_drop_detected
@@ -161,9 +163,10 @@ def run_stuck_at_atpg(
     tests: list[dict[str, int]] = []
     detected: dict[str, int] = {}
     untestable: list[str] = []
-    aborted: list[str] = []
-    suspect: list[str] = []
-    dead: set[str] = set()  # proven untestable / aborted: never dropped
+    # Searched without a test (aborted, or PODEM's test failed in
+    # simulation): stay live for collateral detection.
+    unresolved: list[str] = []
+    dead: set[str] = set()  # proven untestable: never dropped
     total_backtracks = 0
     for fault, fault_name in zip(faults, names):
         if fault_name in detected:
@@ -175,8 +178,11 @@ def run_stuck_at_atpg(
         result = generate_test(network, fault, max_backtracks)
         total_backtracks += result.backtracks
         if not result.success:
-            (aborted if result.aborted else untestable).append(fault_name)
-            dead.add(fault_name)
+            if result.aborted:
+                unresolved.append(fault_name)
+            else:
+                untestable.append(fault_name)
+                dead.add(fault_name)
             continue
         vector = dict(result.vector)
         for net in network.primary_inputs:
@@ -191,15 +197,11 @@ def run_stuck_at_atpg(
         for name in batch_drop_detected(cnet, vector, pending):
             detected[name] = index
         if fault_name not in detected:
-            # PODEM claimed success but simulation disagrees; the fault
-            # stays live for collateral detection and is reported as
-            # aborted only if nothing ever detects it.
-            suspect.append(fault_name)
-    aborted.extend(n for n in suspect if n not in detected)
+            unresolved.append(fault_name)  # simulation disagrees
     return StuckAtAtpgResult(
         tests=tests,
         detected=detected,
         untestable=sorted(untestable),
-        aborted=sorted(aborted),
+        aborted=sorted(n for n in unresolved if n not in detected),
         total_backtracks=total_backtracks,
     )

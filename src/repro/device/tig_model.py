@@ -19,21 +19,22 @@ under the drain gate described in Section IV-B of the paper.
 
 The model is bidirectional (source/drain roles follow the terminal
 voltages), smooth in all terminal voltages, and vectorised over numpy
-arrays.
+arrays.  It has one kernel, :meth:`ModelRows.terminal_currents`, over
+rows that each carry their own model's segment parameters: a single
+:class:`TIGSiNWFET` evaluates one run of rows, and the SPICE device
+stamp stacks every device of a circuit into one call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.device import physics
+from repro.device.defects import DeviceDefect
 from repro.device.params import DEFAULT_PARAMS, DeviceParameters
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.device.defects import DeviceDefect
 
 TERMINALS = ("d", "cg", "pgs", "pgd", "s")
 """Canonical terminal ordering used by terminal-current dictionaries."""
@@ -53,17 +54,14 @@ _SEGMENTS = (
     ("pgd", "n", "d"), ("cg", "n", "d"), ("pgs", "n", "d"),
     ("pgs", "p", "s"), ("cg", "p", "s"), ("pgd", "p", "s"),
 )
-#: Gather index ``(2, 12)`` into the terminal axis: gate, reference.
-_SEGMENT_TERMINALS = np.array(
-    [[_COLUMN[gate] for gate, _b, _r in _SEGMENTS],
-     [_COLUMN[ref] for _g, _b, ref in _SEGMENTS]]
-)
-#: +1 for electron segments, -1 for hole segments (mirrored activation).
-_SEGMENT_SIGN = np.array(
-    [1.0 if branch == "n" else -1.0 for _g, branch, _r in _SEGMENTS]
-)
-#: Carrier-exit segments, softened by ``drain_weight``.
-_EXIT_SEGMENTS = np.arange(2, 12, 3)
+#: Gather index ``(2, 12)`` into the terminal axis: each segment's
+#: activation argument is the first terminal's voltage minus the
+#: second's — gate minus reference for electron segments, reference
+#: minus gate for hole segments (the mirrored activation).
+_SEGMENT_TERMINALS = np.array([
+    [_COLUMN[gate if br == "n" else ref] for gate, br, ref in _SEGMENTS],
+    [_COLUMN[ref if br == "n" else gate] for gate, br, ref in _SEGMENTS],
+])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +92,7 @@ class TIGSiNWFET:
     def __init__(
         self,
         params: DeviceParameters = DEFAULT_PARAMS,
-        defect: "DeviceDefect | None" = None,
+        defect: DeviceDefect | None = None,
     ) -> None:
         self.params = params
         self.defect = defect
@@ -119,65 +117,11 @@ class TIGSiNWFET:
         self._vth = np.array(vth)
         self._ss = np.array(ss)
         self._factor = np.array(factor)
+        self._rows = ModelRows([(self, 1)])
 
     # ------------------------------------------------------------------
     # Current evaluation
     # ------------------------------------------------------------------
-    def _channel_current(self, volts: np.ndarray) -> np.ndarray:
-        """Current into the drain for terminal voltages ``(..., 5)``.
-
-        The one compact-model kernel: all twelve gated segments (see
-        :data:`_SEGMENTS`) are evaluated as one stacked ``(..., 12)``
-        pass — one gather of gate-minus-reference voltages, one
-        logistic, one exit-segment power, one series combination per
-        group of three.  The defect's channel-current and drain-current
-        hooks are applied to the combined result.
-        """
-        p = self.params
-        gathered = volts[..., _SEGMENT_TERMINALS]  # (..., 2, 12)
-        arg = gathered[..., 0, :] - gathered[..., 1, :]
-        arg *= _SEGMENT_SIGN
-        arg -= self._vth
-        arg /= self._ss
-        act = physics.logistic10(arg)
-        exit_act = np.maximum(
-            act[..., _EXIT_SEGMENTS], physics.ACTIVATION_FLOOR
-        )
-        act[..., _EXIT_SEGMENTS] = np.power(exit_act, p.drain_weight)
-        act *= self._factor
-        np.maximum(act, physics.ACTIVATION_FLOOR, out=act)
-        inverse = np.divide(1.0, act, out=act).reshape(
-            act.shape[:-1] + (2, 2, 3)
-        )
-        inverse_sum = inverse[..., 0] + inverse[..., 1]
-        inverse_sum += inverse[..., 2]
-        series = 3 / inverse_sum  # (..., direction, branch)
-
-        v_d = volts[..., 0]
-        v_s = volts[..., 4]
-        vds = np.empty(volts.shape[:-1] + (2,))  # forward, reverse
-        np.subtract(v_d, v_s, out=vds[..., 0])
-        np.subtract(v_s, v_d, out=vds[..., 1])
-        vds_eff = physics.smooth_positive(vds)
-        sat = physics.saturation_factor(vds_eff, p.v_dsat, p.v_early)
-        current = (
-            self._i0
-            * (series[..., 0] + p.p_branch_factor * series[..., 1])
-            * sat
-        )
-        forward = current[..., 0]
-        reverse = current[..., 1]
-        if self.defect is not None:
-            forward = self.defect.scale_channel_current(self, forward)
-            reverse = self.defect.scale_channel_current(self, reverse)
-        floor = p.i_floor * np.tanh(vds[..., 0] / 0.05)
-        current = forward - reverse + floor
-        if self.defect is not None:
-            current = current + self.defect.extra_drain_current(
-                self, volts[..., 1], volts[..., 2], volts[..., 3], v_d, v_s
-            )
-        return current
-
     def drain_current(
         self,
         v_cg: np.ndarray | float,
@@ -199,10 +143,10 @@ class TIGSiNWFET:
             ),
             axis=-1,
         )
-        current = self._channel_current(volts)
+        current = self._rows.terminal_currents(volts[..., None, :])[..., 0, 0]
         if current.shape == ():
             return float(current)
-        return current
+        return current.copy()
 
     def terminal_currents(
         self,
@@ -246,26 +190,7 @@ class TIGSiNWFET:
         volts = np.asarray(volts, dtype=float)
         if volts.shape[-1] != 5:
             raise ValueError("last axis must hold (d, cg, pgs, pgd, s)")
-        i_d = self._channel_current(volts)
-        out = np.zeros_like(volts)
-        out[..., 0] = i_d
-        out[..., 4] = -i_d
-        if self.defect is not None:
-            spec = self.defect.shunt_spec()
-            if spec is not None:
-                # drain_current() already contains the shunt's drain-side
-                # share (alpha * i_shunt); route the remainder through the
-                # source column and pull the total from the gate so that
-                # the terminal currents sum to zero.
-                gate, resistance, alpha = spec
-                gate_col = {"cg": 1, "pgs": 2, "pgd": 3}[gate]
-                v_channel = (
-                    alpha * volts[..., 0] + (1.0 - alpha) * volts[..., 4]
-                )
-                i_shunt = (volts[..., gate_col] - v_channel) / resistance
-                out[..., gate_col] -= i_shunt
-                out[..., 4] += i_shunt
-        return out
+        return self._rows.terminal_currents(volts[..., None, :])[..., 0, :]
 
     # ------------------------------------------------------------------
     # Convenience predicates
@@ -297,3 +222,127 @@ class TIGSiNWFET:
         if pgs == 0 and pgd == 0:
             return "p"
         return "off"
+
+
+class _DefectRows(NamedTuple):
+    """A defective model's run of rows, and its gate-to-channel shunt
+    ``(gate column, resistance, alpha)`` or ``None``."""
+
+    model: TIGSiNWFET
+    rows: slice
+    shunt: tuple[int, float, float] | None
+
+
+class ModelRows:
+    """Per-row parameters of the compact-model kernel, and the kernel.
+
+    The kernel evaluates a stack of terminal-voltage rows ``(..., rows,
+    5)``.  Every row has the segment thresholds, slopes and activation
+    factors of its own model — arrays of shape ``(rows, 12)`` — while the
+    :class:`DeviceParameters` scalars are shared by all rows.  The rows
+    are built from consecutive runs ``(model, n_rows)``: one model is
+    the one-run case (:meth:`TIGSiNWFET.terminal_current_matrix`), and
+    the devices of a circuit are the many-run case
+    (:class:`repro.spice.mna.MNASystem` builds one per parameter set).
+    A defective model's hooks act on its own run of rows only.
+    """
+
+    def __init__(self, runs: "list[tuple[TIGSiNWFET, int]]") -> None:
+        self.params = runs[0][0].params
+        if any(model.params != self.params for model, _n in runs):
+            raise ValueError("all rows must share one DeviceParameters")
+        counts = [n for _model, n in runs]
+        self.n_rows = sum(counts)
+        self._i0 = runs[0][0]._i0
+        self._vth, self._ss, self._factor = (
+            np.repeat(np.array([getattr(model, name) for model, _n in runs]),
+                      counts, axis=0)
+            for name in ("_vth", "_ss", "_factor")
+        )
+        self._defects: list[_DefectRows] = []
+        lo = 0
+        for model, n in runs:
+            defect = model.defect
+            if defect is not None:
+                spec = defect.shunt_spec()
+                self._defects.append(_DefectRows(
+                    model=model,
+                    rows=slice(lo, lo + n),
+                    shunt=None if spec is None
+                    else (_COLUMN[spec[0]], spec[1], spec[2]),
+                ))
+            lo += n
+
+    def terminal_currents(self, volts: np.ndarray) -> np.ndarray:
+        """Currents *into* each terminal for voltages ``(..., rows, 5)``
+        in :data:`TERMINALS` order.
+
+        The one compact-model kernel: all twelve gated segments (see
+        :data:`_SEGMENTS`) of all rows are evaluated as one stacked
+        ``(..., rows, 12)`` pass — one gather of gate-minus-reference
+        voltages, one logistic, one exit-segment power, one series
+        combination per group of three.  The source column is the
+        negative of the drain column.  Each defect's channel-current and
+        drain-current hooks, and its gate-to-channel shunt (which adds to
+        the gate and source columns), act on its model's rows only.
+        """
+        p = self.params
+        gathered = volts[..., _SEGMENT_TERMINALS]  # (..., rows, 2, 12)
+        # C order keeps the (..., rows, 12) passes below contiguous.
+        arg = np.subtract(gathered[..., 0, :], gathered[..., 1, :], order="C")
+        arg -= self._vth
+        arg /= self._ss
+        act = physics.logistic10(arg)
+        # (..., rows, direction * branch, position): the carrier-exit
+        # segment of each group of three is softened by drain_weight.
+        groups = act.reshape(act.shape[:-1] + (4, 3))
+        exit_act = np.maximum(groups[..., 2], physics.ACTIVATION_FLOOR)
+        groups[..., 2] = np.power(exit_act, p.drain_weight)
+        act *= self._factor
+        np.maximum(act, physics.ACTIVATION_FLOOR, out=act)
+        inverse = np.divide(1.0, act, out=act).reshape(groups.shape)
+        inverse_sum = inverse[..., 0] + inverse[..., 1]
+        inverse_sum += inverse[..., 2]
+        series = 3 / inverse_sum  # (..., rows, direction * branch)
+
+        vds = np.empty(volts.shape[:-1] + (2,))  # forward, reverse
+        np.subtract(volts[..., 0], volts[..., 4], out=vds[..., 0])
+        np.subtract(volts[..., 4], volts[..., 0], out=vds[..., 1])
+        vds_eff = physics.smooth_positive(vds)
+        sat = physics.saturation_factor(vds_eff, p.v_dsat, p.v_early)
+        current = (
+            self._i0
+            * (series[..., 0::2] + p.p_branch_factor * series[..., 1::2])
+            * sat
+        )  # (..., rows, direction)
+        for d in self._defects:
+            current[..., d.rows, :] = d.model.defect.scale_channel_current(
+                d.model, current[..., d.rows, :]
+            )
+        floor = p.i_floor * np.tanh(vds[..., 0] / 0.05)
+        i_d = current[..., 0] - current[..., 1] + floor
+        for d in self._defects:
+            v = volts[..., d.rows, :]
+            i_d[..., d.rows] = i_d[..., d.rows] + (
+                d.model.defect.extra_drain_current(
+                    d.model, v[..., 1], v[..., 2], v[..., 3], v[..., 0],
+                    v[..., 4],
+                )
+            )
+        out = np.zeros_like(volts)
+        out[..., 0] = i_d
+        out[..., 4] = -i_d
+        # The drain column already holds the shunt's drain-side share
+        # (alpha * i_shunt, from extra_drain_current); route the
+        # remainder through the source column and pull the total from
+        # the gate so that the terminal currents sum to zero.
+        for d in self._defects:
+            if d.shunt is None:
+                continue
+            gate_col, resistance, alpha = d.shunt
+            v = volts[..., d.rows, :]
+            v_channel = alpha * v[..., 0] + (1.0 - alpha) * v[..., 4]
+            i_shunt = (v[..., gate_col] - v_channel) / resistance
+            out[..., d.rows, gate_col] -= i_shunt
+            out[..., d.rows, 4] += i_shunt
+        return out

@@ -122,21 +122,18 @@ def newton_batch(
         # shrinks as iterations accumulate, which breaks the two-point
         # limit cycles steep exponential devices can otherwise sustain.
         limit = opts.v_limit_step / (1 + iteration // 60)
-        if n_nodes:
-            worst = np.max(np.abs(delta[:, :n_nodes]), axis=1)
-        else:
-            worst = np.zeros(len(active))
-        over = worst > limit
-        if np.any(over):
+        step = np.abs(delta[:, :n_nodes]).max(axis=1, initial=0.0)
+        over = step > limit
+        if over.any():
             scale = np.ones(len(active))
-            scale[over] = limit / worst[over]
+            scale[over] = limit / step[over]
             delta = delta * scale[:, None]
+            step = np.abs(delta[:, :n_nodes]).max(axis=1, initial=0.0)
         x_new = xa + delta
-        ok = (
-            np.max(np.abs(delta[:, :n_nodes]), axis=1, initial=0.0)
-            < opts.v_tolerance
-        ) & (np.max(np.abs(residual), axis=1) < opts.residual_tolerance)
-        bad = ~np.all(np.isfinite(x_new), axis=1)
+        ok = (step < opts.v_tolerance) & (
+            np.abs(residual).max(axis=1) < opts.residual_tolerance
+        )
+        bad = ~np.isfinite(x_new).all(axis=1)
         ok &= ~bad
         if full:
             x = x_new
@@ -463,6 +460,8 @@ def run_transient_sweep(
     # currents in per-capacitor order: for each capacitor, subtract at
     # node a then add at node b.
     g_cap, a_idx, b_idx, geq = capacitor_companions(mna, dt)
+    a_live, b_live = a_idx >= 0, b_idx >= 0
+    a_cols, b_cols = np.clip(a_idx, 0, None), np.clip(b_idx, 0, None)
     hist_cols: list[int] = []
     hist_signs: list[float] = []
     hist_targets: list[int] = []
@@ -523,8 +522,8 @@ def run_transient_sweep(
         b = batch_rhs(times[step])
         # History currents, scattered in per-capacitor order.
         if len(geq):
-            va = np.where(a_idx >= 0, x[:, np.clip(a_idx, 0, None)], 0.0)
-            vb = np.where(b_idx >= 0, x[:, np.clip(b_idx, 0, None)], 0.0)
+            va = np.where(a_live, x[:, a_cols], 0.0)
+            vb = np.where(b_live, x[:, b_cols], 0.0)
             hist = geq[None, :] * (va - vb)
             i_extra = np.bincount(
                 hist_targets_arr,

@@ -3,23 +3,29 @@
 Unknown vector layout: node voltages (all non-ground nodes in sorted
 order) followed by one branch current per voltage source.  Nonlinear
 device currents and their Jacobians are evaluated with vectorised
-finite differences: devices sharing a compact-model instance are grouped,
-and each group is evaluated in a single numpy call over a stack of
-``n_devices`` base rows plus one perturbed row per *non-ground* terminal
+finite differences over one stack of rows for the whole circuit: one
+base row per device plus one perturbed row per *non-ground* terminal
 (a grounded terminal's Jacobian column is never stamped, so it is never
-perturbed).  The currents and the Jacobian of every group are then
-scattered with one ``np.bincount`` each.  The Newton loops that use
-this stamp live in :mod:`repro.spice.batched`.
+perturbed).  Every row carries its own model's segment parameters
+(:class:`repro.device.tig_model.ModelRows`), so the stack is evaluated
+in one compact-model kernel pass per distinct ``DeviceParameters`` —
+in practice one — with each device defect's hooks applied to its own
+rows.  The currents and the Jacobian are then scattered with one
+``np.bincount`` each.  The Newton loops that use this stamp live in
+:mod:`repro.spice.batched`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.spice.netlist import Circuit, DEVICE_TERMINALS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.device.tig_model import TIGSiNWFET
 
 
 class ConvergenceError(RuntimeError):
@@ -48,31 +54,15 @@ _FD_STEP = 1e-5
 
 
 class DeviceGroup(NamedTuple):
-    """Devices sharing one compact-model instance, and their stamp plan.
+    """Devices sharing one compact-model instance.
 
     ``index_matrix[dev, term]`` is the unknown index of each terminal
-    (-1 for ground), terminals in :data:`DEVICE_TERMINALS` order.  The
-    model evaluates ``gather`` — indices into the solution padded with a
-    zero ground column: ``n`` base rows, then one row per non-ground
-    ``(dev, term)`` pair — with ``_FD_STEP`` added at ``(pert_rows,
-    pert_cols)``.  In the flattened ``(rows * 5)`` model output,
-    ``i_src`` picks the base current of each non-ground terminal, and
-    ``j_pert`` / ``j_base`` the perturbed and base current of each
-    Jacobian entry; ``i_slice`` / ``j_slice`` place them among the
-    system's joined scatter targets.
+    (-1 for ground), terminals in :data:`DEVICE_TERMINALS` order.
     """
 
-    model: object
+    model: TIGSiNWFET
     names: list[str]
     index_matrix: np.ndarray
-    gather: np.ndarray
-    pert_rows: np.ndarray
-    pert_cols: np.ndarray
-    i_src: np.ndarray
-    j_pert: np.ndarray
-    j_base: np.ndarray
-    i_slice: slice
-    j_slice: slice
 
 
 class MNASystem:
@@ -206,69 +196,102 @@ class MNASystem:
         return self._linear_factor[1](b.T).T
 
     def _build_device_groups(self) -> None:
-        """Group devices by compact-model identity and plan their stamp.
+        """Group devices by compact-model identity and plan the stamp.
 
-        Each group's :class:`DeviceGroup` stamp plan is built once here:
-        the model runs on ``n`` base rows (one per device) plus one
-        perturbed row per non-ground ``(device, terminal)`` pair, so a
-        grounded terminal — whose Jacobian column is never stamped — is
-        never perturbed.  The current and Jacobian targets of all groups
-        are joined, in group order, into one flat array each
-        (``row * size + col`` for the Jacobian), so
-        :meth:`device_contributions` scatters with one ``np.bincount``
-        apiece.  Each entry sums its contributions group by group and
-        device by device, in one fixed order for every batch size.
+        The plan is built once here.  Each group contributes ``n`` base
+        rows (one per device) plus one perturbed row per non-ground
+        ``(device, terminal)`` pair, so a grounded terminal — whose
+        Jacobian column is never stamped — is never perturbed.  The rows
+        of all groups form one stack, ``_gather`` (indices into the
+        solution padded with a zero ground column), with ``_FD_STEP``
+        added at ``(_pert_rows, _pert_cols)``; groups sharing a
+        ``DeviceParameters`` are adjacent, and each such run of rows is
+        one kernel pass (``_passes``).  In the flattened ``(rows * 5)``
+        kernel output, ``_i_src`` picks the base current of each
+        non-ground terminal and ``_j_pert`` / ``_j_base`` the perturbed
+        and base current of each Jacobian entry.  Their scatter targets
+        (``row * size + col`` for the Jacobian) are joined in group
+        order, so :meth:`device_contributions` scatters with one
+        ``np.bincount`` apiece and each entry sums its contributions
+        group by group and device by device, in one fixed order for
+        every batch size.
         """
         groups: dict[int, list[str]] = {}
         for name, dev in self.circuit.devices.items():
             groups.setdefault(id(dev.model), []).append(name)
         self.device_groups: list[DeviceGroup] = []
-        i_targets: list[np.ndarray] = []
-        j_targets: list[np.ndarray] = []
-        i_lo = j_lo = 0
         for names in groups.values():
             names.sort()
-            model = self.circuit.devices[names[0]].model
-            n = len(names)
-            index_matrix = np.empty((n, 5), dtype=int)
+            index_matrix = np.empty((len(names), 5), dtype=int)
             for i, dev_name in enumerate(names):
                 dev = self.circuit.devices[dev_name]
                 for j, term in enumerate(DEVICE_TERMINALS):
                     index_matrix[i, j] = self._index(getattr(dev, term))
-            valid = index_matrix >= 0
+            self.device_groups.append(DeviceGroup(
+                model=self.circuit.devices[names[0]].model,
+                names=names,
+                index_matrix=index_matrix,
+            ))
+        by_params: dict[object, list[int]] = {}
+        for g, group in enumerate(self.device_groups):
+            by_params.setdefault(group.model.params, []).append(g)
+        row_order = [g for run in by_params.values() for g in run]
+        valid = [group.index_matrix >= 0 for group in self.device_groups]
+        n_rows = [v.shape[0] + np.count_nonzero(v) for v in valid]
+        row_offset, lo = {}, 0
+        for g in row_order:
+            row_offset[g] = lo
+            lo += n_rows[g]
+        gather: dict[int, np.ndarray] = {}
+        pert_rows, pert_cols, i_src, j_pert, j_base = [], [], [], [], []
+        i_targets, j_targets = [], []
+        for g, group in enumerate(self.device_groups):
+            index_matrix, ok = group.index_matrix, valid[g]
+            n, lo = ok.shape[0], row_offset[g]
             # Perturbed rows: every non-ground (device, terminal), in
             # device-major order.  Ground gathers the zero pad column.
-            pert_dev, pert_term = np.nonzero(valid)
-            padded = np.where(valid, index_matrix, self.size)
-            gather = np.concatenate([padded, padded[pert_dev]])
+            pert_dev, pert_term = np.nonzero(ok)
+            padded = np.where(ok, index_matrix, self.size)
+            gather[g] = np.concatenate([padded, padded[pert_dev]])
+            pert_rows.append(lo + n + np.arange(pert_dev.size))
+            pert_cols.append(pert_term)
             # Jacobian entries: d(I into terminal t)/d(V of the perturbed
             # terminal) for every non-ground t of the perturbed device,
             # in (device, perturbed terminal, t) order.
-            k, t = np.nonzero(valid[pert_dev])
+            k, t = np.nonzero(ok[pert_dev])
             dev_k = pert_dev[k]
-            i_targets.append(index_matrix[valid])
+            i_src.append(lo * 5 + np.flatnonzero(ok))
+            j_pert.append((lo + n + k) * 5 + t)
+            j_base.append((lo + dev_k) * 5 + t)
+            i_targets.append(index_matrix[ok])
             j_targets.append(
                 index_matrix[dev_k, t] * self.size
                 + index_matrix[dev_k, pert_term[k]]
             )
-            i_hi = i_lo + i_targets[-1].size
-            j_hi = j_lo + j_targets[-1].size
-            self.device_groups.append(DeviceGroup(
-                model=model,
-                names=names,
-                index_matrix=index_matrix,
-                gather=gather,
-                pert_rows=n + np.arange(pert_dev.size),
-                pert_cols=pert_term,
-                i_src=np.flatnonzero(valid),
-                j_pert=(n + k) * 5 + t,
-                j_base=dev_k * 5 + t,
-                i_slice=slice(i_lo, i_hi),
-                j_slice=slice(j_lo, j_hi),
-            ))
-            i_lo, j_lo = i_hi, j_hi
-        self._i_targets = np.concatenate(i_targets or [np.empty(0, int)])
-        self._j_targets = np.concatenate(j_targets or [np.empty(0, int)])
+        # Imported here, like scipy.sparse in the linear factor: the
+        # compact model pulls in scipy, which importing this module
+        # alone does not need.
+        from repro.device.tig_model import ModelRows
+
+        self._passes = []
+        for run in by_params.values():
+            rows = ModelRows([
+                (self.device_groups[g].model, n_rows[g]) for g in run
+            ])
+            lo = row_offset[run[0]]
+            self._passes.append((rows, slice(lo, lo + rows.n_rows)))
+
+        def joined(parts: list[np.ndarray]) -> np.ndarray:
+            return np.concatenate(parts) if parts else np.empty(0, int)
+
+        self._gather = joined([gather[g] for g in row_order])
+        self._pert_rows = joined(pert_rows)
+        self._pert_cols = joined(pert_cols)
+        self._i_src = joined(i_src)
+        self._j_pert = joined(j_pert)
+        self._j_base = joined(j_base)
+        self._i_targets = joined(i_targets)
+        self._j_targets = joined(j_targets)
         self._batch_targets: tuple[int, np.ndarray, np.ndarray] | None = None
 
     def _scatter_targets(self, n_batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,27 +336,22 @@ class MNASystem:
         gain the same leading axis.  A point's stamp does not depend on
         the rest of the stack: one point alone is the ``B = 1`` case.
         """
-        if not self.device_groups:
+        if not self._passes:
             return np.zeros(x.shape), np.zeros(x.shape + (self.size,))
         stack = x.reshape(-1, self.size)
         n_batch = stack.shape[0]
         padded = np.zeros((n_batch, self.size + 1))  # last column: ground
         padded[:, : self.size] = stack
-        w_i = np.empty((n_batch, self._i_targets.size))
-        w_j = np.empty((n_batch, self._j_targets.size))
-        for group in self.device_groups:
-            volts = padded[:, group.gather]
-            volts[:, group.pert_rows, group.pert_cols] += _FD_STEP
-            currents = group.model.terminal_current_matrix(volts).reshape(
-                n_batch, -1
-            )
-            w_i[:, group.i_slice] = currents[:, group.i_src]
-            didv = w_j[:, group.j_slice]
-            np.subtract(
-                currents[:, group.j_pert], currents[:, group.j_base],
-                out=didv,
-            )
-            didv /= _FD_STEP
+        volts = padded[:, self._gather]
+        volts[:, self._pert_rows, self._pert_cols] += _FD_STEP
+        currents = np.concatenate([
+            rows.terminal_currents(volts[:, span])
+            for rows, span in self._passes
+        ], axis=1).reshape(n_batch, -1)
+        w_i = currents[:, self._i_src]
+        w_j = currents[:, self._j_pert]
+        w_j -= currents[:, self._j_base]
+        w_j /= _FD_STEP
         i_targets, j_targets = self._scatter_targets(n_batch)
         i_dev = np.bincount(
             i_targets, weights=w_i.ravel(), minlength=n_batch * self.size

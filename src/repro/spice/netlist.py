@@ -19,8 +19,12 @@ Fault-injection helpers mirror the paper's defect set at circuit level:
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.spice.waveforms import DC, Waveform
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.device.tig_model import TIGSiNWFET
 
 GROUND_NAMES = frozenset({"0", "gnd", "GND", "vss", "VSS"})
 
@@ -76,7 +80,7 @@ class DeviceInstance:
     """A TIG-SiNWFET instance: model + terminal-to-node mapping."""
 
     name: str
-    model: object  # TIGSiNWFET, or any model with its terminal_current_matrix
+    model: TIGSiNWFET  # the MNA stamp reads its per-row kernel parameters
     d: str
     cg: str
     pgs: str

@@ -266,6 +266,35 @@ def test_run_stuck_at_atpg_full_coverage_and_verified():
             ), fault.name
 
 
+def test_aborted_fault_detected_by_later_test(monkeypatch):
+    """A fault whose search gives up stays live for fault dropping: on
+    tmr_voter with no backtrack budget, tests generated after two of
+    the aborted searches detect those faults, which end in ``detected``
+    and not in ``aborted``."""
+    import repro.atpg.podem as podem
+
+    network = build_benchmark("tmr_voter")
+    faults = stuck_at_faults(network)
+    gave_up = []
+    search = podem.generate_test
+
+    def logged(net, fault, max_backtracks=500):
+        result = search(net, fault, max_backtracks)
+        if result.aborted:
+            gave_up.append(fault.name)
+        return result
+
+    monkeypatch.setattr(podem, "generate_test", logged)
+    result = run_stuck_at_atpg(network, faults, max_backtracks=0)
+    later = [name for name in gave_up if name in result.detected]
+    assert len(later) == 2
+    assert result.aborted == sorted(set(gave_up) - set(later))
+    by_name = {fault.name: fault for fault in faults}
+    for name in later:
+        index = result.detected[name]
+        assert detects_stuck_at(network, by_name[name], result.tests[index])
+
+
 def test_sof_atpg_dropping_preserves_coverage():
     network = build_benchmark("alu_slice")
     plain = run_sof_atpg(network)

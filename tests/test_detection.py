@@ -18,7 +18,8 @@ from repro.core.detection import (
     screen_cell_faults,
 )
 from repro.core.fault_models import GOSFault
-from repro.device import TIGSiNWFET, clear_model_caches
+from repro.device import clear_model_caches
+from repro.device.tig_model import ModelRows
 from repro.faults import circuit_faults_for_cell
 from repro.gates import (
     ALL_CELLS,
@@ -158,9 +159,9 @@ class TestFaultFreeReferenceMemo:
         self, fresh_memo, monkeypatch
     ):
         before = fresh_memo(INV, 4).observations
-        original = TIGSiNWFET.terminal_current_matrix
+        original = ModelRows.terminal_currents
         monkeypatch.setattr(
-            TIGSiNWFET, "terminal_current_matrix",
+            ModelRows, "terminal_currents",
             lambda self, volts: 2.0 * original(self, volts),
         )
         # The memo does not see the patch ...

@@ -276,10 +276,12 @@ def test_flagged_faults_skip_the_search(monkeypatch):
 
 @pytest.mark.slow
 def test_cpx432_campaign_halves_the_aborts():
-    """Full cpx432 ATPG: the same 94 tests and coverage as the search
-    alone, with at most half of its 286 aborts left."""
+    """Full cpx432 ATPG: the same 94 tests as the search alone, with
+    at most half of its 286 aborts left.  The run's own tests detect 8
+    of the 77 faults whose search aborts, which lifts coverage from
+    the search's 0.8116 to 0.8148."""
     network = get_registry().load("cpx432")
     result = run_stuck_at_atpg(network, collapsed(network))
     assert len(result.tests) == 94
-    assert round(result.coverage, 4) == 0.8116
-    assert len(result.aborted) <= 143
+    assert round(result.coverage, 4) == 0.8148
+    assert len(result.aborted) == 69 <= 143

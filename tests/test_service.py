@@ -50,13 +50,55 @@ SMALL_SPEC = {
 SMALL_TASKS = 8
 
 #: Slow-enough grid (the alu8 stuck_open cell runs for seconds, after
-#: the first record): interruption tests need the campaign still in
-#: flight when the signal lands.
+#: the first record): the subprocess interruption tests need the
+#: campaign still in flight when the signal lands, and a server or CLI
+#: process cannot see a fault class registered by the test.
 SLOW_SPEC = {
     "circuits": ["alu8", "c17"],
     "fault_classes": ["stuck_at", "stuck_open"],
 }
 SLOW_TASKS = 4
+
+#: In-process interruption grid: the ``gated`` test fault class (see
+#: :func:`gated_cells`) keeps the job in flight after its first record,
+#: however fast real cells run.
+GATED_SPEC = {
+    "circuits": ["c17", "tmr_voter", "rca4", "parity8"],
+    "fault_classes": ["gated"],
+}
+GATED_TASKS = 4
+
+
+class _GatedCells:
+    """Test-only fault class: its first cell returns at once, and every
+    later cell signals ``in_flight`` and blocks until ``release`` is set."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls = 0
+        self.in_flight = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, network):
+        with self._lock:
+            self._calls += 1
+            first = self._calls == 1
+        if not first:
+            self.in_flight.set()
+            if not self.release.wait(60.0):
+                raise TimeoutError("gated cell never released")
+        return {"n_gates": len(network.gates)}
+
+
+@pytest.fixture
+def gated_cells(monkeypatch):
+    """Register the ``gated`` fault class for in-process campaigns."""
+    from repro.campaign.tasks import TASK_RUNNERS
+
+    cells = _GatedCells()
+    monkeypatch.setitem(TASK_RUNNERS, "gated", cells)
+    yield cells
+    cells.release.set()  # never leave a worker thread blocked
 
 
 def _subprocess_env():
@@ -386,18 +428,20 @@ class TestServiceAPI:
 
 
 class TestJobFailureModes:
-    def test_cancel_mid_campaign_leaves_store_resumable(self, tmp_path):
+    def test_cancel_mid_campaign_leaves_store_resumable(
+        self, tmp_path, gated_cells
+    ):
         manager = JobManager(tmp_path / "state", job_workers=1).start()
         try:
-            job_id = manager.submit(SLOW_SPEC)["id"]
-            deadline = time.monotonic() + 60.0
-            while manager.status(job_id)["counts"]["ok"] < 1:
-                assert time.monotonic() < deadline, "no first record"
-                time.sleep(0.05)
+            job_id = manager.submit(GATED_SPEC)["id"]
+            assert gated_cells.in_flight.wait(60.0), "no second cell"
             manager.cancel(job_id)
+            gated_cells.release.set()
             status = manager.wait(job_id)
             assert status["state"] == "cancelled"
-            assert 0 < status["counts"]["ok"] < SLOW_TASKS
+            # The first cell and the one in flight when the cancel
+            # landed; no cell starts after it.
+            assert status["counts"]["ok"] == 2
 
             # Store left resumable: clean audit, no claims held.
             with open_store(manager.store_path, "sqlite") as store:
@@ -406,9 +450,9 @@ class TestJobFailureModes:
 
             # Resubmitting the same grid computes only the remainder
             # and converges to a fully-ok campaign.
-            rerun = manager.wait(manager.submit(SLOW_SPEC)["id"])
+            rerun = manager.wait(manager.submit(GATED_SPEC)["id"])
             assert rerun["state"] == "done"
-            assert rerun["counts"]["ok"] == SLOW_TASKS
+            assert rerun["counts"]["ok"] == GATED_TASKS
         finally:
             manager.stop(drain=False)
 
@@ -439,22 +483,36 @@ class TestJobFailureModes:
         assert status["counts"]["pending"] == SMALL_TASKS
         assert manager.status(job_id)["state"] == "done"
 
-    def test_stop_requeues_running_job_and_restart_resumes(self, tmp_path):
+    def test_stop_requeues_running_job_and_restart_resumes(
+        self, tmp_path, gated_cells
+    ):
         manager = JobManager(tmp_path / "state", job_workers=1).start()
-        job_id = manager.submit(SLOW_SPEC)["id"]
+        job_id = manager.submit(GATED_SPEC)["id"]
+        assert gated_cells.in_flight.wait(60.0), "no second cell"
+        # stop() joins the worker, which waits on the gate: stop from
+        # another thread, and open the gate once the stop has asked the
+        # running job to wind down.
+        stopper = threading.Thread(target=manager.stop,
+                                   kwargs={"drain": False})
+        stopper.start()
+        cancel_requested = manager.get(job_id).cancel_event
         deadline = time.monotonic() + 60.0
-        while manager.status(job_id)["counts"]["ok"] < 1:
-            assert time.monotonic() < deadline, "no first record"
-            time.sleep(0.05)
-        manager.stop(drain=False)
-        assert manager.status(job_id)["state"] == "queued"
+        while not cancel_requested.is_set():
+            assert time.monotonic() < deadline, "stop never reached the job"
+            time.sleep(0.01)
+        gated_cells.release.set()
+        stopper.join(60.0)
+        assert not stopper.is_alive()
+        status = manager.status(job_id)
+        assert status["state"] == "queued"
+        assert status["counts"]["ok"] == 2
         assert "claimed" not in _claim_statuses(manager.store_path)
 
         manager.start()
         try:
             status = manager.wait(job_id)
             assert status["state"] == "done"
-            assert status["counts"]["ok"] == SLOW_TASKS
+            assert status["counts"]["ok"] == GATED_TASKS
         finally:
             manager.stop(drain=False)
 

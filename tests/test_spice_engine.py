@@ -1,10 +1,20 @@
 """Tests for the MNA circuit simulator (DC + transient)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import spice_scalar as oracle
-from repro.device import TIGSiNWFET
+from repro.device import (
+    DEFAULT_PARAMS,
+    ChannelBreak,
+    DeviceDefect,
+    GateOxideShort,
+    ParameterDrift,
+    TIGSiNWFET,
+)
+from repro.device.tig_model import ModelRows
 from repro.gates import ALL_CELLS
 from repro.spice import (
     Circuit,
@@ -246,6 +256,30 @@ class TestConvergenceMachinery:
         assert op.supply_current("vdd") > 0
 
 
+class _EveryHookDefect(DeviceDefect):
+    """Overrides every query and hook of :class:`DeviceDefect`."""
+
+    def vth_shift(self, gate, branch):
+        return {"pgs": -0.04, "cg": 0.06, "pgd": 0.02}[gate] * (
+            1.0 if branch == "n" else 0.5
+        )
+
+    def segment_factor(self, gate, branch):
+        return 0.7 if (gate, branch) == ("cg", "p") else 1.1
+
+    def channel_factor(self):
+        return 0.9
+
+    def scale_channel_current(self, model, current):
+        return current * 0.85 - 3e-13
+
+    def extra_drain_current(self, model, v_cg, v_pgs, v_pgd, v_d, v_s):
+        return 4e-10 * (v_pgs - v_s) - 1e-10 * v_cg
+
+    def shunt_spec(self):
+        return ("cg", 3e7, 0.4)
+
+
 #: Faults the stamp oracle installs on every library cell: two device
 #: defects (each adds a second device group; a gate-oxide short also
 #: drives gate currents) and two bridges (extra resistors that tie
@@ -350,6 +384,109 @@ class TestDeviceContributionScatter:
             i_ref, j_ref = self._reference_loop(system, x[k])
             assert np.array_equal(i_vec[k], i_ref)
             assert np.array_equal(j_vec[k], j_ref)
+
+    @staticmethod
+    def _assert_matches_reference(system, n_batch, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-0.2, VDD + 0.2, size=(n_batch, system.size))
+        i_vec, j_vec = system.device_contributions(x)
+        for k in range(n_batch):
+            i_ref, j_ref = TestDeviceContributionScatter._reference_loop(
+                system, x[k]
+            )
+            assert np.array_equal(i_vec[k], i_ref)
+            assert np.array_equal(j_vec[k], j_ref)
+
+    @staticmethod
+    def _mixed_defect_system():
+        """XOR2 FO4 bench with four defective devices: a GOS shunt, a
+        partial channel break, a parameter drift and a defect that
+        overrides every hook (one kernel pass, five row runs)."""
+        from repro.gates import build_cell_circuit, get_cell
+
+        bench = build_cell_circuit(get_cell("XOR2"), fanout=4)
+        defects = (
+            GateOxideShort("pgs"), ChannelBreak(0.6),
+            ParameterDrift(dvth_cg=0.05, dvth_pg=-0.02, i_on_factor=0.8),
+            _EveryHookDefect(),
+        )
+        for name, defect in zip(sorted(bench.circuit.devices), defects):
+            bench.circuit.replace_device_model(
+                name, TIGSiNWFET(defect=defect)
+            )
+        return MNASystem(bench.circuit)
+
+    @staticmethod
+    def _two_params_system():
+        """NAND2 FO4 bench whose devices alternate between two
+        parameter sets, so the groups of one set are not adjacent."""
+        from repro.gates import build_cell_circuit, get_cell
+
+        bench = build_cell_circuit(get_cell("NAND2"), fanout=4)
+        other = dataclasses.replace(
+            DEFAULT_PARAMS, i_on=6e-6, vth_cg=0.35, drain_weight=0.5
+        )
+        shared = TIGSiNWFET(other)
+        names = sorted(bench.circuit.devices)
+        for k, name in enumerate(names):
+            if k % 2:
+                bench.circuit.replace_device_model(name, shared)
+        bench.circuit.replace_device_model(
+            names[2], TIGSiNWFET(defect=GateOxideShort("cg"))
+        )
+        bench.circuit.replace_device_model(
+            names[3], TIGSiNWFET(other, ChannelBreak())
+        )
+        return MNASystem(bench.circuit)
+
+    @pytest.mark.parametrize("n_batch", [1, 3, 8])
+    def test_mixed_defects_match_reference_loop(self, n_batch):
+        system = self._mixed_defect_system()
+        assert len(system.device_groups) == 5
+        self._assert_matches_reference(system, n_batch, seed=n_batch)
+
+    @pytest.mark.parametrize("n_batch", [1, 3, 8])
+    def test_two_parameter_sets_match_reference_loop(self, n_batch):
+        system = self._two_params_system()
+        params = [group.model.params for group in system.device_groups]
+        assert len(set(params)) == 2
+        assert params[:3] == [params[0], params[1], params[0]]
+        self._assert_matches_reference(system, n_batch, seed=n_batch)
+
+    def test_one_kernel_pass_per_parameter_set(self, monkeypatch):
+        passes = []
+        kernel = ModelRows.terminal_currents
+
+        def counted(rows, volts):
+            passes.append(rows.params)
+            return kernel(rows, volts)
+
+        monkeypatch.setattr(ModelRows, "terminal_currents", counted)
+        for system, n_params in (
+            (self._mixed_defect_system(), 1),
+            (self._two_params_system(), 2),
+        ):
+            for x in (
+                np.full(system.size, 0.6),
+                np.full((3, system.size), 0.6),
+            ):
+                passes.clear()
+                system.device_contributions(x)
+                assert len(passes) == len(set(passes)) == n_params
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("cell_name", sorted(ALL_CELLS))
+    def test_every_circuit_fault_matches_reference_loop(self, cell_name):
+        from repro.faults import circuit_faults_for_cell
+        from repro.gates import build_cell_circuit, get_cell
+
+        cell = get_cell(cell_name)
+        for index, fault in enumerate(circuit_faults_for_cell(cell)):
+            bench = build_cell_circuit(cell, fanout=4)
+            fault.apply(bench)
+            system = MNASystem(bench.circuit)
+            for n_batch in (1, 4):
+                self._assert_matches_reference(system, n_batch, seed=index)
 
     def test_newton_convergence_on_table3_bench(self):
         """The Table III XOR2 testbench converges to the scalar oracle's
