@@ -143,6 +143,34 @@ class RetryPolicy:
             self.backoff_base * self.backoff_factor ** max(0, attempt - 1),
         )
 
+    def retry_transient(
+        self, record: dict, attempt: int, failures: list[dict]
+    ) -> bool:
+        """The one transient-retry rule, shared by the inline loop and
+        the supervisor.
+
+        A transient error on an attempt below ``max_attempts`` logs a
+        ``transient`` entry to ``failures`` and returns ``True`` (retry
+        after :meth:`backoff`).  Any other record is final: it takes the
+        failures logged so far, if any, and ``False`` comes back.
+        """
+        if (
+            record["status"] == "error"
+            and record.get("transient")
+            and attempt < self.max_attempts
+        ):
+            failures.append(
+                {
+                    "attempt": attempt,
+                    "kind": "transient",
+                    "error": record.get("error", ""),
+                }
+            )
+            return True
+        if failures:
+            record["failures"] = failures
+        return False
+
 
 @dataclasses.dataclass(frozen=True)
 class TaskSpec:
@@ -310,24 +338,10 @@ def run_task_with_retries(
     attempt = 1
     while True:
         record = execute_task(spec, timeout, attempt=attempt, chaos=chaos)
-        if (
-            record["status"] == "error"
-            and record.get("transient")
-            and attempt < policy.max_attempts
-        ):
-            failures.append(
-                {
-                    "attempt": attempt,
-                    "kind": "transient",
-                    "error": record.get("error", ""),
-                }
-            )
-            time.sleep(policy.backoff(attempt))
-            attempt += 1
-            continue
-        if failures:
-            record["failures"] = failures
-        return record
+        if not policy.retry_transient(record, attempt, failures):
+            return record
+        time.sleep(policy.backoff(attempt))
+        attempt += 1
 
 
 def run_campaign(

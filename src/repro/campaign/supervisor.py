@@ -211,23 +211,10 @@ def run_supervised(
         )
 
     def handle_result(state: _TaskState, record: dict) -> None:
-        if (
-            record["status"] == "error"
-            and record.get("transient")
-            and state.attempt < policy.max_attempts
-        ):
-            state.failures.append(
-                {
-                    "attempt": state.attempt,
-                    "kind": "transient",
-                    "error": record.get("error", ""),
-                }
-            )
+        if policy.retry_transient(record, state.attempt, state.failures):
             reschedule(state)
-            return
-        if state.failures:
-            record["failures"] = state.failures
-        finalize(record)
+        else:
+            finalize(record)
 
     def handle_crash(state: _TaskState, exitcode: int | None) -> None:
         state.crashes += 1

@@ -14,6 +14,7 @@ import dataclasses
 import enum
 
 from repro.gates.cell import Cell
+from repro.logic.switch_level import DeviceState
 
 
 class DefectMechanism(enum.Enum):
@@ -87,6 +88,32 @@ class DefectSite:
     mechanism: DefectMechanism
     transistor: str
     detail: str
+
+
+def switch_state_for_site(site: DefectSite) -> DeviceState | None:
+    """Switch-level image of a defect site, when one exists.
+
+    The lookup behind the inductive fault analysis
+    (:mod:`repro.core.inductive`) and the cross-layer lowering of
+    :mod:`repro.faults.physical`: mechanisms whose first-order
+    signature is parametric (GOS, CG-PG bridges, floating CG,
+    interconnect bridges) return ``None`` and are screened in the
+    analog domain instead.
+    """
+    m = site.mechanism
+    if m is DefectMechanism.NANOWIRE_BREAK:
+        return DeviceState.STUCK_OPEN
+    if m is DefectMechanism.TERMINAL_BRIDGE:
+        if site.detail == "pg-vdd":
+            return DeviceState.STUCK_AT_N
+        if site.detail == "pg-gnd":
+            return DeviceState.STUCK_AT_P
+        return None  # cg-pg bridges need analog treatment
+    if m is DefectMechanism.FLOATING_GATE:
+        if site.detail in ("pgs", "pgd"):
+            return DeviceState.FLOATING_PG
+        return None  # floating CG: analog (coupling-dependent)
+    return None
 
 
 #: Explicit sort rank per mechanism (Table I order) backing the

@@ -22,6 +22,7 @@ from repro.core.defects import (
     DefectMechanism,
     DefectSite,
     enumerate_defect_sites,
+    switch_state_for_site,
 )
 from repro.gates.cell import Cell
 from repro.logic.switch_level import DeviceState, fault_image
@@ -46,22 +47,8 @@ class IFAResult:
     fault_models: tuple[str, ...]
 
 
-def _switch_state_for_site(site: DefectSite) -> DeviceState | None:
-    """Switch-level image of a defect site, when one exists.
-
-    Delegates to the shared cross-layer lowering of
-    :func:`repro.faults.physical.switch_state_for_site` (imported
-    lazily: ``repro.faults`` wraps this module's site enumeration, so a
-    top-level import would be circular), keeping the IFA sweep and the
-    fault-universe API on one mapping.
-    """
-    from repro.faults.physical import switch_state_for_site
-
-    return switch_state_for_site(site)
-
-
 def _classify_site(cell: Cell, site: DefectSite) -> IFAResult:
-    state = _switch_state_for_site(site)
+    state = switch_state_for_site(site)
     if state is None:
         # GOS, CG-PG bridges, floating CG, interconnect bridges: their
         # first-order signatures are parametric (delay/leakage shifts) or

@@ -43,6 +43,7 @@ The legacy taxonomies stay importable: the gate-level classes live in
 canonical and are wrapped by the registered universes.
 """
 
+from repro.core.defects import switch_state_for_site
 from repro.faults.universe import (
     FaultUniverse,
     LAYERS,
@@ -79,7 +80,6 @@ from repro.faults.physical import (
     circuit_faults_for_cell,
     circuit_faults_for_site,
     device_defects_for_site,
-    switch_state_for_site,
 )
 
 __all__ = [

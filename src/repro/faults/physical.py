@@ -58,7 +58,6 @@ from repro.faults.universe import FaultUniverse, register_universe
 from repro.gates.cell import Cell
 from repro.gates.library import ALL_CELLS
 from repro.logic.network import Network
-from repro.logic.switch_level import DeviceState
 
 if TYPE_CHECKING:
     from repro.device.defects import DeviceDefect
@@ -80,31 +79,6 @@ MECHANISM_SLUGS = {
     DefectMechanism.INTERCONNECT_BRIDGE: "xbridge",
     DefectMechanism.FLOATING_GATE: "float",
 }
-
-
-def switch_state_for_site(site: DefectSite) -> DeviceState | None:
-    """Switch-level image of a defect site, when one exists.
-
-    The lookup behind the inductive fault analysis
-    (:mod:`repro.core.inductive`): mechanisms whose first-order
-    signature is parametric (GOS, CG-PG bridges, floating CG,
-    interconnect bridges) return ``None`` and are screened in the
-    analog domain instead.
-    """
-    m = site.mechanism
-    if m is DefectMechanism.NANOWIRE_BREAK:
-        return DeviceState.STUCK_OPEN
-    if m is DefectMechanism.TERMINAL_BRIDGE:
-        if site.detail == "pg-vdd":
-            return DeviceState.STUCK_AT_N
-        if site.detail == "pg-gnd":
-            return DeviceState.STUCK_AT_P
-        return None  # cg-pg bridges need analog treatment
-    if m is DefectMechanism.FLOATING_GATE:
-        if site.detail in ("pgs", "pgd"):
-            return DeviceState.FLOATING_PG
-        return None  # floating CG: analog (coupling-dependent)
-    return None
 
 
 # ---------------------------------------------------------------------------

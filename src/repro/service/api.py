@@ -18,8 +18,7 @@ request is timed into the ``repro_http_request_seconds`` histogram
 cardinality) with outcomes in ``repro_http_requests_total``.
 
 :class:`ServiceClient` is the matching stdlib (``urllib``) client used
-by the load harness (``benchmarks/bench_service.py``), the CI smoke
-script (``tools/service_smoke.py``) and the tests.
+by the CI smoke script (``tools/service_smoke.py``) and the tests.
 
 ``python -m repro serve`` wires :func:`serve_forever` to the CLI: it
 recovers persisted jobs, serves until SIGTERM/SIGINT, then winds the

@@ -204,9 +204,15 @@ def test_full_stuck_at_campaign_matches_serial(name):
 
 
 def test_random_vector_coverage_floors():
-    """IDDQ observables catch most polarity faults with random vectors,
-    and random two-pattern pairs expose a solid share of SP opens (DP
-    opens are masked, hence the mixed ALU)."""
+    """Random vectors catch most stuck-at faults of an adder, IDDQ
+    observables catch most polarity faults with random vectors, and
+    random two-pattern pairs expose a solid share of SP opens (DP opens
+    are masked, hence the mixed ALU)."""
+    rca8 = build_benchmark("rca8")
+    stuck = parallel_stuck_at_simulation(
+        rca8, stuck_at_faults(rca8), _seeded_vectors(rca8, 128, seed=11)
+    )
+    assert stuck.coverage > 0.9
     network = build_benchmark("rca16")
     iddq = parallel_polarity_simulation(
         network, polarity_faults(network),

@@ -400,20 +400,16 @@ class TestCorpus:
             )
 
     @pytest.mark.slow
-    def test_scaling_campaign_single_digit_seconds(self):
-        """The acceptance bar: ≥1000-gate full campaign under 10 s."""
-        import time
-
+    def test_scaling_campaign_coverage(self):
+        """The >=1000-gate full campaign lands on its pinned coverage
+        (its run time is the perfbench ``corpus_scale`` workload's)."""
         from repro.campaign.tasks import run_fault_sim_task
 
         network = build_corpus_network("cpx1908")
         assert network.stats()["gates"] >= 1000
-        start = time.perf_counter()
         metrics = run_fault_sim_task(network)
-        elapsed = time.perf_counter() - start
-        assert metrics["stuck_at_coverage"] > 0.5
-        assert metrics["polarity_iddq_coverage"] > 0.5
-        assert elapsed < 10.0, f"scaling campaign took {elapsed:.1f}s"
+        assert metrics["stuck_at_coverage"] == 7231 / 10692
+        assert metrics["polarity_iddq_coverage"] == 1737 / 2400
 
 
 # ---------------------------------------------------------------------------

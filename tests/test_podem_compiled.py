@@ -126,10 +126,24 @@ def test_sof_atpg_matches_legacy(name):
     ]
 
 
-@pytest.mark.parametrize("name", ["c17", "rca4", "eq4", "alu_slice"])
+#: Pinned campaign rows: (faults, tests, coverage, untestable, aborted).
+CAMPAIGN_ROWS = {
+    "c17": (34, 9, 1.0, 0, 0),
+    "rca4": (82, 18, 1.0, 0, 0),
+    "eq4": (30, 9, 1.0, 0, 0),
+    "alu_slice": (82, 16, 81 / 82, 1, 0),
+    "rca8": (162, 34, 1.0, 0, 0),
+    "rca16": (322, 66, 1.0, 0, 0),
+    "alu4": (286, 48, 282 / 286, 4, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_ROWS))
 def test_campaign_partition_identical(name):
     """Full fault-dropping campaigns agree on tests, detection indices
-    and the untestable/aborted classification, bit for bit."""
+    and the untestable/aborted classification, bit for bit, and land on
+    the pinned row (the rca8/rca16/alu4 rows are the acceptance
+    circuits of the compiled kernel)."""
     network = build_benchmark(name)
     faults = stuck_at_faults(network)
     with legacy_kernel():
@@ -140,6 +154,10 @@ def test_campaign_partition_identical(name):
     assert legacy.untestable == compiled.untestable
     assert legacy.aborted == compiled.aborted
     assert legacy.coverage == compiled.coverage
+    assert (
+        len(faults), len(compiled.tests), compiled.coverage,
+        len(compiled.untestable), len(compiled.aborted),
+    ) == CAMPAIGN_ROWS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,10 @@ class TestServiceAPI:
         # atomic claims must leave exactly one committed row per task.
         manager, client = service
         ids, errors = [], []
+        # The metrics registry is process-global: count the delta.
+        base_done = client.metric_value(
+            "repro_service_jobs_total", state="done"
+        ) or 0.0
 
         def submit_and_wait():
             try:
@@ -422,6 +426,18 @@ class TestServiceAPI:
             t.join(120.0)
         assert not errors
         assert ids == ["done", "done"]
+        # The done-jobs counter agrees with the jobs the clients saw.  A
+        # job turns 'done' just before the counter moves, so give the
+        # job worker a moment to count it.
+        deadline = time.monotonic() + 10.0
+        while True:
+            done = client.metric_value(
+                "repro_service_jobs_total", state="done"
+            ) - base_done
+            if done >= len(ids) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert done == len(ids)
         task_ids = _store_task_ids(manager.store_path)
         assert len(task_ids) == SMALL_TASKS
         assert len(set(task_ids)) == SMALL_TASKS

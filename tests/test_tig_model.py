@@ -308,7 +308,7 @@ class TestFusedKernelMatchesSegmentOracle:
     per-segment evaluation it replaced (``tests/oracles``)."""
 
     @pytest.mark.parametrize(
-        "shape", [(7, 6, 5), (3, 7, 6, 5), (1, 6, 5), (5,)]
+        "shape", [(7, 6, 5), (3, 7, 6, 5), (1, 6, 5), (5,), (4096, 5)]
     )
     @pytest.mark.parametrize("span", [(-0.2, 1.4), (-6.0, 6.0)])
     def test_terminal_current_matrix(self, defect, shape, span):
