@@ -54,14 +54,32 @@ _SEGMENTS = (
     ("pgd", "n", "d"), ("cg", "n", "d"), ("pgs", "n", "d"),
     ("pgs", "p", "s"), ("cg", "p", "s"), ("pgd", "p", "s"),
 )
-#: Gather index ``(2, 12)`` into the terminal axis: each segment's
-#: activation argument is the first terminal's voltage minus the
-#: second's — gate minus reference for electron segments, reference
-#: minus gate for hole segments (the mirrored activation).
-_SEGMENT_TERMINALS = np.array([
-    [_COLUMN[gate if br == "n" else ref] for gate, br, ref in _SEGMENTS],
-    [_COLUMN[ref if br == "n" else gate] for gate, br, ref in _SEGMENTS],
+
+
+def _difference_matrix(pairs: list[tuple[str, str]]) -> np.ndarray:
+    """``(5, len(pairs))`` matrix ``m`` such that ``(volts @ m)[..., k]``
+    is ``v[plus] - v[minus]`` of pair ``k = (plus, minus)``.
+
+    Its entries are +1, -1 and 0: the products are exact and adding the
+    zeros is exact, so the matmul is the plain difference to the last
+    bit.
+    """
+    m = np.zeros((len(TERMINALS), len(pairs)))
+    for k, (plus, minus) in enumerate(pairs):
+        m[_COLUMN[plus], k] = 1.0
+        m[_COLUMN[minus], k] = -1.0
+    return m
+
+
+#: Each segment's activation argument is the first terminal's voltage
+#: minus the second's — gate minus reference for electron segments,
+#: reference minus gate for hole segments (the mirrored activation).
+_SEGMENT_DIFF = _difference_matrix([
+    (gate, ref) if branch == "n" else (ref, gate)
+    for gate, branch, ref in _SEGMENTS
 ])
+#: The drain-source voltage of the forward and the reverse direction.
+_VDS_DIFF = _difference_matrix([("d", "s"), ("s", "d")])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,59 +297,55 @@ class ModelRows:
 
         The one compact-model kernel: all twelve gated segments (see
         :data:`_SEGMENTS`) of all rows are evaluated as one stacked
-        ``(..., rows, 12)`` pass — one gather of gate-minus-reference
-        voltages, one logistic, one exit-segment power, one series
-        combination per group of three.  The source column is the
-        negative of the drain column.  Each defect's channel-current and
-        drain-current hooks, and its gate-to-channel shunt (which adds to
-        the gate and source columns), act on its model's rows only.
+        ``(..., rows, 12)`` pass — one matmul for the gate-minus-reference
+        voltages (:data:`_SEGMENT_DIFF`), one in-place logistic, one
+        exit-segment power, one series combination per group of three.
+        The source column is the negative of the drain column.  Each
+        defect's channel-current and drain-current hooks, and its
+        gate-to-channel shunt (which adds to the gate and source
+        columns), act on its model's rows only.
         """
         p = self.params
-        gathered = volts[..., _SEGMENT_TERMINALS]  # (..., rows, 2, 12)
-        # C order keeps the (..., rows, 12) passes below contiguous.
-        arg = np.subtract(gathered[..., 0, :], gathered[..., 1, :], order="C")
+        arg = volts @ _SEGMENT_DIFF  # (..., rows, 12)
         arg -= self._vth
         arg /= self._ss
-        act = physics.logistic10(arg)
+        arg *= physics.LN10
+        act = physics.expit(arg, out=arg)  # physics.logistic10, in place
         # (..., rows, direction * branch, position): the carrier-exit
         # segment of each group of three is softened by drain_weight.
         groups = act.reshape(act.shape[:-1] + (4, 3))
-        exit_act = np.maximum(groups[..., 2], physics.ACTIVATION_FLOOR)
-        groups[..., 2] = np.power(exit_act, p.drain_weight)
+        exit_act = groups[..., 2]
+        np.maximum(exit_act, physics.ACTIVATION_FLOOR, out=exit_act)
+        np.power(exit_act, p.drain_weight, out=exit_act)
         act *= self._factor
         np.maximum(act, physics.ACTIVATION_FLOOR, out=act)
         inverse = np.divide(1.0, act, out=act).reshape(groups.shape)
-        inverse_sum = inverse[..., 0] + inverse[..., 1]
-        inverse_sum += inverse[..., 2]
-        series = 3 / inverse_sum  # (..., rows, direction * branch)
+        series = inverse[..., 0] + inverse[..., 1]
+        series += inverse[..., 2]
+        np.divide(3, series, out=series)  # (..., rows, direction * branch)
 
-        vds = np.empty(volts.shape[:-1] + (2,))  # forward, reverse
-        np.subtract(volts[..., 0], volts[..., 4], out=vds[..., 0])
-        np.subtract(volts[..., 4], volts[..., 0], out=vds[..., 1])
+        vds = volts @ _VDS_DIFF  # (..., rows, direction)
         vds_eff = physics.smooth_positive(vds)
         sat = physics.saturation_factor(vds_eff, p.v_dsat, p.v_early)
-        current = (
-            self._i0
-            * (series[..., 0::2] + p.p_branch_factor * series[..., 1::2])
-            * sat
-        )  # (..., rows, direction)
+        current = series[..., 1::2] * p.p_branch_factor
+        current += series[..., 0::2]
+        current *= self._i0
+        current *= sat  # (..., rows, direction)
         for d in self._defects:
             current[..., d.rows, :] = d.model.defect.scale_channel_current(
                 d.model, current[..., d.rows, :]
             )
-        floor = p.i_floor * np.tanh(vds[..., 0] / 0.05)
-        i_d = current[..., 0] - current[..., 1] + floor
+        out = np.zeros(volts.shape)
+        i_d = out[..., 0]
+        np.subtract(current[..., 0], current[..., 1], out=i_d)
+        i_d += p.i_floor * np.tanh(vds[..., 0] / 0.05)
         for d in self._defects:
             v = volts[..., d.rows, :]
-            i_d[..., d.rows] = i_d[..., d.rows] + (
-                d.model.defect.extra_drain_current(
-                    d.model, v[..., 1], v[..., 2], v[..., 3], v[..., 0],
-                    v[..., 4],
-                )
+            i_d[..., d.rows] += d.model.defect.extra_drain_current(
+                d.model, v[..., 1], v[..., 2], v[..., 3], v[..., 0],
+                v[..., 4],
             )
-        out = np.zeros_like(volts)
-        out[..., 0] = i_d
-        out[..., 4] = -i_d
+        np.negative(i_d, out=out[..., 4])
         # The drain column already holds the shunt's drain-side share
         # (alpha * i_shunt, from extra_drain_current); route the
         # remainder through the source column and pull the total from

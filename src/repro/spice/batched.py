@@ -10,8 +10,8 @@ those B points into one vectorized Newton loop:
   (:meth:`MNASystem.device_contributions`) over the whole ``(B, size)``
   stack: one compact-model call per device group per iteration, not
   one per point,
-* the ``(B, size, size)`` Jacobian stack is solved with one batched
-  ``numpy.linalg.solve`` call,
+* the ``(B, size, size)`` Jacobian stack is solved with one call of
+  the batched LU gufunc behind ``numpy.linalg.solve``,
 * converged points freeze (they drop out of the active set) while
   stragglers keep iterating, and a non-convergent or singular point is
   isolated instead of poisoning the batch,
@@ -34,6 +34,7 @@ import dataclasses
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from repro.spice.mna import ConvergenceError, MNASystem, NewtonOptions
 from repro.spice.netlist import Circuit
@@ -52,20 +53,16 @@ BiasPoint = Mapping[str, float]
 def _solve_stack(jacobian: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Batched linear solve; singular members yield NaN rows.
 
-    ``numpy.linalg.solve`` raises for the whole stack when any member is
-    singular; the fallback isolates offenders point by point so one bad
-    bias point cannot poison the batch.
+    Calls the gufunc that ``numpy.linalg.solve`` wraps, without the
+    wrapper's per-call type checks: on the small stacks of a Newton
+    iteration those cost about as much as the LU itself.  The gufunc
+    solves every member on its own and fills a singular one with NaN
+    (where the wrapper would raise for the whole stack), so one bad bias
+    point cannot poison the batch; the error state hides the "invalid
+    value" flag that NaN row raises.
     """
-    try:
-        return np.linalg.solve(jacobian, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for k in range(jacobian.shape[0]):
-            try:
-                out[k] = np.linalg.solve(jacobian[k], rhs[k])
-            except np.linalg.LinAlgError:
-                out[k] = np.nan
-        return out
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(jacobian, rhs[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +110,15 @@ def newton_batch(
         full = active.size == n_batch
         xa = x if full else x[active]
         i_dev, j_dev = system.device_contributions(xa)
-        residual = xa @ g.T + i_dev - (b if full else b[active])
+        residual = xa @ g.T
+        residual += i_dev
+        residual -= b if full else b[active]
         if i_extra is not None:
-            residual = residual + (i_extra if full else i_extra[active])
-        jacobian = g[None, :, :] + j_dev
-        delta = _solve_stack(jacobian, -residual)
+            residual += i_extra if full else i_extra[active]
+        j_dev += g  # the Jacobian
+        # The Newton step is -delta: negation is exact, so solving for
+        # +residual and subtracting below gives the same bits.
+        delta = _solve_stack(j_dev, residual)
         # Per-point voltage limiting on node unknowns.  The limit
         # shrinks as iterations accumulate, which breaks the two-point
         # limit cycles steep exponential devices can otherwise sustain.
@@ -127,21 +128,20 @@ def newton_batch(
         if over.any():
             scale = np.ones(len(active))
             scale[over] = limit / step[over]
-            delta = delta * scale[:, None]
+            delta *= scale[:, None]
             step = np.abs(delta[:, :n_nodes]).max(axis=1, initial=0.0)
-        x_new = xa + delta
+        x_new = xa - delta
+        finite = np.isfinite(x_new).all(axis=1)
         ok = (step < opts.v_tolerance) & (
             np.abs(residual).max(axis=1) < opts.residual_tolerance
         )
-        bad = ~np.isfinite(x_new).all(axis=1)
-        ok &= ~bad
+        ok &= finite
         if full:
             x = x_new
         else:
             x[active] = x_new
         converged[active[ok]] = True
-        keep = ~(ok | bad)
-        active = active[keep]
+        active = active[finite ^ ok]  # neither converged nor blown up
         if active.size == 0:
             break
     return x, converged
@@ -369,34 +369,40 @@ class _DelayWatch:
     def __init__(
         self, mna: MNASystem, probes: Sequence[tuple[str, str, float]]
     ) -> None:
-        self.points = np.arange(len(probes))
-        self.in_cols = np.array([mna.node_index[i] for i, _o, _t in probes])
-        self.out_cols = np.array([mna.node_index[o] for _i, o, _t in probes])
+        # (points, [input, output]) gather of each point's probe nodes.
+        self.points = np.arange(len(probes))[:, None]
+        self.cols = np.array([
+            [mna.node_index[i], mna.node_index[o]] for i, o, _t in probes
+        ])
         self.threshold = np.array([float(t) for _i, _o, t in probes])
         self.t_in = np.full(len(probes), np.nan)
         self.settled = np.zeros(len(probes), dtype=bool)
 
-    def _crossings(
-        self, prev: np.ndarray, cur: np.ndarray, cols: np.ndarray,
+    def _crossing_times(
+        self, v0: np.ndarray, v1: np.ndarray, k: np.ndarray,
         t0: float, t1: float,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Points whose ``cols`` node crossed in ``(t0, t1]``, and when."""
-        v0 = prev[self.points, cols]
-        v1 = cur[self.points, cols]
-        k = np.flatnonzero((v0 < self.threshold) != (v1 < self.threshold))
+    ) -> np.ndarray:
+        """When the points ``k`` crossed between ``v0`` at ``t0`` and
+        ``v1`` at ``t1``."""
         frac = (self.threshold[k] - v0[k]) / (v1[k] - v0[k])
-        return k, t0 + frac * (t1 - t0)
+        return t0 + frac * (t1 - t0)
 
     def settled_after(
         self, prev: np.ndarray, cur: np.ndarray, t0: float, t1: float
     ) -> bool:
         """Take the step from ``prev`` at ``t0`` to ``cur`` at ``t1``;
         True once every point is settled."""
-        k, t = self._crossings(prev, cur, self.in_cols, t0, t1)
-        self.t_in[k] = t
-        self.settled[k] = False  # a new input edge awaits its response
-        k, t = self._crossings(prev, cur, self.out_cols, t0, t1)
-        self.settled[k] |= t > self.t_in[k]
+        v0 = prev[self.points, self.cols]
+        v1 = cur[self.points, self.cols]
+        threshold = self.threshold[:, None]
+        crossed = (v0 < threshold) != (v1 < threshold)
+        if crossed.any():
+            k = np.flatnonzero(crossed[:, 0])
+            self.t_in[k] = self._crossing_times(v0[:, 0], v1[:, 0], k, t0, t1)
+            self.settled[k] = False  # a new input edge awaits its response
+            k = np.flatnonzero(crossed[:, 1])
+            t = self._crossing_times(v0[:, 1], v1[:, 1], k, t0, t1)
+            self.settled[k] |= t > self.t_in[k]
         return bool(self.settled.all())
 
 
@@ -447,14 +453,26 @@ def run_transient_sweep(
     source_row = {
         name: mna.n_nodes + k for k, name in enumerate(mna.vsource_names)
     }
-    resolved: list[list[tuple[int, Waveform | float]]] = []
-    for point in overrides:
-        entries: list[tuple[int, Waveform | float]] = []
+    # Per-point overrides: the fixed levels go in with one fancy
+    # assignment per step, the waveforms are evaluated one by one.
+    level_points: list[int] = []
+    level_rows: list[int] = []
+    levels: list[float] = []
+    waves: list[tuple[int, int, Waveform]] = []
+    for k, point in enumerate(overrides):
         for name, drive in point.items():
             if name not in source_row:
                 raise KeyError(f"no voltage source named {name!r}")
-            entries.append((source_row[name], drive))
-        resolved.append(entries)
+            if isinstance(drive, Waveform):
+                waves.append((k, source_row[name], drive))
+            else:
+                level_points.append(k)
+                level_rows.append(source_row[name])
+                levels.append(float(drive))
+    level_at = (
+        np.array(level_points, dtype=int), np.array(level_rows, dtype=int)
+    )
+    level_values = np.array(levels)
 
     # Capacitor companion stamp, plus a scatter recipe for the history
     # currents in per-capacitor order: for each capacitor, subtract at
@@ -487,12 +505,11 @@ def run_transient_sweep(
         watch = _DelayWatch(mna, stop_at_delays)
 
     def batch_rhs(t: float) -> np.ndarray:
-        b = np.tile(mna.source_rhs(t), (n_batch, 1))
-        for k, entries in enumerate(resolved):
-            for row, drive in entries:
-                b[k, row] = (
-                    drive(t) if isinstance(drive, Waveform) else float(drive)
-                )
+        b = np.empty((n_batch, mna.size))
+        b[:] = mna.source_rhs(t)
+        b[level_at] = level_values
+        for k, row, wave in waves:
+            b[k, row] = wave(t)
         return b
 
     # Initial condition: batched DC continuation at t = 0 (cold start,

@@ -203,10 +203,11 @@ class MNASystem:
         ``(device, terminal)`` pair, so a grounded terminal — whose
         Jacobian column is never stamped — is never perturbed.  The rows
         of all groups form one stack, ``_gather`` (indices into the
-        solution padded with a zero ground column), with ``_FD_STEP``
-        added at ``(_pert_rows, _pert_cols)``; groups sharing a
-        ``DeviceParameters`` are adjacent, and each such run of rows is
-        one kernel pass (``_passes``).  In the flattened ``(rows * 5)``
+        solution padded with a zero ground column), perturbed by one add
+        of ``_fd_offset`` (``_FD_STEP`` at each perturbed row's terminal,
+        zero elsewhere); groups sharing a ``DeviceParameters`` are
+        adjacent, and each such run of rows is one kernel pass
+        (``_passes``).  In the flattened ``(rows * 5)``
         kernel output, ``_i_src`` picks the base current of each
         non-ground terminal and ``_j_pert`` / ``_j_base`` the perturbed
         and base current of each Jacobian entry.  Their scatter targets
@@ -285,28 +286,32 @@ class MNASystem:
             return np.concatenate(parts) if parts else np.empty(0, int)
 
         self._gather = joined([gather[g] for g in row_order])
-        self._pert_rows = joined(pert_rows)
-        self._pert_cols = joined(pert_cols)
+        self._fd_offset = np.zeros((self._gather.shape[0], 5))
+        self._fd_offset[joined(pert_rows), joined(pert_cols)] = _FD_STEP
         self._i_src = joined(i_src)
         self._j_pert = joined(j_pert)
         self._j_base = joined(j_base)
         self._i_targets = joined(i_targets)
         self._j_targets = joined(j_targets)
-        self._batch_targets: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._batch_targets = (0, np.empty(0, int), np.empty(0, int))
 
     def _scatter_targets(self, n_batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat current/Jacobian targets of a ``(n_batch, size)`` stack
-        (kept for the last batch size: Newton loops repeat it)."""
-        cached = self._batch_targets
-        if cached is None or cached[0] != n_batch:
+        """Flat current/Jacobian targets of a ``(n_batch, size)`` stack.
+
+        Those of a smaller stack are a prefix of those of a larger one,
+        so only the largest stack's are kept, and every smaller size
+        the Newton loops revisit as their active sets shrink is a view.
+        """
+        kept, i_all, j_all = self._batch_targets
+        if n_batch > kept:
             batch = np.arange(n_batch)[:, None]
-            cached = (
-                n_batch,
-                (batch * self.size + self._i_targets).ravel(),
-                (batch * self.size**2 + self._j_targets).ravel(),
-            )
-            self._batch_targets = cached
-        return cached[1], cached[2]
+            i_all = (batch * self.size + self._i_targets).ravel()
+            j_all = (batch * self.size**2 + self._j_targets).ravel()
+            self._batch_targets = (n_batch, i_all, j_all)
+        return (
+            i_all[: n_batch * self._i_targets.size],
+            j_all[: n_batch * self._j_targets.size],
+        )
 
     # ------------------------------------------------------------------
     def source_rhs(self, t: float) -> np.ndarray:
@@ -342,15 +347,19 @@ class MNASystem:
         n_batch = stack.shape[0]
         padded = np.zeros((n_batch, self.size + 1))  # last column: ground
         padded[:, : self.size] = stack
-        volts = padded[:, self._gather]
-        volts[:, self._pert_rows, self._pert_cols] += _FD_STEP
-        currents = np.concatenate([
-            rows.terminal_currents(volts[:, span])
-            for rows, span in self._passes
-        ], axis=1).reshape(n_batch, -1)
-        w_i = currents[:, self._i_src]
-        w_j = currents[:, self._j_pert]
-        w_j -= currents[:, self._j_base]
+        volts = padded.take(self._gather, axis=1)
+        volts += self._fd_offset
+        if len(self._passes) == 1:
+            currents = self._passes[0][0].terminal_currents(volts)
+        else:
+            currents = np.concatenate([
+                rows.terminal_currents(volts[:, span])
+                for rows, span in self._passes
+            ], axis=1)
+        currents = currents.reshape(n_batch, -1)
+        w_i = currents.take(self._i_src, axis=1)
+        w_j = currents.take(self._j_pert, axis=1)
+        w_j -= currents.take(self._j_base, axis=1)
         w_j /= _FD_STEP
         i_targets, j_targets = self._scatter_targets(n_batch)
         i_dev = np.bincount(

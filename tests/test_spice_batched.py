@@ -10,6 +10,7 @@ cannot poison its batch; a singular device-free circuit fails as a
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from repro.spice import (
     solve_dc,
     solve_dc_sweep,
 )
+from repro.spice.batched import _solve_stack
 
 VDD = 1.2
 V_TOL = 1e-9
@@ -71,6 +73,43 @@ def _assert_sweep_matches(bench, vectors, sweep, reference):
         for src, value in op.source_currents.items():
             delta = abs(value - float(sweep.source_currents(src)[k]))
             assert delta <= I_REL_TOL * max(abs(value), 1e-15)
+
+
+def _well_conditioned(shape, seed):
+    """A random stack of diagonally dominant systems and right-hand sides."""
+    rng = np.random.default_rng(seed)
+    n_batch, size, _ = shape
+    jacobian = rng.normal(size=shape) + size * np.eye(size)
+    return jacobian, rng.normal(size=(n_batch, size))
+
+
+class TestSolveStack:
+    """``_solve_stack`` calls the private gufunc behind
+    ``numpy.linalg.solve``; a numpy release that changes it fails here."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 12, 12), (4, 20, 20), (16, 20, 20)], ids=str
+    )
+    def test_equals_numpy_solve(self, shape):
+        jacobian, rhs = _well_conditioned(shape, seed=shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _solve_stack(jacobian, rhs)
+        want = np.linalg.solve(jacobian, rhs[:, :, None])[:, :, 0]
+        assert got.shape == rhs.shape
+        assert np.array_equal(got, want)
+
+    def test_singular_member_is_a_nan_row(self):
+        jacobian, rhs = _well_conditioned((4, 20, 20), seed=7)
+        jacobian[2, 5] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(jacobian, rhs[:, :, None])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _solve_stack(jacobian, rhs)
+        assert np.isnan(got[2]).all()
+        for k in (0, 1, 3):
+            assert np.array_equal(got[k], np.linalg.solve(jacobian[k], rhs[k]))
 
 
 class TestBatchedDCEquivalence:

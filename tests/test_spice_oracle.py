@@ -22,7 +22,13 @@ import pytest
 from oracles import spice_scalar as oracle
 from repro.faults import circuit_faults_for_cell
 from repro.gates import ALL_CELLS, build_cell_circuit
-from repro.spice import ConvergenceError, Step, run_transient, solve_dc
+from repro.spice import (
+    ConvergenceError,
+    Step,
+    run_transient,
+    solve_dc,
+    solve_dc_sweep,
+)
 
 VDD = 1.2
 
@@ -32,6 +38,15 @@ FAULT_KINDS = (
     None, "GOSFault", "ChannelBreakFault", "StuckAtNType", "StuckAtPType",
     "DriveDriftFault", "FloatingPolarityGate", "TerminalBridgeFault",
     "InterconnectBridgeFault",
+)
+#: Gate-oxide shorts whose failing vectors run every gmin rung to the
+#: iteration cap while the bench's other vectors converge, so the active
+#: set of their batched sweep shrinks from four points to one or two on
+#: every rung.
+STALLING_FAULTS = (
+    ("NAND2", "GOS at CG of t3"),
+    ("NAND2", "GOS at CG of t4"),
+    ("NOR2", "GOS at PGS of t1"),
 )
 #: Cells of the Table III delay benches.
 DELAY_CELLS = ("INV", "NAND2", "XOR2")
@@ -103,6 +118,29 @@ class TestDCMatchesOracle:
         failed = _assert_dc_matches_oracle(bench)
         if kind is None:
             assert not failed
+
+    @pytest.mark.parametrize(("cell_name", "description"), STALLING_FAULTS)
+    def test_stalling_gate_oxide_short(self, cell_name, description):
+        fault = next(
+            f for f in circuit_faults_for_cell(ALL_CELLS[cell_name])
+            if f.describe() == description
+        )
+        bench = _bench(cell_name, fault)
+        failed = _assert_dc_matches_oracle(bench)
+        assert failed
+        # The batched sweep flags the same vectors, and each converged
+        # point equals its one-point solve while the others stall.
+        vectors = list(itertools.product((0, 1), repeat=bench.cell.n_inputs))
+        sweep = solve_dc_sweep(
+            bench.circuit, [bench.vector_bias(v) for v in vectors],
+            raise_on_failure=False,
+        )
+        for k, vector in enumerate(vectors):
+            assert sweep.converged[k] == (vector not in failed), vector
+            if sweep.converged[k]:
+                bench.set_vector(vector)
+                want = _solution(solve_dc(bench.circuit))
+                assert np.array_equal(sweep.x[k], want), vector
 
     def test_warm_start_and_time(self):
         """``x0`` and ``t`` reach the engine as they reach the oracle."""
