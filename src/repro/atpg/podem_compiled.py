@@ -69,6 +69,8 @@ from __future__ import annotations
 import functools
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.atpg.podem import PodemResult
 from repro.logic.compiled import (
     INVERTING_OPS,
@@ -153,28 +155,33 @@ _BASE_OP = {
 
 @functools.lru_cache(maxsize=None)
 def _gate_table(opcode: int, arity: int) -> tuple[int, ...]:
-    """Output code of one healthy op, indexed by its packed input codes."""
+    """Output code of one healthy op, indexed by its packed input codes.
+
+    The folds are plain integer bit operations, so they run once over
+    arrays holding every pin's code at every index (``np.arange(16 **
+    arity)`` split into nibbles) instead of once per index.
+    """
     base = _BASE_OP.get(opcode, opcode)
-    invert = opcode in INVERTING_OPS
-    table = []
-    for index in range(16 ** arity):
-        pins = [(index >> (4 * k)) & 15 for k in range(arity)]
-        if base == OP_BUF:
-            out = pins[0]
-        elif base == OP_MAJ:
-            a, b, c = pins
-            out = (a & b) | (b & c) | (a & c)
-        else:
-            fold = _FOLDS[base]
-            out = pins[0]
-            for pin in pins[1:]:
-                out = fold(out, pin)
-        table.append(_invert(out) if invert else out)
-    return tuple(table)
+    index = np.arange(16 ** arity)
+    pins = [(index >> (4 * k)) & 15 for k in range(arity)]
+    if base == OP_BUF:
+        out = pins[0]
+    elif base == OP_MAJ:
+        a, b, c = pins
+        out = (a & b) | (b & c) | (a & c)
+    else:
+        fold = _FOLDS[base]
+        out = pins[0]
+        for pin in pins[1:]:
+            out = fold(out, pin)
+    if opcode in INVERTING_OPS:
+        out = _invert(out)
+    return tuple(out.tolist())
 
 
 def _force_faulty(code: int, value: int) -> int:
-    """Force the faulty-machine bits of one code to ``value``."""
+    """Force the faulty-machine bits of a code (or an array of codes)
+    to ``value``."""
     return (code & GOOD_BITS) | (F1 if value else F0)
 
 
@@ -192,20 +199,20 @@ def _faulted_table(
     a functional fault's truth table as sorted items (the faulty
     machine goes through it, the good one through the healthy gate);
     ``stem`` is the stuck-at value of the op's output net, or -1.
+    Like :func:`_gate_table`, it works on whole index arrays.
     """
-    healthy = _gate_table(opcode, arity)
+    healthy = np.array(_gate_table(opcode, arity))
     clear = 0
     force = 0
     for pin, value in pin_forces:
         clear |= FAULT_BITS << (4 * pin)
         force |= (F1 if value else F0) << (4 * pin)
-    indices = [(i & ~clear) | force for i in range(16 ** arity)]
-    if local is None:
-        table = [healthy[i] for i in indices]
-    else:
+    indices = (np.arange(16 ** arity) & ~clear) | force
+    table = healthy[indices]
+    if local is not None:
         # The faulty output depends only on the pins' faulty bits; a
         # pin with neither bit set (X) matches no key and yields X.
-        faulty = {}
+        faulty = np.zeros_like(healthy)
         for minterm, value in local:
             if value not in (0, 1):
                 continue
@@ -214,13 +221,10 @@ def _faulted_table(
                 key |= (F1 if bit else F0) << (4 * k)
             faulty[key] = F1 if value else F0
         mask = 0xAAA >> (4 * (3 - arity))
-        table = [
-            (healthy[i] & GOOD_BITS) | faulty.get(i & mask, 0)
-            for i in indices
-        ]
+        table = (table & GOOD_BITS) | faulty[indices & mask]
     if stem >= 0:
-        table = [_force_faulty(c, stem) for c in table]
-    return tuple(table)
+        table = _force_faulty(table, stem)
+    return tuple(table.tolist())
 
 
 class _Kernel:

@@ -34,10 +34,22 @@ IDDQ, while a polarity-stuck *pull-down* overpowers the output node.
 Internal nets that drive gates of other transistors (e.g. the x1/x2
 stage nets of XOR3) are handled by fixed-point iteration.
 
-:func:`fault_image` memoises one cell fault's image, a faulty against
-a fault-free evaluation under every input vector.  Every logic fault
-view (polarity and stuck-open tables, Table III, IFA, the SOF and
-channel-break procedures) reads it.
+**Compiled cells.**  :func:`evaluate` compiles each cell once
+(:func:`_compile`, memoised on the cell) into net indices and per-device
+terminal indices, and reads each device's conduction from a 64-entry
+table of its state over the (cg, pgs, pgd) value codes
+(:func:`_conduction_table`, built by calling :func:`_conduction`, so the
+rule has one definition).  The strength propagation walks a per-net
+adjacency list of the ON devices.  The dict-based evaluation it
+replaced is the test oracle ``tests/oracles/switch_level_dict.py``.
+
+:func:`fault_image` memoises one cell fault's image, a faulty
+evaluation under every input vector against the cell's fault-free pass.
+That pass (:func:`_fault_free`, the output and conflict flag per vector)
+is evaluated once per cell and also feeds
+:func:`truth_table_switch_level` and :func:`fault_free_is_consistent`.
+Every logic fault view (polarity and stuck-open tables, Table III, IFA,
+the SOF and channel-break procedures) reads the images.
 """
 
 from __future__ import annotations
@@ -46,7 +58,6 @@ import dataclasses
 import enum
 import functools
 import itertools
-from collections import deque
 
 from repro.gates.cell import Cell, Transistor
 from repro.logic.values import ONE, X, Z, ZERO
@@ -132,6 +143,78 @@ def _pass_strength(mode: str, value: int) -> int:
     raise ValueError(f"not a conducting mode: {mode!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _conduction_table(state: DeviceState) -> tuple[tuple, ...]:
+    """``_conduction`` of one device state over every gate-value code.
+
+    Entry ``cg * 16 + pgs * 4 + pgd`` (values 0..3) is ``(conduction,
+    mode, s0, s1)``, where ``s0`` / ``s1`` are the strengths with which
+    a conducting device passes 0 / 1 (0 when it does not conduct).
+    """
+    probe = Transistor("probe", "d", "cg", "pgs", "pgd", "s", "pass")
+    table = []
+    for cg, pgs, pgd in itertools.product((ZERO, ONE, X, Z), repeat=3):
+        cond, mode = _conduction(
+            probe, state, {"cg": cg, "pgs": pgs, "pgd": pgd}
+        )
+        if cond == _ON:
+            strengths = _pass_strength(mode, ZERO), _pass_strength(mode, ONE)
+        else:
+            strengths = 0, 0
+        table.append((cond, mode, *strengths))
+    return tuple(table)
+
+
+@dataclasses.dataclass(frozen=True)
+class _CompiledCell:
+    """A cell's netlist as net indices, built once per cell.
+
+    Nets are numbered in the key order of :attr:`SwitchLevelResult.net_values`:
+    the driven nets of :meth:`Cell.net_values` first, then the free
+    channel nets sorted, then the nets that only drive gates (always X,
+    and not reported).
+
+    Attributes:
+        names: Reported net names, in index order.
+        n_driven: Number of driven nets.
+        n_nets: Number of nets, gate-only ones included.
+        out: Index of ``out`` among the reported nets, or -1.
+        index: Transistor name -> position in ``devices``.
+        devices: Per transistor ``(name, cg, pgs, pgd, d, s)``.
+    """
+
+    names: tuple[str, ...]
+    n_driven: int
+    n_nets: int
+    out: int
+    index: dict[str, int]
+    devices: tuple[tuple[str, int, int, int, int, int], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _compile(cell: Cell) -> _CompiledCell:
+    """The memoised :class:`_CompiledCell` of ``cell``."""
+    driven = list(cell.net_values((0,) * cell.n_inputs))
+    channel = {net for t in cell.transistors for net in (t.d, t.s)}
+    names = driven + sorted(channel - set(driven))
+    gate_only = sorted(
+        {net for t in cell.transistors for net in (t.cg, t.pgs, t.pgd)}
+        - set(names)
+    )
+    ids = {net: i for i, net in enumerate(names + gate_only)}
+    return _CompiledCell(
+        names=tuple(names),
+        n_driven=len(driven),
+        n_nets=len(ids),
+        out=names.index("out") if "out" in names else -1,
+        index={t.name: k for k, t in enumerate(cell.transistors)},
+        devices=tuple(
+            (t.name, ids[t.cg], ids[t.pgs], ids[t.pgd], ids[t.d], ids[t.s])
+            for t in cell.transistors
+        ),
+    )
+
+
 def evaluate(
     cell: Cell,
     vector: tuple[int, ...],
@@ -140,6 +223,15 @@ def evaluate(
     max_iterations: int = 8,
 ) -> SwitchLevelResult:
     """Evaluate a cell at switch level under an input vector.
+
+    The cell is compiled once (:func:`_compile`) into net indices, and
+    each device reads its conduction from a 64-entry table of its state
+    (:func:`_conduction_table`).  Each fixed-point iteration finds the
+    strongest path of each value to every net (a widest-path fixpoint,
+    independent of visit order) over a per-net adjacency list of the ON
+    devices, then lets maybe-conducting devices poison differing values
+    to X in transistor order.  The loop runs at most ``max_iterations``
+    times and returns the last iterate, settled or not.
 
     Args:
         cell: The cell template.
@@ -150,128 +242,136 @@ def evaluate(
             conducts (two-pattern stuck-open semantics).
         max_iterations: Fixed-point iteration bound for staged cells.
     """
-    states = {t.name: DeviceState.NORMAL for t in cell.transistors}
+    compiled = _compile(cell)
+    normal = _conduction_table(DeviceState.NORMAL)
+    tables = [normal] * len(compiled.devices)
     for name, state in (device_states or {}).items():
-        if name not in states:
+        k = compiled.index.get(name)
+        if k is None:
             raise KeyError(f"{cell.name} has no transistor {name!r}")
-        states[name] = state
+        tables[k] = _conduction_table(state)
+    devices = [(*d, table) for d, table in zip(compiled.devices, tables)]
 
-    driven = cell.net_values(vector)
-    channel_nets: set[str] = set()
-    for t in cell.transistors:
-        channel_nets.update({t.d, t.s})
-    free_nets = sorted(channel_nets - set(driven))
-    values: dict[str, int] = dict(driven)
-    for net in free_nets:
-        values[net] = X
+    driven = list(cell.net_values(vector).values())
+    n_driven = len(driven)
+    n_nets = compiled.n_nets
+    free = range(n_driven, len(compiled.names))
+    values = driven + [X] * (n_nets - n_driven)
 
     conflict = False
     conducting: dict[str, str] = {}
     for _ in range(max_iterations):
         conducting = {}
-        on_edges: list[tuple[str, str, str]] = []  # (a, b, mode)
-        maybe_edges: list[tuple[str, str]] = []
-        for t in cell.transistors:
-            cond, mode = _conduction(t, states[t.name], values)
+        adjacent: list[list[tuple[int, int, int]]] = [[] for _ in values]
+        maybe_edges = []
+        for name, cg, pgs, pgd, d, s, table in devices:
+            cond, mode, s0, s1 = table[
+                values[cg] * 16 + values[pgs] * 4 + values[pgd]
+            ]
             if cond == _ON:
-                on_edges.append((t.d, t.s, mode))
-                conducting[t.name] = mode
+                adjacent[d].append((s, s0, s1))
+                adjacent[s].append((d, s0, s1))
+                conducting[name] = mode
             elif cond == _MAYBE:
-                maybe_edges.append((t.d, t.s))
+                maybe_edges.append((d, s))
 
-        # Propagate (value, strength) from driven nets through ON devices;
-        # strength decays to weak through a wrong-mode device.
-        best: dict[str, dict[int, int]] = {
-            net: {} for net in channel_nets | set(driven)
-        }
-        queue: deque[tuple[str, int, int]] = deque()
-        for net, value in driven.items():
-            if net in best:
-                best[net][value] = _STRONG
-                queue.append((net, value, _STRONG))
-        while queue:
-            net, value, strength = queue.popleft()
-            if best[net].get(value, 0) > strength:
-                continue
-            for a, b, mode in on_edges:
-                if net not in (a, b):
-                    continue
-                other = b if net == a else a
-                new_strength = min(strength, _pass_strength(mode, value))
-                if best[other].get(value, 0) < new_strength:
-                    best[other][value] = new_strength
-                    queue.append((other, value, new_strength))
+        # Strongest path of each value from the driven nets through ON
+        # devices; strength decays to weak through a wrong-mode device.
+        best = ([0] * n_nets, [0] * n_nets)
+        stack = []
+        for net, value in enumerate(driven):
+            best[value][net] = _STRONG
+            stack.append((net, value))
+        while stack:
+            net, value = stack.pop()
+            reach = best[value]
+            strength = reach[net]
+            for other, s0, s1 in adjacent[net]:
+                passed = s1 if value else s0
+                if passed > strength:
+                    passed = strength
+                if reach[other] < passed:
+                    reach[other] = passed
+                    stack.append((other, value))
+        best0, best1 = best
 
-        new_values = dict(driven)
+        new_values = driven + [X] * (n_nets - n_driven)
         conflict = False
-        for net in free_nets:
-            candidates = best[net]
-            has0, has1 = ZERO in candidates, ONE in candidates
-            if has0 and has1:
+        for net in free:
+            s0, s1 = best0[net], best1[net]
+            if s0 and s1:
                 conflict = True
-                s0, s1 = candidates[ZERO], candidates[ONE]
-                if s0 > s1:
-                    new_values[net] = ZERO
-                elif s1 > s0:
-                    new_values[net] = ONE
-                else:
-                    new_values[net] = X
-            elif has0:
+                new_values[net] = ZERO if s0 > s1 else ONE if s1 > s0 else X
+            elif s0:
                 new_values[net] = ZERO
-            elif has1:
+            elif s1:
                 new_values[net] = ONE
             else:
                 new_values[net] = Z
         # A conducting loop between two driven nets of different value is
         # also a conflict (e.g. a stuck-on device shorting rails).
-        for net, value in driven.items():
-            other = best.get(net, {})
-            if any(v != value for v in other if other[v] > 0 and v != value):
+        for net, value in enumerate(driven):
+            if best[1 - value][net]:
                 conflict = True
-        # Maybe-conducting devices poison differing values to X.
+        # Maybe-conducting devices poison differing values to X, in
+        # transistor order (the order matters).
         for a, b in maybe_edges:
-            va = new_values.get(a, driven.get(a, Z))
-            vb = new_values.get(b, driven.get(b, Z))
+            va, vb = new_values[a], new_values[b]
             for net, other_value in ((a, vb), (b, va)):
-                if net in driven:
+                if net < n_driven:
                     continue
                 current = new_values[net]
                 if current == Z:
                     new_values[net] = X
                 elif other_value in (ZERO, ONE, X) and other_value != current:
                     new_values[net] = X
-        if new_values == values:
-            values = new_values
-            break
+        settled = new_values == values
         values = new_values
+        if settled:
+            break
 
-    output = values.get("out", Z)
+    output = values[compiled.out] if compiled.out >= 0 else Z
     if output == Z:
         output = previous_output if previous_output in (ZERO, ONE) else Z
     return SwitchLevelResult(
         output=output,
         conflict=conflict,
-        net_values=values,
+        net_values=dict(zip(compiled.names, values)),
         conducting=conducting,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _fault_free(cell: Cell) -> tuple[tuple[int, bool], ...]:
+    """``(output, conflict)`` of the fault-free cell under every binary
+    input vector, in :func:`itertools.product` order: one evaluation
+    per vector, shared by :func:`fault_image` and the truth-table
+    checks.  Only these two fields are kept; a cached ``net_values``
+    dict would be shared by every caller."""
+    results = (
+        evaluate(cell, vector)
+        for vector in itertools.product((0, 1), repeat=cell.n_inputs)
+    )
+    return tuple((result.output, result.conflict) for result in results)
+
+
 def truth_table_switch_level(cell: Cell) -> dict[tuple[int, ...], int]:
     """Fault-free truth table computed purely at switch level."""
-    table = {}
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        table[vector] = evaluate(cell, vector).output
-    return table
+    vectors = itertools.product((0, 1), repeat=cell.n_inputs)
+    return {
+        vector: output
+        for vector, (output, _) in zip(vectors, _fault_free(cell))
+    }
 
 
 def fault_free_is_consistent(cell: Cell) -> bool:
     """Check the transistor netlist implements the reference function
     without drive conflicts or floating outputs."""
-    for vector in itertools.product((0, 1), repeat=cell.n_inputs):
-        result = evaluate(cell, vector)
-        if result.conflict:
+    vectors = itertools.product((0, 1), repeat=cell.n_inputs)
+    for vector, (output, conflict) in zip(vectors, _fault_free(cell)):
+        if conflict:
             return False
-        if result.output != cell.function(vector):
+        if output != cell.function(vector):
             return False
     return True
 
@@ -320,14 +420,15 @@ class FaultImage:
 @functools.lru_cache(maxsize=None)
 def fault_image(cell: Cell, transistor: str, state: DeviceState) -> FaultImage:
     """The memoised :class:`FaultImage` of ``transistor`` in ``state``:
-    a faulty against a fault-free evaluation under every input vector."""
+    a faulty evaluation under every input vector against the cell's
+    fault-free pass (:func:`_fault_free`), which every image of the
+    cell shares."""
     vectors = tuple(itertools.product((0, 1), repeat=cell.n_inputs))
     rows = []
-    for vector in vectors:
-        good = evaluate(cell, vector)
+    for vector, (good, good_conflict) in zip(vectors, _fault_free(cell)):
         bad = evaluate(cell, vector, {transistor: state})
-        flag = bad.conflict and not good.conflict
-        rows.append((vector, good.output, bad.output, flag))
+        flag = bad.conflict and not good_conflict
+        rows.append((vector, good, bad.output, flag))
     known = (ZERO, ONE)
     return FaultImage(
         vectors=vectors,
