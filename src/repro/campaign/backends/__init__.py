@@ -14,6 +14,7 @@ from pathlib import Path
 
 from repro.campaign.backends.sqlite import (
     SqliteBackend,
+    StoreReader,
     migrate_jsonl_to_sqlite,
     require_sqlite,
     scan_records,
@@ -21,6 +22,7 @@ from repro.campaign.backends.sqlite import (
 
 __all__ = [
     "SqliteBackend",
+    "StoreReader",
     "migrate_jsonl_to_sqlite",
     "open_store",
     "require_sqlite",

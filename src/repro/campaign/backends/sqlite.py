@@ -26,11 +26,15 @@ splitting a grid between them with no duplicated and no lost rows:
   :func:`migrate_jsonl_to_sqlite` lifts a JSONL store (the format of
   older checkouts, and of ``repro campaign export``) into a fresh
   sqlite one (source untouched), preserving record order and history.
-* **Read-only access.**  :func:`scan_records` and
-  ``SqliteBackend(path, read_only=True)`` read through ``mode=ro``
+* **Read-only access.**  :func:`scan_records`, :class:`StoreReader`
+  and ``SqliteBackend(path, read_only=True)`` read through ``mode=ro``
   connections that never repair, re-queue or create anything, so
   reports, exports, status polls and ``verify-store`` without
   ``--repair`` leave the store exactly as they found it.
+* **Task-scoped reads.**  ``StoreReader.records(task_ids)`` and
+  ``SqliteBackend.latest(task_ids)`` read only the rows of the given
+  tasks, through the ``idx_results_task`` index, so a job's status
+  poll or a campaign's resume costs O(its rows), not O(the store).
 * **Bounded backoff on contention.**  Writes ride sqlite's
   ``busy_timeout`` plus an explicit retry loop with exponential
   backoff, so sustained lock contention (another runner mid-commit,
@@ -52,6 +56,7 @@ import errno
 import json
 import os
 import sqlite3
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -117,38 +122,94 @@ def require_sqlite(path: str | Path) -> None:
         )
 
 
+#: The rows of a set of tasks in commit order.  The ids travel as one
+#: JSON array, so there is no host-parameter limit, and the ``IN`` list
+#: searches ``idx_results_task`` instead of scanning the table.
+_TASK_ROWS_SQL = (
+    "SELECT task_id, record FROM results "
+    "WHERE task_id IN (SELECT value FROM json_each(?)) ORDER BY seq"
+)
+
+
+def _rows(
+    conn: sqlite3.Connection, task_ids: Iterable[str] | None
+) -> list[tuple[str, str]]:
+    """``(task_id, record text)`` in commit order: every row, or only
+    the rows of ``task_ids``."""
+    if task_ids is None:
+        return conn.execute(
+            "SELECT task_id, record FROM results ORDER BY seq"
+        ).fetchall()
+    return conn.execute(
+        _TASK_ROWS_SQL, (json.dumps(list(task_ids)),)
+    ).fetchall()
+
+
+class StoreReader:
+    """Read-only access to a store for many short reads from many
+    threads — the job service's status and results requests.
+
+    One ``mode=ro`` connection, opened once the store file exists and
+    shared under a lock, so a request pays neither a connect nor a
+    schema parse.  Each read is its own autocommit statement, so the
+    reader never holds a snapshot between reads and always sees the
+    latest commit.  Like every read-only path it never repairs,
+    re-queues or creates anything.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._conn: sqlite3.Connection | None = None
+        self._lock = threading.Lock()
+
+    def records(self, task_ids: Iterable[str] | None = None) -> list[dict]:
+        """The records of ``task_ids`` (default: every task) in commit
+        order.  A missing or still-initialising store (no campaign ran
+        yet) is just empty, and an unparseable row — quarantine's job,
+        on the next recovering open — is skipped."""
+        with self._lock:
+            if self._conn is None:
+                if not self.path.exists():
+                    return []
+                try:
+                    self._conn = sqlite3.connect(
+                        f"file:{self.path}?mode=ro",
+                        uri=True,
+                        timeout=5.0,
+                        isolation_level=None,
+                        check_same_thread=False,  # guarded by _lock
+                    )
+                except sqlite3.OperationalError:
+                    return []
+            try:
+                rows = _rows(self._conn, task_ids)
+            except sqlite3.OperationalError:  # store still being created
+                return []
+        records = []
+        for _task_id, text in rows:
+            try:
+                records.append(json.loads(text))
+            except json.JSONDecodeError:
+                continue
+        return records
+
+    def close(self) -> None:
+        """Drop the connection; the next read opens a new one."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+
 def scan_records(store_path: Path) -> list[dict]:
     """All records of a store in commit order, through a short-lived
-    read-only connection.
-
-    The one read path for callers that must not mutate the store —
-    ``repro report``/``export`` and the job service's status/results
-    polling (``open`` runs repair + stale-claim reclamation, and the
-    polling thread is never the campaign thread).  A missing store (no
-    campaign ran yet) is just empty.
-    """
-    if not store_path.exists():
-        return []
-    uri = f"file:{store_path}?mode=ro"
+    read-only connection: the one-shot read of ``repro report`` and
+    ``export``.  A missing store (no campaign ran yet) is just empty."""
+    reader = StoreReader(store_path)
     try:
-        conn = sqlite3.connect(uri, uri=True, timeout=5.0)
-    except sqlite3.OperationalError:
-        return []
-    try:
-        rows = conn.execute(
-            "SELECT record FROM results ORDER BY seq"
-        ).fetchall()
-    except sqlite3.OperationalError:  # store still being initialised
-        return []
+        return reader.records()
     finally:
-        conn.close()
-    records = []
-    for (text,) in rows:
-        try:
-            records.append(json.loads(text))
-        except json.JSONDecodeError:  # pragma: no cover - quarantine's job
-            continue
-    return records
+        reader.close()
 
 
 def _checksum(text: str) -> int:
@@ -514,15 +575,15 @@ class SqliteBackend:
         ).fetchall()
         return [json.loads(text) for (text,) in rows]
 
-    def latest(self) -> dict[str, dict]:
-        """task_id -> most recent record (reruns supersede old rows)."""
-        latest: dict[str, dict] = {}
-        rows = self._connection().execute(
-            "SELECT task_id, record FROM results ORDER BY seq"
-        ).fetchall()
-        for task_id, text in rows:
-            latest[task_id] = json.loads(text)
-        return latest
+    def latest(
+        self, task_ids: Iterable[str] | None = None
+    ) -> dict[str, dict]:
+        """task_id -> most recent record (reruns supersede old rows),
+        over the whole store or only over ``task_ids``."""
+        return {
+            task_id: json.loads(text)
+            for task_id, text in _rows(self._connection(), task_ids)
+        }
 
     # -- integrity ---------------------------------------------------------
 

@@ -204,7 +204,7 @@ class CampaignResult:
     n_skipped: int
     store_path: Path | None
     #: Tasks another runner process claimed first (multi-runner
-    #: campaigns): not computed here, recovered from the store scan
+    #: campaigns): not computed here, recovered from a final store read
     #: where already committed.
     n_external: int = 0
     #: Whether the campaign stopped early because its ``should_stop``
@@ -371,7 +371,8 @@ def run_campaign(
         timeout: Per-task soft wall-clock bound in seconds; the
             supervised path adds a hard watchdog at
             ``timeout + policy.watchdog_grace``.
-        resume: Skip tasks whose latest stored record is ``ok``.
+        resume: Skip tasks whose latest stored record is ``ok``.  The
+            resume read touches only the grid's own rows.
         progress: Optional sink for one-line progress messages.
         policy: Retry/backoff/watchdog knobs (:class:`RetryPolicy`).
         chaos: Fault-injection hook for the chaos test harness
@@ -387,7 +388,7 @@ def run_campaign(
     *claimed* one by one, so N independent runner processes
     pointed at one store split the grid between them: a cell another
     runner claimed first is skipped here (counted in ``n_external``)
-    and its record recovered from the final store scan.
+    and its record recovered from a final store read.
     """
     owns_store = isinstance(store, (str, Path))
     if owns_store:
@@ -399,7 +400,9 @@ def run_campaign(
     if store is not None and resume:
         done = {
             task_id: record
-            for task_id, record in store.latest().items()
+            for task_id, record in store.latest(
+                [t.task_id for t in tasks]
+            ).items()
             if record.get("status") == "ok"
         }
     pending = [t for t in tasks if t.task_id not in done]
@@ -472,10 +475,11 @@ def run_campaign(
         if store is not None:
             store.release()  # hand back claims an exception left behind
         # Cells another runner claimed are (usually) in the store by
-        # now; recover their records from a final scan.  A cell still
-        # being computed elsewhere is simply absent from this result.
+        # now; recover their records from a final read of those cells.
+        # A cell still being computed elsewhere is simply absent from
+        # this result.
         if external and store is not None:
-            scanned = store.latest()
+            scanned = store.latest([spec.task_id for spec in external])
         if owns_store and store is not None:
             store.close()
 

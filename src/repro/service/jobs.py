@@ -13,12 +13,17 @@ into a long-lived service primitive:
   **shared sqlite store**, so concurrent jobs over overlapping grids
   coordinate through the store's atomic task claims (zero duplicated
   rows) and the process-wide ``compile_network`` / device-model memos
-  are shared across all of them.
+  are shared across all of them.  Each worker thread opens the store
+  once, on its first job — that open runs the store's recovery (WAL
+  journal recovery, quarantine, stale-claim re-queue) — hands it to
+  every campaign it runs, and closes it when the thread exits.
 * **Status + incremental results** — :meth:`JobManager.status` merges
-  the in-memory lifecycle state with live per-task counts scanned from
+  the in-memory lifecycle state with live per-task counts read from
   the store; :meth:`JobManager.results` streams a job's records in
   commit order with an ``offset`` cursor, so clients poll for *new*
-  rows only.
+  rows only.  Both read only the job's own rows (through the store's
+  task index) on one shared read-only connection, so a request costs
+  O(the job), not O(the store), and opens nothing.
 * **Cooperative cancel** — :meth:`JobManager.cancel` sets the job's
   stop event; the campaign winds down between cells, releases its
   store claims and leaves the store resumable (state ``cancelled``).
@@ -55,7 +60,7 @@ from collections import deque
 from pathlib import Path
 from typing import Iterable
 
-from repro.campaign.backends import scan_records
+from repro.campaign.backends import SqliteBackend, StoreReader
 from repro.campaign.runner import (
     RetryPolicy,
     TaskSpec,
@@ -251,6 +256,8 @@ class JobManager:
         self.jobs_dir = self.state_dir / "jobs"
         self.job_workers = max(1, job_workers)
         self.policy = policy or RetryPolicy()
+        #: The request threads' read-only view of the store.
+        self._reader = StoreReader(self.store_path)
         self._jobs: dict[str, Job] = {}
         self._queue: deque[str] = deque()
         self._lock = threading.Lock()
@@ -300,6 +307,7 @@ class JobManager:
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._threads = [t for t in self._threads if t.is_alive()]
+        self._reader.close()
 
     def recover(self) -> list[str]:
         """Re-queue every persisted job that never reached a terminal
@@ -394,9 +402,9 @@ class JobManager:
     def status(self, job_id: str) -> dict:
         """Lifecycle state plus live per-task counts from the store.
 
-        The lifecycle fields are read before the store is scanned: a
-        job's records are committed before it turns terminal, so a
-        terminal state always comes with complete counts.
+        The lifecycle fields are read before the store is: a job's
+        records are committed before it turns terminal, so a terminal
+        state always comes with complete counts.
         """
         job = self.get(job_id)
         with self._lock:
@@ -404,11 +412,10 @@ class JobManager:
             started_at = job.started_at
             finished_at = job.finished_at
             error = job.error
-        wanted = set(job.task_ids)
-        latest: dict[str, dict] = {}
-        for record in scan_records(self.store_path):
-            if record.get("task_id") in wanted:
-                latest[record["task_id"]] = record
+        latest = {
+            record["task_id"]: record
+            for record in self._reader.records(job.task_ids)
+        }
         n_ok = sum(1 for r in latest.values() if r.get("status") == "ok")
         n_failed = len(latest) - n_ok
         counts = {
@@ -436,21 +443,21 @@ class JobManager:
         incrementally while the campaign runs.  Records include every
         attempt (reruns supersede — the *latest* row per task wins),
         exactly as the store holds them.
+
+        As in :meth:`status`, the state is read before the rows, so a
+        page that says ``complete`` holds every row of the job.
         """
         job = self.get(job_id)
         offset = max(0, int(offset))
-        wanted = set(job.task_ids)
-        mine = [
-            record
-            for record in scan_records(self.store_path)
-            if record.get("task_id") in wanted
-        ]
+        with self._lock:
+            state = job.state
+        mine = self._reader.records(job.task_ids)
         return {
             "id": job.id,
-            "state": job.state,
+            "state": state,
             "records": mine[offset:],
             "next_offset": len(mine),
-            "complete": job.state in TERMINAL_STATES,
+            "complete": state in TERMINAL_STATES,
         }
 
     def cancel(self, job_id: str) -> dict:
@@ -484,32 +491,36 @@ class JobManager:
     # -- execution ---------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._shutdown:
-                    self._wake.wait(timeout=0.5)
-                # Non-drain shutdown exits even with a non-empty queue:
-                # interrupted jobs are *re*-queued during wind-down, and
-                # picking them up again would rerun them uncancellable.
-                if self._shutdown and not (self._drain and self._queue):
-                    return
-                if not self._queue:
-                    continue
-                job = self._jobs[self._queue.popleft()]
-                if job.state != QUEUED:  # cancelled while queued
-                    continue
-                job.state = RUNNING
-                job.started_at = time.time()
-            JOBS_TOTAL.labels(state=RUNNING).inc()
-            self._refresh_inflight()
-            self._persist(job)
-            self._run_job(job)
+        # The thread's own store: opened (and so recovered) on its first
+        # job, its claims scoped to this instance, closed on exit.
+        with SqliteBackend(self.store_path) as store:
+            while True:
+                with self._lock:
+                    while not self._queue and not self._shutdown:
+                        self._wake.wait(timeout=0.5)
+                    # Non-drain shutdown exits even with a non-empty
+                    # queue: interrupted jobs are *re*-queued during
+                    # wind-down, and picking them up again would rerun
+                    # them uncancellable.
+                    if self._shutdown and not (self._drain and self._queue):
+                        return
+                    if not self._queue:
+                        continue
+                    job = self._jobs[self._queue.popleft()]
+                    if job.state != QUEUED:  # cancelled while queued
+                        continue
+                    job.state = RUNNING
+                    job.started_at = time.time()
+                JOBS_TOTAL.labels(state=RUNNING).inc()
+                self._refresh_inflight()
+                self._persist(job)
+                self._run_job(job, store)
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, store: SqliteBackend) -> None:
         try:
             result = run_campaign(
                 job.spec.expand(),
-                store=self.store_path,
+                store=store.open(),
                 workers=job.spec.workers,
                 timeout=job.spec.timeout,
                 resume=True,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.backends import open_store
+from repro.campaign.backends import SqliteBackend, open_store
 from repro.campaign.runner import expand_grid, run_campaign
 from repro.campaign.store import stores_equal
 from repro.obs import Registry
@@ -99,6 +99,27 @@ def gated_cells(monkeypatch):
     monkeypatch.setitem(TASK_RUNNERS, "gated", cells)
     yield cells
     cells.release.set()  # never leave a worker thread blocked
+
+
+@pytest.fixture
+def worker_stores(monkeypatch):
+    """Every store a job worker thread makes, each counting the times
+    it was really opened (and so recovered)."""
+    stores = []
+
+    class CountingBackend(SqliteBackend):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.n_opens = 0
+            stores.append(self)
+
+        def open(self):
+            if self._conn is None:
+                self.n_opens += 1
+            return super().open()
+
+    monkeypatch.setattr(jobs_module, "SqliteBackend", CountingBackend)
+    return stores
 
 
 def _subprocess_env():
@@ -489,15 +510,36 @@ class TestJobFailureModes:
         job_id = manager.submit(SMALL_SPEC)["id"]
         job = manager.get(job_id)
 
-        def scan_then_finish(_path):
-            job.state = "done"  # the worker finishes mid-scan
+        def read_then_finish(_task_ids):
+            job.state = "done"  # the worker finishes mid-read
             return []
 
-        monkeypatch.setattr(jobs_module, "scan_records", scan_then_finish)
+        monkeypatch.setattr(manager._reader, "records", read_then_finish)
         status = manager.status(job_id)
         assert status["state"] == "queued"
         assert status["counts"]["pending"] == SMALL_TASKS
         assert manager.status(job_id)["state"] == "done"
+
+    def test_results_state_is_not_newer_than_its_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """The same race for a results page: a page that says
+        'complete' must hold every row, or a client that trusts it
+        stops paging with a row missing."""
+        manager = JobManager(tmp_path / "state")  # never started
+        job_id = manager.submit(SMALL_SPEC)["id"]
+        job = manager.get(job_id)
+
+        def read_then_finish(_task_ids):
+            job.state = "done"  # the last row commits mid-read
+            return []
+
+        monkeypatch.setattr(manager._reader, "records", read_then_finish)
+        page = manager.results(job_id)
+        assert page["state"] == "queued"
+        assert not page["complete"]
+        assert page["records"] == [] and page["next_offset"] == 0
+        assert manager.results(job_id)["complete"]
 
     def test_stop_requeues_running_job_and_restart_resumes(
         self, tmp_path, gated_cells
@@ -549,6 +591,121 @@ class TestJobFailureModes:
             assert second.wait(job_id)["state"] == "done"
         finally:
             second.stop(drain=False)
+
+
+class TestWorkerHeldStore:
+    """Each job worker thread opens the store once, on its first job,
+    runs every job on it and closes it when the thread exits."""
+
+    @staticmethod
+    def _assert_closed_without_claims(stores, store_path):
+        assert stores
+        for store in stores:
+            assert store._conn is None
+            assert store._claimed == set()
+        assert "claimed" not in _claim_statuses(store_path)
+
+    def test_drain_stop_closes_each_workers_store(
+        self, tmp_path, worker_stores
+    ):
+        manager = JobManager(tmp_path / "state", job_workers=2).start()
+        jobs = [
+            {"circuits": [circuit], "fault_classes": ["stuck_at", "iddq"]}
+            for circuit in ("c17", "tmr_voter", "rca4", "parity8")
+        ]
+        ids = [manager.submit(spec)["id"] for spec in jobs]
+        manager.stop(drain=True)
+        for job_id in ids:
+            assert manager.status(job_id)["state"] == "done"
+        assert len(worker_stores) == 2  # one per thread, not per job
+        assert all(store.n_opens <= 1 for store in worker_stores)
+        self._assert_closed_without_claims(worker_stores, manager.store_path)
+
+    def test_cancel_stop_closes_each_workers_store(
+        self, tmp_path, gated_cells, worker_stores
+    ):
+        manager = JobManager(tmp_path / "state", job_workers=2).start()
+        job_id = manager.submit(GATED_SPEC)["id"]
+        assert gated_cells.in_flight.wait(60.0), "no second cell"
+        stopper = threading.Thread(target=manager.stop,
+                                   kwargs={"drain": False})
+        stopper.start()
+        cancel_requested = manager.get(job_id).cancel_event
+        deadline = time.monotonic() + 60.0
+        while not cancel_requested.is_set():
+            assert time.monotonic() < deadline, "stop never reached the job"
+            time.sleep(0.01)
+        gated_cells.release.set()
+        stopper.join(60.0)
+        assert not stopper.is_alive()
+        assert manager.status(job_id)["state"] == "queued"
+        assert len(worker_stores) == 2
+        self._assert_closed_without_claims(worker_stores, manager.store_path)
+
+    def test_restart_recovers_dead_claim_and_torn_row_on_open(
+        self, tmp_path, worker_stores
+    ):
+        state_dir = tmp_path / "state"
+        first = JobManager(state_dir, job_workers=1).start()
+        try:
+            job_id = first.submit(SMALL_SPEC)["id"]
+            assert first.wait(job_id)["state"] == "done"
+        finally:
+            first.stop(drain=True)
+        store_path = first.store_path
+        with open_store(store_path) as store:
+            undisturbed = store.latest()
+        torn, killed = sorted(undisturbed)[:2]
+
+        # A row torn on disk, and a runner SIGKILLed between claim and
+        # commit: its row never landed and its claim names a dead PID.
+        conn = sqlite3.connect(str(store_path))
+        with conn:
+            conn.execute(
+                "UPDATE results SET record = substr(record, 1, 20) "
+                "WHERE task_id = ?", (torn,),
+            )
+            conn.execute("DELETE FROM results WHERE task_id = ?", (killed,))
+            conn.execute(
+                "UPDATE tasks SET status='claimed', owner_pid=99999999, "
+                "claimed_at=0 WHERE task_id = ?", (killed,),
+            )
+        conn.close()
+
+        del worker_stores[:]
+        second = JobManager(state_dir, job_workers=1).start()
+        try:
+            # A job over neither damaged cell: only the worker's open
+            # can have recovered them.
+            other = second.submit(
+                {"circuits": ["rca4"], "fault_classes": ["stuck_at"]}
+            )["id"]
+            assert second.wait(other)["state"] == "done"
+            assert [s.n_opens for s in worker_stores] == [1]
+            uri = f"file:{store_path}?mode=ro"
+            with sqlite3.connect(uri, uri=True) as ro:
+                assert ro.execute(
+                    "SELECT task_id FROM quarantine"
+                ).fetchall() == [(torn,)]
+                pending = dict(ro.execute(
+                    "SELECT task_id, status FROM tasks WHERE task_id IN "
+                    "(?, ?)", (torn, killed),
+                ))
+            assert pending == {torn: "pending", killed: "pending"}
+
+            rerun = second.wait(second.submit(SMALL_SPEC)["id"])
+            assert rerun["state"] == "done"
+            assert rerun["counts"]["ok"] == SMALL_TASKS
+        finally:
+            second.stop(drain=True)
+        assert [s.n_opens for s in worker_stores] == [1]
+        with open_store(store_path) as store:
+            assert store.verify()["ok"]
+            converged = store.latest(list(undisturbed))
+        assert stores_equal(
+            [converged[t] for t in sorted(converged)],
+            [undisturbed[t] for t in sorted(undisturbed)],
+        )
 
 
 # ---------------------------------------------------------------------------

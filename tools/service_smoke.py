@@ -9,11 +9,15 @@ then cross-checks the three views of the same campaign:
 * the ``/metrics`` scrape (``repro_service_jobs_total``,
   ``repro_campaign_tasks_total``), and
 * the sqlite store on disk (one committed row per task, zero
-  stale claims),
+  stale claims).
 
-and finally SIGTERMs the server, asserting a clean (code 0) graceful
-shutdown.  Any divergence — a lost row, a counter that drifts from
-the store, an unclean exit — fails the script.  CI runs this in the
+It then resubmits the same grid, which resume must serve from the
+store (every cell ``ok``, no new row), SIGTERMs the server, asserting a
+clean (code 0) graceful shutdown, restarts it on the same state
+directory and checks that the finished job's status and results come
+back identical.  Any divergence — a lost or recomputed row, a counter
+that drifts from the store, an unclean exit, a job that reads
+differently after a restart — fails the script.  CI runs this in the
 ``service-smoke`` job; locally::
 
     PYTHONPATH=src python tools/service_smoke.py
@@ -67,19 +71,38 @@ def store_rows(store: Path) -> dict[str, int]:
         ))
 
 
-def main() -> int:
+def result_rows(store: Path) -> int:
+    """Committed result rows, every attempt of every task."""
+    uri = f"file:{store}?mode=ro"
+    with sqlite3.connect(uri, uri=True) as conn:
+        return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+
+
+def start_server(state_dir: Path) -> tuple[subprocess.Popen, ServiceClient]:
     port = free_port()
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--port", str(port), "--state-dir", str(state_dir)],
+        cwd=REPO,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    return server, ServiceClient(f"http://127.0.0.1:{port}")
+
+
+def stop_server(server: subprocess.Popen) -> None:
+    server.send_signal(signal.SIGTERM)
+    code = server.wait(timeout=30.0)
+    assert code == 0, f"server exited {code} on SIGTERM"
+    print("server shut down cleanly on SIGTERM")
+
+
+def main() -> int:
     n_tasks = len(SMOKE_SPEC["circuits"]) * len(SMOKE_SPEC["fault_classes"])
     with tempfile.TemporaryDirectory() as tmp_dir:
         state_dir = Path(tmp_dir) / "service_state"
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--port", str(port), "--state-dir", str(state_dir)],
-            cwd=REPO,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
+        store = state_dir / "store.sqlite"
+        server, client = start_server(state_dir)
         try:
-            client = ServiceClient(f"http://127.0.0.1:{port}")
             wait_healthy(client)
 
             status = client.submit(SMOKE_SPEC)
@@ -99,7 +122,7 @@ def main() -> int:
             tasks_ok = client.metric_value(
                 "repro_campaign_tasks_total", status="ok"
             )
-            rows = store_rows(state_dir / "store.sqlite")
+            rows = store_rows(store)
             assert jobs_done == 1.0, f"jobs_total done={jobs_done}"
             assert tasks_ok == float(n_tasks), f"tasks_total ok={tasks_ok}"
             # The tasks table tracks the claim lifecycle: every task
@@ -109,11 +132,45 @@ def main() -> int:
             )
             print(f"metrics agree with store: {n_tasks} ok rows, "
                   f"{jobs_done:g} job done")
+
+            # The same grid again: resume serves every cell from the
+            # store and commits nothing.
+            n_rows = result_rows(store)
+            again = client.wait(client.submit(SMOKE_SPEC)["id"],
+                                timeout=120.0)
+            assert again["state"] == "done", again
+            assert again["counts"].get("ok") == n_tasks, again["counts"]
+            again_page = client.results(again["id"], offset=0)
+            assert len(again_page["records"]) == n_tasks and all(
+                r["status"] == "ok" for r in again_page["records"]
+            ), again_page["records"]
+            assert result_rows(store) == n_rows, (
+                f"resubmit committed {result_rows(store) - n_rows} new rows"
+            )
+            resumed = client.metric_value(
+                "repro_campaign_tasks_resumed_total"
+            )
+            assert resumed == float(n_tasks), f"tasks resumed={resumed}"
+            print(f"resubmitted grid served by resume: {n_tasks} cells, "
+                  "no new rows")
+            before = (client.status(status["id"]),
+                      client.results(status["id"], offset=0))
         finally:
-            server.send_signal(signal.SIGTERM)
-            code = server.wait(timeout=30.0)
-        assert code == 0, f"server exited {code} on SIGTERM"
-        print("server shut down cleanly on SIGTERM")
+            stop_server(server)
+
+        server, client = start_server(state_dir)
+        try:
+            wait_healthy(client)
+            after = (client.status(status["id"]),
+                     client.results(status["id"], offset=0))
+            assert after == before, (
+                "finished job reads differently after a restart"
+            )
+            assert result_rows(store) == n_rows
+            print("finished job's status and results unchanged by a "
+                  "restart")
+        finally:
+            stop_server(server)
     print("service smoke: PASS")
     return 0
 
