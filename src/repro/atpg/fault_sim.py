@@ -5,27 +5,31 @@ the serial one-fault, one-vector checks of the test oracles
 (``tests/oracles/serial_sim.py``) in ``tests/test_compiled_engine.py``
 and ``tests/test_multiword_engine.py``:
 
-* **Single-word batches** — up-to-64-vector passes on
-  :class:`repro.logic.compiled.CompiledNetwork` Python-int words with
-  per-fault delta resimulation; the fastest path for fault dropping
-  (one vector, one fault at a time).
+* **Single-word** — one pass over every vector on
+  :class:`repro.logic.compiled.CompiledNetwork` Python-int words, with
+  per-fault delta resimulation; the fastest path for small problems.
 * **Multi-word 2-D batches** (:mod:`repro.logic.multiword`) — any
   vector count x whole fault batches as vectorized numpy ``uint64``
   sweeps; the scaling path for thousands-of-gate netlists.
 
-The campaign entry points (:func:`parallel_stuck_at_simulation`,
+Each fault class has one detection-words function
+(:func:`stuck_at_detection_words`, :func:`polarity_detection_words`,
+:func:`stuck_open_detection_words`): per fault, a word whose bit ``k``
+is set iff vector ``k`` detects it.  Each campaign entry point
+(:func:`parallel_stuck_at_simulation`,
 :func:`parallel_polarity_simulation`,
-:func:`parallel_stuck_open_simulation`) and detection-matrix builders
-(:func:`stuck_at_detection_words` & friends) pick the multi-word
-engine once the (faults x vectors) problem and the netlist (ops x
-faults) are large enough to amortize numpy dispatch, and the
-single-word path below that; both give bit-identical results.  The
-size of the problem, not an option, also picks the work done:
+:func:`parallel_stuck_open_simulation`) folds those words into first
+detections.  Once per call, the size of the (faults x vectors) problem
+and of the netlist (ops x faults) picks the multi-word engine, which
+amortizes numpy dispatch, or the single-word path below that; both
+give bit-identical words.  The gate-local words (IDDQ activation and
+the stuck-open retained value) are computed on Python ints read from
+either engine's fault-free state.  The size of the problem, not an
+option, also picks the work done:
 
-* **Word-by-word dropping.**  Stuck-at campaigns sweep the vectors one
-  64-vector word at a time and stop simulating a fault once a word
-  detects it — whole fault chunks at once on the multi-word engine,
-  one fault at a time on the single-word path.
+* **Word-by-word dropping.**  Stuck-at campaigns on the multi-word
+  engine sweep X-free vectors one 64-vector word at a time and stop
+  simulating a fault chunk's detected faults once a word detects them.
 * **Single rail.**  When every primary input is 0 or 1 on every vector,
   no net is ever X, so the multi-word stuck-at sweep carries one
   uint64 rail per net instead of the (ones, zeros) pair and detects
@@ -59,8 +63,8 @@ For stuck-open faults on sequential netlists the engines share a
 first-order approximation: each replica's retained/floating output is
 derived from the *fault-free* init/test simulations (the standard
 good-machine local-input assumption of the combinational path, applied
-per frame).  All three engines implement the same definition, so their
-results stay bit-identical.
+per frame).  Both engines read that definition from one gate-local
+builder, so their results stay bit-identical.
 
 The fault-injection override contract (line vs. pin vs. gate overrides)
 is documented once, in :mod:`repro.logic.compiled`.
@@ -82,6 +86,7 @@ from repro.logic import sequential
 from repro.logic.compiled import (
     CompiledNetwork,
     FaultInjection,
+    PackedVectors,
     compile_network,
     eval_table_packed,
     minterm_word,
@@ -92,18 +97,12 @@ from repro.logic.network import Network
 
 TestVector = Mapping[str, int]
 
-#: Vectors per batched pass of the single-word engine.  Campaigns chunk
-#: so that fault dropping can skip already-detected faults on later
-#: chunks (64 balances word width against dropping granularity);
-#: detection-matrix builders pack everything into one pass.
-_CHUNK_BITS = 64
-
-#: The campaign entry points switch to the multi-word fault-parallel
-#: engine once the (faults x vectors) problem is big enough that numpy
-#: dispatch overhead amortizes; below the thresholds the single-word
-#: per-fault delta path wins.
+#: Each call switches to the multi-word fault-parallel engine once the
+#: (faults x vectors) problem is big enough that numpy dispatch
+#: overhead amortizes; below the thresholds the single-word per-fault
+#: delta path wins.
 _MULTIWORD_MIN_FAULTS = 64
-_MULTIWORD_MIN_BITS = 2 * _CHUNK_BITS
+_MULTIWORD_MIN_BITS = 128
 
 #: ... and once the netlist is big enough too.  At 256 vectors on a
 #: 2-vCPU x86 VM, below this many (ops x faults) the single-word path
@@ -208,8 +207,8 @@ def _stuck_open_problem(network, faults, pairs, unroll, initial_state):
     """Compile + lower a two-pattern stuck-open problem.
 
     Returns ``(cnet, gate_lists, pairs)`` with per-fault gate-replica
-    lists; the per-chunk retained-value injections are built against
-    each chunk's good init/test words.
+    lists; the retained-value injections are built against the good
+    init/test simulations.
     """
     if unroll is None:
         sequential.require_combinational(
@@ -227,6 +226,64 @@ def _stuck_open_problem(network, faults, pairs, unroll, initial_state):
         for init, test in pairs
     ]
     return cnet, [uv.replica_gates(f.gate) for f in faults], flat_pairs
+
+
+# ---------------------------------------------------------------------------
+# The fault-free machine, on either engine
+# ---------------------------------------------------------------------------
+
+def _pack(cnet, vectors, multiword: bool):
+    """Pack ``vectors`` for the multi-word or the single-word engine."""
+    if multiword:
+        return mw.pack_vectors_multiword(cnet, vectors)
+    return pack_vectors(cnet, vectors)
+
+
+class _GoodMachine:
+    """The fault-free simulation of one packed batch.
+
+    ``pin_words`` reads a gate's dual-rail input words as Python ints
+    whichever engine packed the batch, memoised per gate: a multi-word
+    row converts once per call however many faults sit on the gate.
+    ``detect`` runs injections against the batch on the same engine.
+    """
+
+    def __init__(self, cnet: CompiledNetwork, packed) -> None:
+        self.cnet = cnet
+        self.packed = packed
+        self.multiword = not isinstance(packed, PackedVectors)
+        self._pins: dict[str, list[tuple[int, int]]] = {}
+        if self.multiword:
+            self.state = mw.simulate_good(cnet, packed)
+            self.mask = mw.int_from_words(packed.mask)
+        else:
+            self.state = cnet.simulate(packed)
+            self.mask = packed.mask
+
+    def pin_words(self, gate: str) -> list[tuple[int, int]]:
+        words = self._pins.get(gate)
+        if words is None:
+            if self.multiword:
+                words = [
+                    (mw.int_from_words(o), mw.int_from_words(z))
+                    for o, z in mw.gate_input_rows(
+                        self.cnet, self.state, gate
+                    )
+                ]
+            else:
+                words = self.cnet.gate_input_words(self.state, gate)
+            self._pins[gate] = words
+        return words
+
+    def detect(self, injections: Sequence[FaultInjection]) -> list[int]:
+        if self.multiword:
+            return mw.batch_detect(
+                self.cnet, self.packed, self.state, injections
+            )
+        return [
+            self.cnet.detect_word(self.packed, self.state, injection)
+            for injection in injections
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +309,6 @@ class FaultSimResult:
         return len(self.detected) / total if total else 1.0
 
 
-# ---------------------------------------------------------------------------
-# Batched stuck-at campaigns
-# ---------------------------------------------------------------------------
-
-def _multiword_stuck_at_words(
-    cnet, injections: Sequence[FaultInjection],
-    vectors: Sequence[TestVector],
-    first_only: bool = False,
-) -> list[int]:
-    """2-D fault x vector sweep over a stuck-at problem.
-
-    The injections carry line and pin forces only, so X-free vectors
-    take the single-rail sweep and vectors with X the dual-rail one.
-    With ``first_only`` a fault's word may hold only the bits of the
-    64-vector word that first detects it (the single-rail sweep drops
-    it there).
-    """
-    mv = mw.pack_vectors_multiword(cnet, vectors)
-    if mv.binary:
-        return mw.batch_detect_x_free(
-            cnet, mv, injections, drop_detected=first_only
-        )
-    good = mw.simulate_good(cnet, mv)
-    return mw.batch_detect(cnet, mv, good, injections)
-
-
 def _result_from_words(
     names: Sequence[str], words: Sequence[int]
 ) -> FaultSimResult:
@@ -290,6 +321,31 @@ def _result_from_words(
         else:
             undetected.append(name)
     return FaultSimResult(detected=detected, undetected=sorted(undetected))
+
+
+# ---------------------------------------------------------------------------
+# Stuck-at faults
+# ---------------------------------------------------------------------------
+
+def _stuck_at_words(
+    network, faults, vectors, unroll, initial_state, first_only: bool
+) -> list[int]:
+    """Stuck-at detection words on the engine the problem size picks.
+
+    X-free multi-word batches take the single-rail sweep; with
+    ``first_only`` a fault's word there may hold only the bits of the
+    64-vector word that first detects it (the sweep drops it there).
+    """
+    cnet, injections, vectors = _stuck_at_problem(
+        network, faults, vectors, unroll, initial_state
+    )
+    multiword = _use_multiword(len(faults), len(vectors), len(cnet.ops))
+    packed = _pack(cnet, vectors, multiword)
+    if multiword and packed.binary:
+        return mw.batch_detect_x_free(
+            cnet, packed, injections, drop_detected=first_only
+        )
+    return _GoodMachine(cnet, packed).detect(injections)
 
 
 def stuck_at_detection_words(
@@ -305,17 +361,9 @@ def stuck_at_detection_words(
     With ``unroll=``, each vector is a per-cycle input sequence and bit
     ``k`` covers detection at any frame of sequence ``k``.
     """
-    cnet, injections, vectors = _stuck_at_problem(
-        network, faults, vectors, unroll, initial_state
+    return _stuck_at_words(
+        network, faults, vectors, unroll, initial_state, first_only=False
     )
-    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
-        return _multiword_stuck_at_words(cnet, injections, vectors)
-    packed = pack_vectors(cnet, vectors)
-    good = cnet.simulate(packed)
-    return [
-        cnet.detect_word(packed, good, injection)
-        for injection in injections
-    ]
 
 
 def parallel_stuck_at_simulation(
@@ -325,87 +373,31 @@ def parallel_stuck_at_simulation(
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
-    """Bit-parallel stuck-at campaign with fault dropping.
+    """Bit-parallel stuck-at campaign: first detection per fault.
 
-    Vectors are swept :data:`_CHUNK_BITS` at a time, and a fault
-    detected in one word is not simulated on later ones: on the
-    multi-word engine as whole fault chunks on one rail (vectors with X
-    instead run the full dual-rail matrix in one sweep), on the
-    single-word path one fault at a time.  Both report the same
-    first-detection indices.
+    On the multi-word engine X-free vectors are swept one 64-vector
+    word at a time, and a fault detected in one word is not simulated
+    on later ones; every other case folds the full detection matrix.
     """
-    names = [f.name for f in faults]
-    cnet, injections, vectors = _stuck_at_problem(
-        network, faults, vectors, unroll, initial_state
-    )
-    if _use_multiword(len(names), len(vectors), len(cnet.ops)):
-        return _result_from_words(
-            names,
-            _multiword_stuck_at_words(
-                cnet, injections, vectors, first_only=True
-            ),
-        )
-    detected: dict[str, int] = {}
-    undetected = set(names)
-    for base in range(0, len(vectors), _CHUNK_BITS):
-        if not undetected:
-            break
-        packed = pack_vectors(cnet, vectors[base:base + _CHUNK_BITS])
-        good = cnet.simulate(packed)
-        for name, injection in zip(names, injections):
-            if name not in undetected:
-                continue
-            diff = cnet.detect_word(packed, good, injection)
-            if diff:
-                detected[name] = base + (diff & -diff).bit_length() - 1
-                undetected.discard(name)
-    return FaultSimResult(
-        detected=detected, undetected=sorted(undetected)
+    return _result_from_words(
+        [f.name for f in faults],
+        _stuck_at_words(
+            network, faults, vectors, unroll, initial_state, first_only=True
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
-# Batched polarity campaigns (voltage and IDDQ observables)
+# Polarity faults (voltage and IDDQ observables)
 # ---------------------------------------------------------------------------
 
-def _multiword_polarity_words(
-    cnet,
-    faults: Sequence[PolarityFault],
-    lowered,
-    vectors: Sequence[TestVector],
-    iddq: bool,
-) -> list[int]:
-    """Multi-word polarity detection matrix (voltage or IDDQ mode).
-
-    Voltage mode is a fault-parallel table-override sweep over the
-    injections in ``lowered``; IDDQ mode needs only the shared good
-    simulation — per fault, the word of vectors driving any of its gate
-    replicas (``lowered``) into a conflict-activating combination.
-    """
-    mv = mw.pack_vectors_multiword(cnet, vectors)
-    good = mw.simulate_good(cnet, mv)
-    if not iddq:
-        return mw.batch_detect(cnet, mv, good, lowered)
-    words = []
-    for fault, gates in zip(faults, lowered):
-        word = 0
-        for gname in gates:
-            pin_rows = mw.gate_input_rows(cnet, good, gname)
-            for minterm in fault.iddq_vectors():
-                word |= mw.int_from_words(
-                    mw.minterm_word_multiword(pin_rows, minterm, mv.mask)
-                )
-        words.append(word)
-    return words
-
-
-def _iddq_word(cnet, good, gates, minterms, mask) -> int:
-    """Single-word IDDQ activation word over a fault's gate replicas."""
+def _iddq_word(good: _GoodMachine, gates, minterms) -> int:
+    """IDDQ activation word over a fault's gate replicas."""
     word = 0
     for gname in gates:
-        pin_words = cnet.gate_input_words(good, gname)
+        pin_words = good.pin_words(gname)
         for minterm in minterms:
-            word |= minterm_word(pin_words, minterm, mask)
+            word |= minterm_word(pin_words, minterm, good.mask)
     return word
 
 
@@ -450,19 +442,13 @@ def _polarity_words(
     cnet, lowered, vectors = _polarity_problem(
         network, faults, vectors, unroll, initial_state, iddq
     )
-    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
-        return _multiword_polarity_words(
-            cnet, faults, lowered, vectors, iddq
-        )
-    packed = pack_vectors(cnet, vectors)
-    good = cnet.simulate(packed)
-    if iddq:
-        return [
-            _iddq_word(cnet, good, gates, fault.iddq_vectors(), packed.mask)
-            for fault, gates in zip(faults, lowered)
-        ]
+    multiword = _use_multiword(len(faults), len(vectors), len(cnet.ops))
+    good = _GoodMachine(cnet, _pack(cnet, vectors, multiword))
+    if not iddq:
+        return good.detect(lowered)
     return [
-        cnet.detect_word(packed, good, injection) for injection in lowered
+        _iddq_word(good, gates, fault.iddq_vectors())
+        for fault, gates in zip(faults, lowered)
     ]
 
 
@@ -474,62 +460,22 @@ def parallel_polarity_simulation(
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
-    """Batched polarity-fault campaign (voltage or IDDQ observables).
-
-    Voltage mode folds :func:`polarity_detection_words` (which skips
-    voltage-silent faults) into first detections; IDDQ mode drops
-    detected faults per :data:`_CHUNK_BITS` vectors on the single-word
-    path.
-    """
-    if not iddq:
-        return _result_from_words(
-            [f.name for f in faults],
-            polarity_detection_words(
-                network, faults, vectors, False, unroll, initial_state
-            ),
-        )
-    cnet, gate_lists, vectors = _polarity_problem(
-        network, faults, vectors, unroll, initial_state, iddq=True
-    )
-    if _use_multiword(len(faults), len(vectors), len(cnet.ops)):
-        return _result_from_words(
-            [f.name for f in faults],
-            _multiword_polarity_words(
-                cnet, faults, gate_lists, vectors, iddq=True
-            ),
-        )
-    detected: dict[str, int] = {}
-    undetected = {f.name for f in faults}
-    for base in range(0, len(vectors), _CHUNK_BITS):
-        if not undetected:
-            break
-        packed = pack_vectors(cnet, vectors[base:base + _CHUNK_BITS])
-        good = cnet.simulate(packed)
-        for fault, gates in zip(faults, gate_lists):
-            if fault.name not in undetected:
-                continue
-            word = _iddq_word(
-                cnet, good, gates, fault.iddq_vectors(), packed.mask
-            )
-            if word:
-                detected[fault.name] = base + (word & -word).bit_length() - 1
-                undetected.discard(fault.name)
-    return FaultSimResult(
-        detected=detected, undetected=sorted(undetected)
+    """Batched polarity-fault campaign (voltage or IDDQ observables):
+    :func:`polarity_detection_words` folded into first detections."""
+    return _result_from_words(
+        [f.name for f in faults],
+        polarity_detection_words(
+            network, faults, vectors, iddq, unroll, initial_state
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
-# Batched two-pattern stuck-open campaigns
+# Two-pattern stuck-open faults
 # ---------------------------------------------------------------------------
 
 def _stuck_open_bad_words(
-    cnet: CompiledNetwork,
-    fault: StuckOpenFault,
-    gate_name: str,
-    good_init,
-    good_test,
-    mask: int,
+    fault: StuckOpenFault, init_pins, test_pins, mask: int
 ) -> tuple[int, int]:
     """Faulty-gate output words under the test patterns.
 
@@ -540,8 +486,6 @@ def _stuck_open_bad_words(
     vectors the output copies the init-pattern output word bitwise.
     """
     table = fault.broken_table()
-    init_pins = cnet.gate_input_words(good_init, gate_name)
-    test_pins = cnet.gate_input_words(good_test, gate_name)
     init_ones, init_zeros = eval_table_packed(table, init_pins, mask)
     ones, zeros = eval_table_packed(table, test_pins, mask)
     floating = 0
@@ -551,59 +495,15 @@ def _stuck_open_bad_words(
 
 
 def _stuck_open_injection(
-    cnet, fault, gates, good_init, good_test, mask
+    cnet, fault, gates, init: _GoodMachine, test: _GoodMachine
 ) -> FaultInjection:
     """Retained-value injection covering every replica of the break."""
     return FaultInjection(words={
         cnet.gate_output_index(gname): _stuck_open_bad_words(
-            cnet, fault, gname, good_init, good_test, mask
+            fault, init.pin_words(gname), test.pin_words(gname), test.mask
         )
         for gname in gates
     })
-
-
-def _multiword_stuck_open_words(
-    cnet,
-    faults: Sequence[StuckOpenFault],
-    gate_lists,
-    pairs: Sequence[tuple[TestVector, TestVector]],
-) -> list[int]:
-    """Multi-word two-pattern stuck-open detection matrix.
-
-    Mirrors :func:`_stuck_open_bad_words` on multi-word rows: per
-    fault, the retained/floating output under the test patterns is
-    assembled from the broken-gate table (floating vectors copy the
-    init-pattern output bitwise), then the whole fault list runs as one
-    word-forced 2-D sweep against the shared good test simulation.
-    """
-    init_mv = mw.pack_vectors_multiword(cnet, [p[0] for p in pairs])
-    test_mv = mw.pack_vectors_multiword(cnet, [p[1] for p in pairs])
-    good_init = mw.simulate_good(cnet, init_mv)
-    good_test = mw.simulate_good(cnet, test_mv)
-    injections = []
-    for fault, gates in zip(faults, gate_lists):
-        table = fault.broken_table()
-        words = {}
-        for gname in gates:
-            init_pins = mw.gate_input_rows(cnet, good_init, gname)
-            test_pins = mw.gate_input_rows(cnet, good_test, gname)
-            (init_ones,), (init_zeros,) = mw._eval_tables(
-                [table], init_pins, init_mv.mask
-            )
-            (ones,), (zeros,) = mw._eval_tables(
-                [table], test_pins, test_mv.mask
-            )
-            floating = test_mv.mask & 0
-            for minterm in fault.floating_vectors():
-                floating |= mw.minterm_word_multiword(
-                    test_pins, minterm, test_mv.mask
-                )
-            words[cnet.gate_output_index(gname)] = (
-                mw.int_from_words(ones | (floating & init_ones)),
-                mw.int_from_words(zeros | (floating & init_zeros)),
-            )
-        injections.append(FaultInjection(words=words))
-    return mw.batch_detect(cnet, test_mv, good_test, injections)
 
 
 def stuck_open_detection_words(
@@ -615,29 +515,23 @@ def stuck_open_detection_words(
 ) -> list[int]:
     """Per-fault detection words over (init, test) two-pattern pairs.
 
-    With ``unroll=``, each pattern of a pair is a per-cycle input
-    sequence (a scan-style two-sequence test).
+    Each fault's retained/floating output under the test patterns is
+    forced as a word injection against the good test simulation.  With
+    ``unroll=``, each pattern of a pair is a per-cycle input sequence
+    (a scan-style two-sequence test).
     """
     cnet, gate_lists, pairs = _stuck_open_problem(
         network, faults, pairs, unroll, initial_state
     )
-    if _use_multiword(len(faults), len(pairs), len(cnet.ops)):
-        return _multiword_stuck_open_words(cnet, faults, gate_lists, pairs)
-    init_packed = pack_vectors(cnet, [p[0] for p in pairs])
-    test_packed = pack_vectors(cnet, [p[1] for p in pairs])
-    good_init = cnet.simulate(init_packed)
-    good_test = cnet.simulate(test_packed)
-    return [
-        cnet.detect_word(
-            test_packed,
-            good_test,
-            _stuck_open_injection(
-                cnet, fault, gates, good_init, good_test,
-                test_packed.mask,
-            ),
-        )
+    multiword = _use_multiword(len(faults), len(pairs), len(cnet.ops))
+    init, test = (
+        _GoodMachine(cnet, _pack(cnet, [p[k] for p in pairs], multiword))
+        for k in (0, 1)
+    )
+    return test.detect([
+        _stuck_open_injection(cnet, fault, gates, init, test)
         for fault, gates in zip(faults, gate_lists)
-    ]
+    ])
 
 
 def parallel_stuck_open_simulation(
@@ -647,39 +541,11 @@ def parallel_stuck_open_simulation(
     unroll: int | None = None,
     initial_state: Mapping[str, int] | None = None,
 ) -> FaultSimResult:
-    """Batched two-pattern stuck-open campaign with fault dropping."""
-    cnet, gate_lists, pairs = _stuck_open_problem(
-        network, faults, pairs, unroll, initial_state
-    )
-    if _use_multiword(len(faults), len(pairs), len(cnet.ops)):
-        words = _multiword_stuck_open_words(
-            cnet, faults, gate_lists, pairs
-        )
-        return _result_from_words([f.name for f in faults], words)
-    detected: dict[str, int] = {}
-    undetected = {f.name for f in faults}
-    for base in range(0, len(pairs), _CHUNK_BITS):
-        if not undetected:
-            break
-        chunk = pairs[base:base + _CHUNK_BITS]
-        init_packed = pack_vectors(cnet, [p[0] for p in chunk])
-        test_packed = pack_vectors(cnet, [p[1] for p in chunk])
-        good_init = cnet.simulate(init_packed)
-        good_test = cnet.simulate(test_packed)
-        for fault, gates in zip(faults, gate_lists):
-            if fault.name not in undetected:
-                continue
-            diff = cnet.detect_word(
-                test_packed,
-                good_test,
-                _stuck_open_injection(
-                    cnet, fault, gates, good_init, good_test,
-                    test_packed.mask,
-                ),
-            )
-            if diff:
-                detected[fault.name] = base + (diff & -diff).bit_length() - 1
-                undetected.discard(fault.name)
-    return FaultSimResult(
-        detected=detected, undetected=sorted(undetected)
+    """Batched two-pattern stuck-open campaign:
+    :func:`stuck_open_detection_words` folded into first detections."""
+    return _result_from_words(
+        [f.name for f in faults],
+        stuck_open_detection_words(
+            network, faults, pairs, unroll, initial_state
+        ),
     )

@@ -146,8 +146,8 @@ def run_sof_atpg(
     straight to ``masked``.  Every generated pair is verified by the
     batched two-pattern fault simulator before it is kept.  With
     ``drop_detected``, every generated pattern pair is also batch
-    fault-simulated against the still-untargeted faults (the fault
-    simulator's ``auto`` engine selection); collaterally detected
+    fault-simulated against the still-untargeted faults (the problem
+    size picks the fault simulator's engine); collaterally detected
     faults are dropped instead of getting a dedicated test — far fewer
     PODEM searches on large circuits.
     """

@@ -17,9 +17,10 @@ splitting a grid between them with no duplicated and no lost rows:
   expired where PIDs cannot be probed) are re-queued on every open.
 * **Per-row checksums.**  Each result row stores the CRC-32 of its
   canonical JSON text.  ``open``/``verify(repair=True)`` recompute
-  them; torn or tampered rows are moved to a ``quarantine`` table
-  (evidence, not silent deletion) and their tasks re-queued, so a
-  resume recomputes exactly the damaged cells.
+  them for every row and ``latest`` for the rows it reads; torn or
+  tampered rows are moved to a ``quarantine`` table (evidence, not
+  silent deletion) and their tasks re-queued, so a resume recomputes
+  exactly the damaged cells.
 * **Schema versioning + one-way migration.**  ``meta.store_schema``
   names the layout version (:data:`SqliteBackend.STORE_SCHEMA`); a
   store written by a newer layout refuses to open.
@@ -126,19 +127,20 @@ def require_sqlite(path: str | Path) -> None:
 #: JSON array, so there is no host-parameter limit, and the ``IN`` list
 #: searches ``idx_results_task`` instead of scanning the table.
 _TASK_ROWS_SQL = (
-    "SELECT task_id, record FROM results "
+    "SELECT seq, task_id, record, checksum FROM results "
     "WHERE task_id IN (SELECT value FROM json_each(?)) ORDER BY seq"
 )
 
 
 def _rows(
     conn: sqlite3.Connection, task_ids: Iterable[str] | None
-) -> list[tuple[str, str]]:
-    """``(task_id, record text)`` in commit order: every row, or only
-    the rows of ``task_ids``."""
+) -> list[tuple[int, str, str, int]]:
+    """``(seq, task_id, record text, checksum)`` in commit order: every
+    row, or only the rows of ``task_ids``."""
     if task_ids is None:
         return conn.execute(
-            "SELECT task_id, record FROM results ORDER BY seq"
+            "SELECT seq, task_id, record, checksum FROM results "
+            "ORDER BY seq"
         ).fetchall()
     return conn.execute(
         _TASK_ROWS_SQL, (json.dumps(list(task_ids)),)
@@ -186,7 +188,7 @@ class StoreReader:
             except sqlite3.OperationalError:  # store still being created
                 return []
         records = []
-        for _task_id, text in rows:
+        for _seq, _task_id, text, _checksum in rows:
             try:
                 records.append(json.loads(text))
             except json.JSONDecodeError:
@@ -215,6 +217,25 @@ def scan_records(store_path: Path) -> list[dict]:
 def _checksum(text: str) -> int:
     """CRC-32 of the canonical record text (torn/tamper detection)."""
     return zlib.crc32(text.encode("utf-8"))
+
+
+def _latest_and_corrupt(rows) -> tuple[dict[str, dict], list[tuple]]:
+    """Split ``_rows`` output into task_id -> latest good record and the
+    ``(seq, task_id, text, checksum, reason)`` rows that fail their
+    checksum or JSON check."""
+    latest: dict[str, dict] = {}
+    corrupt: list[tuple[int, str, str, int, str]] = []
+    for seq, task_id, text, checksum in rows:
+        if _checksum(text) != checksum:
+            reason = "checksum mismatch (torn or tampered row)"
+        else:
+            try:
+                latest[task_id] = json.loads(text)
+                continue
+            except json.JSONDecodeError:
+                reason = "unparseable record JSON"
+        corrupt.append((seq, task_id, text, checksum, reason))
+    return latest, corrupt
 
 
 def _pid_alive(pid: int) -> bool | None:
@@ -579,11 +600,18 @@ class SqliteBackend:
         self, task_ids: Iterable[str] | None = None
     ) -> dict[str, dict]:
         """task_id -> most recent record (reruns supersede old rows),
-        over the whole store or only over ``task_ids``."""
-        return {
-            task_id: json.loads(text)
-            for task_id, text in _rows(self._connection(), task_ids)
-        }
+        over the whole store or only over ``task_ids``.
+
+        A row that fails its checksum or JSON check is left out, moved
+        to quarantine and its task re-queued, as the recovery pass of
+        :meth:`open` would, so a resume recomputes the cell; a
+        ``read_only`` backend only skips it."""
+        latest, corrupt = _latest_and_corrupt(
+            _rows(self._connection(), task_ids)
+        )
+        if corrupt and not self.read_only:
+            self._quarantine(corrupt)
+        return latest
 
     # -- integrity ---------------------------------------------------------
 
@@ -591,6 +619,39 @@ class SqliteBackend:
         """On-demand recovery: same pass ``open`` runs."""
         self.verify(repair=True)
         self._requeue_stale()
+
+    def _quarantine(self, corrupt: list[tuple]) -> None:
+        """Move ``corrupt`` rows (as :func:`_latest_and_corrupt` lists
+        them) to the quarantine table and re-queue their tasks, in one
+        transaction.  A row another reader already moved is skipped, so
+        a racing reader neither duplicates the evidence nor re-queues a
+        task that has been claimed since."""
+        conn = self._connection()
+
+        def txn() -> None:
+            conn.execute("BEGIN IMMEDIATE")
+            for seq, task_id, text, checksum, reason in corrupt:
+                if not conn.execute(
+                    "DELETE FROM results WHERE seq = ?", (seq,)
+                ).rowcount:
+                    continue
+                conn.execute(
+                    "INSERT INTO quarantine (seq, task_id, record, "
+                    "checksum, reason, quarantined_at) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    (seq, task_id, text, checksum, reason, time.time()),
+                )
+                # Re-queue the damaged cell so resume recomputes it.
+                conn.execute(
+                    "INSERT INTO tasks (task_id, status) "
+                    "VALUES (?, 'pending') ON CONFLICT(task_id) DO "
+                    "UPDATE SET status='pending', owner_pid=NULL, "
+                    "claimed_at=NULL",
+                    (task_id,),
+                )
+            conn.execute("COMMIT")
+
+        self._with_retry(txn)
 
     def verify(self, repair: bool = False) -> dict:
         """Checksum/claim/quarantine census.
@@ -603,50 +664,10 @@ class SqliteBackend:
         (quarantine evidence alone does not fail a healthy store).
         """
         conn = self._connection()
-        rows = conn.execute(
-            "SELECT seq, task_id, record, checksum FROM results "
-            "ORDER BY seq"
-        ).fetchall()
-        corrupt: list[tuple[int, str, str, int, str]] = []
-        # Latest good record per task, computed from this same scan
-        # (``self.latest()`` would choke on the corrupt rows that may
-        # still be present when ``repair=False``).
-        latest: dict[str, dict] = {}
-        for seq, task_id, text, checksum in rows:
-            reason = None
-            if _checksum(text) != checksum:
-                reason = "checksum mismatch (torn or tampered row)"
-            else:
-                try:
-                    latest[task_id] = json.loads(text)
-                except json.JSONDecodeError:
-                    reason = "unparseable record JSON"
-            if reason is not None:
-                corrupt.append((seq, task_id, text, checksum, reason))
+        rows = _rows(conn, None)
+        latest, corrupt = _latest_and_corrupt(rows)
         if repair and corrupt:
-            def txn() -> None:
-                conn.execute("BEGIN IMMEDIATE")
-                for seq, task_id, text, checksum, reason in corrupt:
-                    conn.execute(
-                        "INSERT INTO quarantine (seq, task_id, record, "
-                        "checksum, reason, quarantined_at) "
-                        "VALUES (?, ?, ?, ?, ?, ?)",
-                        (seq, task_id, text, checksum, reason, time.time()),
-                    )
-                    conn.execute(
-                        "DELETE FROM results WHERE seq = ?", (seq,)
-                    )
-                    # Re-queue the damaged cell so resume recomputes it.
-                    conn.execute(
-                        "INSERT INTO tasks (task_id, status) "
-                        "VALUES (?, 'pending') ON CONFLICT(task_id) DO "
-                        "UPDATE SET status='pending', owner_pid=NULL, "
-                        "claimed_at=NULL",
-                        (task_id,),
-                    )
-                conn.execute("COMMIT")
-
-            self._with_retry(txn)
+            self._quarantine(corrupt)
         task_counts = dict(
             conn.execute(
                 "SELECT status, COUNT(*) FROM tasks GROUP BY status"

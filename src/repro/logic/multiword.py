@@ -309,24 +309,6 @@ def _eval_tables(
     return ones, zeros
 
 
-def minterm_word_multiword(
-    pin_rows: Sequence[tuple[np.ndarray, np.ndarray]],
-    minterm: Sequence[int],
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Word of vectors whose pins definitely equal ``minterm``.
-
-    Multi-word counterpart of :func:`repro.logic.compiled.minterm_word`
-    (vectors with any X pin match no minterm).
-    """
-    word = mask.copy()
-    for (o, z), bit in zip(pin_rows, minterm):
-        word &= o if bit else z
-        if not word.any():
-            break
-    return word
-
-
 def gate_input_rows(
     cnet: CompiledNetwork, state: MultiwordState, gate: str
 ) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.backends import sqlite as sqlite_backend
 from repro.campaign.backends import (
     SqliteBackend,
     migrate_jsonl_to_sqlite,
@@ -103,6 +104,40 @@ class TestReadOnlyAccess:
         with pytest.raises(sqlite3.OperationalError):
             open_store(tmp_path / "missing.sqlite", read_only=True)
         assert list(tmp_path.iterdir()) == []
+
+    def test_latest_leaves_out_a_row_damaged_after_open(self, tmp_path):
+        """A row that fails its checks after the recovering open: a
+        read-only ``latest`` only skips it, a writable one also moves it
+        to quarantine and re-queues its task, once: a racing reader that
+        read the rows first neither duplicates the evidence nor re-queues
+        a task claimed since."""
+        path = tmp_path / "s.sqlite"
+        with open_store(path) as store:
+            for task_id in ("a", "b", "c"):
+                store.append(_ok_record(task_id))
+            conn = sqlite3.connect(str(path))
+            with conn:
+                conn.execute(
+                    "UPDATE results SET record = substr(record, 1, 20) "
+                    "WHERE task_id = 'a'"
+                )
+                conn.execute(
+                    "UPDATE results SET record = replace(record, "
+                    "'\"ok\"', '\"OK\"') WHERE task_id = 'b'"
+                )
+            conn.close()
+            with open_store(path, read_only=True) as reader:
+                assert list(reader.latest()) == ["c"]
+                assert reader.verify()["n_quarantined"] == 0
+            _, corrupt = sqlite_backend._latest_and_corrupt(
+                sqlite_backend._rows(store._connection(), None)
+            )
+            assert list(store.latest(["a", "b", "c"])) == ["c"]
+            assert store.claim("a")
+            store._quarantine(corrupt)   # a reader that read them first
+            report = store.verify()
+        assert report["n_corrupt"] == 0 and report["n_quarantined"] == 2
+        assert report["tasks"] == {"claimed": 1, "done": 1, "pending": 1}
 
     def test_scan_of_missing_store_is_empty(self, tmp_path):
         assert scan_records(tmp_path / "missing.sqlite") == []

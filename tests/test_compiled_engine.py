@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.fault_sim_paths import PATHS, on_path
 from oracles.serial_atpg import (
     serial_polarity_simulation,
     serial_stuck_at_simulation,
@@ -241,6 +242,37 @@ def test_polarity_campaign_matches_serial(iddq):
     )
     assert batched.detected == serial.detected
     assert batched.undetected == serial.undetected
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_stuck_open_campaign_matches_serial(path):
+    """First detections past the first 64 pairs: 64 copies of a pair
+    without a transition (it detects no open) lead a random tail."""
+    network = build_benchmark("alu4")
+    faults = _sample(stuck_open_faults(network))
+    still, *vectors = _vectors(network, 41, seed=31)
+    tail = list(zip(vectors[:-1], vectors[1:]))
+    result = on_path(
+        path, parallel_stuck_open_simulation, network, faults,
+        [(still, still)] * 64 + tail,
+    )
+    expected = {}
+    for fault in faults:
+        assert not detects_stuck_open(network, fault, still, still)
+        first = next(
+            (
+                k for k, (init, test) in enumerate(tail)
+                if detects_stuck_open(network, fault, init, test)
+            ),
+            None,
+        )
+        if first is not None:
+            expected[fault.name] = 64 + first
+    assert expected
+    assert result.detected == expected
+    assert result.undetected == sorted(
+        f.name for f in faults if f.name not in expected
+    )
 
 
 def test_stuck_open_campaign_detects_generated_tests():

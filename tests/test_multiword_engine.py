@@ -376,6 +376,28 @@ class TestCorpus:
         ) == on_path(
             "single_word", stuck_at_detection_words, network, faults, vectors,
         )
+        po = faults_of(network, "polarity")
+        iddq = on_path(
+            "multiword", polarity_detection_words, network, po, vectors,
+            iddq=True,
+        )
+        assert any(iddq)
+        assert iddq == on_path(
+            "single_word", polarity_detection_words, network, po, vectors,
+            iddq=True,
+        )
+        so = faults_of(network, "stuck_open")
+        pairs = pair_list(random_vectors(network, 257, seed=2))
+        for n_pairs in (1, 256):
+            words = on_path(
+                "multiword", stuck_open_detection_words, network, so,
+                pairs[:n_pairs],
+            )
+            assert any(words)
+            assert words == on_path(
+                "single_word", stuck_open_detection_words, network, so,
+                pairs[:n_pairs],
+            )
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(CORPUS_RECIPES))
@@ -398,6 +420,13 @@ class TestCorpus:
                 "single_word", polarity_detection_words, network, po, vectors,
                 iddq=iddq,
             )
+        so = faults_of(network, "stuck_open")
+        pairs = pair_list(vectors)
+        assert on_path(
+            "multiword", stuck_open_detection_words, network, so, pairs,
+        ) == on_path(
+            "single_word", stuck_open_detection_words, network, so, pairs,
+        )
 
     @pytest.mark.slow
     def test_scaling_campaign_coverage(self):

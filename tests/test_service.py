@@ -574,6 +574,37 @@ class TestJobFailureModes:
         finally:
             manager.stop(drain=False)
 
+    def test_row_damaged_while_serving_is_recomputed(self, tmp_path):
+        """A result row torn while the server runs: resubmitting its
+        grid quarantines the row and recomputes the cell, no restart."""
+        manager = JobManager(tmp_path / "state", job_workers=1).start()
+        try:
+            first = manager.wait(manager.submit(SMALL_SPEC)["id"])
+            assert first["state"] == "done"
+            (torn,) = [
+                t for t in _store_task_ids(manager.store_path)
+                if t.startswith("c17/stuck_at/")
+            ]
+            conn = sqlite3.connect(str(manager.store_path))
+            with conn:
+                conn.execute(
+                    "UPDATE results SET record = substr(record, 1, 20) "
+                    "WHERE task_id = ?", (torn,),
+                )
+            conn.close()
+
+            rerun = manager.wait(manager.submit(SMALL_SPEC)["id"])
+            assert rerun["state"] == "done"
+            assert rerun["counts"]["ok"] == SMALL_TASKS
+            uri = f"file:{manager.store_path}?mode=ro"
+            with sqlite3.connect(uri, uri=True) as ro:
+                assert ro.execute(
+                    "SELECT task_id FROM quarantine"
+                ).fetchall() == [(torn,)]
+        finally:
+            manager.stop(drain=True)
+        assert _store_task_ids(manager.store_path).count(torn) == 1
+
     def test_recover_requeues_jobs_from_disk(self, tmp_path):
         # Simulate a SIGKILLed manager: the job file says 'running'
         # but no process is working on it.
