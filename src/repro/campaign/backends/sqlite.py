@@ -16,11 +16,11 @@ splitting a grid between them with no duplicated and no lost rows:
   nothing but a stale claim.  Stale claims (owner PID dead, or lease
   expired where PIDs cannot be probed) are re-queued on every open.
 * **Per-row checksums.**  Each result row stores the CRC-32 of its
-  canonical JSON text.  ``open``/``verify(repair=True)`` recompute
-  them for every row and ``latest`` for the rows it reads; torn or
-  tampered rows are moved to a ``quarantine`` table (evidence, not
-  silent deletion) and their tasks re-queued, so a resume recomputes
-  exactly the damaged cells.
+  canonical JSON text, and every read of result rows checks it and the
+  JSON: a torn or tampered row is left out everywhere.  ``open``,
+  ``verify(repair=True)`` and a writable ``latest`` also move it to a
+  ``quarantine`` table (evidence, not silent deletion) and re-queue its
+  task, so a resume recomputes exactly the damaged cells.
 * **Schema versioning + one-way migration.**  ``meta.store_schema``
   names the layout version (:data:`SqliteBackend.STORE_SCHEMA`); a
   store written by a newer layout refuses to open.
@@ -32,6 +32,10 @@ splitting a grid between them with no duplicated and no lost rows:
   connections that never repair, re-queue or create anything, so
   reports, exports, status polls and ``verify-store`` without
   ``--repair`` leave the store exactly as they found it.
+* **Job records.**  The ``jobs`` table holds the job service's record
+  of each job (its spec and lifecycle state), written by
+  :meth:`SqliteBackend.put_job`, so a served state directory keeps all
+  of its durable state in this one file.
 * **Task-scoped reads.**  ``StoreReader.records(task_ids)`` and
   ``SqliteBackend.latest(task_ids)`` read only the rows of the given
   tasks, through the ``idx_results_task`` index, so a job's status
@@ -69,6 +73,10 @@ from repro.campaign.store import SCHEMA_VERSION
 _IO_ATTEMPTS = 6
 _IO_BACKOFF_BASE = 0.02
 _IO_BACKOFF_MAX = 1.0
+#: How long a statement waits on another connection's lock.
+_BUSY_TIMEOUT_S = 5.0
+#: Age after which a claim is stale where PID liveness cannot be probed.
+_CLAIM_LEASE_S = 3600.0
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -97,6 +105,10 @@ CREATE TABLE IF NOT EXISTS quarantine (
     checksum       INTEGER,
     reason         TEXT NOT NULL,
     quarantined_at REAL
+);
+CREATE TABLE IF NOT EXISTS jobs (
+    id      TEXT PRIMARY KEY,
+    payload TEXT NOT NULL
 );
 """
 
@@ -167,8 +179,9 @@ class StoreReader:
     def records(self, task_ids: Iterable[str] | None = None) -> list[dict]:
         """The records of ``task_ids`` (default: every task) in commit
         order.  A missing or still-initialising store (no campaign ran
-        yet) is just empty, and an unparseable row — quarantine's job,
-        on the next recovering open — is skipped."""
+        yet) is just empty, and a row that fails its checksum or JSON
+        check — quarantine's job, on the next recovering open — is
+        skipped."""
         with self._lock:
             if self._conn is None:
                 if not self.path.exists():
@@ -177,7 +190,7 @@ class StoreReader:
                     self._conn = sqlite3.connect(
                         f"file:{self.path}?mode=ro",
                         uri=True,
-                        timeout=5.0,
+                        timeout=_BUSY_TIMEOUT_S,
                         isolation_level=None,
                         check_same_thread=False,  # guarded by _lock
                     )
@@ -187,13 +200,7 @@ class StoreReader:
                 rows = _rows(self._conn, task_ids)
             except sqlite3.OperationalError:  # store still being created
                 return []
-        records = []
-        for _seq, _task_id, text, _checksum in rows:
-            try:
-                records.append(json.loads(text))
-            except json.JSONDecodeError:
-                continue
-        return records
+        return [record for _task_id, record in _checked(rows)[0]]
 
     def close(self) -> None:
         """Drop the connection; the next read opens a new one."""
@@ -219,23 +226,24 @@ def _checksum(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def _latest_and_corrupt(rows) -> tuple[dict[str, dict], list[tuple]]:
-    """Split ``_rows`` output into task_id -> latest good record and the
-    ``(seq, task_id, text, checksum, reason)`` rows that fail their
-    checksum or JSON check."""
-    latest: dict[str, dict] = {}
+def _checked(rows) -> tuple[list[tuple[str, dict]], list[tuple]]:
+    """The one decode of result rows: split ``_rows`` output into the
+    good ``(task_id, record)`` pairs in commit order and the ``(seq,
+    task_id, text, checksum, reason)`` rows that fail their checksum or
+    JSON check."""
+    good: list[tuple[str, dict]] = []
     corrupt: list[tuple[int, str, str, int, str]] = []
     for seq, task_id, text, checksum in rows:
         if _checksum(text) != checksum:
             reason = "checksum mismatch (torn or tampered row)"
         else:
             try:
-                latest[task_id] = json.loads(text)
+                good.append((task_id, json.loads(text)))
                 continue
             except json.JSONDecodeError:
                 reason = "unparseable record JSON"
         corrupt.append((seq, task_id, text, checksum, reason))
-    return latest, corrupt
+    return good, corrupt
 
 
 def _pid_alive(pid: int) -> bool | None:
@@ -268,15 +276,11 @@ class SqliteBackend:
         fsync: bool = False,
         chaos=None,
         read_only: bool = False,
-        busy_timeout_s: float = 5.0,
-        claim_lease_s: float = 3600.0,
     ) -> None:
         self.path = Path(path)
         self.fsync = fsync
         self.chaos = chaos
         self.read_only = read_only
-        self.busy_timeout_s = busy_timeout_s
-        self.claim_lease_s = claim_lease_s
         self._conn: sqlite3.Connection | None = None
         #: Task ids THIS instance claimed and has not yet resolved —
         #: ``release`` hands back exactly these, not everything the PID
@@ -300,15 +304,18 @@ class SqliteBackend:
             self._conn = sqlite3.connect(
                 f"file:{self.path}?mode=ro",
                 uri=True,
-                timeout=self.busy_timeout_s,
+                timeout=_BUSY_TIMEOUT_S,
                 isolation_level=None,
             )
             return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(
             str(self.path),
-            timeout=self.busy_timeout_s,
+            timeout=_BUSY_TIMEOUT_S,
             isolation_level=None,  # autocommit; transactions are explicit
+            # A backend shared by threads is used under its owner's lock
+            # (the job manager's job-record writes).
+            check_same_thread=False,
         )
         self._conn = conn
         try:
@@ -355,7 +362,7 @@ class SqliteBackend:
             f"PRAGMA synchronous={'FULL' if self.fsync else 'NORMAL'}"
         )
         self._conn.execute(
-            f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
+            f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_S * 1000)}"
         )
 
     def _init_schema(self) -> None:
@@ -506,7 +513,7 @@ class SqliteBackend:
         if alive is not None:
             return not alive
         age = time.time() - (claimed_at or 0.0)
-        return age > self.claim_lease_s
+        return age > _CLAIM_LEASE_S
 
     def _requeue_stale(self, task_ids: set[str] | None = None) -> int:
         """Re-queue claims whose owners died (crash between claim and
@@ -587,14 +594,24 @@ class SqliteBackend:
         self._with_retry(txn)
         self._claimed.discard(task_id)  # resolved with the result row
 
-    # -- reading -----------------------------------------------------------
+    # -- job records -------------------------------------------------------
 
-    def load(self) -> list[dict]:
-        """All records in commit order."""
-        rows = self._connection().execute(
-            "SELECT record FROM results ORDER BY seq"
+    def put_job(self, job_id: str, payload: dict) -> None:
+        """Write (or overwrite) the job service's record of one job."""
+        conn = self._connection()
+        text = json.dumps(payload, sort_keys=True)
+        self._with_retry(lambda: conn.execute(
+            "INSERT OR REPLACE INTO jobs (id, payload) VALUES (?, ?)",
+            (job_id, text),
+        ))
+
+    def jobs(self) -> list[tuple[str, str]]:
+        """Every job record as ``(id, payload JSON text)``, by id."""
+        return self._connection().execute(
+            "SELECT id, payload FROM jobs ORDER BY id"
         ).fetchall()
-        return [json.loads(text) for (text,) in rows]
+
+    # -- reading -----------------------------------------------------------
 
     def latest(
         self, task_ids: Iterable[str] | None = None
@@ -606,12 +623,10 @@ class SqliteBackend:
         to quarantine and its task re-queued, as the recovery pass of
         :meth:`open` would, so a resume recomputes the cell; a
         ``read_only`` backend only skips it."""
-        latest, corrupt = _latest_and_corrupt(
-            _rows(self._connection(), task_ids)
-        )
+        good, corrupt = _checked(_rows(self._connection(), task_ids))
         if corrupt and not self.read_only:
             self._quarantine(corrupt)
-        return latest
+        return dict(good)
 
     # -- integrity ---------------------------------------------------------
 
@@ -621,11 +636,11 @@ class SqliteBackend:
         self._requeue_stale()
 
     def _quarantine(self, corrupt: list[tuple]) -> None:
-        """Move ``corrupt`` rows (as :func:`_latest_and_corrupt` lists
-        them) to the quarantine table and re-queue their tasks, in one
-        transaction.  A row another reader already moved is skipped, so
-        a racing reader neither duplicates the evidence nor re-queues a
-        task that has been claimed since."""
+        """Move ``corrupt`` rows (as :func:`_checked` lists them) to the
+        quarantine table and re-queue their tasks, in one transaction.
+        A row another reader already moved is skipped, so a racing
+        reader neither duplicates the evidence nor re-queues a task
+        that has been claimed since."""
         conn = self._connection()
 
         def txn() -> None:
@@ -665,7 +680,8 @@ class SqliteBackend:
         """
         conn = self._connection()
         rows = _rows(conn, None)
-        latest, corrupt = _latest_and_corrupt(rows)
+        good, corrupt = _checked(rows)
+        latest = dict(good)
         if repair and corrupt:
             self._quarantine(corrupt)
         task_counts = dict(

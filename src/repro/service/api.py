@@ -262,11 +262,12 @@ def serve_forever(
 ) -> int:
     """Run the service until SIGTERM/SIGINT, then wind down gracefully.
 
-    Startup recovers persisted jobs (see :meth:`JobManager.recover`);
-    shutdown stops accepting requests, cancels running campaigns
-    cooperatively *as re-queues* — store claims released, store
-    flushed, jobs back to ``queued`` on disk — so a restart resumes
-    them.  ``ready`` (tests) is set once the socket is listening.
+    Startup recovers the store and its jobs (see
+    :meth:`JobManager.recover`); shutdown stops accepting requests,
+    cancels running campaigns cooperatively *as re-queues* — store
+    claims released, store flushed, jobs back to ``queued`` in the
+    store — so a restart resumes them.  ``ready`` (tests) is set once
+    the socket is listening.
     """
     manager = JobManager(state_dir, job_workers=job_workers).start()
     server = create_server(manager, host, port)

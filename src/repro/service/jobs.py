@@ -5,9 +5,8 @@ into a long-lived service primitive:
 
 * **Submit** — a :class:`JobSpec` (circuits × fault classes plus
   worker / timeout options) is validated against the registry,
-  expanded to its task grid, persisted as a JSON file under the
-  manager's state directory, and queued; the caller gets a job id
-  immediately.
+  expanded to its task grid, written as a row of the store's ``jobs``
+  table, and queued; the caller gets a job id immediately.
 * **Background supervision** — a small pool of daemon worker threads
   drains the queue; each job runs one campaign against the manager's
   **shared sqlite store**, so concurrent jobs over overlapping grids
@@ -27,13 +26,13 @@ into a long-lived service primitive:
 * **Cooperative cancel** — :meth:`JobManager.cancel` sets the job's
   stop event; the campaign winds down between cells, releases its
   store claims and leaves the store resumable (state ``cancelled``).
-* **SIGKILL survival** — specs are on disk and results/claims are in
+* **SIGKILL survival** — job records, results and claims are all in
   the sqlite store, so a killed server loses nothing:
-  :meth:`JobManager.recover` (run at startup) re-queues every job that
-  had not reached a terminal state; ``resume=True`` plus the store's
-  dead-PID claim reclamation make the rerun recompute exactly the
-  unfinished cells, converging bit-identical (after
-  ``strip_volatile``) to an undisturbed run.
+  :meth:`JobManager.recover` (run at startup) reads the ``jobs`` table
+  and re-queues every job that had not reached a terminal state;
+  ``resume=True`` plus the store's dead-PID claim reclamation make the
+  rerun recompute exactly the unfinished cells, converging
+  bit-identical (after ``strip_volatile``) to an undisturbed run.
 
 Job lifecycle (the state machine ``docs/SERVICE.md`` documents)::
 
@@ -52,7 +51,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import threading
 import time
 import uuid
@@ -79,9 +77,6 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
-
-#: Version of the on-disk job-file layout.
-JOB_SCHEMA = 1
 
 JOBS_TOTAL = counter(
     "repro_service_jobs_total",
@@ -198,7 +193,8 @@ class JobSpec:
 
 @dataclasses.dataclass
 class Job:
-    """In-memory job record (persisted to ``jobs/<id>.json``)."""
+    """In-memory job record (persisted as a row of the store's
+    ``jobs`` table)."""
 
     id: str
     spec: JobSpec
@@ -212,14 +208,13 @@ class Job:
         default_factory=threading.Event, repr=False, compare=False
     )
     #: Set during server shutdown: the cancel is a wind-down, so the
-    #: job goes back to ``queued`` on disk and resumes next start.
+    #: job goes back to ``queued`` in the store and resumes next start.
     requeue_on_cancel: bool = dataclasses.field(
         default=False, repr=False, compare=False
     )
 
     def to_payload(self) -> dict:
         return {
-            "schema": JOB_SCHEMA,
             "id": self.id,
             "spec": self.spec.to_payload(),
             "state": self.state,
@@ -253,11 +248,14 @@ class JobManager:
     ) -> None:
         self.state_dir = Path(state_dir)
         self.store_path = self.state_dir / "store.sqlite"
-        self.jobs_dir = self.state_dir / "jobs"
         self.job_workers = max(1, job_workers)
         self.policy = policy or RetryPolicy()
         #: The request threads' read-only view of the store.
         self._reader = StoreReader(self.store_path)
+        #: The connection job records are written on: opened (and so
+        #: recovered) by the first read or write, used under _store_lock.
+        self._store = SqliteBackend(self.store_path)
+        self._store_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._queue: deque[str] = deque()
         self._lock = threading.Lock()
@@ -270,8 +268,7 @@ class JobManager:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "JobManager":
-        """Recover persisted jobs and spawn the worker-thread pool."""
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        """Recover stored jobs and spawn the worker-thread pool."""
         self.recover()
         with self._lock:
             self._shutdown = False
@@ -291,7 +288,7 @@ class JobManager:
 
         ``drain=True`` lets running jobs finish; the default cancels
         them cooperatively *as a requeue* — they go back to ``queued``
-        on disk (store claims released, store flushed) so the next
+        in the store (claims released, store flushed) so the next
         :meth:`start` resumes them where they stopped.
         """
         with self._lock:
@@ -308,19 +305,27 @@ class JobManager:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._threads = [t for t in self._threads if t.is_alive()]
         self._reader.close()
+        with self._store_lock:
+            self._store.close()
 
     def recover(self) -> list[str]:
-        """Re-queue every persisted job that never reached a terminal
-        state (the post-SIGKILL path).  Returns the re-queued ids."""
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
+        """Re-queue every stored job that never reached a terminal
+        state (the post-SIGKILL path).  Returns the re-queued ids.
+
+        The read opens the store first, which runs its recovery
+        (journal recovery, quarantine, stale-claim re-queue).  A job
+        whose spec no longer validates (say, it names a circuit this
+        checkout lacks) is skipped."""
+        with self._store_lock:
+            rows = self._store.jobs()
         requeued = []
-        for path in sorted(self.jobs_dir.glob("*.json")):
+        for job_id, text in rows:
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
+                payload = json.loads(text)
                 spec = JobSpec.from_payload(payload["spec"])
-            except (json.JSONDecodeError, KeyError, JobError, OSError):
-                continue  # half-written spec file: nothing to resume
-            job_id = payload.get("id") or path.stem
+                task_ids = tuple(t.task_id for t in spec.expand())
+            except (json.JSONDecodeError, KeyError, TypeError, JobError):
+                continue
             with self._lock:
                 if job_id in self._jobs:
                     continue
@@ -332,11 +337,8 @@ class JobManager:
                     started_at=payload.get("started_at"),
                     finished_at=payload.get("finished_at"),
                     error=payload.get("error"),
+                    task_ids=task_ids,
                 )
-                with contextlib.suppress(JobError):
-                    job.task_ids = tuple(
-                        t.task_id for t in spec.expand()
-                    )
                 self._jobs[job_id] = job
                 if job.state in (QUEUED, RUNNING):
                     # A 'running' job here means the previous server
@@ -347,8 +349,8 @@ class JobManager:
                     self._queue.append(job_id)
                     self._wake.notify()
                     requeued.append(job_id)
-            if job.state == QUEUED:
-                self._persist(job)
+        for job_id in requeued:
+            self._persist(self.get(job_id))
         return requeued
 
     # -- the API surface ---------------------------------------------------
@@ -573,20 +575,14 @@ class JobManager:
     # -- persistence -------------------------------------------------------
 
     def _persist(self, job: Job) -> None:
-        """Atomic (tmp + rename) rewrite of the job's state file."""
-        path = self.jobs_dir / f"{job.id}.json"
-        # Thread-scoped tmp name: the submit thread and a worker thread
-        # can persist the same job concurrently.
-        tmp = path.with_suffix(
-            f".tmp{os.getpid()}.{threading.get_ident()}"
-        )
-        self.jobs_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            payload = job.to_payload()
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8"
-        )
-        tmp.replace(path)
+        """Write the job's row.  The submit thread and a worker thread
+        can persist the same job concurrently: the state is read under
+        the same lock as the write, so the last row written holds the
+        newest state."""
+        with self._store_lock:
+            with self._lock:
+                payload = job.to_payload()
+            self._store.put_job(job.id, payload)
 
     def _refresh_inflight(self) -> None:
         with self._lock:

@@ -20,6 +20,7 @@ import pytest
 
 from repro.campaign.backends import (
     SqliteBackend,
+    StoreReader,
     migrate_jsonl_to_sqlite,
     open_store,
 )
@@ -67,8 +68,10 @@ def _killed_store(path, committed, killed_task):
 
 def _stored(path, latest=True):
     """The latest record per task (or every row) of a store, read-only."""
+    if not latest:
+        return StoreReader(path).records()
     with open_store(path, read_only=True) as store:
-        return list(store.latest().values()) if latest else store.load()
+        return list(store.latest().values())
 
 
 @pytest.fixture(scope="module")
@@ -568,7 +571,7 @@ class TestTables:
         with SqliteBackend(tmp_path / "canned.sqlite").open() as store:
             for record in CANNED_RECORDS:
                 store.append(dict(record))
-            table = coverage_table(store.load())
+            table = coverage_table(StoreReader(store.path).records())
         row = next(
             line for line in table.splitlines() if line.startswith("rca4")
         )

@@ -23,6 +23,7 @@ import pytest
 from repro.campaign.backends import sqlite as sqlite_backend
 from repro.campaign.backends import (
     SqliteBackend,
+    StoreReader,
     migrate_jsonl_to_sqlite,
     open_store,
     scan_records,
@@ -78,7 +79,7 @@ class TestDetection:
         with open_store(db) as store:
             store.append(_ok_record("a"))
         with open_store(db) as store:
-            assert len(store.load()) == 1
+            assert len(StoreReader(store.path).records()) == 1
 
     def test_open_store_rejects_unknown_backend(self, tmp_path):
         with pytest.raises(ValueError, match="migrate-store"):
@@ -94,11 +95,12 @@ class TestReadOnlyAccess:
         with open_store(path) as store:
             store.append(_ok_record("a"))
         with open_store(path, read_only=True) as store:
-            assert [r["task_id"] for r in store.load()] == ["a"]
+            rows = StoreReader(store.path).records()
+            assert [r["task_id"] for r in rows] == ["a"]
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 store.append(_ok_record("b"))
         with open_store(path, read_only=True) as store:
-            assert len(store.load()) == 1
+            assert len(StoreReader(store.path).records()) == 1
 
     def test_read_only_open_creates_nothing(self, tmp_path):
         with pytest.raises(sqlite3.OperationalError):
@@ -129,7 +131,7 @@ class TestReadOnlyAccess:
             with open_store(path, read_only=True) as reader:
                 assert list(reader.latest()) == ["c"]
                 assert reader.verify()["n_quarantined"] == 0
-            _, corrupt = sqlite_backend._latest_and_corrupt(
+            _, corrupt = sqlite_backend._checked(
                 sqlite_backend._rows(store._connection(), None)
             )
             assert list(store.latest(["a", "b", "c"])) == ["c"]
@@ -138,6 +140,28 @@ class TestReadOnlyAccess:
             report = store.verify()
         assert report["n_corrupt"] == 0 and report["n_quarantined"] == 2
         assert report["tasks"] == {"claimed": 1, "done": 1, "pending": 1}
+
+    def test_records_leave_out_a_tampered_row(self, tmp_path):
+        """A committed row edited from ``"n": 1`` to ``"n": 7``, its
+        JSON still valid: every read-only reader leaves it out, as
+        ``latest`` does, and none of them moves it."""
+        path = tmp_path / "s.sqlite"
+        with open_store(path) as store:
+            store.append(_ok_record("a", 1))
+            store.append(_ok_record("b", 2))
+        conn = sqlite3.connect(str(path))
+        with conn:
+            conn.execute(
+                "UPDATE results SET record = replace(record, "
+                "'\"n\": 1', '\"n\": 7') WHERE task_id = 'a'"
+            )
+        conn.close()
+        assert StoreReader(path).records(["a"]) == []
+        assert [r["task_id"] for r in scan_records(path)] == ["b"]
+        with open_store(path, read_only=True) as reader:
+            assert list(reader.latest()) == ["b"]
+            report = reader.verify()
+        assert report["n_corrupt"] == 1 and report["n_quarantined"] == 0
 
     def test_scan_of_missing_store_is_empty(self, tmp_path):
         assert scan_records(tmp_path / "missing.sqlite") == []
@@ -161,16 +185,17 @@ class TestSqliteBackend:
             store.append(_ok_record("a", 1))
             store.append(_ok_record("b", 2))
             store.append(_ok_record("a", 3))  # rerun supersedes
-            assert [r["metrics"]["n"] for r in store.load()] == [1, 2, 3]
+            rows = StoreReader(store.path).records()
+            assert [r["metrics"]["n"] for r in rows] == [1, 2, 3]
             assert store.latest()["a"]["metrics"]["n"] == 3
         # Persists across close/open.
         with open_store(tmp_path / "s.sqlite") as store:
-            assert len(store.load()) == 3
+            assert len(StoreReader(store.path).records()) == 3
 
     def test_provenance_stamped_and_volatile(self, tmp_path):
         with SqliteBackend(tmp_path / "s.sqlite").open() as store:
             store.append(_ok_record("a"))
-            record = store.load()[0]
+            record = StoreReader(store.path).records()[0]
         assert record["backend"] == "sqlite"
         assert record["store_schema"] == SqliteBackend.STORE_SCHEMA
         stripped = strip_volatile([record])[0]
@@ -206,7 +231,8 @@ class TestSqliteBackend:
             holder.join(10)
         assert not holder.is_alive()
         with open_store(path) as store:
-            assert [r["task_id"] for r in store.load()] == ["a"]
+            rows = StoreReader(store.path).records()
+            assert [r["task_id"] for r in rows] == ["a"]
 
     def test_verify_reports_healthy_store(self, tmp_path):
         with SqliteBackend(tmp_path / "s.sqlite").open() as store:
@@ -355,9 +381,10 @@ class TestMigration:
         assert count == 2
         assert src.exists()                        # source untouched
         with open_store(dst) as store:
-            assert stores_equal(store.load(), jsonl_run.records)
+            rows = StoreReader(store.path).records()
+            assert stores_equal(rows, jsonl_run.records)
             assert store.verify()["ok"] is True
-            assert store.load()[0]["backend"] == "sqlite"  # re-stamped
+            assert rows[0]["backend"] == "sqlite"  # re-stamped
 
         # Resume on the migrated store computes nothing.
         resumed = run_campaign(grid, store=dst)
@@ -378,7 +405,8 @@ class TestMigration:
         src.write_text(text[: len(text) - 20])     # killed mid-record
         assert migrate_jsonl_to_sqlite(src, dst) == 1   # torn row dropped
         with open_store(dst) as migrated:
-            assert [r["task_id"] for r in migrated.load()] == ["a"]
+            rows = StoreReader(migrated.path).records()
+            assert [r["task_id"] for r in rows] == ["a"]
 
 
 class TestUtf8Tear:
@@ -399,7 +427,8 @@ class TestUtf8Tear:
             data[:cut].decode("utf-8")       # the tear is mid-character
         assert migrate_jsonl_to_sqlite(src, dst) == 1
         with open_store(dst) as migrated:
-            assert [r["task_id"] for r in migrated.load()] == ["a"]
+            rows = StoreReader(migrated.path).records()
+            assert [r["task_id"] for r in rows] == ["a"]
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +471,7 @@ class TestMultiRunner:
 
         grid = expand_grid(GRID_CIRCUITS, GRID_CLASSES)
         with open_store(store_path) as store:
-            records = store.load()
+            records = StoreReader(store.path).records()
             report = store.verify()
         # Zero lost, zero duplicated: exactly one row per grid cell.
         assert sorted(r["task_id"] for r in records) == sorted(
@@ -552,5 +581,5 @@ class TestStorageChaos:
         chaos = StorageChaos({"append": {"a": ("enospc", "enospc")}})
         with SqliteBackend(tmp_path / "s.sqlite", chaos=chaos).open() as s:
             s.append(_ok_record("a"))             # retried past 2 failures
-            assert len(s.load()) == 1
+            assert len(StoreReader(s.path).records()) == 1
             assert s.verify()["ok"] is True

@@ -27,7 +27,7 @@ import pytest
 
 from repro.campaign import chaos as chaos_module
 from repro.campaign import runner as runner_module
-from repro.campaign.backends import open_store
+from repro.campaign.backends import StoreReader, open_store
 from repro.campaign.chaos import (
     ChaosPermanentError,
     ChaosPolicy,
@@ -222,7 +222,7 @@ class TestSupervisedChaos:
         assert stores_equal(result.records, undisturbed)
         # The store itself is clean: one committed row per cell.
         with open_store(chaos_store, read_only=True) as store:
-            rows = store.load()
+            rows = StoreReader(store.path).records()
             assert store.verify()["ok"] is True
         assert stores_equal(rows, undisturbed)
         assert sorted(r["task_id"] for r in rows) == sorted(
@@ -426,7 +426,8 @@ class TestSqliteStorageAcceptance:
         proc.start(); proc.join(120)
         assert proc.exitcode is not None and proc.exitcode < 0
         with open_store(store_path) as store:
-            assert store.load() == []           # claimed, never committed
+            # Claimed, never committed.
+            assert StoreReader(store.path).records() == []
             # Opening reclaimed the dead runner's claim: every cell is
             # pending again, nothing stuck in 'claimed'.
             assert store.verify()["tasks"] == {"pending": len(grid)}
@@ -438,7 +439,7 @@ class TestSqliteStorageAcceptance:
         proc.start(); proc.join(120)
         assert proc.exitcode is not None and proc.exitcode < 0
         with open_store(store_path) as store:
-            rows = store.load()
+            rows = StoreReader(store.path).records()
             # WAL recovery erased the uncommitted row; the rows that
             # did commit before the kill are intact and complete.
             assert FLAKY not in {r["task_id"] for r in rows}
@@ -461,7 +462,7 @@ class TestSqliteStorageAcceptance:
         # fields, and the rendered paper table is the same string.
         with open_store(store_path) as store:
             stored = list(store.latest().values())
-            rows = store.load()
+            rows = StoreReader(store.path).records()
             assert store.verify(repair=True)["ok"] is True
         assert stores_equal(stored, oracle.records)
         assert coverage_table(sorted(stored, key=lambda r: r["task_id"])) \

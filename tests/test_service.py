@@ -104,14 +104,18 @@ def gated_cells(monkeypatch):
 @pytest.fixture
 def worker_stores(monkeypatch):
     """Every store a job worker thread makes, each counting the times
-    it was really opened (and so recovered)."""
+    it was really opened (and so recovered).  The manager's own store,
+    which job records are written on, is made on the thread that builds
+    the manager and is not counted."""
     stores = []
 
     class CountingBackend(SqliteBackend):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.n_opens = 0
-            stores.append(self)
+            name = threading.current_thread().name
+            if name.startswith("repro-job-worker-"):
+                stores.append(self)
 
         def open(self):
             if self._conn is None:
@@ -146,6 +150,29 @@ def _store_task_ids(store_path):
                 "SELECT record FROM results ORDER BY seq"
             )
         ]
+
+
+def _job_rows(store_path):
+    """job id -> the job's stored record (the store's ``jobs`` table)."""
+    uri = f"file:{store_path}?mode=ro"
+    with sqlite3.connect(uri, uri=True) as conn:
+        return {
+            job_id: json.loads(text)
+            for job_id, text in conn.execute("SELECT id, payload FROM jobs")
+        }
+
+
+def _edit_job_row(store_path, job_id, **changes):
+    """Overwrite fields of a stored job record, as a crash or an older
+    checkout could have left it."""
+    payload = {**_job_rows(store_path)[job_id], **changes}
+    conn = sqlite3.connect(str(store_path))
+    with conn:
+        conn.execute(
+            "UPDATE jobs SET payload = ? WHERE id = ?",
+            (json.dumps(payload), job_id),
+        )
+    conn.close()
 
 
 def _claim_statuses(store_path):
@@ -410,7 +437,7 @@ class TestServiceAPI:
             assert err.value.code == 400
             assert "must be a positive" in str(err.value)
         assert client.jobs() == []
-        assert not list(manager.jobs_dir.glob("*.json"))
+        assert _job_rows(manager.store_path) == {}
 
     def test_metrics_content_type(self, service):
         _, client = service
@@ -606,14 +633,11 @@ class TestJobFailureModes:
         assert _store_task_ids(manager.store_path).count(torn) == 1
 
     def test_recover_requeues_jobs_from_disk(self, tmp_path):
-        # Simulate a SIGKILLed manager: the job file says 'running'
+        # Simulate a SIGKILLed manager: the job's row says 'running'
         # but no process is working on it.
         first = JobManager(tmp_path / "state")
         job_id = first.submit(SMALL_SPEC)["id"]
-        path = first.jobs_dir / f"{job_id}.json"
-        payload = json.loads(path.read_text())
-        payload["state"] = "running"
-        path.write_text(json.dumps(payload))
+        _edit_job_row(first.store_path, job_id, state="running")
 
         second = JobManager(tmp_path / "state", job_workers=1)
         assert second.recover() == [job_id]
@@ -622,6 +646,72 @@ class TestJobFailureModes:
             assert second.wait(job_id)["state"] == "done"
         finally:
             second.stop(drain=False)
+
+    def test_recover_skips_a_job_that_no_longer_validates(self, tmp_path):
+        first = JobManager(tmp_path / "state")  # never started
+        ids = [
+            first.submit(
+                {"circuits": [circuit], "fault_classes": ["stuck_at"]}
+            )["id"]
+            for circuit in ("c17", "tmr_voter", "rca4")
+        ]
+        gone, *kept = ids
+        _edit_job_row(
+            first.store_path, gone,
+            spec={**SMALL_SPEC, "circuits": ["no_such_circuit"]},
+        )
+
+        second = JobManager(tmp_path / "state")
+        try:
+            assert second.recover() == sorted(kept)
+            with pytest.raises(JobError):
+                second.get(gone)
+        finally:
+            second.stop()
+
+    def test_tampered_row_counts_as_pending(self, tmp_path):
+        """A result row edited after its commit, its JSON still valid:
+        status leaves it out, as ``latest`` does, and counts the task
+        as pending."""
+        manager = JobManager(tmp_path / "state")  # never started
+        status = manager.submit(
+            {"circuits": ["c17"], "fault_classes": ["stuck_at"]}
+        )
+        (task_id,) = manager.get(status["id"]).task_ids
+        with open_store(manager.store_path) as store:
+            store.append({"task_id": task_id, "status": "ok",
+                          "metrics": {"n": 1}})
+        assert manager.status(status["id"])["counts"]["ok"] == 1
+
+        conn = sqlite3.connect(str(manager.store_path))
+        with conn:
+            conn.execute(
+                "UPDATE results SET record = "
+                "replace(record, '\"n\": 1', '\"n\": 7')"
+            )
+        conn.close()
+        counts = manager.status(status["id"])["counts"]
+        assert counts == {"tasks": 1, "ok": 0, "failed": 0, "pending": 1}
+        assert manager.results(status["id"])["records"] == []
+        manager.stop()
+
+    def test_state_dir_holds_only_the_store(self, tmp_path):
+        state_dir = tmp_path / "state"
+        for _ in range(2):  # a fresh start, then a restart
+            manager = JobManager(state_dir, job_workers=1).start()
+            try:
+                job_id = manager.submit(
+                    {"circuits": ["c17"], "fault_classes": ["stuck_at"]}
+                )["id"]
+                assert manager.wait(job_id)["state"] == "done"
+            finally:
+                manager.stop(drain=True)
+            assert not (state_dir / "jobs").exists()
+            assert all(
+                path.name.startswith("store.sqlite")
+                for path in state_dir.iterdir()
+            )
+        assert len(_job_rows(manager.store_path)) == 2
 
 
 class TestWorkerHeldStore:
@@ -706,8 +796,9 @@ class TestWorkerHeldStore:
         del worker_stores[:]
         second = JobManager(state_dir, job_workers=1).start()
         try:
-            # A job over neither damaged cell: only the worker's open
-            # can have recovered them.
+            # A job over neither damaged cell: only the store's
+            # recovering opens (the manager's at start(), then the
+            # worker's) can have recovered them.
             other = second.submit(
                 {"circuits": ["rca4"], "fault_classes": ["stuck_at"]}
             )["id"]

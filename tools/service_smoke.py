@@ -15,9 +15,12 @@ It then resubmits the same grid, which resume must serve from the
 store (every cell ``ok``, no new row), SIGTERMs the server, asserting a
 clean (code 0) graceful shutdown, restarts it on the same state
 directory and checks that the finished job's status and results come
-back identical.  Any divergence — a lost or recomputed row, a counter
-that drifts from the store, an unclean exit, a job that reads
-differently after a restart — fails the script.  CI runs this in the
+back identical, that ``GET /jobs`` lists the same jobs in the same
+states, and that the state directory holds nothing but the store's
+``store.sqlite*`` files.  Any divergence — a lost or recomputed row, a
+counter that drifts from the store, an unclean exit, a job that reads
+differently after a restart, a job file beside the store — fails the
+script.  CI runs this in the
 ``service-smoke`` job; locally::
 
     PYTHONPATH=src python tools/service_smoke.py
@@ -76,6 +79,11 @@ def result_rows(store: Path) -> int:
     uri = f"file:{store}?mode=ro"
     with sqlite3.connect(uri, uri=True) as conn:
         return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
+
+
+def job_states(client: ServiceClient) -> list[tuple[str, str]]:
+    """``(id, state)`` of every job ``GET /jobs`` lists, in its order."""
+    return [(job["id"], job["state"]) for job in client.jobs()]
 
 
 def start_server(state_dir: Path) -> tuple[subprocess.Popen, ServiceClient]:
@@ -155,6 +163,7 @@ def main() -> int:
                   "no new rows")
             before = (client.status(status["id"]),
                       client.results(status["id"], offset=0))
+            jobs_before = job_states(client)
         finally:
             stop_server(server)
 
@@ -169,6 +178,17 @@ def main() -> int:
             assert result_rows(store) == n_rows
             print("finished job's status and results unchanged by a "
                   "restart")
+            jobs_after = job_states(client)
+            assert jobs_after == jobs_before, (
+                f"GET /jobs after a restart: {jobs_after} != {jobs_before}"
+            )
+            print(f"GET /jobs unchanged by a restart: {len(jobs_after)} jobs")
+            extra = sorted(
+                path.name for path in state_dir.iterdir()
+                if not path.name.startswith("store.sqlite")
+            )
+            assert not extra, f"state dir holds more than the store: {extra}"
+            print("state dir holds only the store")
         finally:
             stop_server(server)
     print("service smoke: PASS")
