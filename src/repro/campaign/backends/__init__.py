@@ -41,7 +41,7 @@ def open_store(
     """Build and open the store at ``path``.
 
     The returned store is already recovered — opening runs journal
-    recovery, corruption quarantine and stale-claim re-queue — unless
+    recovery and stale-claim re-queue, and reads no result row — unless
     ``read_only``, which opens it untouched.  ``backend`` must be
     ``"sqlite"``, the only store there is; a path holding anything but
     a sqlite database raises :class:`ValueError`.

@@ -17,10 +17,12 @@ splitting a grid between them with no duplicated and no lost rows:
   expired where PIDs cannot be probed) are re-queued on every open.
 * **Per-row checksums.**  Each result row stores the CRC-32 of its
   canonical JSON text, and every read of result rows checks it and the
-  JSON: a torn or tampered row is left out everywhere.  ``open``,
-  ``verify(repair=True)`` and a writable ``latest`` also move it to a
+  JSON: a torn or tampered row is left out everywhere.  A writable
+  ``latest`` and ``verify(repair=True)`` also move it to a
   ``quarantine`` table (evidence, not silent deletion) and re-queue its
-  task, so a resume recomputes exactly the damaged cells.
+  task, so a resume — whose first step is ``latest`` over its tasks —
+  recomputes exactly the damaged cells.  Opening a store reads no
+  result row.
 * **Schema versioning + one-way migration.**  ``meta.store_schema``
   names the layout version (:data:`SqliteBackend.STORE_SCHEMA`); a
   store written by a newer layout refuses to open.
@@ -34,8 +36,8 @@ splitting a grid between them with no duplicated and no lost rows:
   ``--repair`` leave the store exactly as they found it.
 * **Job records.**  The ``jobs`` table holds the job service's record
   of each job (its spec and lifecycle state), written by
-  :meth:`SqliteBackend.put_job`, so a served state directory keeps all
-  of its durable state in this one file.
+  :meth:`SqliteBackend.put_job` and read by ``job`` and ``jobs``, so a
+  served state directory keeps all of its state in this one file.
 * **Task-scoped reads.**  ``StoreReader.records(task_ids)`` and
   ``SqliteBackend.latest(task_ids)`` read only the rows of the given
   tasks, through the ``idx_results_task`` index, so a job's status
@@ -78,7 +80,14 @@ _BUSY_TIMEOUT_S = 5.0
 #: Age after which a claim is stale where PID liveness cannot be probed.
 _CLAIM_LEASE_S = 3600.0
 
-_SCHEMA_SQL = """
+#: A job row's lifecycle state (NULL for a payload that is not JSON):
+#: the expression ``idx_jobs_state`` indexes, so the job service finds
+#: its queued and running jobs without reading every job it ever ran.
+_JOB_STATE = (
+    "CASE WHEN json_valid(payload) THEN json_extract(payload, '$.state') END"
+)
+
+_SCHEMA_SQL = f"""
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -110,6 +119,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     id      TEXT PRIMARY KEY,
     payload TEXT NOT NULL
 );
+CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs({_JOB_STATE});
 """
 
 
@@ -180,8 +190,8 @@ class StoreReader:
         """The records of ``task_ids`` (default: every task) in commit
         order.  A missing or still-initialising store (no campaign ran
         yet) is just empty, and a row that fails its checksum or JSON
-        check — quarantine's job, on the next recovering open — is
-        skipped."""
+        check — quarantine's job, at the next writable ``latest`` of its
+        task — is skipped."""
         with self._lock:
             if self._conn is None:
                 if not self.path.exists():
@@ -293,7 +303,9 @@ class SqliteBackend:
 
     def open(self) -> "SqliteBackend":
         """Connect (running WAL journal recovery), create/validate the
-        schema, quarantine corrupt rows and re-queue stale claims.
+        schema and re-queue stale claims.  No result row is read: a
+        damaged one is quarantined by the first writable :meth:`latest`
+        that reads its task.
 
         A ``read_only`` backend only connects (``mode=ro``): nothing is
         created, repaired or re-queued, and every write raises."""
@@ -328,7 +340,6 @@ class SqliteBackend:
             conn.close()
             self._conn = None
             raise
-        self.verify(repair=True)
         self._requeue_stale()
         return self
 
@@ -597,18 +608,34 @@ class SqliteBackend:
     # -- job records -------------------------------------------------------
 
     def put_job(self, job_id: str, payload: dict) -> None:
-        """Write (or overwrite) the job service's record of one job."""
+        """Write (or overwrite) the job service's record of one job.  An
+        overwrite keeps the row's ``rowid``, which :meth:`jobs` orders
+        ties by, so it stays in submit order."""
         conn = self._connection()
         text = json.dumps(payload, sort_keys=True)
         self._with_retry(lambda: conn.execute(
-            "INSERT OR REPLACE INTO jobs (id, payload) VALUES (?, ?)",
+            "INSERT INTO jobs (id, payload) VALUES (?, ?) "
+            "ON CONFLICT(id) DO UPDATE SET payload = excluded.payload",
             (job_id, text),
         ))
 
-    def jobs(self) -> list[tuple[str, str]]:
-        """Every job record as ``(id, payload JSON text)``, by id."""
+    def job(self, job_id: str) -> str | None:
+        """One job's record as payload JSON text, or ``None``."""
+        row = self._connection().execute(
+            "SELECT payload FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def jobs(self, states: Iterable[str]) -> list[tuple[str, str]]:
+        """The job records in one of ``states``, found through
+        ``idx_jobs_state``, as ``(id, payload JSON text)`` in submit
+        order.  A payload that is not JSON has no state."""
+        states = tuple(states)
         return self._connection().execute(
-            "SELECT id, payload FROM jobs ORDER BY id"
+            f"SELECT id, payload FROM jobs WHERE {_JOB_STATE} IN "
+            f"({', '.join('?' * len(states))}) "
+            "ORDER BY json_extract(payload, '$.submitted_at'), rowid",
+            states,
         ).fetchall()
 
     # -- reading -----------------------------------------------------------
@@ -620,20 +647,14 @@ class SqliteBackend:
         over the whole store or only over ``task_ids``.
 
         A row that fails its checksum or JSON check is left out, moved
-        to quarantine and its task re-queued, as the recovery pass of
-        :meth:`open` would, so a resume recomputes the cell; a
-        ``read_only`` backend only skips it."""
+        to quarantine and its task re-queued, so a resume recomputes the
+        cell; a ``read_only`` backend only skips it."""
         good, corrupt = _checked(_rows(self._connection(), task_ids))
         if corrupt and not self.read_only:
             self._quarantine(corrupt)
         return dict(good)
 
     # -- integrity ---------------------------------------------------------
-
-    def heal(self) -> None:
-        """On-demand recovery: same pass ``open`` runs."""
-        self.verify(repair=True)
-        self._requeue_stale()
 
     def _quarantine(self, corrupt: list[tuple]) -> None:
         """Move ``corrupt`` rows (as :func:`_checked` lists them) to the

@@ -4,25 +4,31 @@ A :class:`JobManager` turns :func:`repro.campaign.runner.run_campaign`
 into a long-lived service primitive:
 
 * **Submit** — a :class:`JobSpec` (circuits × fault classes plus
-  worker / timeout options) is validated against the registry,
-  expanded to its task grid, written as a row of the store's ``jobs``
-  table, and queued; the caller gets a job id immediately.
+  worker / timeout options) is validated against the registry and
+  written as a ``queued`` row of the store's ``jobs`` table; the caller
+  gets a job id immediately.
+* **One source of job state** — the ``jobs`` table is the queue and
+  the lifecycle record: every read of a job's state reads its row, and
+  every later transition is one read-modify-write of that row under
+  the manager's lock.  In memory the manager keeps only what a running job
+  needs: its cancel event, keyed by job id while it runs.
 * **Background supervision** — a small pool of daemon worker threads
-  drains the queue; each job runs one campaign against the manager's
-  **shared sqlite store**, so concurrent jobs over overlapping grids
-  coordinate through the store's atomic task claims (zero duplicated
-  rows) and the process-wide ``compile_network`` / device-model memos
-  are shared across all of them.  Each worker thread opens the store
-  once, on its first job — that open runs the store's recovery (WAL
-  journal recovery, quarantine, stale-claim re-queue) — hands it to
-  every campaign it runs, and closes it when the thread exits.
-* **Status + incremental results** — :meth:`JobManager.status` merges
-  the in-memory lifecycle state with live per-task counts read from
-  the store; :meth:`JobManager.results` streams a job's records in
-  commit order with an ``offset`` cursor, so clients poll for *new*
-  rows only.  Both read only the job's own rows (through the store's
-  task index) on one shared read-only connection, so a request costs
-  O(the job), not O(the store), and opens nothing.
+  takes the oldest ``queued`` row, one at a time; each job runs one
+  campaign against the manager's **shared sqlite store**, so
+  concurrent jobs over overlapping grids coordinate through the store's
+  atomic task claims (zero duplicated rows) and the process-wide
+  ``compile_network`` / device-model memos are shared across all of
+  them.  Each worker thread opens the store once, on its first job —
+  that open runs WAL journal recovery and the stale-claim re-queue —
+  hands it to every campaign it runs, and closes it when the thread
+  exits.
+* **Status + incremental results** — :meth:`JobManager.status` reads
+  the job's row, then live per-task counts from the store;
+  :meth:`JobManager.results` streams a job's records in commit order
+  with an ``offset`` cursor, so clients poll for *new* rows only.  Both
+  read only the job's own rows (through the store's task index) on one
+  shared read-only connection, so a request costs O(the job), not
+  O(the store), opens nothing and builds no circuit.
 * **Cooperative cancel** — :meth:`JobManager.cancel` sets the job's
   stop event; the campaign winds down between cells, releases its
   store claims and leaves the store resumable (state ``cancelled``).
@@ -47,18 +53,17 @@ Job lifecycle (the state machine ``docs/SERVICE.md`` documents)::
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
 import threading
 import time
 import uuid
-from collections import deque
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.campaign.backends import SqliteBackend, StoreReader
+from repro.campaign.registry import get_registry
 from repro.campaign.runner import (
     RetryPolicy,
     TaskSpec,
@@ -77,6 +82,7 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
+STATES = (QUEUED, RUNNING, *sorted(TERMINAL_STATES))
 
 JOBS_TOTAL = counter(
     "repro_service_jobs_total",
@@ -182,6 +188,22 @@ class JobSpec:
             "timeout": self.timeout,
         }
 
+    def task_ids(self) -> tuple[str, ...]:
+        """The grid's task ids in :meth:`expand` order, from the names
+        alone: no circuit is built.  Raises :class:`JobError` on an
+        unknown circuit."""
+        registry = get_registry()
+        try:
+            for circuit in self.circuits:
+                registry.spec(circuit)
+        except KeyError as exc:
+            raise JobError(str(exc.args[0])) from exc
+        return tuple(
+            f"{circuit}/{fault_class}/{ENGINE_LABEL}"
+            for circuit in self.circuits
+            for fault_class in self.fault_classes
+        )
+
     def expand(self) -> list[TaskSpec]:
         """The grid (raises :class:`JobError` on unknown circuits, so
         submission fails fast instead of queueing a doomed job)."""
@@ -191,10 +213,9 @@ class JobSpec:
             raise JobError(str(exc.args[0]) if exc.args else str(exc)) from exc
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Job:
-    """In-memory job record (persisted as a row of the store's
-    ``jobs`` table)."""
+    """A job as its row of the store's ``jobs`` table records it."""
 
     id: str
     spec: JobSpec
@@ -204,25 +225,47 @@ class Job:
     finished_at: float | None = None
     error: str | None = None
     task_ids: tuple[str, ...] = ()
-    cancel_event: threading.Event = dataclasses.field(
-        default_factory=threading.Event, repr=False, compare=False
-    )
-    #: Set during server shutdown: the cancel is a wind-down, so the
-    #: job goes back to ``queued`` in the store and resumes next start.
-    requeue_on_cancel: bool = dataclasses.field(
-        default=False, repr=False, compare=False
-    )
+
+    @classmethod
+    def from_row(cls, job_id: str, text: str) -> "Job | None":
+        """The job a ``jobs`` row records, or ``None`` when the row no
+        longer validates (say, it names a circuit this checkout lacks)."""
+        try:
+            payload = json.loads(text)
+            spec = JobSpec.from_payload(payload["spec"])
+            return cls(job_id, spec, task_ids=spec.task_ids(), **{
+                key: payload[key] for key in (
+                    "state", "submitted_at", "started_at", "finished_at",
+                    "error",
+                )
+            })
+        except (json.JSONDecodeError, KeyError, TypeError, JobError):
+            return None
 
     def to_payload(self) -> dict:
+        """The job's row; a status adds ``counts`` to it."""
         return {
             "id": self.id,
-            "spec": self.spec.to_payload(),
             "state": self.state,
+            "spec": self.spec.to_payload(),
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "error": self.error,
         }
+
+
+@dataclasses.dataclass
+class _Run:
+    """What a running job needs besides its row."""
+
+    #: Set to stop the job's campaign between cells.
+    cancel_event: threading.Event = dataclasses.field(
+        default_factory=threading.Event
+    )
+    #: Set during server shutdown: the cancel is a wind-down, so the
+    #: job goes back to ``queued`` and resumes at the next start.
+    requeue_on_cancel: bool = False
 
 
 class JobManager:
@@ -252,12 +295,12 @@ class JobManager:
         self.policy = policy or RetryPolicy()
         #: The request threads' read-only view of the store.
         self._reader = StoreReader(self.store_path)
-        #: The connection job records are written on: opened (and so
-        #: recovered) by the first read or write, used under _store_lock.
+        #: The connection job rows are read and written on: opened (and
+        #: so recovered) by the first use, used under _lock.
         self._store = SqliteBackend(self.store_path)
-        self._store_lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._queue: deque[str] = deque()
+        #: The jobs this manager is running, by id: the only job state
+        #: outside the ``jobs`` table.
+        self._running: dict[str, _Run] = {}
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
@@ -295,125 +338,87 @@ class JobManager:
             self._shutdown = True
             self._drain = drain
             if not drain:
-                for job in self._jobs.values():
-                    if job.state == RUNNING:
-                        job.requeue_on_cancel = True
-                        job.cancel_event.set()
+                for run in self._running.values():
+                    run.requeue_on_cancel = True
+                    run.cancel_event.set()
             self._wake.notify_all()
         deadline = time.monotonic() + timeout
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._threads = [t for t in self._threads if t.is_alive()]
         self._reader.close()
-        with self._store_lock:
+        with self._lock:
             self._store.close()
 
     def recover(self) -> list[str]:
-        """Re-queue every stored job that never reached a terminal
-        state (the post-SIGKILL path).  Returns the re-queued ids.
+        """Re-queue every stored job that was queued or running when its
+        server stopped (the post-SIGKILL path).  Returns the re-queued
+        ids, sorted.
 
-        The read opens the store first, which runs its recovery
-        (journal recovery, quarantine, stale-claim re-queue).  A job
-        whose spec no longer validates (say, it names a circuit this
-        checkout lacks) is skipped."""
-        with self._store_lock:
-            rows = self._store.jobs()
+        A job this manager is still running (a worker that outlived a
+        :meth:`stop`) is left alone, and so is a job whose spec no
+        longer validates.  The first read opens the store, which runs
+        its recovery (journal recovery, stale-claim re-queue)."""
         requeued = []
-        for job_id, text in rows:
-            try:
-                payload = json.loads(text)
-                spec = JobSpec.from_payload(payload["spec"])
-                task_ids = tuple(t.task_id for t in spec.expand())
-            except (json.JSONDecodeError, KeyError, TypeError, JobError):
-                continue
-            with self._lock:
-                if job_id in self._jobs:
+        with self._lock:
+            for job in self._jobs(QUEUED, RUNNING):
+                if job.id in self._running:
                     continue
-                job = Job(
-                    id=job_id,
-                    spec=spec,
-                    state=payload.get("state", QUEUED),
-                    submitted_at=payload.get("submitted_at", 0.0),
-                    started_at=payload.get("started_at"),
-                    finished_at=payload.get("finished_at"),
-                    error=payload.get("error"),
-                    task_ids=task_ids,
-                )
-                self._jobs[job_id] = job
-                if job.state in (QUEUED, RUNNING):
-                    # A 'running' job here means the previous server
-                    # died mid-campaign; its store claims are stale
-                    # (dead PID) and resume recomputes the rest.
-                    job.state = QUEUED
-                    job.started_at = None
-                    self._queue.append(job_id)
-                    self._wake.notify()
-                    requeued.append(job_id)
-        for job_id in requeued:
-            self._persist(self.get(job_id))
-        return requeued
+                if job.state == RUNNING:
+                    # The previous server died mid-campaign; its store
+                    # claims are stale (dead PID) and resume recomputes
+                    # the rest.
+                    self._update(job.id, state=QUEUED, started_at=None)
+                requeued.append(job.id)
+            self._wake.notify_all()
+            JOBS_INFLIGHT.set(float(len(requeued) + len(self._running)))
+        return sorted(requeued)
 
     # -- the API surface ---------------------------------------------------
 
     def submit(self, payload: dict) -> dict:
         """Validate, persist and queue a job; returns its status dict."""
         spec = JobSpec.from_payload(payload)
-        tasks = spec.expand()  # validates circuit names eagerly
         job = Job(
             id=uuid.uuid4().hex[:12],
             spec=spec,
             submitted_at=time.time(),
-            task_ids=tuple(t.task_id for t in tasks),
+            task_ids=spec.task_ids(),  # validates circuit names eagerly
         )
         with self._lock:
             if self._shutdown:
                 raise JobError("server is shutting down")
-            self._jobs[job.id] = job
-            self._queue.append(job.id)
+            self._store.put_job(job.id, job.to_payload())
             self._wake.notify()
         JOBS_TOTAL.labels(state=QUEUED).inc()
-        self._refresh_inflight()
-        self._persist(job)
+        JOBS_INFLIGHT.inc()
         return self.status(job.id)
 
     @property
     def n_jobs(self) -> int:
         with self._lock:
-            return len(self._jobs)
+            return sum(1 for _job in self._jobs())
 
     def get(self, job_id: str) -> Job:
         with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise JobError(f"unknown job id {job_id!r}")
-        return job
+            return self._get(job_id)
 
     def list_jobs(self) -> list[dict]:
         """Status dicts for every known job, newest first."""
         with self._lock:
-            ids = [
-                job.id
-                for job in sorted(
-                    self._jobs.values(),
-                    key=lambda j: j.submitted_at,
-                    reverse=True,
-                )
-            ]
-        return [self.status(job_id) for job_id in ids]
+            jobs = list(self._jobs())
+        return [self._status(job) for job in reversed(jobs)]
 
     def status(self, job_id: str) -> dict:
         """Lifecycle state plus live per-task counts from the store.
 
-        The lifecycle fields are read before the store is: a job's
-        records are committed before it turns terminal, so a terminal
-        state always comes with complete counts.
+        The job's row is read before its result rows: a job's records
+        are committed before it turns terminal, so a terminal state
+        always comes with complete counts.
         """
-        job = self.get(job_id)
-        with self._lock:
-            state = job.state
-            started_at = job.started_at
-            finished_at = job.finished_at
-            error = job.error
+        return self._status(self.get(job_id))
+
+    def _status(self, job: Job) -> dict:
         latest = {
             record["task_id"]: record
             for record in self._reader.records(job.task_ids)
@@ -426,16 +431,7 @@ class JobManager:
             "failed": n_failed,
             "pending": len(job.task_ids) - len(latest),
         }
-        return {
-            "id": job.id,
-            "state": state,
-            "spec": job.spec.to_payload(),
-            "submitted_at": job.submitted_at,
-            "started_at": started_at,
-            "finished_at": finished_at,
-            "error": error,
-            "counts": counts,
-        }
+        return {**job.to_payload(), "counts": counts}
 
     def results(self, job_id: str, offset: int = 0) -> dict:
         """The job's store records in commit order, from ``offset``.
@@ -451,44 +447,42 @@ class JobManager:
         """
         job = self.get(job_id)
         offset = max(0, int(offset))
-        with self._lock:
-            state = job.state
         mine = self._reader.records(job.task_ids)
         return {
             "id": job.id,
-            "state": state,
+            "state": job.state,
             "records": mine[offset:],
             "next_offset": len(mine),
-            "complete": state in TERMINAL_STATES,
+            "complete": job.state in TERMINAL_STATES,
         }
 
     def cancel(self, job_id: str) -> dict:
         """Cooperative cancel: queued jobs die immediately, running
         jobs wind down between cells (claims released, store kept
         resumable).  Cancelling a terminal job is a no-op."""
-        job = self.get(job_id)
         with self._lock:
+            job = self._get(job_id)
             if job.state == QUEUED:
-                job.state = CANCELLED
-                job.finished_at = time.time()
-                with contextlib.suppress(ValueError):
-                    self._queue.remove(job_id)
+                self._update(job_id, state=CANCELLED, finished_at=time.time())
                 JOBS_TOTAL.labels(state=CANCELLED).inc()
-            elif job.state == RUNNING:
-                job.cancel_event.set()
-        self._refresh_inflight()
-        self._persist(job)
+                JOBS_INFLIGHT.dec()
+            elif job_id in self._running:
+                self._running[job_id].cancel_event.set()
         return self.status(job_id)
 
     def wait(self, job_id: str, timeout: float = 120.0) -> dict:
-        """Block until the job reaches a terminal state (tests/bench)."""
+        """Block until the job reaches a terminal state (tests/bench).
+        The job is polled at least once, even with ``timeout=0``."""
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
+        while True:
             status = self.status(job_id)
             if status["state"] in TERMINAL_STATES:
                 return status
+            if time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"job {job_id} still {status['state']!r}"
+                )
             time.sleep(0.02)
-        raise TimeoutError(f"job {job_id} still {status['state']!r}")
 
     # -- execution ---------------------------------------------------------
 
@@ -498,27 +492,31 @@ class JobManager:
         with SqliteBackend(self.store_path) as store:
             while True:
                 with self._lock:
-                    while not self._queue and not self._shutdown:
-                        self._wake.wait(timeout=0.5)
-                    # Non-drain shutdown exits even with a non-empty
-                    # queue: interrupted jobs are *re*-queued during
-                    # wind-down, and picking them up again would rerun
-                    # them uncancellable.
-                    if self._shutdown and not (self._drain and self._queue):
+                    job = self._next_job()
+                    if job is None:
                         return
-                    if not self._queue:
-                        continue
-                    job = self._jobs[self._queue.popleft()]
-                    if job.state != QUEUED:  # cancelled while queued
-                        continue
-                    job.state = RUNNING
-                    job.started_at = time.time()
+                    self._update(
+                        job.id, state=RUNNING, started_at=time.time()
+                    )
+                    run = self._running[job.id] = _Run()
                 JOBS_TOTAL.labels(state=RUNNING).inc()
-                self._refresh_inflight()
-                self._persist(job)
-                self._run_job(job, store)
+                self._run_job(job, run, store)
 
-    def _run_job(self, job: Job, store: SqliteBackend) -> None:
+    def _next_job(self) -> Job | None:
+        """The oldest queued job, waited for; ``None`` once the worker
+        is to exit.  Called under ``_lock``."""
+        while True:
+            # Non-drain shutdown exits even with jobs queued: interrupted
+            # jobs are *re*-queued during wind-down, and picking them up
+            # again would rerun them uncancellable.
+            if self._shutdown and not self._drain:
+                return None
+            job = next(self._jobs(QUEUED), None)
+            if job is not None or self._shutdown:
+                return job
+            self._wake.wait(timeout=0.5)
+
+    def _run_job(self, job: Job, run: _Run, store: SqliteBackend) -> None:
         try:
             result = run_campaign(
                 job.spec.expand(),
@@ -527,35 +525,32 @@ class JobManager:
                 timeout=job.spec.timeout,
                 resume=True,
                 policy=self.policy,
-                should_stop=job.cancel_event.is_set,
+                should_stop=run.cancel_event.is_set,
             )
         except Exception as exc:  # noqa: BLE001 — jobs must not kill workers
-            with self._lock:
-                job.state = FAILED
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.finished_at = time.time()
+            result = None
+            end = {
+                "state": FAILED,
+                "error": f"{type(exc).__name__}: {exc}",
+                "finished_at": time.time(),
+            }
         else:
-            with self._lock:
-                if result.interrupted and job.requeue_on_cancel:
-                    # Shutdown wind-down: back to the queue (and, via
-                    # the persisted 'queued' state, to the next start).
-                    job.state = QUEUED
-                    job.started_at = None
-                    job.cancel_event = threading.Event()
-                    job.requeue_on_cancel = False
-                    self._queue.append(job.id)
-                elif result.interrupted:
-                    job.state = CANCELLED
-                    job.finished_at = time.time()
-                else:
-                    job.state = DONE
-                    job.finished_at = time.time()
-            if job.state == DONE:
-                self._publish_coverage(job, result.records)
-        if job.state in TERMINAL_STATES:
-            JOBS_TOTAL.labels(state=job.state).inc()
-        self._refresh_inflight()
-        self._persist(job)
+            if result.interrupted and run.requeue_on_cancel:
+                # Shutdown wind-down: back to the queue (and, via the
+                # stored 'queued' state, to the next start).
+                end = {"state": QUEUED, "started_at": None}
+            elif result.interrupted:
+                end = {"state": CANCELLED, "finished_at": time.time()}
+            else:
+                end = {"state": DONE, "finished_at": time.time()}
+        with self._lock:
+            del self._running[job.id]
+            self._update(job.id, **end)
+        if end["state"] == DONE:
+            self._publish_coverage(job, result.records)
+        if end["state"] in TERMINAL_STATES:
+            JOBS_TOTAL.labels(state=end["state"]).inc()
+            JOBS_INFLIGHT.dec()
 
     def _publish_coverage(self, job: Job, records: Iterable[dict]) -> None:
         """Per-fault-class mean coverage gauge for a finished job."""
@@ -572,23 +567,24 @@ class JobManager:
                 job=job.id, fault_class=fault_class
             ).set(sum(values) / len(values))
 
-    # -- persistence -------------------------------------------------------
+    # -- the jobs table (every method below is called under _lock) ---------
 
-    def _persist(self, job: Job) -> None:
-        """Write the job's row.  The submit thread and a worker thread
-        can persist the same job concurrently: the state is read under
-        the same lock as the write, so the last row written holds the
-        newest state."""
-        with self._store_lock:
-            with self._lock:
-                payload = job.to_payload()
-            self._store.put_job(job.id, payload)
+    def _get(self, job_id: str) -> Job:
+        text = self._store.job(job_id)
+        job = None if text is None else Job.from_row(job_id, text)
+        if job is None:
+            raise JobError(f"unknown job id {job_id!r}")
+        return job
 
-    def _refresh_inflight(self) -> None:
-        with self._lock:
-            inflight = sum(
-                1
-                for job in self._jobs.values()
-                if job.state in (QUEUED, RUNNING)
-            )
-        JOBS_INFLIGHT.set(float(inflight))
+    def _jobs(self, *states: str) -> Iterator[Job]:
+        """The valid jobs in submit order: all, or those in ``states``."""
+        for job_id, text in self._store.jobs(states or STATES):
+            job = Job.from_row(job_id, text)
+            if job is not None:
+                yield job
+
+    def _update(self, job_id: str, **changes) -> None:
+        """One transition: a read-modify-write of the job's row."""
+        payload = json.loads(self._store.job(job_id))
+        payload.update(changes)
+        self._store.put_job(job_id, payload)

@@ -338,11 +338,14 @@ class TestSqliteCorruptionRecovery:
             report = probe.verify(repair=False)
         assert report["ok"] is False and report["n_corrupt"] == 1
 
-        # open() quarantines the torn row and re-queues its task.
+        # open() reads no result row; the first writable latest() that
+        # reads the torn row quarantines it and re-queues its task.
         with SqliteBackend(path).open() as store:
+            assert store.verify()["n_quarantined"] == 0
+            assert not store.claim("a")        # still done
+            assert "a" not in store.latest()
             report = store.verify()
             assert report["n_quarantined"] == 1
-            assert "a" not in store.latest()
             assert store.latest()["b"]["status"] == "ok"
             assert store.claim("a")            # requeued
             assert not store.claim("b")        # untouched, still done

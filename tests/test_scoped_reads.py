@@ -279,7 +279,7 @@ class TestJobReadsAreOJob:
         assert len(manager.results(job_id)["records"]) == n_mine
         assert decodes["n"] == n_mine
 
-        store = SqliteBackend(path).open()       # recovery reads every row
+        store = SqliteBackend(path).open()
         try:
             decodes["n"] = 0
             result = run_campaign(TASKS, store=store)
@@ -287,3 +287,59 @@ class TestJobReadsAreOJob:
         finally:
             store.close()
         assert result.n_skipped == len(TASK_IDS) and result.n_run == 0
+
+
+class TestOpenReadsNoResultRow:
+    """Opening a store, and so starting the job service, decodes no
+    result row: a damaged row is left to the reads of its task."""
+
+    @pytest.fixture
+    def whole_store_reads(self, monkeypatch):
+        """Count whole-store result reads (``_rows(conn, None)``) and
+        every checked decode (``_checked``) the store module makes."""
+        counts = {"whole": 0, "checked": 0}
+        rows, checked = sqlite_module._rows, sqlite_module._checked
+
+        def counting_rows(conn, task_ids):
+            counts["whole"] += task_ids is None
+            return rows(conn, task_ids)
+
+        def counting_checked(found):
+            counts["checked"] += 1
+            return checked(found)
+
+        monkeypatch.setattr(sqlite_module, "_rows", counting_rows)
+        monkeypatch.setattr(sqlite_module, "_checked", counting_checked)
+        return counts
+
+    def test_writable_open_decodes_no_result_row(
+        self, tmp_path, whole_store_reads
+    ):
+        path = tmp_path / "s.sqlite"
+        _build_store(path)
+        _pad(path, N_PADDING)
+        whole_store_reads.update(whole=0, checked=0)
+        SqliteBackend(path).open().close()
+        assert whole_store_reads == {"whole": 0, "checked": 0}
+
+    def test_server_start_and_two_jobs_read_no_whole_store(
+        self, tmp_path, whole_store_reads
+    ):
+        manager = JobManager(tmp_path / "state", job_workers=2)
+        _build_store(manager.store_path)
+        _pad(manager.store_path, N_PADDING)
+        whole_store_reads.update(whole=0, checked=0)
+        manager.start()
+        try:
+            ids = [
+                manager.submit(spec)["id"]
+                for spec in (
+                    SPEC, {"circuits": ["c17"], "fault_classes": ["iddq"]}
+                )
+            ]
+            for job_id in ids:
+                assert manager.wait(job_id)["state"] == "done"
+        finally:
+            manager.stop(drain=True)
+        assert whole_store_reads["whole"] == 0
+        assert whole_store_reads["checked"] > 0   # the jobs' own reads

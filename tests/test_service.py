@@ -527,6 +527,62 @@ class TestJobFailureModes:
         assert status["state"] == "cancelled"
         assert manager.status(job_id)["counts"]["pending"] == SMALL_TASKS
 
+    def test_wait_polls_at_least_once(self, tmp_path):
+        """A deadline that has passed before the first poll still
+        polls: a terminal job's status comes back, and a queued job
+        times out naming its state."""
+        manager = JobManager(tmp_path / "state")  # never started
+        try:
+            cancelled = manager.submit(SMALL_SPEC)["id"]
+            manager.cancel(cancelled)
+            queued = manager.submit(SMALL_SPEC)["id"]
+            assert manager.wait(cancelled, timeout=0)["state"] == "cancelled"
+            with pytest.raises(TimeoutError, match="still 'queued'"):
+                manager.wait(queued, timeout=0)
+        finally:
+            manager.stop()
+
+    def test_each_job_runs_once_under_contention(
+        self, tmp_path, monkeypatch
+    ):
+        """More job workers than cores race over the jobs table while
+        the caller cancels every third job: each transition is one
+        read-modify-write under the manager's lock, so no job runs
+        twice, a job cancelled while queued never runs, and every job
+        ends in a terminal state."""
+        manager = JobManager(tmp_path / "state", job_workers=4)
+        runs = []
+        run_job = manager._run_job
+
+        def counting_run_job(job, run, store):
+            runs.append(job.id)
+            run_job(job, run, store)
+
+        monkeypatch.setattr(manager, "_run_job", counting_run_job)
+        spec = {"circuits": ["c17"], "fault_classes": ["stuck_at"]}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            manager.start()
+            ids = [manager.submit(spec)["id"] for _ in range(24)]
+            for job_id in ids[::3]:
+                manager.cancel(job_id)
+            for job_id in ids:
+                assert manager.wait(job_id, timeout=60.0)["state"] in (
+                    "done", "cancelled"
+                )
+        finally:
+            sys.setswitchinterval(interval)
+            manager.stop(drain=True)
+        assert sorted(runs) == sorted(set(runs))
+        rows = _job_rows(manager.store_path)
+        assert sorted(rows) == sorted(ids)
+        for job_id, row in rows.items():
+            # A job cancelled while queued never started; any other
+            # job started, and ran exactly once.
+            assert (row["started_at"] is not None) == (job_id in runs)
+        assert all(rows[job_id]["state"] == "done" for job_id in ids[1::3])
+
     def test_status_state_is_not_newer_than_its_counts(
         self, tmp_path, monkeypatch
     ):
@@ -535,10 +591,10 @@ class TestJobFailureModes:
         poller sees 'done' with tasks still pending."""
         manager = JobManager(tmp_path / "state")  # never started
         job_id = manager.submit(SMALL_SPEC)["id"]
-        job = manager.get(job_id)
 
         def read_then_finish(_task_ids):
-            job.state = "done"  # the worker finishes mid-read
+            # The worker finishes mid-read.
+            _edit_job_row(manager.store_path, job_id, state="done")
             return []
 
         monkeypatch.setattr(manager._reader, "records", read_then_finish)
@@ -555,10 +611,10 @@ class TestJobFailureModes:
         stops paging with a row missing."""
         manager = JobManager(tmp_path / "state")  # never started
         job_id = manager.submit(SMALL_SPEC)["id"]
-        job = manager.get(job_id)
 
         def read_then_finish(_task_ids):
-            job.state = "done"  # the last row commits mid-read
+            # The last row commits mid-read.
+            _edit_job_row(manager.store_path, job_id, state="done")
             return []
 
         monkeypatch.setattr(manager._reader, "records", read_then_finish)
@@ -580,7 +636,7 @@ class TestJobFailureModes:
         stopper = threading.Thread(target=manager.stop,
                                    kwargs={"drain": False})
         stopper.start()
-        cancel_requested = manager.get(job_id).cancel_event
+        cancel_requested = manager._running[job_id].cancel_event
         deadline = time.monotonic() + 60.0
         while not cancel_requested.is_set():
             assert time.monotonic() < deadline, "stop never reached the job"
@@ -600,6 +656,41 @@ class TestJobFailureModes:
             assert status["counts"]["ok"] == GATED_TASKS
         finally:
             manager.stop(drain=False)
+
+    def test_start_after_an_outlived_stop_leaves_the_running_job_alone(
+        self, tmp_path, gated_cells
+    ):
+        """A stop() whose worker outlives its join timeout, then a
+        start(): recover() must not re-queue the job that worker is
+        still running, or a second run of it would start beside it."""
+        manager = JobManager(tmp_path / "state", job_workers=1).start()
+        try:
+            job_id = manager.submit(GATED_SPEC)["id"]
+            assert gated_cells.in_flight.wait(60.0), "no second cell"
+            manager.stop(drain=False, timeout=0.1)
+            assert len(manager._threads) == 1      # outlived the join
+            assert manager._running[job_id].cancel_event.is_set()
+
+            manager.start()
+            assert len(manager._threads) == 1      # no second worker
+            assert _job_rows(manager.store_path)[job_id]["state"] == (
+                "running"
+            )
+            assert manager.recover() == []
+            assert manager.status(job_id)["state"] == "running"
+
+            # The wind-down re-queues the job, and the same worker,
+            # running again, finishes it.
+            gated_cells.release.set()
+            status = manager.wait(job_id)
+            assert status["state"] == "done"
+            assert status["counts"]["ok"] == GATED_TASKS
+        finally:
+            gated_cells.release.set()
+            manager.stop(drain=False)
+        assert _store_task_ids(manager.store_path).count(
+            GATED_SPEC["circuits"][0] + "/gated/compiled"
+        ) == 1
 
     def test_row_damaged_while_serving_is_recomputed(self, tmp_path):
         """A result row torn while the server runs: resubmitting its
@@ -664,6 +755,7 @@ class TestJobFailureModes:
         second = JobManager(tmp_path / "state")
         try:
             assert second.recover() == sorted(kept)
+            assert jobs_module.JOBS_INFLIGHT.value == len(kept)
             with pytest.raises(JobError):
                 second.get(gone)
         finally:
@@ -751,7 +843,7 @@ class TestWorkerHeldStore:
         stopper = threading.Thread(target=manager.stop,
                                    kwargs={"drain": False})
         stopper.start()
-        cancel_requested = manager.get(job_id).cancel_event
+        cancel_requested = manager._running[job_id].cancel_event
         deadline = time.monotonic() + 60.0
         while not cancel_requested.is_set():
             assert time.monotonic() < deadline, "stop never reached the job"
@@ -763,7 +855,7 @@ class TestWorkerHeldStore:
         assert len(worker_stores) == 2
         self._assert_closed_without_claims(worker_stores, manager.store_path)
 
-    def test_restart_recovers_dead_claim_and_torn_row_on_open(
+    def test_restart_requeues_dead_claim_on_open_and_torn_row_on_read(
         self, tmp_path, worker_stores
     ):
         state_dir = tmp_path / "state"
@@ -793,31 +885,39 @@ class TestWorkerHeldStore:
             )
         conn.close()
 
+        def quarantined_and_tasks():
+            uri = f"file:{store_path}?mode=ro"
+            with sqlite3.connect(uri, uri=True) as ro:
+                return ro.execute(
+                    "SELECT task_id FROM quarantine"
+                ).fetchall(), dict(ro.execute(
+                    "SELECT task_id, status FROM tasks WHERE task_id IN "
+                    "(?, ?)", (torn, killed),
+                ))
+
         del worker_stores[:]
         second = JobManager(state_dir, job_workers=1).start()
         try:
-            # A job over neither damaged cell: only the store's
-            # recovering opens (the manager's at start(), then the
-            # worker's) can have recovered them.
+            # A job over neither damaged cell: the store's opens (the
+            # manager's at start(), then the worker's) re-queue the
+            # dead claim, and no read has reached the torn row yet.
             other = second.submit(
                 {"circuits": ["rca4"], "fault_classes": ["stuck_at"]}
             )["id"]
             assert second.wait(other)["state"] == "done"
             assert [s.n_opens for s in worker_stores] == [1]
-            uri = f"file:{store_path}?mode=ro"
-            with sqlite3.connect(uri, uri=True) as ro:
-                assert ro.execute(
-                    "SELECT task_id FROM quarantine"
-                ).fetchall() == [(torn,)]
-                pending = dict(ro.execute(
-                    "SELECT task_id, status FROM tasks WHERE task_id IN "
-                    "(?, ?)", (torn, killed),
-                ))
-            assert pending == {torn: "pending", killed: "pending"}
+            assert quarantined_and_tasks() == (
+                [], {torn: "done", killed: "pending"}
+            )
 
+            # The first job over the torn cell: its resume's latest()
+            # quarantines the row and re-queues the cell.
             rerun = second.wait(second.submit(SMALL_SPEC)["id"])
             assert rerun["state"] == "done"
             assert rerun["counts"]["ok"] == SMALL_TASKS
+            assert quarantined_and_tasks() == (
+                [(torn,)], {torn: "done", killed: "done"}
+            )
         finally:
             second.stop(drain=True)
         assert [s.n_opens for s in worker_stores] == [1]

@@ -16,12 +16,16 @@ store (every cell ``ok``, no new row), SIGTERMs the server, asserting a
 clean (code 0) graceful shutdown, restarts it on the same state
 directory and checks that the finished job's status and results come
 back identical, that ``GET /jobs`` lists the same jobs in the same
-states, and that the state directory holds nothing but the store's
-``store.sqlite*`` files.  Any divergence — a lost or recomputed row, a
-counter that drifts from the store, an unclean exit, a job that reads
-differently after a restart, a job file beside the store — fails the
-script.  CI runs this in the
-``service-smoke`` job; locally::
+states (as many as ``/healthz`` counts), and that the state directory
+holds nothing but the store's ``store.sqlite*`` files.  Last it tears
+one result row on disk while the server is down, restarts it and
+resubmits the grid: exactly that cell is recomputed, its torn row sits
+in the ``quarantine`` table and the result-row count is unchanged.
+Any divergence — a lost or recomputed row, a counter that drifts from
+the store, an unclean exit, a job that reads differently after a
+restart, a job file beside the store, a torn row served or kept —
+fails the script.  CI runs this in the ``service-smoke`` job;
+locally::
 
     PYTHONPATH=src python tools/service_smoke.py
 """
@@ -82,8 +86,42 @@ def result_rows(store: Path) -> int:
 
 
 def job_states(client: ServiceClient) -> list[tuple[str, str]]:
-    """``(id, state)`` of every job ``GET /jobs`` lists, in its order."""
-    return [(job["id"], job["state"]) for job in client.jobs()]
+    """``(id, state)`` of every job ``GET /jobs`` lists, in its order,
+    after checking that ``/healthz`` counts as many jobs."""
+    states = [(job["id"], job["state"]) for job in client.jobs()]
+    n_jobs = client.healthz()["jobs"]
+    assert n_jobs == len(states), (
+        f"/healthz counts {n_jobs} jobs, GET /jobs lists {len(states)}"
+    )
+    return states
+
+
+def tear_row(store: Path, task_id: str) -> int:
+    """Truncate ``task_id``'s result row on disk, as a torn write
+    would; returns the store's highest result ``seq``."""
+    conn = sqlite3.connect(str(store))
+    with conn:
+        conn.execute(
+            "UPDATE results SET record = substr(record, 1, 20) "
+            "WHERE task_id = ?", (task_id,),
+        )
+        last_seq = conn.execute("SELECT MAX(seq) FROM results").fetchone()[0]
+    conn.close()
+    return last_seq
+
+
+def rows_after(store: Path, seq: int) -> tuple[list[str], list[str]]:
+    """Task ids of the result rows committed after ``seq``, and of the
+    quarantined rows."""
+    uri = f"file:{store}?mode=ro"
+    with sqlite3.connect(uri, uri=True) as conn:
+        fresh = [task_id for (task_id,) in conn.execute(
+            "SELECT task_id FROM results WHERE seq > ? ORDER BY seq", (seq,)
+        )]
+        quarantined = [task_id for (task_id,) in conn.execute(
+            "SELECT task_id FROM quarantine"
+        )]
+    return fresh, quarantined
 
 
 def start_server(state_dir: Path) -> tuple[subprocess.Popen, ServiceClient]:
@@ -189,6 +227,34 @@ def main() -> int:
             )
             assert not extra, f"state dir holds more than the store: {extra}"
             print("state dir holds only the store")
+        finally:
+            stop_server(server)
+
+        # A row torn while the server is down: the restart reads no
+        # result row, and the resubmitted grid's resume quarantines the
+        # row and recomputes exactly its cell.
+        torn = page["records"][0]["task_id"]
+        last_seq = tear_row(store, torn)
+        server, client = start_server(state_dir)
+        try:
+            wait_healthy(client)
+            rerun = client.wait(client.submit(SMOKE_SPEC)["id"],
+                                timeout=120.0)
+            assert rerun["state"] == "done", rerun
+            assert rerun["counts"].get("ok") == n_tasks, rerun["counts"]
+            fresh, quarantined = rows_after(store, last_seq)
+            assert fresh == [torn], f"recomputed {fresh}, torn {torn}"
+            assert quarantined == [torn], f"quarantine holds {quarantined}"
+            assert result_rows(store) == n_rows, (
+                f"result rows {result_rows(store)} != {n_rows}"
+            )
+            resumed = client.metric_value(
+                "repro_campaign_tasks_resumed_total"
+            )
+            assert resumed == float(n_tasks - 1), f"tasks resumed={resumed}"
+            job_states(client)
+            print(f"torn row {torn} quarantined and its cell recomputed, "
+                  "no other cell")
         finally:
             stop_server(server)
     print("service smoke: PASS")
