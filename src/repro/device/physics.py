@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 LN10 = math.log(10.0)
 
@@ -23,6 +22,28 @@ LN10 = math.log(10.0)
 #: affecting any observable quantity (device leakage floors are many orders
 #: of magnitude above ``i_on * ACTIVATION_FLOOR``).
 ACTIVATION_FLOOR = 1e-30
+
+
+def expit(
+    x: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray | float:
+    """Return the logistic sigmoid ``1 / (1 + exp(-x))`` elementwise.
+
+    ``exp(-x)`` overflows to ``inf`` below ``x ~ -709``, which gives an
+    exact 0 without a warning.  ``out`` may be ``x`` itself, which the
+    compact-model kernel uses to evaluate in place.  Without ``out``, a
+    0-d input gives a scalar.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = out is None and x.ndim == 0
+    if out is None:
+        out = np.empty_like(x)
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out[()] if scalar else out
 
 
 def logistic10(x: np.ndarray | float) -> np.ndarray | float:

@@ -11,7 +11,8 @@ into a long-lived service primitive:
   the lifecycle record: every read of a job's state reads its row, and
   every later transition is one read-modify-write of that row under
   the manager's lock.  In memory the manager keeps only what a running job
-  needs: its cancel event, keyed by job id while it runs.
+  needs (its cancel event, keyed by job id while it runs) and each
+  job's checked spec: a row's spec never changes after submit.
 * **Background supervision** — a small pool of daemon worker threads
   takes the oldest ``queued`` row, one at a time; each job runs one
   campaign against the manager's **shared sqlite store**, so
@@ -35,7 +36,8 @@ into a long-lived service primitive:
 * **SIGKILL survival** — job records, results and claims are all in
   the sqlite store, so a killed server loses nothing:
   :meth:`JobManager.recover` (run at startup) reads the ``jobs`` table
-  and re-queues every job that had not reached a terminal state;
+  and re-queues every job that had not reached a terminal state (one
+  whose row no longer validates is marked ``failed`` instead);
   ``resume=True`` plus the store's dead-PID claim reclamation make the
   rerun recompute exactly the unfinished cells, converging
   bit-identical (after ``strip_volatile``) to an undisturbed run.
@@ -213,6 +215,15 @@ class JobSpec:
             raise JobError(str(exc.args[0]) if exc.args else str(exc)) from exc
 
 
+def _check_spec(payload) -> tuple[JobSpec, tuple[str, ...]] | str:
+    """A stored spec and its task ids, or why it does not validate."""
+    try:
+        spec = JobSpec.from_payload(payload)
+        return spec, spec.task_ids()
+    except JobError as exc:
+        return str(exc)
+
+
 @dataclasses.dataclass(frozen=True)
 class Job:
     """A job as its row of the store's ``jobs`` table records it."""
@@ -225,22 +236,6 @@ class Job:
     finished_at: float | None = None
     error: str | None = None
     task_ids: tuple[str, ...] = ()
-
-    @classmethod
-    def from_row(cls, job_id: str, text: str) -> "Job | None":
-        """The job a ``jobs`` row records, or ``None`` when the row no
-        longer validates (say, it names a circuit this checkout lacks)."""
-        try:
-            payload = json.loads(text)
-            spec = JobSpec.from_payload(payload["spec"])
-            return cls(job_id, spec, task_ids=spec.task_ids(), **{
-                key: payload[key] for key in (
-                    "state", "submitted_at", "started_at", "finished_at",
-                    "error",
-                )
-            })
-        except (json.JSONDecodeError, KeyError, TypeError, JobError):
-            return None
 
     def to_payload(self) -> dict:
         """The job's row; a status adds ``counts`` to it."""
@@ -301,6 +296,10 @@ class JobManager:
         #: The jobs this manager is running, by id: the only job state
         #: outside the ``jobs`` table.
         self._running: dict[str, _Run] = {}
+        #: Each job's checked spec and task ids, or why its spec does
+        #: not validate, by id.  A row's spec never changes after
+        #: submit, so a manager checks it once (a restart checks again).
+        self._specs: dict[str, tuple[JobSpec, tuple[str, ...]] | str] = {}
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._threads: list[threading.Thread] = []
@@ -356,13 +355,24 @@ class JobManager:
         ids, sorted.
 
         A job this manager is still running (a worker that outlived a
-        :meth:`stop`) is left alone, and so is a job whose spec no
-        longer validates.  The first read opens the store, which runs
-        its recovery (journal recovery, stale-claim re-queue)."""
+        :meth:`stop`) is left alone.  A job whose row no longer
+        validates (say, it names a circuit this checkout lacks) is
+        marked ``failed`` with the reason, since nothing can run it.
+        The first read opens the store, which runs its recovery
+        (journal recovery, stale-claim re-queue)."""
         requeued = []
         with self._lock:
-            for job in self._jobs(QUEUED, RUNNING):
-                if job.id in self._running:
+            for job_id, text in self._store.jobs((QUEUED, RUNNING)):
+                if job_id in self._running:
+                    continue
+                try:
+                    job = self._job(job_id, text)
+                except JobError as exc:
+                    self._update(
+                        job_id, state=FAILED, finished_at=time.time(),
+                        error=f"job no longer validates: {exc}",
+                    )
+                    JOBS_TOTAL.labels(state=FAILED).inc()
                     continue
                 if job.state == RUNNING:
                     # The previous server died mid-campaign; its store
@@ -388,6 +398,7 @@ class JobManager:
         with self._lock:
             if self._shutdown:
                 raise JobError("server is shutting down")
+            self._specs[job.id] = (spec, job.task_ids)
             self._store.put_job(job.id, job.to_payload())
             self._wake.notify()
         JOBS_TOTAL.labels(state=QUEUED).inc()
@@ -569,19 +580,46 @@ class JobManager:
 
     # -- the jobs table (every method below is called under _lock) ---------
 
+    def _job(self, job_id: str, text: str) -> Job:
+        """The job a ``jobs`` row records; raises :class:`JobError` when
+        the row does not validate.  The spec is checked on this
+        manager's first read of the id only (:attr:`_specs`)."""
+        try:
+            payload = json.loads(text)
+            checked = self._specs.get(job_id)
+            if checked is None:
+                checked = self._specs[job_id] = _check_spec(payload["spec"])
+            if isinstance(checked, str):
+                raise JobError(checked)
+            spec, task_ids = checked
+            return Job(job_id, spec, task_ids=task_ids, **{
+                key: payload[key] for key in (
+                    "state", "submitted_at", "started_at", "finished_at",
+                    "error",
+                )
+            })
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise JobError(f"unreadable job row: {exc!r}") from exc
+
     def _get(self, job_id: str) -> Job:
+        """The job with this id; a row that does not validate is
+        unknown too."""
         text = self._store.job(job_id)
-        job = None if text is None else Job.from_row(job_id, text)
-        if job is None:
-            raise JobError(f"unknown job id {job_id!r}")
-        return job
+        if text is not None:
+            try:
+                return self._job(job_id, text)
+            except JobError:
+                pass
+        raise JobError(f"unknown job id {job_id!r}")
 
     def _jobs(self, *states: str) -> Iterator[Job]:
         """The valid jobs in submit order: all, or those in ``states``."""
         for job_id, text in self._store.jobs(states or STATES):
-            job = Job.from_row(job_id, text)
-            if job is not None:
-                yield job
+            try:
+                job = self._job(job_id, text)
+            except JobError:
+                continue
+            yield job
 
     def _update(self, job_id: str, **changes) -> None:
         """One transition: a read-modify-write of the job's row."""

@@ -25,9 +25,9 @@ def cache_stats() -> dict[str, dict[str, int]]:
 
     The device model is read only if something in this process has
     already imported it: a process that never built a compact model
-    has no hits or misses to report, and importing the analog stack
-    just to read zeros would cost a digital-only server its scipy
-    import on the first scrape.
+    has no hits or misses to report, and importing the device layer
+    just to read zeros would cost a digital-only server that import
+    on its first scrape.
     """
     from repro.logic.compiled import compile_memo_stats
 

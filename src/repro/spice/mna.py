@@ -18,14 +18,12 @@ rows.  The currents and the Jacobian are then scattered with one
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.device.tig_model import ModelRows, TIGSiNWFET
 from repro.spice.netlist import Circuit, DEVICE_TERMINALS
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.device.tig_model import TIGSiNWFET
 
 
 class ConvergenceError(RuntimeError):
@@ -269,11 +267,6 @@ class MNASystem:
                 index_matrix[dev_k, t] * self.size
                 + index_matrix[dev_k, pert_term[k]]
             )
-        # Imported here, like scipy.sparse in the linear factor: the
-        # compact model pulls in scipy, which importing this module
-        # alone does not need.
-        from repro.device.tig_model import ModelRows
-
         self._passes = []
         for run in by_params.values():
             rows = ModelRows([

@@ -1,11 +1,49 @@
 """Tests for the smooth activation primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.device import physics
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.uniform(-1e3, 1e3, 200_000),
+            rng.uniform(-20.0, 20.0, 200_000),
+        ])
+        # Both compute 1 / (1 + exp(-x)).  numpy's exp may differ from
+        # the C library's by one ULP, which with each side's two
+        # roundings bounds the results' gap at 6 ULP.
+        np.testing.assert_array_max_ulp(
+            physics.expit(x), special.expit(x), maxulp=6
+        )
+
+    def test_in_place(self):
+        x = np.linspace(-5.0, 5.0, 11)
+        expected = physics.expit(x)
+        assert physics.expit(x, out=x) is x
+        assert np.array_equal(x, expected)
+
+    def test_extremes_are_exact_and_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert physics.logistic10(-1000.0) == 0.0
+            assert physics.logistic10(1000.0) == 1.0
+            assert np.array_equal(
+                physics.expit(np.array([-1e3, 0.0, 1e3])), [0.0, 0.5, 1.0]
+            )
+
+    def test_float_in_scalar_out(self):
+        for y in (physics.expit(0.25), physics.logistic10(0.25)):
+            assert isinstance(y, float)
+            assert np.ndim(y) == 0 and not isinstance(y, np.ndarray)
 
 
 class TestLogistic10:

@@ -6,8 +6,9 @@ model, the SPICE solver or TCAD-lite, and so without scipy.  These
 checks keep it that way:
 
 * in a fresh interpreter, the digital entry points leave the analog
-  modules unimported, and the campaign runner leaves the service
-  layer unimported;
+  modules unimported, the campaign runner leaves the service layer
+  unimported, and a SPICE cell screen loads no scipy (the compact
+  model is numpy only);
 * statically, no module under ``logic/``, ``atpg/``, ``circuits/`` or
   ``campaign/`` imports the analog packages, the service layer or the
   analysis layer at module level (function-local imports, such as the
@@ -65,11 +66,13 @@ FORBIDDEN_IMPORTS = (
 )
 
 
-def _fresh_modules(*imports: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after ``imports``."""
+def _fresh_modules(*imports: str, then: str = "") -> set[str]:
+    """``sys.modules`` of a fresh interpreter after ``imports`` and the
+    statements ``then``."""
     code = (
         "import sys\n"
         + "".join(f"import {name}\n" for name in imports)
+        + then
         + "print('\\n'.join(sorted(sys.modules)))\n"
     )
     env = dict(os.environ)
@@ -106,6 +109,21 @@ class TestFreshInterpreter:
         modules = _fresh_modules("repro.faults")
         assert "repro.faults.physical" in modules
         assert not any(_under(modules, p) for p in ANALOG)
+
+    def test_cell_screen_loads_no_scipy(self):
+        # scipy serves only TCAD-lite and device-free linear solves.
+        modules = _fresh_modules(
+            "repro.core.detection", "repro.spice",
+            then=(
+                "from repro.core.detection import screen_cell_faults\n"
+                "from repro.faults import circuit_faults_for_cell\n"
+                "from repro.gates.library import get_cell\n"
+                "cell = get_cell('NAND2')\n"
+                "screen_cell_faults(cell, circuit_faults_for_cell(cell)[:1])\n"
+            ),
+        )
+        assert "repro.device.tig_model" in modules
+        assert not _under(modules, "scipy")
 
     def test_obs_imports_only_the_standard_library(self):
         tree = ast.parse((SRC / "repro" / "obs.py").read_text())
@@ -196,10 +214,10 @@ class TestStaticLayering:
      "repro.faults"],
 )
 def test_public_names_resolve(package):
-    if package != "repro.faults":
-        # Resolving the analog packages' names imports the compact
-        # model, and so scipy, which the digital-path CI job lacks.
-        pytest.importorskip("scipy", reason="the analog stack needs scipy")
+    if package == "repro.analysis":
+        # The analysis layer's names reach TCAD-lite, and so scipy,
+        # which the digital-path CI job lacks.
+        pytest.importorskip("scipy", reason="TCAD-lite needs scipy")
     module = importlib.import_module(package)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, missing
@@ -366,10 +384,6 @@ def test_no_atpg_callable_takes_an_engine_or_mode():
 
 
 class TestOneAnalogEngine:
-    @pytest.fixture(autouse=True)
-    def _needs_scipy(self):
-        pytest.importorskip("scipy", reason="the analog stack needs scipy")
-
     def test_no_public_callable_takes_an_engine_or_mode(self):
         api = dict(_api_callables(ANALOG_API))
         # The scan reaches the solvers, the characterisation helpers,

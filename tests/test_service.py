@@ -276,7 +276,7 @@ class TestMetrics:
 
     def test_scrape_does_not_load_the_analog_stack(self):
         # A digital-only process reports zero device/table counters
-        # instead of importing scipy and the compact model to read them.
+        # instead of importing the compact model to read them.
         code = (
             "import sys\n"
             "from repro.obs import Registry\n"
@@ -756,9 +756,44 @@ class TestJobFailureModes:
         try:
             assert second.recover() == sorted(kept)
             assert jobs_module.JOBS_INFLIGHT.value == len(kept)
-            with pytest.raises(JobError):
+            # Nothing can run it, so recovery ends it.
+            row = _job_rows(second.store_path)[gone]
+            assert row["state"] == "failed"
+            assert row["finished_at"] is not None
+            assert row["error"].startswith("job no longer validates: ")
+            assert "no_such_circuit" in row["error"]
+            assert second.recover() == sorted(kept)
+            assert _job_rows(second.store_path)[gone] == row
+            assert jobs_module.JOBS_INFLIGHT.value == len(kept)
+            with pytest.raises(JobError, match="unknown job id"):
                 second.get(gone)
         finally:
+            second.stop()
+
+    def test_status_checks_a_spec_once_per_manager(
+        self, tmp_path, monkeypatch
+    ):
+        checks = []
+        from_payload = JobSpec.from_payload.__func__
+
+        def counting(cls, payload):
+            checks.append(payload)
+            return from_payload(cls, payload)
+
+        monkeypatch.setattr(JobSpec, "from_payload", classmethod(counting))
+        first = JobManager(tmp_path / "state")  # never started
+        second = JobManager(tmp_path / "state")
+        try:
+            job_id = first.submit(SMALL_SPEC)["id"]
+            for _ in range(50):
+                assert first.status(job_id)["state"] == "queued"
+            assert len(checks) == 1  # the submit's
+            # Another manager (a restart) checks the stored spec again.
+            for _ in range(50):
+                assert second.status(job_id)["counts"]["tasks"] == SMALL_TASKS
+            assert len(checks) == 2
+        finally:
+            first.stop()
             second.stop()
 
     def test_tampered_row_counts_as_pending(self, tmp_path):
